@@ -7,6 +7,7 @@ Layout:
     thermal   finite-temperature series, expansions, Lifshitz tail
     oracle    independent quadrature cross-checks
     analysis  equilibrium point, crossovers, fit diagnostics
+    verify    the acceptance-criteria harness behind `cpwall verify`
     cli       command line front end
 """
 

@@ -6,6 +6,7 @@ accepts polarizabilities in nm^3 and converts on entry.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -41,7 +42,13 @@ class PhysicalConstants:
         """lambda_T = hbar c / (k_B T), in micrometres."""
         if temperature_K <= 0.0:
             raise DomainError(f"temperature must be positive, got {temperature_K}")
-        return self.hbar_c_ev_um / (self.k_B * temperature_K)
+        k_t = self.k_B * temperature_K
+        lam = self.hbar_c_ev_um / k_t if k_t > 0.0 else math.inf
+        if not math.isfinite(lam):
+            raise DomainError(
+                f"thermal wavelength at T = {temperature_K} K is not a finite number"
+            )
+        return lam
 
 
 def _parse_config_text(text: str) -> dict[str, float]:

@@ -41,6 +41,10 @@ def run_main(argv, monkeypatch=None):
     return code, buf.getvalue()
 
 
+def _one_line_domain_error(err):
+    return err.startswith("domain error: ") and err.count("\n") == 1
+
+
 def eval_json(extra):
     code, out = run_main(["eval", "--format", "json", *extra])
     assert code == 0
@@ -107,6 +111,14 @@ class TestEval:
     def test_negative_temperature_is_domain_error(self):
         code, _ = run_main(["eval", "--z", "1.0", "--temperature", "-5"])
         assert code == 3
+
+    def test_underflowing_temperature_is_domain_error(self, capsys):
+        # k_B * T underflows to 0 for a subnormal T
+        with pytest.raises(DomainError):
+            PhysicalConstants().thermal_wavelength_um(1e-320)
+        code, out = run_main(["eval", "--z", "1", "--k0", "1", "--temperature", "1e-320"])
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
 
     def test_lambda0_and_k0_agree(self):
         a = eval_json(["--z", "0.7", "--lambda0", "0.5"])
@@ -222,6 +234,28 @@ class TestCurve:
         assert abs(rows[0][0] - 0.5) < 1e-15
         assert abs(rows[-1][0] - 1.0) < 1e-15
 
+    def test_figure1_range_from_zero_is_domain_error(self, capsys):
+        with pytest.raises(DomainError):
+            cli.CurveSpec.for_figure(1, theta=100.0, x_range=(0.0, 1.0))
+        code, out = run_main(["curve", "--figure", "1", "--x-range", "0", "1"])
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("figure_id", [2, 3])
+    def test_figures_2_and_3_keep_the_open_grid_at_zero(self, figure_id):
+        code, out = run_main(
+            ["curve", "--figure", str(figure_id), "--points", "4", "--x-range", "0", "1"]
+        )
+        assert code == 0
+        _, rows = self.parse(out)
+        assert [row[0] for row in rows] == [0.25, 0.5, 0.75, 1.0]
+
+    @pytest.mark.parametrize("theta", ["nan", "-5"])
+    def test_bad_theta_leaves_stdout_empty(self, theta, capsys):
+        code, out = run_main(["curve", "--figure", "2", "--theta", theta])
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
+
     def test_curve_spec_validation(self):
         with pytest.raises(DomainError):
             cli.CurveSpec.for_figure(5, theta=100.0)
@@ -279,7 +313,7 @@ class TestExitCodeMapping:
         def boom(*args, **kwargs):
             raise ConvergenceError("forced")
 
-        monkeypatch.setattr(cli, "find_thermal_equilibrium", boom)
+        monkeypatch.setattr("cpwall.analysis.find_thermal_equilibrium", boom)
         code, _ = run_main(["analyze"])
         assert code == 4
 
@@ -422,3 +456,42 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 1, proc.stderr
         json.loads(proc.stdout)
+
+
+# Runs one command through cli.main in a fresh interpreter and prints its
+# exit code, then which of numpy and scipy it loaded.
+_IMPORT_PROBE = """
+import contextlib, io, sys
+from cpwall import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *(m for m in ("numpy", "scipy") if m in sys.modules))
+"""
+
+
+def _modules_loaded_by(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, *loaded = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return set(loaded)
+
+
+class TestImportFootprint:
+    """eval and curve need neither the oracles nor the root finders, so
+    they must not pay for importing scipy (or, for eval, numpy)."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_eval_loads_neither_numpy_nor_scipy(self, fmt):
+        argv = ["eval", "--z", "1.0", "--format", fmt]
+        assert _modules_loaded_by(argv) == set()
+
+    @pytest.mark.parametrize("figure_id", ["1", "2", "3"])
+    def test_curve_does_not_load_scipy(self, figure_id):
+        argv = ["curve", "--figure", figure_id, "--points", "5"]
+        assert "scipy" not in _modules_loaded_by(argv)
