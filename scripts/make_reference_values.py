@@ -105,14 +105,6 @@ def vhat(theta, zr):
     return theta * w_series(x0, eta) / (8 * mp.pi * zr**3)
 
 
-def ipv(x):
-    """PV int_0^inf u^3 G(u)/(u - x) du in closed form."""
-    x = mp.mpf(x)
-    ft = -ci(x) * mp.sin(x) + (mp.pi / 2 + mp.si(x)) * mp.cos(x)
-    gt = -ci(x) * mp.cos(x) - (mp.pi / 2 + mp.si(x)) * mp.sin(x)
-    return x + (x * x - 2) * ft + 2 * x * gt
-
-
 def main() -> None:
     ref: dict[str, object] = {}
 
@@ -158,9 +150,6 @@ def main() -> None:
         eta = 1 / (2 * mp.mpf(zr))
         ref[f"w_theta{theta:g}_zr{zr:g}"] = float(w_series(x0, eta))
         ref[f"vhat_theta{theta:g}_zr{zr:g}"] = float(vhat(theta, zr))
-
-    for x in (0.1, 1.0, 10.0, 100.0):
-        ref[f"ipv_{x:g}"] = float(ipv(x))
 
     lines = [
         "# Generated by scripts/make_reference_values.py -- do not edit by hand.",

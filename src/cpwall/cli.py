@@ -26,7 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .constants import PhysicalConstants, load_constants
 from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
@@ -156,59 +156,64 @@ def _reference_pair(
     return atom, env
 
 
+def _row_function(
+    spec: CurveSpec, cst: PhysicalConstants
+) -> Callable[[float], tuple[float, ...]]:
+    """The CSV row of spec's figure as a function of one grid abscissa."""
+    if spec.figure_id == 1:
+        atom = AtomParams(k0=1.0, alpha0=1.0)
+        denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
+
+        def vacuum_row(z: float) -> tuple[float, ...]:
+            v = vacuum_potential(atom, z, cst)
+            nr = nonretarded_asymptote(atom, z, cst)
+            ret = retarded_asymptote(atom, z, cst)
+            s = z**3 / denom
+            return z, v * s, nr * s, ret * s
+
+        return vacuum_row
+
+    atom, env = _reference_pair(spec.theta, cst)
+    lam = env.lambda_T
+    scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
+
+    if spec.figure_id == 2:
+
+        def total_row(zr: float) -> tuple[float, ...]:
+            z = zr * lam
+            tot = total_potential(atom, z, env, cst).total
+            lif = lifshitz_asymptote(atom, env, z, cst)
+            s = zr**3 / scale
+            return zr, tot * s, lif * s
+
+        return total_row
+
+    def thermal_row(zr: float) -> tuple[float, ...]:
+        z = zr * lam
+        vt = thermal_potential_exact(atom, env, z, cst)
+        short = thermal_short_leading(atom, env, z, cst)
+        ret = retarded_asymptote(atom, z, cst)
+        return zr, vt / scale, short / scale, ret / scale
+
+    return thermal_row
+
+
 def cmd_curve(
     spec: CurveSpec,
     constants: PhysicalConstants | None = None,
     stream: TextIO | None = None,
 ) -> int:
-    """Emit one figure's data as CSV with a header row."""
+    """Emit one figure's data as CSV with a header row.
+
+    Every row is computed before anything is written, so an error at
+    any grid point leaves no partial output.
+    """
     cst = constants if constants is not None else load_constants()
     out = stream if stream is not None else sys.stdout
-    grid = _figure_grid(spec)
-    if spec.figure_id != 1:
-        # before the header, so a bad theta leaves no partial output
-        atom, env = _reference_pair(spec.theta, cst)
-    out.write(",".join(spec.columns) + "\n")
-
-    if spec.figure_id == 1:
-        atom = AtomParams(k0=1.0, alpha0=1.0)
-        denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
-        for x in grid:
-            z = float(x)
-            v = vacuum_potential(atom, z, cst)
-            nr = nonretarded_asymptote(atom, z, cst)
-            ret = retarded_asymptote(atom, z, cst)
-            s = z**3 / denom
-            out.write(
-                ",".join((_fmt(z), _fmt(v * s), _fmt(nr * s), _fmt(ret * s))) + "\n"
-            )
-        return 0
-
-    lam = env.lambda_T
-    scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
-
-    if spec.figure_id == 2:
-        for u in grid:
-            zr = float(u)
-            z = zr * lam
-            tot = total_potential(atom, z, env, cst).total
-            lif = lifshitz_asymptote(atom, env, z, cst)
-            s = zr**3 / scale
-            out.write(",".join((_fmt(zr), _fmt(tot * s), _fmt(lif * s))) + "\n")
-        return 0
-
-    for u in grid:
-        zr = float(u)
-        z = zr * lam
-        vt = thermal_potential_exact(atom, env, z, cst)
-        short = thermal_short_leading(atom, env, z, cst)
-        ret = retarded_asymptote(atom, z, cst)
-        out.write(
-            ",".join(
-                (_fmt(zr), _fmt(vt / scale), _fmt(short / scale), _fmt(ret / scale))
-            )
-            + "\n"
-        )
+    row = _row_function(spec, cst)
+    lines = [",".join(spec.columns)]
+    lines += [",".join(map(_fmt, row(float(x)))) for x in _figure_grid(spec)]
+    out.write("\n".join(lines) + "\n")
     return 0
 
 

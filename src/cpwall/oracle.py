@@ -5,33 +5,28 @@ algorithms from the main path, built from elementary functions and this
 module's own quadrature only.  None of the special-function machinery
 in ``specfun`` (Ci/si, scaled exponential integrals) is ever called.
 
-Vacuum route.  The bare integrals are conditionally convergent (the
-integrand grows like u sin u), so values are defined by an Abel
-regulator e^{-c u} in u = 2kz with the printed sequence
-c_j = 0.1 * 2^{-j}, j = 0..7, extrapolated to c = 0 through a Neville
-table.  Naive truncation of the regulated integral at u ~ 1/c feeds
-sin(u) argument-quantization noise (~eps/c^3 coherent worst case) into
-the deepest Richardson levels, so each regulated integrand is first
-split by polynomial long division,
+Vacuum route.  Only the pole-free total is computed.  Its bare
+integral is conditionally convergent (the integrand grows like
+u sin u), so values are defined by an Abel regulator e^{-c u} in
+u = 2kz with the printed sequence c_j = 0.1 * 2^{-j}, j = 0..7,
+extrapolated to c = 0 through a Neville table.  Naive truncation of
+the regulated integral at u ~ 1/c feeds sin(u) argument-quantization
+noise (~eps/c^3 coherent worst case) into the deepest Richardson
+levels, so the regulated integrand is first split by polynomial long
+division,
 
     u^3 G(u)/(u + x0) = (u - x0) sin u + 2 cos u
-                        + [(x0^2 - 2) sin u - 2 x0 cos u]/(u + x0),
+                        + [(x0^2 - 2) sin u - 2 x0 cos u]/(u + x0).
 
-(similarly for u - x0).  The polynomial part has elementary closed
-c-moments; the remainder decays like 1/u and is integrated over
-pole-resolved geometric panels followed by a pi-aligned tail summed
-with Euler (repeated-averaging) acceleration.  The integration range
-then never exceeds a few hundred, which keeps the extrapolation table
-noise-free.  Error estimates combine the GL16-vs-GL8 panel difference,
-the Euler tail increment, and 4x the last Richardson correction;
-measured worst case against 50-digit references is 1.5e-11 relative
-(h0 route) and 8e-15 absolute (PV route) over x0 in [0.05, 100], with
+The polynomial part has elementary closed c-moments; the remainder
+decays like 1/u and is integrated over pole-resolved geometric panels
+followed by a pi-aligned tail summed with Euler (repeated-averaging)
+acceleration.  The integration range then never exceeds a few hundred,
+which keeps the extrapolation table noise-free.  Error estimates
+combine the GL16-vs-GL8 panel difference, the Euler tail increment,
+and 4x the last Richardson correction; measured worst case against
+50-digit references is 1.5e-11 relative over x0 in [0.05, 100], with
 the estimate honest at every point.
-
-The PV route scales its c-sequence by min(1, 4/x0): the effective
-Richardson variable near the pole is c * 2 x0, and the unscaled
-sequence loses the extrapolation beyond x0 ~ 40.  The pole-free total
-(what the acceptance grid exercises) keeps the printed sequence.
 
 Thermal route.  The Bose weight makes every integral absolutely
 convergent: plain graded panels (length capped by min(pi, 3/eta)), a
@@ -55,7 +50,7 @@ from scipy.special import zeta as _riemann_zeta
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError
 from .thermal import ThermalEnvironment
-from .vacuum import AtomParams, VacuumShift
+from .vacuum import AtomParams
 
 __all__ = [
     "QuadratureReport",
@@ -64,7 +59,6 @@ __all__ = [
     "f_integral_oracle",
     "thermal_quadrature",
     "thermal_quadrature_static",
-    "vacuum_shift_from_quadrature",
     "vacuum_split_quadrature",
 ]
 
@@ -191,63 +185,10 @@ def _q_plus(x0: float, c: float) -> tuple[float, float, int]:
     return head + tail, e_head + e_tail, panels
 
 
-def _q_pv(x0: float, c: float, window_scale: float = 1.0) -> tuple[float, float, int]:
-    """PV int_0^inf [(x0^2-2) sin u + 2 x0 cos u] e^{-cu}/(u - x0) du.
-
-    The quotient subtraction runs over [x0(1-s), x0(1+s)]; s = 1 is the
-    production window, smaller s exists to test window independence.
-    """
-    aa = x0 * x0 - 2.0
-
-    def fnum(u):
-        return (aa * np.sin(u) + 2.0 * x0 * np.cos(u)) * np.exp(-c * u)
-
-    s = window_scale
-    lo = x0 * (1.0 - s)
-    hi = x0 * (1.0 + s)
-    fx0 = float(fnum(np.array([[x0]]))[0, 0])
-
-    def quotient(u):
-        return (fnum(u) - fx0) / (u - x0)
-
-    def f2(u):
-        return fnum(u) / (u - x0)
-
-    n_head = max(3, int(math.ceil((hi - lo) / _PI)))
-    head, e_head = _panel_sum2(quotient, np.linspace(lo, hi, n_head + 1))
-    panels = n_head
-
-    pre = e_pre = 0.0
-    if lo > 0.0:
-        pre_edges = _uniform_edges(0.0, lo, min(_PI, 0.25 * s * x0))
-        pre, e_pre = _panel_sum2(f2, pre_edges)
-        panels += pre_edges.size - 1
-
-    tr_edges, u2 = _geometric_edges(hi, x0, _PI)
-    trans, e_trans = (0.0, 0.0)
-    if tr_edges.size >= 2:
-        trans, e_trans = _panel_sum2(f2, tr_edges)
-        panels += tr_edges.size - 1
-    tail_edges = u2 + _PI * np.arange(_TAIL_PANELS + 1)
-    tail, e_tail = _euler_sum(_panel_vals(f2, tail_edges, _N16, _W16))
-    panels += _TAIL_PANELS
-    return (
-        head + pre + trans + tail,
-        e_head + e_pre + e_trans + e_tail,
-        panels,
-    )
-
-
 def _poly_plus(x0: float, c: float) -> float:
     # closed moments of (u - x0) sin u + 2 cos u under e^{-cu}
     d = 1.0 + c * c
     return 2.0 * c / (d * d) - x0 / d + 2.0 * c / d
-
-
-def _poly_pv(x0: float, c: float) -> float:
-    # closed moments of (u + x0) sin u + 2 cos u under e^{-cu}
-    d = 1.0 + c * c
-    return 2.0 * c / (d * d) + x0 / d + 2.0 * c / d
 
 
 def _richardson(vals: list[float], cs: list[float]) -> tuple[float, float]:
@@ -293,78 +234,25 @@ def _h0_quadrature(x0: float, c0: float = _ABEL_C0) -> tuple[float, float, int]:
     return _abel_limit(sample, c0)
 
 
-def _ipv_quadrature(
-    x0: float, c0: float | None = None, window_scale: float = 1.0
-) -> tuple[float, float, int]:
-    """Abel limit of PV int u^3 G(u)/(u - x0) du."""
-    if c0 is None:
-        c0 = _ABEL_C0 * min(1.0, 4.0 / x0)
-
-    def sample(c: float):
-        v, e, n = _q_pv(x0, c, window_scale)
-        return _poly_pv(x0, c) + v, e, n
-
-    return _abel_limit(sample, c0)
-
-
 def vacuum_split_quadrature(
     atom: AtomParams,
     z: float,
-    part: str,
     constants: PhysicalConstants | None = None,
 ) -> QuadratureReport:
-    """Quadrature reconstruction of the vacuum shift integrals.
-
-    part = "total" uses the pole-free combination alpha+ + alpha- =
-    alpha0 k0/(k + k0); "rr"/"fr" combine the same plus-integral with
-    the principal-value integral across the k = k0 pole.  Values in eV.
-    """
+    """Quadrature reconstruction of the vacuum shift (eV) from the
+    pole-free combination alpha+ + alpha- = alpha0 k0/(k + k0)."""
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be positive and finite, got {z}")
-    if part not in ("rr", "fr", "total"):
-        raise DomainError(f"part must be one of rr/fr/total, got {part!r}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     x0 = 2.0 * atom.k0 * z
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (16.0 * _PI * z**3)
-
-    if part == "total":
-        val, est, panels = _h0_quadrature(x0)
-        return QuadratureReport(
-            value=2.0 * pref * val,
-            abs_error_estimate=2.0 * pref * est,
-            subdivisions=panels,
-            regulator_epsilon=_ABEL_C0 * 0.5 ** (_ABEL_LEVELS - 1),
-            extrapolation_steps=_ABEL_LEVELS,
-        )
-
-    vp, ep, n_p = _h0_quadrature(x0)
-    vq, eq, n_q = _ipv_quadrature(x0)
-    combined = vp + vq if part == "rr" else vp - vq
-    eps_min = min(_ABEL_C0, _ABEL_C0 * min(1.0, 4.0 / x0)) * 0.5 ** (_ABEL_LEVELS - 1)
+    val, est, panels = _h0_quadrature(x0)
     return QuadratureReport(
-        value=pref * combined,
-        abs_error_estimate=pref * (ep + eq),
-        subdivisions=n_p + n_q,
-        regulator_epsilon=eps_min,
+        value=2.0 * pref * val,
+        abs_error_estimate=2.0 * pref * est,
+        subdivisions=panels,
+        regulator_epsilon=_ABEL_C0 * 0.5 ** (_ABEL_LEVELS - 1),
         extrapolation_steps=_ABEL_LEVELS,
-    )
-
-
-def vacuum_shift_from_quadrature(
-    atom: AtomParams,
-    z: float,
-    constants: PhysicalConstants | None = None,
-) -> VacuumShift:
-    """VacuumShift with the rr/fr parts the closed form cannot supply,
-    marked as quadrature-derived."""
-    rr = vacuum_split_quadrature(atom, z, "rr", constants)
-    fr = vacuum_split_quadrature(atom, z, "fr", constants)
-    total = vacuum_split_quadrature(atom, z, "total", constants)
-    return VacuumShift(
-        total=total.value,
-        rr_part=rr.value,
-        fr_part=fr.value,
-        parts_from_quadrature=True,
     )
 
 

@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConvergenceError, DomainError
 
@@ -40,56 +38,10 @@ EULER_GAMMA = 0.5772156649015328606
 _EPS = 2.220446049250313e-16
 
 
-@dataclass(frozen=True)
-class ComplexValue:
-    """Real/imaginary pair used by E1t, polygamma, and the J0 series.
-
-    Plain Python ``complex`` converts losslessly in both directions; the
-    dataclass exists so results carry named, finite components.
-    """
-
-    re: float
-    im: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
-            raise ConvergenceError(f"non-finite complex value ({self.re}, {self.im})")
-
-    def __complex__(self) -> complex:
-        return complex(self.re, self.im)
-
-    @staticmethod
-    def from_complex(w: complex) -> "ComplexValue":
-        return ComplexValue(float(w.real), float(w.imag))
-
-
-@dataclass(frozen=True)
-class AccuracyBudget:
-    """Relative tolerances: specfun layer and composed physics layer.
-
-    rel_tol_specfun is the 1e-12 target (1e-10 guaranteed) for the
-    functions in this module; rel_tol_composed bounds quantities built
-    from several of them.
-    """
-
-    rel_tol_specfun: float = 1e-12
-    rel_tol_composed: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol_specfun <= self.rel_tol_composed < 1e-3):
-            raise DomainError(
-                "require 0 < rel_tol_specfun <= rel_tol_composed < 1e-3, got "
-                f"{self.rel_tol_specfun} and {self.rel_tol_composed}"
-            )
-
-
-DEFAULT_BUDGET = AccuracyBudget()
-
-
-def _to_complex(w: "ComplexValue | complex | float") -> complex:
-    if isinstance(w, ComplexValue):
-        return complex(w)
-    return complex(w)
+def _finite(v: complex) -> complex:
+    if not cmath.isfinite(v):
+        raise ConvergenceError(f"non-finite complex value {v}")
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -161,27 +113,22 @@ def _scaled_e1_upper(w: complex) -> complex:
     return _e1t_asymptotic(w)
 
 
-def scaled_e1(w: "ComplexValue | complex") -> ComplexValue:
+def scaled_e1(w: complex) -> complex:
     """E1t(w) = e^w E1(w), principal branch.
 
-    Raises DomainError at w = 0 and on the negative real axis (the
-    branch cut).  E1t(w) ~ 1/w as |w| grows in |arg w| < pi.
+    Raises DomainError at w = 0, on the negative real axis (the branch
+    cut) and for non-finite w.  E1t(w) ~ 1/w as |w| grows in |arg w| < pi.
     """
-    z = _to_complex(w)
+    z = complex(w)
+    if not cmath.isfinite(z):
+        raise DomainError(f"scaled_e1 needs a finite argument, got w = {z}")
     if z == 0:
         raise DomainError("scaled_e1 undefined at w = 0")
     if z.imag == 0.0 and z.real < 0.0:
         raise DomainError(f"scaled_e1 on the branch cut: w = {z}")
     if z.imag < 0.0:
-        return ComplexValue.from_complex(_scaled_e1_upper(z.conjugate()).conjugate())
-    return ComplexValue.from_complex(_scaled_e1_upper(z))
-
-
-def _scaled_e1_c(z: complex) -> complex:
-    # internal fast path: complex in, complex out, same branch map
-    if z.imag < 0.0:
-        return _scaled_e1_upper(z.conjugate()).conjugate()
-    return _scaled_e1_upper(z)
+        return _finite(_scaled_e1_upper(z.conjugate()).conjugate())
+    return _finite(_scaled_e1_upper(z))
 
 
 # ----------------------------------------------------------------------
@@ -192,18 +139,18 @@ _CI_SI_SWITCH = 4.0
 
 def auxiliary_f(x: float) -> float:
     """f(x) = Ci(x) sin x - si(x) cos x = Int_0^inf e^{-xt}/(1+t^2) dt."""
-    if x < 0.0:
-        raise DomainError(f"auxiliary_f needs x >= 0, got {x}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"auxiliary_f needs finite x >= 0, got {x}")
     if x == 0.0:
         return 0.5 * math.pi
-    return -_scaled_e1_c(1j * x).imag
+    return -_scaled_e1_upper(1j * x).imag
 
 
 def auxiliary_g(x: float) -> float:
     """g(x) = d f/dx = Ci(x) cos x + si(x) sin x; log-divergent at 0."""
-    if x <= 0.0:
-        raise DomainError(f"auxiliary_g needs x > 0, got {x}")
-    return -_scaled_e1_c(1j * x).real
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"auxiliary_g needs finite x > 0, got {x}")
+    return -_scaled_e1_upper(1j * x).real
 
 
 def _ci_series(x: float) -> float:
@@ -270,8 +217,8 @@ def kernel_g(x: float) -> float:
     Taylor series is used there; at the switch the closed form still
     carries ~14 good digits (measured 6e-14) and the branches overlap.
     """
-    if x < 0.0:
-        raise DomainError(f"kernel_g needs x >= 0, got {x}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise DomainError(f"kernel_g needs finite x >= 0, got {x}")
     if x < _KERNEL_SWITCH:
         x2 = x * x
         # 1/3 - x^2/10 + x^4/168 - x^6/6480 + x^8/443520
@@ -282,45 +229,24 @@ def kernel_g(x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# even zeta values via Bernoulli numbers
+# even zeta values
 
-
-def _bernoulli_even(n_max: int) -> list[Fraction]:
-    # B_0, B_2, ..., B_{2 n_max} by the defining recurrence
-    out = [Fraction(1)]
-    b = [Fraction(1)]
-    for m in range(1, 2 * n_max + 1):
-        acc = Fraction(0)
-        for j, bj in enumerate(b):
-            acc += math.comb(m + 1, j) * bj
-        b.append(-acc / (m + 1))
-        if m % 2 == 0:
-            out.append(b[m])
-    return out
-
-
-_PI_FRACTION = Fraction(
-    "3.14159265358979323846264338327950288419716939937510582097494"
+# zeta(2m) = |B_{2m}| (2 pi)^{2m} / (2 (2m)!) for m = 1..27, each the
+# exact rational value (pi to 60 digits) rounded once to double
+# (tests/test_specfun.py re-derives them); zeta(2m) is 1.0 in float64
+# from 2m = 54 on.  Index 0 of the table is unused.
+_ZETA_EVEN_HEAD = (
+    1.6449340668482264, 1.0823232337111381, 1.0173430619844492,
+    1.0040773561979444, 1.000994575127818, 1.000246086553308,
+    1.0000612481350588, 1.0000152822594086, 1.000003817293265,
+    1.0000009539620338, 1.0000002384505027, 1.000000059608189,
+    1.0000000149015549, 1.000000003725334, 1.0000000009313275,
+    1.000000000232831, 1.0000000000582077, 1.000000000014552,
+    1.000000000003638, 1.0000000000009095, 1.0000000000002274,
+    1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
+    1.0000000000000009, 1.0000000000000002, 1.0,
 )
-
-
-def _build_zeta_even_table(m_max: int = 260) -> list[float]:
-    # zeta(2m) = |B_{2m}| (2 pi)^{2m} / (2 (2m)!); equals 1.0 in float64
-    # for 2m >= 56, so the Bernoulli evaluation stops at 2m = 54.  The
-    # closed form is evaluated in exact rational arithmetic (with pi to
-    # 60 digits) so the stored double is correctly rounded.
-    bern = _bernoulli_even(27)
-    table = [0.0]  # index 0 unused
-    for m in range(1, m_max + 1):
-        if m <= 27:
-            val = abs(bern[m]) * (2 * _PI_FRACTION) ** (2 * m) / (2 * math.factorial(2 * m))
-            table.append(float(val))
-        else:
-            table.append(1.0)
-    return table
-
-
-_ZETA_EVEN = _build_zeta_even_table()
+_ZETA_EVEN = [0.0, *_ZETA_EVEN_HEAD] + [1.0] * (260 - len(_ZETA_EVEN_HEAD))
 
 
 def zeta_even(m: int) -> float:
@@ -337,11 +263,10 @@ def _zeta_even_unchecked(m: int) -> float:
 # ----------------------------------------------------------------------
 # Hurwitz zeta and polygamma
 
-_BERN_ASYM = [Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-              Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
-              Fraction(43867, 798), Fraction(-174611, 330), Fraction(854513, 138),
-              Fraction(-236364091, 2730)]
-_BERN_ASYM_F = [float(b) for b in _BERN_ASYM]
+# B_2, B_4, ..., B_24; each quotient rounds once to the nearest double
+_BERN_ASYM_F = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
+                -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
+                -236364091 / 2730]
 
 
 def _hurwitz(s: int, z: complex) -> complex:
@@ -408,7 +333,7 @@ def _is_near_nonpositive_int(z: complex) -> bool:
     return r <= 0 and abs(z.real - r) < 1e-12
 
 
-def polygamma(m: int, z: "ComplexValue | complex") -> ComplexValue:
+def polygamma(m: int, z: complex) -> complex:
     """psi^(m)(z) for integer m >= 0 and complex z off the poles.
 
     For m >= 1 uses psi^(m)(z) = (-1)^{m+1} m! zeta(m+1, z); the
@@ -417,16 +342,16 @@ def polygamma(m: int, z: "ComplexValue | complex") -> ComplexValue:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > 520:
         raise DomainError(f"polygamma order must be an integer in [0, 520], got {m!r}")
-    w = _to_complex(z)
+    w = complex(z)
+    if not cmath.isfinite(w):
+        raise DomainError(f"polygamma needs a finite argument, got z = {w}")
     if _is_near_nonpositive_int(w):
         raise DomainError(f"polygamma pole at z = {w}")
     if m == 0:
         if w.real < 0.5:
             # reflection instead of many shifts for far-left arguments
-            return ComplexValue.from_complex(
-                _digamma(1.0 - w) - math.pi / cmath.tan(math.pi * w)
-            )
-        return ComplexValue.from_complex(_digamma(w))
+            return _finite(_digamma(1.0 - w) - math.pi / cmath.tan(math.pi * w))
+        return _finite(_digamma(w))
     if w.real < 0.5:
         # shift right across the pole-free strip before the zeta form
         head = 0.0 + 0.0j
@@ -440,18 +365,18 @@ def polygamma(m: int, z: "ComplexValue | complex") -> ComplexValue:
             if lg > 700.0:
                 raise OverflowError(f"polygamma shift term overflows at z={w}, m={m}")
             head += sign * cmath.exp(fact + (-(m + 1)) * cmath.log(zz))
-        return ComplexValue.from_complex(head + complex(polygamma(m, w + shift)))
+        return _finite(head + polygamma(m, w + shift))
     hz = _hurwitz(m + 1, w)
     sign = 1.0 if m % 2 == 1 else -1.0
     if m <= 170:
         val = sign * math.factorial(m) * hz
         if not (math.isfinite(val.real) and math.isfinite(val.imag)):
             raise OverflowError(f"polygamma({m}, {w}) overflows double precision")
-        return ComplexValue.from_complex(val)
+        return val
     log_mag = math.lgamma(m + 1) + math.log(abs(hz))
     if log_mag > 709.0:
         raise OverflowError(f"polygamma({m}, {w}) overflows double precision")
-    return ComplexValue.from_complex(sign * cmath.exp(math.lgamma(m + 1) + cmath.log(hz)))
+    return _finite(sign * cmath.exp(math.lgamma(m + 1) + cmath.log(hz)))
 
 
 def _polygamma_scaled(m: int, z: complex, log_scale: float) -> complex:

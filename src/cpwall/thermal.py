@@ -20,11 +20,7 @@ where E1t is ``specfun.scaled_e1``.  The individual sums diverge
 logarithmically in their real parts; only the displayed combinations
 converge.  We therefore sum a finite head of m-terms and close both
 series with asymptotic tails built from Hurwitz zeta / digamma values
-of argument M + 1 - i/eta.  The tails are folded half-and-half into the
-reported J0+ / J0- so that the K0 and K1 compositions above hold
-exactly, float by float, on the stored fields; the split of the tail
-between the two J's is a reporting convention (only the combinations
-are physical), and the pole term belongs to J0-.
+of argument M + 1 - i/eta.
 
 Short- and long-distance expansions (H_T with its double zeta sum, L_T
 with its polygamma sums) and the Lifshitz total asymptote
@@ -41,7 +37,6 @@ from dataclasses import dataclass
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .specfun import (
-    ComplexValue,
     _digamma,
     _hurwitz,
     _polygamma_scaled,
@@ -57,7 +52,6 @@ __all__ = [
     "ThermalEnvironment",
     "ThermalSeriesTerms",
     "THETA_MIN",
-    "j0_series",
     "lifshitz_asymptote",
     "recommended_approximation",
     "thermal_potential_exact",
@@ -128,14 +122,11 @@ class ThermalEnvironment:
 class ThermalSeriesTerms:
     """Assembled pieces of the exact thermal series at one (eta, x0).
 
-    k0_val is stored exactly as Im(j0_plus - j0_minus) and k1_val as
-    -x0 Re(j0_plus + j0_minus); tail_bound bounds the truncation error
-    of the W bracket (the asymptotic tails make it superasymptotically
-    small for theta >= 10).
+    k0_val = Im(J0+ - J0-) and k1_val = -x0 Re(J0+ + J0-); tail_bound
+    bounds the truncation error of the W bracket (the asymptotic tails
+    make it superasymptotically small for theta >= 10).
     """
 
-    j0_plus: ComplexValue
-    j0_minus: ComplexValue
     k0_val: float
     k1_val: float
     p_val: float
@@ -148,8 +139,6 @@ class ThermalSeriesTerms:
                 raise ConvergenceError(f"non-finite {name} in ThermalSeriesTerms")
         if self.tail_bound < 0.0:
             raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound}")
-        if self.k0_val != self.j0_plus.im - self.j0_minus.im:
-            raise DomainError("k0_val is not the exact Im(j0_plus - j0_minus)")
 
 
 @dataclass(frozen=True)
@@ -173,6 +162,8 @@ def _check_pair(eta: float, x0: float) -> float:
         raise DomainError(f"eta must be positive and finite, got {eta}")
     if not (math.isfinite(x0) and x0 > 0.0):
         raise DomainError(f"x0 must be positive and finite, got {x0}")
+    if not math.isfinite(x0 * x0):
+        raise DomainError(f"x0 = {x0} too large: x0^2 overflows")
     theta = eta * x0
     if theta < THETA_MIN * (1.0 - 1e-12):
         raise DomainError(
@@ -201,10 +192,10 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
         w = complex(m * theta, -x0)
         ep = scaled_e1(w)
         em = scaled_e1(-w)
-        hp_re += ep.re
-        hp_im += ep.im
-        hm_re += em.re
-        hm_im += em.im
+        hp_re += ep.real
+        hp_im += ep.imag
+        hm_re += em.real
+        hm_im += em.imag
 
     # Tails over m > n_head from the paired large-w expansions:
     #   E1t(w) - E1t(-w) ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
@@ -245,26 +236,18 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     pole_re = -math.pi * math.sin(x0) * bose
     pole_im = math.pi * math.cos(x0) * bose
 
-    j_plus = ComplexValue(re=hp_re + 0.5 * retail, im=hp_im + 0.5 * imtail)
-    j_minus = ComplexValue(
-        re=hm_re + 0.5 * retail + pole_re, im=hm_im - 0.5 * imtail + pole_im
-    )
+    # The tails go half to J0+ and half to J0-; only K0 and K1 are physical.
+    jp_re = hp_re + 0.5 * retail
+    jp_im = hp_im + 0.5 * imtail
+    jm_re = hm_re + 0.5 * retail + pole_re
+    jm_im = hm_im - 0.5 * imtail + pole_im
     return ThermalSeriesTerms(
-        j0_plus=j_plus,
-        j0_minus=j_minus,
-        k0_val=j_plus.im - j_minus.im,
-        k1_val=-x0 * (j_plus.re + j_minus.re),
+        k0_val=jp_im - jm_im,
+        k1_val=-x0 * (jp_re + jm_re),
         p_val=bose_sum_p(eta),
         terms_used=n_head,
         tail_bound=tail_bound,
     )
-
-
-def j0_series(eta: float, x0: float) -> tuple[ComplexValue, ComplexValue]:
-    """(J0+, J0-) at one geometry point; see the module docstring for the
-    tail-folding convention on the individually divergent real parts."""
-    terms = thermal_series_terms(eta, x0)
-    return terms.j0_plus, terms.j0_minus
 
 
 def _w_bracket(terms: ThermalSeriesTerms, x0: float) -> float:

@@ -9,10 +9,7 @@ dimensionless shape function,
 with F and G the auxiliary sine/cosine-integral combinations from
 :mod:`cpwall.specfun`.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
-(the retarded regime).  Only the total is available in closed form;
-the rr/fr split exists solely as a pair of principal-value integrals,
-so :class:`VacuumShift` carries a flag marking its parts as
-quadrature-derived (see :mod:`cpwall.oracle`).
+(the retarded regime).
 
 All dimensional work happens in :func:`vacuum_potential` and the two
 asymptote functions; everything else is dimensionless.  Units: k0 in
@@ -27,13 +24,11 @@ from dataclasses import dataclass
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .specfun import DEFAULT_BUDGET, auxiliary_f, auxiliary_g
+from .specfun import auxiliary_f, auxiliary_g
 
 __all__ = [
     "AtomParams",
-    "GeometryPoint",
     "RegimeTag",
-    "VacuumShift",
     "X0_NON_RETARDED_MAX",
     "X0_RETARDED_MIN",
     "classify_regime",
@@ -93,63 +88,12 @@ def classify_regime(x0: float) -> RegimeTag:
     return RegimeTag.CROSSOVER
 
 
-@dataclass(frozen=True)
-class GeometryPoint:
-    """Dimensionless geometry: x0 = 2 k0 z with derived z / lambda0 and
-    regime tag.  Build via :meth:`from_x0`; direct construction checks
-    the derived fields for consistency."""
-
-    x0: float
-    z_over_lambda0: float
-    regime_tag: RegimeTag
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x0) and self.x0 > 0.0):
-            raise DomainError(f"x0 must be positive and finite, got {self.x0}")
-        derived = self.x0 / (4.0 * math.pi)
-        tol = DEFAULT_BUDGET.rel_tol_composed
-        if abs(self.z_over_lambda0 - derived) > tol * derived:
-            raise DomainError(
-                "z_over_lambda0 inconsistent with x0 / 4 pi: "
-                f"{self.z_over_lambda0} vs {derived}"
-            )
-        if self.regime_tag is not classify_regime(self.x0):
-            raise DomainError(
-                f"regime_tag {self.regime_tag} inconsistent with x0 = {self.x0}"
-            )
-
-    @classmethod
-    def from_x0(cls, x0: float) -> "GeometryPoint":
-        return cls(
-            x0=x0,
-            z_over_lambda0=x0 / (4.0 * math.pi),
-            regime_tag=classify_regime(x0),
-        )
-
-
-@dataclass(frozen=True)
-class VacuumShift:
-    """Vacuum level shift split into reservoir-reaction (rr) and
-    reservoir-fluctuation (fr) parts, in eV.
-
-    The closed form yields only the total; the parts come from the
-    oracle module's principal-value quadrature, hence the origin flag.
-    Additivity is enforced at construction.
-    """
-
-    total: float
-    rr_part: float
-    fr_part: float
-    parts_from_quadrature: bool
-
-    def __post_init__(self) -> None:
-        scale = abs(self.total) + abs(self.rr_part) + abs(self.fr_part)
-        tol = DEFAULT_BUDGET.rel_tol_composed
-        if abs(self.total - (self.rr_part + self.fr_part)) > tol * scale + 1e-300:
-            raise DomainError(
-                "VacuumShift parts do not sum to total: "
-                f"{self.rr_part} + {self.fr_part} != {self.total}"
-            )
+def _z_power(z: float, n: int) -> float:
+    """z**n, refusing a z so large that the power overflows."""
+    try:
+        return z**n
+    except OverflowError:
+        raise DomainError(f"z = {z} too large: z^{n} overflows") from None
 
 
 def h0(x0: float) -> float:
@@ -157,8 +101,10 @@ def h0(x0: float) -> float:
 
     Tends to -pi as x -> 0+ and falls off as -6/x for large x.  Strictly
     negative on the whole half-line.  Domain errors from the auxiliary
-    functions propagate unchanged.
+    functions propagate unchanged; x0 whose square overflows is refused.
     """
+    if not math.isfinite(x0 * x0):
+        raise DomainError(f"h0 needs x0 with a finite square, got {x0}")
     f = auxiliary_f(x0)
     g = auxiliary_g(x0)
     return (x0 * x0 - 2.0) * f + 2.0 * x0 * g - x0
@@ -176,8 +122,9 @@ def vacuum_potential(
     """
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be positive and finite, got {z}")
+    z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    prefactor = cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0 / z**3
+    prefactor = cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0 / z3
     return prefactor * h0(2.0 * atom.k0 * z)
 
 
@@ -195,7 +142,7 @@ def nonretarded_asymptote(
         raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     hbar_omega0 = cst.hbar_c_ev_um * atom.k0
-    return -hbar_omega0 * atom.alpha0 / (8.0 * z**3)
+    return -hbar_omega0 * atom.alpha0 / (8.0 * _z_power(z, 3))
 
 
 def retarded_asymptote(
@@ -207,4 +154,4 @@ def retarded_asymptote(
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0 / z**4
+    return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0 / _z_power(z, 4)

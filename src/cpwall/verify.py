@@ -73,7 +73,7 @@ def _crit_vacuum_oracle(quick: bool, cst: PhysicalConstants) -> CriterionResult:
     worst = 0.0
     for x0 in np.geomspace(0.05, 100.0, n):
         z = float(x0) / 2.0
-        rep = vacuum_split_quadrature(atom, z, "total", cst)
+        rep = vacuum_split_quadrature(atom, z, cst)
         ref = vacuum_potential(atom, z, cst)
         worst = max(worst, abs(rep.value - ref) / abs(ref))
     return CriterionResult(

@@ -321,6 +321,23 @@ class TestExitCodeMapping:
         code, _ = run_main(["analyze", "--fit-window", "0.45", "0.2"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--z", "1e300", "--k0", "100"],
+            ["eval", "--z", "1", "--temperature", "1e308"],
+            ["curve", "--figure", "3", "--x-range", "0", "1e300", "--points", "3"],
+            ["curve", "--figure", "1", "--x-range", "1", "1e100", "--points", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_huge_distance_maps_to_3(self, argv, capsys):
+        # z^3, z^4 or x0^2 would overflow: refused before computing, and
+        # curve writes nothing, not even its header
+        code, out = run_main(argv)
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
+
 
 class TestAnalyze:
     def test_default_report(self):
@@ -459,13 +476,13 @@ class TestConsoleEntry:
 
 
 # Runs one command through cli.main in a fresh interpreter and prints its
-# exit code, then which of numpy and scipy it loaded.
+# exit code, then which of numpy, scipy and fractions it loaded.
 _IMPORT_PROBE = """
 import contextlib, io, sys
 from cpwall import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *(m for m in ("numpy", "scipy") if m in sys.modules))
+print(code, *(m for m in ("numpy", "scipy", "fractions") if m in sys.modules))
 """
 
 
@@ -484,7 +501,8 @@ def _modules_loaded_by(argv):
 
 class TestImportFootprint:
     """eval and curve need neither the oracles nor the root finders, so
-    they must not pay for importing scipy (or, for eval, numpy)."""
+    they must not pay for importing scipy (or, for eval, numpy and
+    fractions)."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_eval_loads_neither_numpy_nor_scipy(self, fmt):

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cpwall import specfun as sf
-from cpwall.errors import ConvergenceError, DomainError
+from cpwall.errors import DomainError
 
 from _reference_values import REFERENCE as REF
 
@@ -131,6 +132,32 @@ def test_zeta_even_forty():
     assert rel(d, REF["zeta_40_minus_1"]) < 1e-6  # representation-limited
 
 
+def _bernoulli_even(n_max):
+    # B_0, B_2, ..., B_{2 n_max} by the defining recurrence
+    out = [Fraction(1)]
+    b = [Fraction(1)]
+    for m in range(1, 2 * n_max + 1):
+        acc = Fraction(0)
+        for j, bj in enumerate(b):
+            acc += math.comb(m + 1, j) * bj
+        b.append(-acc / (m + 1))
+        if m % 2 == 0:
+            out.append(b[m])
+    return out
+
+
+def test_zeta_even_literals_are_rounded_bernoulli_values():
+    # zeta(2m) = |B_2m| (2 pi)^2m / (2 (2m)!) in exact rational arithmetic
+    # with pi to 60 digits; float() of a Fraction rounds once
+    pi = Fraction("3.14159265358979323846264338327950288419716939937510582097494")
+    bern = _bernoulli_even(27)
+    for m in range(1, 28):
+        exact = abs(bern[m]) * (2 * pi) ** (2 * m) / (2 * math.factorial(2 * m))
+        assert sf.zeta_even(m) == float(exact)
+    assert all(sf.zeta_even(m) == 1.0 for m in range(27, 261))
+    assert sf._BERN_ASYM_F == [float(b) for b in bern[1:13]]
+
+
 def test_zeta_even_monotone_to_one():
     tab = [sf.zeta_even(m) for m in range(1, 261)]
     assert all(a >= b for a, b in zip(tab, tab[1:]))
@@ -223,24 +250,26 @@ def test_polygamma_overflow_is_flagged():
         sf.polygamma(300, 1.0 + 0j)
 
 
-def test_complex_value_finiteness():
-    with pytest.raises(ConvergenceError):
-        sf.ComplexValue(math.nan, 0.0)
-    with pytest.raises(ConvergenceError):
-        sf.ComplexValue(0.0, math.inf)
-    w = sf.ComplexValue(1.5, -2.5)
-    assert complex(w) == 1.5 - 2.5j
-
-
-def test_accuracy_budget_invariant():
-    b = sf.AccuracyBudget()
-    assert 0 < b.rel_tol_specfun <= b.rel_tol_composed < 1e-3
+@pytest.mark.parametrize(
+    "name,args",
+    [
+        ("scaled_e1", (complex(math.nan, 1.0),)),
+        ("scaled_e1", (complex(-math.inf, 1.0),)),
+        ("scaled_e1", (complex(1.0, math.inf),)),
+        ("polygamma", (1, complex(math.nan, 1.0))),
+        ("polygamma", (0, complex(math.inf, 0.0))),
+        ("auxiliary_f", (math.nan,)),
+        ("auxiliary_f", (math.inf,)),
+        ("auxiliary_g", (math.nan,)),
+        ("auxiliary_g", (math.inf,)),
+        ("kernel_g", (math.nan,)),
+        ("kernel_g", (math.inf,)),
+    ],
+    ids=str,
+)
+def test_non_finite_arguments_refused(name, args):
     with pytest.raises(DomainError):
-        sf.AccuracyBudget(rel_tol_specfun=1e-6, rel_tol_composed=1e-8)
-    with pytest.raises(DomainError):
-        sf.AccuracyBudget(rel_tol_specfun=0.0)
-    with pytest.raises(DomainError):
-        sf.AccuracyBudget(rel_tol_composed=1e-2)
+        getattr(sf, name)(*args)
 
 
 # ----------------------------------------------------------------------

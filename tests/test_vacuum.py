@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from cpwall.errors import DomainError
 from cpwall.vacuum import (
     AtomParams,
-    GeometryPoint,
     RegimeTag,
-    VacuumShift,
     X0_RETARDED_MIN,
     classify_regime,
     h0,
@@ -145,21 +143,6 @@ class TestRegimes:
         assert classify_regime(X0_RETARDED_MIN) is RegimeTag.CROSSOVER
         assert classify_regime(X0_RETARDED_MIN * 1.0001) is RegimeTag.RETARDED
 
-    def test_geometry_point_round_trip(self) -> None:
-        gp = GeometryPoint.from_x0(3.0)
-        assert gp.z_over_lambda0 == pytest.approx(3.0 / (4.0 * math.pi))
-        assert gp.regime_tag is RegimeTag.CROSSOVER
-
-    def test_geometry_point_rejects_inconsistency(self) -> None:
-        with pytest.raises(DomainError):
-            GeometryPoint(x0=3.0, z_over_lambda0=0.5, regime_tag=RegimeTag.CROSSOVER)
-        with pytest.raises(DomainError):
-            GeometryPoint(
-                x0=3.0,
-                z_over_lambda0=3.0 / (4.0 * math.pi),
-                regime_tag=RegimeTag.RETARDED,
-            )
-
 
 class TestDataclasses:
     def test_atom_params_validation(self) -> None:
@@ -172,15 +155,6 @@ class TestDataclasses:
 
     def test_lambda0(self) -> None:
         assert ATOM.lambda0 == pytest.approx(2.0 * math.pi / ATOM.k0, rel=1e-15)
-
-    def test_vacuum_shift_additivity_enforced(self) -> None:
-        VacuumShift(
-            total=-3.0, rr_part=-2.0, fr_part=-1.0, parts_from_quadrature=True
-        )
-        with pytest.raises(DomainError):
-            VacuumShift(
-                total=-3.0, rr_part=-2.0, fr_part=-0.9, parts_from_quadrature=True
-            )
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
@@ -195,9 +169,3 @@ def test_h0_negative_everywhere(x0: float) -> None:
 )
 def test_potential_negative(k0: float, alpha0: float, z: float) -> None:
     assert vacuum_potential(AtomParams(k0=k0, alpha0=alpha0), z) < 0.0
-
-
-@given(st.floats(min_value=1e-3, max_value=1e3))
-def test_geometry_point_consistency(x0: float) -> None:
-    gp = GeometryPoint.from_x0(x0)
-    assert gp.regime_tag is classify_regime(x0)
