@@ -130,6 +130,12 @@ def main() -> None:
         val = scaled_e1(w)
         ref[f"scaled_e1_{w}"] = complex(val)
 
+    # Hurwitz zeta: shifted (Re z < 10), unshifted and direct-sum cases
+    for z in (5 - 0.6j, 21 - 3j):
+        for s in range(2, 11):
+            ref[f"hurwitz_{s}_{z}"] = complex(mp.zeta(s, mp.mpc(z)))
+    ref[f"hurwitz_45_{1 - 2j}"] = complex(mp.zeta(45, mp.mpc(1, -2)))
+
     ref["psi1_1-2j"] = complex(mp.psi(1, mp.mpc(1, -2)))
     ref["psi5_0.5-4j"] = complex(mp.psi(5, mp.mpc(0.5, -4)))
     ref["psi0_1-0.5j"] = complex(mp.psi(0, mp.mpc(1, -0.5)))

@@ -22,7 +22,11 @@ The polynomial part has elementary closed c-moments; the remainder
 decays like 1/u and is integrated over pole-resolved geometric panels
 followed by a pi-aligned tail summed with Euler (repeated-averaging)
 acceleration.  The integration range then never exceeds a few hundred,
-which keeps the extrapolation table noise-free.  Error estimates
+which keeps the extrapolation table noise-free.  The panel edges do not
+depend on c, so one call evaluates the remainder once on nodes shared
+by all eight levels (an array with a level axis), and the Euler
+averaging is applied in closed form, as binomially weighted means of
+the partial sums.  Error estimates
 combine the GL16-vs-GL8 panel difference, the Euler tail increment,
 and 4x the last Richardson correction; measured worst case against
 50-digit references is 1.5e-11 relative over x0 in [0.05, 100], with
@@ -34,7 +38,10 @@ principal-value window [x0(1-s), x0(1+s)] with smooth-quotient pole
 subtraction (the subtracted term integrates to zero over the symmetric
 window and carries the exponentially small Bose residue at u = x0),
 and integration carried to eta*u >= 60 where the weight is ~1e-26.
-No regulator, no extrapolation.
+No regulator, no extrapolation.  One call evaluates the weighted
+integrand h(u) = u^3 G(u)/(e^{eta u} - 1) once, on the GL16 and GL8
+nodes of every segment together with u = x0, and then applies each
+segment's denominator.
 """
 
 from __future__ import annotations
@@ -104,44 +111,50 @@ class QuadratureReport:
 # ----------------------------------------------------------------------
 # panel machinery
 
+_NODES = np.concatenate([_N16, _N8])
 
-def _panel_vals(f, edges: np.ndarray, nodes: np.ndarray, weights: np.ndarray):
+# Euler (repeated-averaging) acceleration in closed form: after n - 1
+# averaging passes over n partial sums the one entry left is their
+# binom(n-1, j)/2^(n-1)-weighted mean, and the entry before it (the last
+# one of the pass before) the binom(n-2, j)/2^(n-2)-weighted mean of the
+# partial sums shifted by one.
+_EULER_LAST = np.array(
+    [math.comb(_TAIL_PANELS - 1, j) for j in range(_TAIL_PANELS)], dtype=float
+) / 2.0 ** (_TAIL_PANELS - 1)
+_EULER_PREV = np.array(
+    [math.comb(_TAIL_PANELS - 2, j) for j in range(_TAIL_PANELS - 1)], dtype=float
+) / 2.0 ** (_TAIL_PANELS - 2)
+
+
+def _gl_points(edges: np.ndarray, nodes: np.ndarray = _NODES):
+    """Quadrature nodes of every panel, shape (panels, nodes), and the
+    panel half-widths; by default the GL16 nodes followed by the GL8."""
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    u = mid[:, None] + half[:, None] * nodes[None, :]
-    return (f(u) @ weights) * half
+    return mid[:, None] + half[:, None] * nodes[None, :], half
 
 
-def _panel_sum2(f, edges: np.ndarray) -> tuple[float, float]:
-    """GL16 panel sum plus |GL16 - GL8| as the error estimate."""
-    v16 = float(np.sum(_panel_vals(f, edges, _N16, _W16)))
-    v8 = float(np.sum(_panel_vals(f, edges, _N8, _W8)))
-    return v16, abs(v16 - v8)
+def _panel_sums(fu: np.ndarray, half: np.ndarray):
+    """Sums along the panel axis of integrand values fu at the
+    _gl_points nodes: the GL16 sum, |GL16 - GL8| as the error estimate,
+    and the gross panel magnitude sum(|panel_i|), the scale of
+    accumulated rounding once the GL16/GL8 difference has saturated at
+    machine noise.  Leading axes of fu (regulator levels) are kept."""
+    v16 = (fu[..., :16] @ _W16) * half
+    s16 = np.sum(v16, axis=-1)
+    s8 = np.sum((fu[..., 16:] @ _W8) * half, axis=-1)
+    return s16, np.abs(s16 - s8), np.sum(np.abs(v16), axis=-1)
 
 
-def _panel_sum3(f, edges: np.ndarray) -> tuple[float, float, float]:
-    """Like _panel_sum2 but also returns the gross panel magnitude
-    sum(|panel_i|), the scale of accumulated rounding once the GL16/GL8
-    difference has saturated at machine noise."""
-    v16 = _panel_vals(f, edges, _N16, _W16)
-    v8 = float(np.sum(_panel_vals(f, edges, _N8, _W8)))
-    s16 = float(np.sum(v16))
-    return s16, abs(s16 - v8), float(np.sum(np.abs(v16)))
-
-
-def _euler_sum(terms: np.ndarray) -> tuple[float, float]:
-    """Euler acceleration of an oscillatory panel series by repeated
-    averaging of partial sums; the last increment is the estimate."""
-    s = np.cumsum(terms)
-    prev = s[-1]
-    est = math.inf
-    while s.size > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-        est = abs(float(s[-1]) - prev)
-        prev = float(s[-1])
-    return prev, est
+def _euler_sum(terms: np.ndarray):
+    """Euler acceleration of oscillatory panel series (last axis, of
+    _TAIL_PANELS terms) by repeated averaging of partial sums; the last
+    increment is the estimate."""
+    s = np.cumsum(terms, axis=-1)
+    last = s @ _EULER_LAST
+    return last, np.abs(last - s[..., 1:] @ _EULER_PREV)
 
 
 def _geometric_edges(a0: float, pole: float, cap: float, scale: float = 0.75):
@@ -170,22 +183,27 @@ def _uniform_edges(a: float, b: float, cap: float) -> np.ndarray:
 # vacuum route: regulated remainders and closed polynomial moments
 
 
-def _q_plus(x0: float, c: float) -> tuple[float, float, int]:
-    """int_0^inf [(x0^2-2) sin u - 2 x0 cos u] e^{-cu}/(u + x0) du."""
+def _q_plus(x0: float, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """int_0^inf [(x0^2-2) sin u - 2 x0 cos u] e^{-cu}/(u + x0) du for
+    every regulator c in cs at once: the panel edges do not depend on c,
+    so all levels share one set of nodes.  Returns values, error
+    estimates and the panel count of one level."""
     aa = x0 * x0 - 2.0
+    c = cs[:, None, None]
 
     def f(u):
         return (aa * np.sin(u) - 2.0 * x0 * np.cos(u)) * np.exp(-c * u) / (u + x0)
 
     head_edges, u2 = _geometric_edges(0.0, -x0, _PI)
-    head, e_head = _panel_sum2(f, head_edges)
-    tail_edges = u2 + _PI * np.arange(_TAIL_PANELS + 1)
-    tail, e_tail = _euler_sum(_panel_vals(f, tail_edges, _N16, _W16))
+    head_u, head_half = _gl_points(head_edges)
+    head, e_head, _ = _panel_sums(f(head_u), head_half)
+    tail_u, tail_half = _gl_points(u2 + _PI * np.arange(_TAIL_PANELS + 1), _N16)
+    tail, e_tail = _euler_sum((f(tail_u) @ _W16) * tail_half)
     panels = (head_edges.size - 1) + _TAIL_PANELS
     return head + tail, e_head + e_tail, panels
 
 
-def _poly_plus(x0: float, c: float) -> float:
+def _poly_plus(x0: float, c):
     # closed moments of (u - x0) sin u + 2 cos u under e^{-cu}
     d = 1.0 + c * c
     return 2.0 * c / (d * d) - x0 / d + 2.0 * c / d
@@ -204,34 +222,19 @@ def _richardson(vals: list[float], cs: list[float]) -> tuple[float, float]:
     return t[0], abs(t[0] - prev_top)
 
 
-def _abel_limit(sample_fn, c0: float) -> tuple[float, float, int]:
-    cs = [c0 * 0.5**j for j in range(_ABEL_LEVELS)]
-    samples: list[float] = []
-    q_err = 0.0
-    panels = 0
-    for c in cs:
-        v, e, n = sample_fn(c)
-        samples.append(v)
-        q_err = max(q_err, e)
-        panels += n
-    val, r_err = _richardson(samples, cs)
+def _h0_quadrature(x0: float, c0: float = _ABEL_C0) -> tuple[float, float, int]:
+    """Abel limit of int u^3 G(u)/(u + x0) du (equals H0(x0))."""
+    cs = c0 * 0.5 ** np.arange(_ABEL_LEVELS)
+    q, q_errs, panels = _q_plus(x0, cs)
+    val, r_err = _richardson((_poly_plus(x0, cs) + q).tolist(), cs.tolist())
+    q_err = float(np.max(q_errs))
     est = 4.0 * r_err + 10.0 * q_err + 1e-15 * abs(val)
     if est > 1e-4 * (abs(val) + 1.0):
         raise ConvergenceError(
             f"Abel/Richardson extrapolation did not converge: value={val}, "
             f"richardson_err={r_err}, quadrature_err={q_err}"
         )
-    return val, est, panels
-
-
-def _h0_quadrature(x0: float, c0: float = _ABEL_C0) -> tuple[float, float, int]:
-    """Abel limit of int u^3 G(u)/(u + x0) du (equals H0(x0))."""
-
-    def sample(c: float):
-        v, e, n = _q_plus(x0, c)
-        return _poly_plus(x0, c) + v, e, n
-
-    return _abel_limit(sample, c0)
+    return val, est, _ABEL_LEVELS * panels
 
 
 def vacuum_split_quadrature(
@@ -289,6 +292,15 @@ def _decay_tail_edges(a: float, pole: float, cap: float, b: float) -> np.ndarray
     return np.array(edges)
 
 
+def _bose_h(eta: float, us: list[np.ndarray]) -> list[np.ndarray]:
+    """h(u) = u^3 G(u) / (e^{eta u} - 1) on each array of us, from one
+    evaluation on all of them together."""
+    u = np.concatenate([a.ravel() for a in us])
+    h = _u3g(u) * _bose_weight(eta * u)
+    ends = np.cumsum([a.size for a in us])
+    return [h[end - a.size:end].reshape(a.shape) for a, end in zip(us, ends)]
+
+
 def thermal_quadrature(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -308,51 +320,34 @@ def thermal_quadrature(
     cap = min(_PI, 3.0 / eta)
     u_max = 60.0 / eta
 
-    def h(u):
-        return _u3g(u) * _bose_weight(eta * u)
-
-    def plus_part(u):
-        return h(u) / (u + x0)
-
-    plus_edges = _uniform_edges(0.0, u_max, cap)
-    v_plus, e_plus, g_plus = _panel_sum3(plus_part, plus_edges)
-    panels = plus_edges.size - 1
-    gross = g_plus
-
-    # PV window with smooth-quotient subtraction; the subtracted
-    # h(x0)/(u - x0) integrates to zero over the symmetric window.
+    # Segments: the plus part h/(u + x0) over [0, u_max], then the
+    # principal-value part h/(u - x0) over the window [lo, hi], the
+    # stretch before it and the decay tail after it.
     s = window_scale
     lo = x0 * (1.0 - s)
     hi = x0 * (1.0 + s)
-    hx0 = float(h(np.array([[x0]]))[0, 0])
-
-    def quotient(u):
-        return (h(u) - hx0) / (u - x0)
-
-    def f2(u):
-        return h(u) / (u - x0)
-
-    head_edges = _uniform_edges(lo, hi, cap)
-    v_head, e_head, g_head = _panel_sum3(quotient, head_edges)
-    panels += head_edges.size - 1
-    gross += g_head
-
-    v_pre = e_pre = 0.0
+    plus_u, plus_half = _gl_points(_uniform_edges(0.0, u_max, cap))
+    pv = [_gl_points(_uniform_edges(lo, hi, cap))]
     if lo > 0.0:
-        pre_edges = _uniform_edges(0.0, lo, min(cap, 0.25 * s * x0))
-        v_pre, e_pre, g_pre = _panel_sum3(f2, pre_edges)
-        panels += pre_edges.size - 1
-        gross += g_pre
-
-    v_tail = e_tail = 0.0
-    tail_end = max(u_max, hi + 2.0 * cap)
-    tail_edges = _decay_tail_edges(hi, x0, cap, tail_end)
+        pv.append(_gl_points(_uniform_edges(0.0, lo, min(cap, 0.25 * s * x0))))
+    tail_edges = _decay_tail_edges(hi, x0, cap, max(u_max, hi + 2.0 * cap))
     if tail_edges.size >= 2:
-        v_tail, e_tail, g_tail = _panel_sum3(f2, tail_edges)
-        panels += tail_edges.size - 1
-        gross += g_tail
+        pv.append(_gl_points(tail_edges))
+    h_plus, *h_pv, h_x0 = _bose_h(eta, [plus_u, *(u for u, _ in pv), np.array([x0])])
 
-    v_pv = v_head + v_pre + v_tail
+    v_plus, err, gross = _panel_sums(h_plus / (plus_u + x0), plus_half)
+    panels = plus_half.size
+    # Smooth-quotient subtraction in the PV window: the subtracted
+    # h(x0)/(u - x0) integrates to zero over the symmetric window.
+    h_pv[0] = h_pv[0] - float(h_x0[0])
+    v_pv = 0.0
+    for h, (u, half) in zip(h_pv, pv):
+        v, e, g = _panel_sums(h / (u - x0), half)
+        v_pv += v
+        err += e
+        gross += g
+        panels += half.size
+
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z**3)
     value = pref * (v_plus - v_pv)
     # GL16-vs-GL8 saturates once converged, so a floor on the gross
@@ -361,10 +356,10 @@ def thermal_quadrature(
     # the series side carries ~1e-12 per-term rounding amplified by the
     # (x0^2 - 2) bracket cancellation at large x0 (measured need 8e-12
     # on the acceptance grids, taken with 6x headroom).
-    est = pref * (e_plus + e_head + e_pre + e_tail + _COMPARISON_FLOOR * gross) + 1e-300
+    est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
     return QuadratureReport(
-        value=value,
-        abs_error_estimate=est,
+        value=float(value),
+        abs_error_estimate=float(est),
         subdivisions=panels,
         regulator_epsilon=0.0,
         extrapolation_steps=0,
@@ -387,17 +382,14 @@ def thermal_quadrature_static(
     cap = min(_PI, 3.0 / eta)
     u_max = 60.0 / eta
 
-    def f(u):
-        return _u3g(u) * _bose_weight(eta * u)
-
-    edges = _uniform_edges(0.0, u_max, cap)
-    v, e, g = _panel_sum3(f, edges)
+    u, half = _gl_points(_uniform_edges(0.0, u_max, cap))
+    v, e, g = _panel_sums(*_bose_h(eta, [u]), half)
     pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z**4)
     value = pref * v
     return QuadratureReport(
-        value=value,
-        abs_error_estimate=pref * (e + _COMPARISON_FLOOR * g) + 1e-300,
-        subdivisions=edges.size - 1,
+        value=float(value),
+        abs_error_estimate=float(pref * (e + _COMPARISON_FLOOR * g) + 1e-300),
+        subdivisions=half.size,
         regulator_epsilon=0.0,
         extrapolation_steps=0,
     )

@@ -269,45 +269,66 @@ _BERN_ASYM_F = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
                 -236364091 / 2730]
 
 
-def _hurwitz(s: int, z: complex) -> complex:
-    """zeta(s, z) for integer s >= 2, Re z > 0.
+def _hurwitz_direct(s: int, z: complex) -> complex:
+    total = 0.0 + 0.0j
+    for n in range(100000):
+        term = (z + n) ** (-s)
+        total += term
+        # <= so a fully underflowed term (0 < 0 is false) still stops
+        if abs(term) <= 1e-18 * abs(total):
+            return total
+    raise ConvergenceError(f"_hurwitz direct sum stalled, s={s} z={z}")
 
-    Direct sum once it converges geometrically (s >= 40); otherwise
-    shift z rightwards and apply the Euler-Maclaurin tail.
+
+def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
+    """[zeta(s, z) for s = s_lo..s_hi], integers 2 <= s_lo <= s_hi, Re z > 0.
+
+    Direct sums once they converge geometrically (s_lo >= 40).
+    Otherwise one pass shifts z rightwards, far enough for s_hi (for
+    s_hi <= 24 that is the shift each s needs alone), with one
+    reciprocal 1/(z+n) per step and its powers by multiplication, so no
+    step overflows for huge |z|; then the Euler-Maclaurin tail at
+    a = z + shift for each s (DLMF 25.11.5 in descending powers of a).
     """
-    if s < 2:
-        raise DomainError(f"_hurwitz needs integer s >= 2, got {s}")
+    if not 2 <= s_lo <= s_hi:
+        raise DomainError(f"_hurwitz needs integers 2 <= s_lo <= s_hi, got {s_lo}..{s_hi}")
     if z.real <= 0.0 and abs(z.imag) < 1e-12:
         raise DomainError(f"_hurwitz pole-adjacent argument z = {z}")
-    if s >= 40:
-        total = 0.0 + 0.0j
-        for n in range(100000):
-            term = (z + n) ** (-s)
-            total += term
-            # <= so a fully underflowed term (0 < 0 is false) still stops
-            if abs(term) <= 1e-18 * abs(total):
-                return total
-        raise ConvergenceError(f"_hurwitz direct sum stalled, s={s} z={z}")
+    if s_lo >= 40:
+        return [_hurwitz_direct(s, z) for s in range(s_lo, s_hi + 1)]
     n_asym = 12
-    target = max(10.0, (s + 2 * n_asym) / (2.0 * math.pi) * 1.3)
+    target = max(10.0, (s_hi + 2 * n_asym) / (2.0 * math.pi) * 1.3)
     shift = max(0, int(math.ceil(target - z.real)))
-    head = 0.0 + 0.0j
+    out = [0.0 + 0.0j] * (s_hi - s_lo + 1)
     for n in range(shift):
-        head += (z + n) ** (-s)
-    a = z + shift
-    ainv = 1.0 / a
+        r = 1.0 / (z + n)
+        p = r**s_lo
+        for i in range(len(out)):
+            out[i] += p
+            p *= r
+    ainv = 1.0 / (z + shift)
     ainv2 = ainv * ainv
-    tail = a ** (1 - s) / (s - 1) + 0.5 * a ** (-s)
-    # sum_j B_2j/(2j)! (s)_{2j-1} a^{-s-2j+1}
-    poch = float(s)              # (s)_1
-    apow = a ** (-s - 1)
-    fact = 2.0
-    for j in range(1, n_asym + 1):
-        tail += _BERN_ASYM_F[j - 1] / fact * poch * apow
-        poch *= (s + 2 * j - 1) * (s + 2 * j)
-        apow *= ainv2
-        fact *= (2 * j + 1) * (2 * j + 2)
-    return head + tail
+    lead = ainv ** (s_lo - 1)           # a^{1-s}
+    for i, s in enumerate(range(s_lo, s_hi + 1)):
+        apow = lead * ainv              # a^{-s}
+        tail = lead / (s - 1) + 0.5 * apow
+        # sum_j B_2j/(2j)! (s)_{2j-1} a^{-s-2j+1}
+        poch = float(s)                 # (s)_1
+        apow *= ainv
+        fact = 2.0
+        for j in range(1, n_asym + 1):
+            tail += _BERN_ASYM_F[j - 1] / fact * poch * apow
+            poch *= (s + 2 * j - 1) * (s + 2 * j)
+            apow *= ainv2
+            fact *= (2 * j + 1) * (2 * j + 2)
+        out[i] += tail
+        lead *= ainv
+    return out
+
+
+def _hurwitz(s: int, z: complex) -> complex:
+    """zeta(s, z) for integer s >= 2, Re z > 0."""
+    return _hurwitz_range(s, s, z)[0]
 
 
 def _digamma(z: complex) -> complex:
@@ -356,6 +377,10 @@ def polygamma(m: int, z: complex) -> complex:
         # shift right across the pole-free strip before the zeta form
         head = 0.0 + 0.0j
         shift = int(math.ceil(0.5 - w.real))
+        # one step per unit of |Re z|: refuse far-left arguments
+        # rather than loop for minutes
+        if shift > 10_000:
+            raise DomainError(f"polygamma({m}, z) needs Re z >= -9999.5, got z = {w}")
         sign = -1.0 if m % 2 == 0 else 1.0
         fact = math.lgamma(m + 1)
         for n in range(shift):

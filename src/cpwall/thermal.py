@@ -38,14 +38,14 @@ from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .specfun import (
     _digamma,
-    _hurwitz,
+    _hurwitz_range,
     _polygamma_scaled,
     bose_sum_p,
     q_series,
     scaled_e1,
     zeta_even,
 )
-from .vacuum import AtomParams, classify_regime, vacuum_potential
+from .vacuum import AtomParams, _z_power, classify_regime, vacuum_potential
 
 __all__ = [
     "PotentialBreakdown",
@@ -201,22 +201,17 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     #   E1t(w) - E1t(-w) ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
     #   E1t(w) + E1t(-w) ~ -2/w^2 - 12/w^4 - 240/w^6 - 10080/w^8
     # with sum_{m>M} w_m^{-s} = zeta(s, M+1-i/eta)/theta^s and the s=1
-    # imaginary part via the digamma function.
+    # imaginary part via the digamma function.  All nine zeta values
+    # come from one Hurwitz pass (one shift, one Euler-Maclaurin tail).
     zc = complex(n_head + 1, -1.0 / eta)
     psi = _digamma(zc)
-    z3 = _hurwitz(3, zc)
-    z5 = _hurwitz(5, zc)
-    z7 = _hurwitz(7, zc)
+    z2, z3, z4, z5, z6, z7, z8, z9, z10 = _hurwitz_range(2, 10, zc)
     imtail = (
         -2.0 * psi.imag / theta
         + 4.0 * z3.imag / theta**3
         + 48.0 * z5.imag / theta**5
         + 1440.0 * z7.imag / theta**7
     )
-    z2 = _hurwitz(2, zc)
-    z4 = _hurwitz(4, zc)
-    z6 = _hurwitz(6, zc)
-    z8 = _hurwitz(8, zc)
     retail = (
         -2.0 * z2.real / theta**2
         - 12.0 * z4.real / theta**4
@@ -226,8 +221,8 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     # First omitted orders bound the truncation (the expansion parameter
     # is 1/(m theta)^2 <= 1/240^2, so the remainders are dominated by
     # their leading terms; 1.5 covers the geometric excess).
-    tb_diff = 2.0 * math.factorial(8) * abs(_hurwitz(9, zc)) / theta**9
-    tb_sum = 2.0 * math.factorial(9) * abs(_hurwitz(10, zc)) / theta**10
+    tb_diff = 2.0 * math.factorial(8) * abs(z9) / theta**9
+    tb_sum = 2.0 * math.factorial(9) * abs(z10) / theta**10
     tail_bound = 1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
 
     # Pole term of J0-: i pi e^{i x0} / (e^theta - 1), Bose factor in
@@ -278,10 +273,11 @@ def thermal_potential_exact(
         raise DomainError(f"z must be positive and finite, got {z}")
     _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    z3 = _z_power(z, 3)
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
     terms = thermal_series_terms(eta, x0)
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
     return pref * _w_bracket(terms, x0)
 
 
@@ -373,7 +369,7 @@ def thermal_short_expansion(
         raise ConvergenceError(
             f"H_T outer sum did not converge at z/lambda_T = {z / env.lambda_T}"
         )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0**2 / (2.0 * math.pi * z**2)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0**2 / (2.0 * math.pi * _z_power(z, 2))
     return pref * h_t
 
 
@@ -433,7 +429,7 @@ def thermal_long_expansion(
         + (1.0 - 0.5 * x0 * x0) * sum_im
         + x0 * sum_re
     )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (2.0 * math.pi * z**3)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (2.0 * math.pi * _z_power(z, 3))
     return pref * l_t
 
 
@@ -448,7 +444,7 @@ def lifshitz_asymptote(
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return -cst.k_B * env.temperature * atom.alpha0 / (4.0 * z**3)
+    return -cst.k_B * env.temperature * atom.alpha0 / (4.0 * _z_power(z, 3))
 
 
 def recommended_approximation(z_over_lambda_t: float) -> str:

@@ -327,6 +327,7 @@ class TestExitCodeMapping:
             ["eval", "--z", "1e300", "--k0", "100"],
             ["eval", "--z", "1", "--temperature", "1e308"],
             ["curve", "--figure", "3", "--x-range", "0", "1e300", "--points", "3"],
+            ["curve", "--figure", "3", "--x-range", "0", "1e110", "--points", "3"],
             ["curve", "--figure", "1", "--x-range", "1", "1e100", "--points", "3"],
         ],
         ids=" ".join,

@@ -13,6 +13,7 @@ from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.oracle import (
     QuadratureReport,
+    _euler_sum,
     _h0_quadrature,
     bose_integral,
     bose_integral_quadrature,
@@ -79,6 +80,38 @@ class TestVacuumRoute:
         ref = h0(x0)
         assert abs(val - ref) <= est
 
+    @pytest.mark.parametrize("x0,panels", [(0.05, 584), (1.0, 544), (100.0, 520)])
+    def test_panel_count_frozen(self, x0, panels):
+        assert vacuum_split_quadrature(ATOM, x0 / 2.0, CST).subdivisions == panels
+
+
+def _euler_loop(terms):
+    # reference: repeated averaging of the partial sums; the last
+    # increment is the estimate
+    s = np.cumsum(terms)
+    prev = s[-1]
+    est = math.inf
+    while s.size > 1:
+        s = 0.5 * (s[:-1] + s[1:])
+        est = abs(float(s[-1]) - prev)
+        prev = float(s[-1])
+    return prev, est
+
+
+def test_euler_weights_match_repeated_averaging():
+    rng = np.random.default_rng(5)
+    k = np.arange(64)
+    terms = np.stack(
+        [(-1.0) ** k * rng.uniform(0.5, 1.5, 64) / (k + 1.0) for _ in range(3)]
+    )
+    vals, ests = _euler_sum(terms)
+    for row, val, est in zip(terms, vals, ests):
+        ref_val, ref_est = _euler_loop(row)
+        # the estimate differences two entries, so it is held to the
+        # value's scale
+        assert abs(val - ref_val) <= 1e-15 * abs(ref_val)
+        assert abs(est - ref_est) <= 1e-15 * abs(ref_val)
+
 
 class TestThermalRoute:
     def test_matches_exact_series(self):
@@ -120,6 +153,17 @@ class TestThermalRoute:
         s_eq = abs(slope(0.52))
         assert s_eq < 0.2 * abs(slope(0.40))
         assert s_eq < 0.2 * abs(slope(0.65))
+
+    @pytest.mark.parametrize(
+        "theta,zr,window_scale,panels,static_panels",
+        [(30.0, 0.05, 1.0, 42, 20), (100.0, 0.5, 0.5, 73, 20), (300.0, 2.0, 1.0, 843, 77)],
+    )
+    def test_panel_count_frozen(self, theta, zr, window_scale, panels, static_panels):
+        atom, env = make_pair(theta)
+        z = zr * LAMBDA_T
+        rep = thermal_quadrature(atom, env, z, CST, window_scale=window_scale)
+        assert rep.subdivisions == panels
+        assert thermal_quadrature_static(atom, env, z, CST).subdivisions == static_panels
 
     def test_window_shift_invariance(self):
         atom, env = make_pair(100.0)

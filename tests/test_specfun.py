@@ -58,6 +58,19 @@ def test_scaled_e1_reference(w):
     assert rel(complex(sf.scaled_e1(w)), REF[f"scaled_e1_{w}"]) < TARGET
 
 
+@pytest.mark.parametrize("z", [5 - 0.6j, 21 - 3j], ids=str)
+def test_hurwitz_range_reference(z):
+    # one pass for s = 2..10: shifted to Re a = 10 at 5 - 0.6j, unshifted at 21 - 3j
+    for s, got in zip(range(2, 11), sf._hurwitz_range(2, 10, z)):
+        assert rel(got, REF[f"hurwitz_{s}_{z}"]) < 1e-13
+        assert sf._hurwitz(s, z) == sf._hurwitz_range(s, s, z)[0]
+
+
+def test_hurwitz_direct_sum_reference():
+    z = 1 - 2j
+    assert rel(sf._hurwitz_range(45, 45, z)[0], REF[f"hurwitz_45_{z}"]) < 1e-13
+
+
 def test_polygamma_reference():
     assert rel(complex(sf.polygamma(1, 1 - 2j)), REF["psi1_1-2j"]) < TARGET
     assert rel(complex(sf.polygamma(5, 0.5 - 4j)), REF["psi5_0.5-4j"]) < TARGET
@@ -243,6 +256,19 @@ def test_domain_errors():
     for bad in (1.0, 0.5):
         with pytest.raises(DomainError):
             sf.q_series(bad)
+
+
+@pytest.mark.parametrize("re_z", [-1e6, -1e300])
+def test_polygamma_far_left_refused(re_z):
+    # the right-shift costs one step per unit of |Re z|
+    with pytest.raises(DomainError):
+        sf.polygamma(1, complex(re_z, 1.0))
+
+
+def test_polygamma_shift_limit_edge():
+    z = complex(-9999.4, 1.0)
+    lhs = sf.polygamma(1, z) - sf.polygamma(1, z + 1)
+    assert rel(lhs, 1.0 / z**2) < 1e-8
 
 
 def test_polygamma_overflow_is_flagged():
