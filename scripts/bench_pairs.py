@@ -5,8 +5,9 @@ Run from the repository root:
     python scripts/bench_pairs.py --parent HEAD --pairs 10 --seed 31 \
         --workloads audit curve_grids cli_cold --out BENCH_5.json
 
-The parent revision is checked out into a temporary ``git worktree``
-(under ``$TMPDIR``, removed afterwards).  Each pair runs
+The parent revision is cloned into a temporary directory (under
+``$TMPDIR``, removed afterwards), so the repository's own metadata is
+left untouched.  Each pair runs
 ``perfbench/run.py --trace 0`` once in the parent checkout and once in
 the working tree, with the same seed and ``--seconds``; the side that
 runs first alternates from pair to pair.  The output JSON holds every
@@ -102,30 +103,28 @@ def main(argv: list[str] | None = None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_dir = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), parent_rev)
-        try:
-            for workload in args.workloads:
-                pairs, failed = [], {"parent": [], "change": []}
-                for i in range(args.pairs):
-                    order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    runs = {}
-                    for side in order:
-                        checkout = parent_dir if side == "parent" else ROOT
-                        runs[side] = run_once(checkout, workload, args.seed, args.seconds)
-                        failed[side].append([runs[side]["failed"], runs[side]["attempted"]])
-                        report["environment"][side] = runs[side]["environment"]
-                    pairs.append({
-                        "first": order[0],
-                        **{s: {k: v["value"] for k, v in runs[s]["metrics"].items()} for s in runs},
-                    })
-                    print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-                report["workloads"][workload] = {
-                    "pairs": pairs,
-                    "failed_of_attempted": failed,
-                    "summary": summarize(pairs, declared),
-                }
-        finally:
-            git("worktree", "remove", "--force", str(parent_dir))
+        git("clone", "--quiet", "--no-checkout", str(ROOT), str(parent_dir))
+        git("-C", str(parent_dir), "checkout", "--quiet", "--detach", parent_rev)
+        for workload in args.workloads:
+            pairs, failed = [], {"parent": [], "change": []}
+            for i in range(args.pairs):
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                runs = {}
+                for side in order:
+                    checkout = parent_dir if side == "parent" else ROOT
+                    runs[side] = run_once(checkout, workload, args.seed, args.seconds)
+                    failed[side].append([runs[side]["failed"], runs[side]["attempted"]])
+                    report["environment"][side] = runs[side]["environment"]
+                pairs.append({
+                    "first": order[0],
+                    **{s: {k: v["value"] for k, v in runs[s]["metrics"].items()} for s in runs},
+                })
+                print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
+            report["workloads"][workload] = {
+                "pairs": pairs,
+                "failed_of_attempted": failed,
+                "summary": summarize(pairs, declared),
+            }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

@@ -151,6 +151,17 @@ def main() -> None:
         (100.0, 0.05), (100.0, 0.3), (100.0, 1.0),
         (30.0, 0.5), (300.0, 0.2),
     ]
+    # the static-alpha expansion's range, both of its derivative routes
+    # (z >= lambda_T / 8 and z = 0.01 lambda_T) and the E1t route at
+    # theta = 30; theta = 50 at z = 1000 lambda_T is left out because
+    # thermal_potential_exact refuses it
+    thermal_points += [
+        (theta, zr)
+        for theta in (50.0, 100.0, 1000.0)
+        for zr in (0.01, 0.125, 0.5, 3.0, 1000.0)
+        if (theta, zr) != (50.0, 1000.0)
+    ]
+    thermal_points += [(30.0, 3.0)]
     for theta, zr in thermal_points:
         x0 = 2 * theta * zr
         eta = 1 / (2 * mp.mpf(zr))

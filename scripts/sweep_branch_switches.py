@@ -1,21 +1,27 @@
-"""Audit every branch switch in cpwall.specfun against mpmath.
+"""Audit every branch switch in cpwall.specfun and cpwall.thermal
+against mpmath.
 
 Run from the repository root:
 
-    python scripts/sweep_branch_switches.py
+    PYTHONPATH=src python scripts/sweep_branch_switches.py
 
 For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
-this script's output.
+this script's output.  The thermal section checks the static-alpha
+expansion of W where thermal_potential_exact takes it; the script exits
+with status 1 when its worst error there exceeds 2e-13.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 import mpmath as mp
 
 from cpwall import specfun as sf
+from cpwall import thermal as th
 
 mp.mp.dps = 40
 
@@ -121,6 +127,37 @@ def sweep_bose_q() -> None:
     report("q_series (1.05..40)", grid_q, [sf.q_series(float(x)) for x in grid_q], [q_ref(x) for x in grid_q])
 
 
+THERMAL_RTOL = 2e-13
+
+
+def sweep_thermal() -> bool:
+    """W of the static-alpha expansion against the mpmath E1t series on
+    64 points straddling its switch: theta around the pole bound's edge
+    (~45), z/lambda_T around the coth/Laurent switch (eta = 4) and the
+    sign change of V_T near 0.307.  True when the worst error where the
+    expansion is taken is within THERMAL_RTOL."""
+    from make_reference_values import w_series  # sets mp.mp.dps = 50
+
+    thetas = (38.0, 42.0, 45.0, 48.0, 52.0, 60.0, 100.0, 1000.0)
+    zrs = (0.01, 0.05, 0.12, 0.125, 0.13, 0.307, 1.0, 30.0)
+    pts, got, want, rest = [], [], [], []
+    with mp.workdps(40):
+        for theta in thetas:
+            for zr in zrs:
+                eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
+                w = th._w_expansion(eta, x0)
+                if w is None:
+                    rest.append((theta, zr))
+                    continue
+                pts.append((theta, zr))
+                got.append(w)
+                want.append(float(w_series(mp.mpf(x0), mp.mpf(eta))))
+    report("thermal _w_expansion (taken)", pts, got, want)
+    print(f"{'  E1t series elsewhere':34s} n={len(rest):4d}")
+    worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))
+    return worst <= THERMAL_RTOL
+
+
 if __name__ == "__main__":
     sweep_kernel()
     sweep_ci_si()
@@ -128,3 +165,4 @@ if __name__ == "__main__":
     sweep_e1t()
     sweep_polygamma()
     sweep_bose_q()
+    sys.exit(0 if sweep_thermal() else 1)

@@ -22,6 +22,21 @@ converge.  We therefore sum a finite head of m-terms and close both
 series with asymptotic tails built from Hurwitz zeta / digamma values
 of argument M + 1 - i/eta.
 
+``thermal_potential_exact`` evaluates W by one of two routes, chosen by
+one deterministic rule per point:
+
+* the expansion of alpha(k) = alpha0 / (1 - (k/k0)^2) about the static
+  polarizability (``_w_expansion``), a series in 1/x0^2 whose terms fall
+  like 1/theta^2 and whose leading term does not depend on k0.  Its
+  derivatives of coth come from a Riccati recurrence for eta <= 4
+  (z >= lambda_T / 8) and from the Laurent series of coth above, as far
+  as that sum does not cancel.  It is taken where its error estimate
+  (first omitted or smallest term, rounding, and a bound on the resonant
+  pole the series misses) is at most 1e-13 |W|, which needs theta >~ 45;
+* the E1t series above everywhere else.  It raises ValidityError where
+  the rounding loss of the W bracket, about eps x0^2 |K0|, exceeds 1e-8
+  of max(|W|, 2 pi / theta): at large x0 for theta below ~45.
+
 Short- and long-distance expansions (H_T with its double zeta sum, L_T
 with its polygamma sums) and the Lifshitz total asymptote
 -(k_B T) alpha0 / 4 z^3 complete the module.  All series are summed in
@@ -30,9 +45,12 @@ a fixed order so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-import cmath
 import math
+import sys
 from dataclasses import dataclass
+from itertools import count
+from operator import mul
+from typing import Iterator
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
@@ -40,6 +58,7 @@ from .specfun import (
     _digamma,
     _hurwitz_range,
     _polygamma_scaled,
+    _zeta_even_unchecked,
     bose_sum_p,
     q_series,
     scaled_e1,
@@ -75,6 +94,18 @@ CURV_SHORT = (2.0 * math.pi) ** 5 / 315.0
 # the rest goes into the zeta/digamma tails.
 _HEAD_SCALE = 240.0
 _TERM_CAP = 100_000
+
+# Switch rule of the static-alpha expansion: taken where its error
+# estimate is at most _EXP_RTOL |W|.  Its derivatives come from coth's
+# Taylor coefficients up to eta = _EXP_ETA_MAX and from P's Laurent
+# series above.
+_EXP_ETA_MAX = 4.0
+_EXP_RTOL = 1e-13
+_EXP_TERM_CAP = 40
+_EPS = sys.float_info.epsilon
+# The E1t route refuses when its bracket's rounding loss, about
+# eps x0^2 |K0|, exceeds this share of |W|.
+_BRACKET_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -253,6 +284,129 @@ def _w_bracket(terms: ThermalSeriesTerms, x0: float) -> float:
     )
 
 
+def _coth_terms(eta: float, x0: float) -> Iterator[tuple[float, float]]:
+    """I_j / x0^(2j), j = 0, 1, ..., from the Taylor coefficients of coth,
+    each with the sum of the magnitudes it is built from.
+
+    With Y = pi/eta, the coefficients t_n of coth(Y(1+h)) obey the
+    Riccati recurrence (n+1) t_{n+1} = -Y sum_k t_k t_{n-k}, and
+    P^(n)(1) = n! ((Y/2) t_n - (-1)^n / 2).  Subtracting the 1/(2a) pole
+    in floats costs about eps (1 + eta^2)^2, hence eta <= 4.
+    """
+    y = math.pi / eta
+    half_y = 0.5 * y
+    # coth Y and -Y / sinh^2 Y from e^-2Y, which cannot overflow
+    e2 = math.exp(-2.0 * y)
+    t = [(1.0 + e2) / (1.0 - e2), -4.0 * y * e2 / ((1.0 - e2) * (1.0 - e2))]
+    inv_x2 = 1.0 / (x0 * x0)
+    scale = 1.0  # (2j)! / x0^(2j)
+    for n in count(0, 2):
+        while len(t) < n + 3:
+            # sum_k t_k t_{m-k} over its symmetric halves
+            m = len(t) - 1
+            h = (m + 1) // 2
+            conv = 2.0 * sum(map(mul, t[:h], t[m:m - h:-1]))
+            if m % 2 == 0:
+                conv += t[h] * t[h]
+            t.append(-y * conv / (m + 1))
+        a, b, c = half_y * t[n + 2], half_y * t[n + 1], half_y * t[n]
+        f2, f1 = (n + 1) * (n + 2), 2 * (n + 1)
+        bracket = -f2 * (a - 0.5) + f1 * (b + 0.5) - 2.0 * (c - 0.5)
+        pieces = f2 * abs(a) + f1 * abs(b) + 2.0 * abs(c)
+        yield (scale * bracket if n % 4 == 0 else -scale * bracket), scale * pieces
+        scale *= f2 * inv_x2
+
+
+def _laurent_terms(eta: float, theta: float) -> Iterator[tuple[float, float]]:
+    """I_j / x0^(2j), j = 0, 1, ..., from the Laurent series of P (eta > 4),
+    each with the sum of the magnitudes it is built from.
+
+    P(a) = sum_k (-1)^(k+1) zeta(2k) a^(2k-1) / eta^(2k) (DLMF 4.36) has
+    no pole to subtract, and the bracket of I_j sums exactly to
+
+        I_j = sum_i (-1)^i zeta(2(j+i+2)) (2(j+i)+3)! / ((2i+3) (2i)!)
+              / eta^(2(j+i+2)).
+
+    The terms stop where that alternating sum would no longer decrease
+    from its first term (it would cancel).
+    """
+    eta2 = eta * eta
+    inv_t2 = 1.0 / (theta * theta)
+    lead = 6.0 / (eta2 * eta2)  # (2j+3)! / (eta^4 theta^(2j))
+    for j in count():
+        if 3 * (2 * j + 4) * (2 * j + 5) > 5.0 * eta2:
+            return
+        u = 1.0 / 3.0
+        acc = pieces = 0.0
+        for i in count():
+            term = u * _zeta_even_unchecked(j + i + 2)
+            acc += term
+            pieces += abs(term)
+            if abs(term) <= 1e-17 * acc:
+                break
+            k = 2 * (j + i)
+            u *= -(k + 4) * (k + 5) * (2 * i + 3) / (
+                (2 * i + 1) * (2 * i + 2) * (2 * i + 5) * eta2
+            )
+        yield lead * acc, lead * pieces
+        lead *= (2 * j + 4) * (2 * j + 5) * inv_t2
+
+
+def _w_expansion(eta: float, x0: float) -> float | None:
+    """W from its expansion about the static polarizability, or None
+    where the error estimate exceeds _EXP_RTOL |W|.
+
+    Expanding alpha(k) = alpha0 / (1 - (k/k0)^2) in (k/k0)^2 gives
+
+        W = (2/x0) sum_j I_j / x0^(2j),
+        I_j = (-1)^j [-P^(2j+2) + 2 P^(2j+1) - 2 P^(2j)](a = 1),
+        P(a) = (pi / 2 eta) coth(pi a / eta) - 1/(2a),
+
+    with P(1) = bose_sum_p(eta); j = 0 is the static-alpha term, the
+    terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
+    from coth's Taylor coefficients for eta <= 4 and from P's Laurent
+    series above.  The sum stops at the first term below 1e-17 of it or
+    past its smallest term.  The estimate is that term, plus eps times the
+    magnitudes behind I_0 (they cancel near a zero of the static term) and
+    the later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
+    (1 - e^-theta), a bound on the resonant pole of alpha that the
+    expansion misses.
+    """
+    theta = _check_pair(eta, x0)
+    e_th = math.exp(-theta)
+    pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
+    if eta <= _EXP_ETA_MAX:
+        terms = _coth_terms(eta, x0)
+    else:
+        terms = _laurent_terms(eta, theta)
+    # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
+    # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
+    rho2 = x0 * x0 + theta * theta
+    total = prev = spread = 0.0
+    for j, (term, pieces) in zip(range(_EXP_TERM_CAP), terms):
+        # the poles' phases can make one term small by accident, so its
+        # size is the larger of it and the previous size's envelope step
+        size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
+        if j == 0:
+            # the pole bound alone already fails: leave before the series
+            if pole >= _EXP_RTOL * 2.0 * size / x0:
+                return None
+        elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
+            # first omitted term, or past the smallest one; j = 0 may sit
+            # near a zero of the static term, so j = 1 never ends the sum
+            break
+        total += term
+        spread += pieces if j == 0 else abs(term)
+        prev = size
+    else:
+        return None
+    w = 2.0 * total / x0
+    err = 2.0 * (min(size, prev) + _EPS * spread) / x0 + pole
+    if err > _EXP_RTOL * abs(w):
+        return None
+    return w
+
+
 def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
     derived = atom.k0 * env.lambda_T
     if abs(derived - env.theta) > 1e-8 * derived:
@@ -268,7 +422,13 @@ def thermal_potential_exact(
     z: float,
     constants: PhysicalConstants | None = None,
 ) -> float:
-    """Ground-truth thermal correction V_T(z) in eV from the exact series."""
+    """Ground-truth thermal correction V_T(z) in eV.
+
+    W comes from the static-alpha expansion where its error estimate is
+    at most 1e-13 |W|, and from the E1t series elsewhere; the latter
+    raises ValidityError where its bracket loses more than 1e-8 of
+    max(|W|, 2 pi / theta).
+    """
     if not (math.isfinite(z) and z > 0.0):
         raise DomainError(f"z must be positive and finite, got {z}")
     _check_env(atom, env)
@@ -276,9 +436,23 @@ def thermal_potential_exact(
     z3 = _z_power(z, 3)
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
-    terms = thermal_series_terms(eta, x0)
+    w = _w_expansion(eta, x0)
+    if w is None:
+        terms = thermal_series_terms(eta, x0)
+        w = _w_bracket(terms, x0)
+        # measured against |W| or, where W passes through zero, against
+        # the Lifshitz magnitude 2 pi / theta (k_B T alpha0 / 4 z^3 in W
+        # units), so that a sign change of V_T is not refused
+        loss = _EPS * x0 * x0 * abs(terms.k0_val)
+        scale = max(abs(w), 2.0 * math.pi / (eta * x0))
+        if loss > _BRACKET_RTOL * scale:
+            raise ValidityError(
+                f"thermal series rounding loss {loss:.1e} exceeds "
+                f"{_BRACKET_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
+                f"x0 = {x0:.6g}, theta = {eta * x0:.6g}"
+            )
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
-    return pref * _w_bracket(terms, x0)
+    return pref * w
 
 
 def thermal_short_leading(

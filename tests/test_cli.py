@@ -339,6 +339,15 @@ class TestExitCodeMapping:
         assert (code, out) == (3, "")
         assert _one_line_domain_error(capsys.readouterr().err)
 
+    def test_thermal_rounding_loss_maps_to_3(self, capsys):
+        # theta = 30 at z = 1000 lambda_T: the E1t bracket would lose ~4e-7
+        lam = PhysicalConstants().thermal_wavelength_um(300.0)
+        argv = ["eval", "--k0", repr(30.0 / lam), "--z", repr(1000.0 * lam),
+                "--temperature", "300"]
+        code, out = run_main(argv)
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
+
 
 class TestAnalyze:
     def test_default_report(self):

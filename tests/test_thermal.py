@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import DomainError, ValidityError
+from cpwall.oracle import thermal_quadrature_static
 from cpwall.specfun import scaled_e1
 from cpwall.thermal import (
     PotentialBreakdown,
     ThermalEnvironment,
+    _coth_terms,
+    _laurent_terms,
     _w_bracket,
+    _w_expansion,
     lifshitz_asymptote,
     recommended_approximation,
     thermal_long_expansion,
@@ -25,7 +29,7 @@ from cpwall.thermal import (
     thermal_short_leading,
     total_potential,
 )
-from cpwall.vacuum import AtomParams, vacuum_potential
+from cpwall.vacuum import AtomParams, _z_power, vacuum_potential
 
 from _reference_values import REFERENCE
 
@@ -63,6 +67,111 @@ class TestFrozenReferences:
         vhat = v / (CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4)
         ref = REFERENCE[f"vhat_theta{theta:g}_zr{zr:g}"]
         assert vhat == pytest.approx(ref, rel=5e-10)
+
+
+# frozen points around the static-alpha expansion: coth's Taylor route
+# (z >= lambda_T / 8), the Laurent route (0.01) and the E1t route; at
+# eta = 4 (0.125) the expansion's rounding estimate exceeds 1e-13 |W|
+FROZEN_POINTS = [
+    (theta, zr)
+    for theta in (50.0, 100.0, 1000.0)
+    for zr in (0.01, 0.125, 0.5, 3.0, 1000.0)
+    if (theta, zr) != (50.0, 1000.0)
+] + [(30.0, 3.0)]
+E1T_POINTS = {(50.0, 0.125), (100.0, 0.125), (1000.0, 0.125), (30.0, 3.0)}
+
+
+class TestStaticAlphaExpansion:
+    @pytest.mark.parametrize("theta,zr", FROZEN_POINTS)
+    def test_frozen_w(self, theta: float, zr: float) -> None:
+        w = _w_expansion(1.0 / (2.0 * zr), 2.0 * theta * zr)
+        assert (w is None) == ((theta, zr) in E1T_POINTS)
+        if w is not None:
+            ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
+            assert w == pytest.approx(ref, rel=2e-13)
+
+    @pytest.mark.parametrize("theta,zr", FROZEN_POINTS)
+    def test_frozen_vhat(self, theta: float, zr: float) -> None:
+        atom, env = make_pair(theta)
+        v = thermal_potential_exact(atom, env, zr * LAMBDA_T)
+        vhat = v / (CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4)
+        ref = REFERENCE[f"vhat_theta{theta:g}_zr{zr:g}"]
+        tol = 5e-10 if (theta, zr) in E1T_POINTS else 2e-13
+        assert vhat == pytest.approx(ref, rel=tol)
+
+    @pytest.mark.parametrize("theta,zr", [(10.0, 0.3), (20.0, 1.5), (30.0, 0.05)])
+    def test_fallback_is_the_e1t_route(self, theta: float, zr: float) -> None:
+        atom, env = make_pair(theta)
+        z = zr * LAMBDA_T
+        eta, x0 = env.lambda_T / (2.0 * z), 2.0 * atom.k0 * z
+        assert _w_expansion(eta, x0) is None
+        z3 = _z_power(z, 3)
+        pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
+        w = _w_bracket(thermal_series_terms(eta, x0), x0)
+        # bit for bit
+        assert thermal_potential_exact(atom, env, z) == pref * w
+
+    def test_near_zero_temperature_is_the_contact_constant(self) -> None:
+        # theta = 3e6, x0 = 1: W = 4 zeta(4) / (x0 eta^4) (1 + O(1e-12)),
+        # i.e. V_T = C(T); the E1t bracket cancels 13 digits here
+        theta = 3e6
+        atom = AtomParams(k0=13.101, alpha0=3.0e-8)
+        lam = theta / atom.k0
+        temp = CST.hbar_c_ev_um / (CST.k_B * lam)
+        env = ThermalEnvironment(temperature=temp, lambda_T=lam, theta=theta)
+        z = 0.5 / atom.k0
+        v_t = thermal_potential_exact(atom, env, z)
+        assert v_t == pytest.approx(thermal_short_leading(atom, env, z), rel=1e-10)
+
+
+class TestStaticLimit:
+    """The leading thermal term comes from the static polarizability and
+    does not depend on k0; dispersion enters at order 1/theta^2."""
+
+    @pytest.mark.parametrize("zr", [0.05, 0.15, 0.5, 2.0])
+    def test_leading_term_is_static_oracle(self, zr: float) -> None:
+        atom, env = make_pair(100.0)
+        z = zr * LAMBDA_T
+        eta = LAMBDA_T / (2.0 * z)
+        # j = 0 depends on eta alone
+        terms = _coth_terms(eta, 1.0) if eta <= 4.0 else _laurent_terms(eta, 1.0)
+        i0, _ = next(terms)
+        static = CST.hbar_c_ev_um * atom.alpha0 / (8.0 * math.pi * z**4) * i0
+        rep = thermal_quadrature_static(atom, env, z)
+        assert abs(static - rep.value) <= rep.abs_error_estimate
+
+    @pytest.mark.parametrize("zr", [0.15, 0.5, 2.0])
+    def test_approach_as_inverse_theta_squared(self, zr: float) -> None:
+        z = zr * LAMBDA_T
+        diff = {}
+        for theta in (300.0, 1000.0):
+            atom, env = make_pair(theta)
+            static = thermal_quadrature_static(atom, env, z).value
+            diff[theta] = thermal_potential_exact(atom, env, z) - static
+        ratio = diff[300.0] / diff[1000.0]
+        assert ratio == pytest.approx((1000.0 / 300.0) ** 2, rel=1e-3)
+
+
+class TestBracketLoss:
+    def test_large_x0_refused(self) -> None:
+        # theta = 30, z = 1000 lambda_T: the bracket loses ~4e-7 of |W|
+        atom, env = make_pair(30.0)
+        with pytest.raises(ValidityError):
+            thermal_potential_exact(atom, env, 1000.0 * LAMBDA_T)
+
+    @pytest.mark.parametrize("theta", [10.0, 30.0, 1000.0])
+    def test_sign_change_not_refused(self, theta: float) -> None:
+        # V_T changes sign near 0.3 lambda_T; closing in on the zero must
+        # not turn the relative rounding loss into a refusal
+        atom, env = make_pair(theta)
+        lo, hi = 0.2, 0.4
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if thermal_potential_exact(atom, env, mid * LAMBDA_T) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert 0.25 < lo < 0.31
 
 
 class TestSeriesTerms:
