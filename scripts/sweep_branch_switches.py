@@ -44,14 +44,6 @@ def sweep_kernel() -> None:
     report("kernel_g (switch 0.1)", grid, got, want)
 
 
-def sweep_ci_si() -> None:
-    grid = np.linspace(2.0, 8.0, 301)
-    want_ci = [float(mp.ci(x)) for x in grid]
-    want_si = [float(mp.si(x) - mp.pi / 2) for x in grid]
-    report("cosine_integral (switch 4)", grid, [sf.cosine_integral(float(x)) for x in grid], want_ci)
-    report("sine_integral_si (switch 4)", grid, [sf.sine_integral_si(float(x)) for x in grid], want_si)
-
-
 def sweep_aux() -> None:
     grid = np.geomspace(0.01, 200.0, 400)
     want_f = [float(mp.ci(x) * mp.sin(x) - (mp.si(x) - mp.pi / 2) * mp.cos(x)) for x in grid]
@@ -99,20 +91,20 @@ def sweep_polygamma() -> None:
     rng = np.random.default_rng(7)
     pts = []
     for _ in range(120):
-        m = int(rng.integers(0, 12))
+        m = int(rng.integers(1, 12))
         z = complex(rng.uniform(-8, 12), rng.uniform(-12, 12))
         if abs(z.imag) < 0.05:
             z += 0.3j
         pts.append((m, z))
-    got = [complex(sf.polygamma(m, z)) for m, z in pts]
+    got = [sf._polygamma_scaled(m, z, 0.0) for m, z in pts]
     want = [complex(mp.psi(m, z)) for m, z in pts]
-    report("polygamma (m<12, box)", pts, got, want)
+    report("_polygamma_scaled (m 1..11, box)", pts, got, want)
 
-    # high orders against the scaled route
+    # high orders: direct Hurwitz sums from s = 41 on
     pts2 = [(m, 1.0 - 1j / eta) for m in (40, 80, 160) for eta in (0.05, 0.5, 5.0)]
-    got = [complex(sf.polygamma(m, z)) for m, z in pts2]
+    got = [sf._polygamma_scaled(m, z, 0.0) for m, z in pts2]
     want = [complex(mp.psi(m, z)) for m, z in pts2]
-    report("polygamma (m in 40..160)", pts2, got, want)
+    report("_polygamma_scaled (m in 40..160)", pts2, got, want)
 
 
 def sweep_bose_q() -> None:
@@ -160,7 +152,6 @@ def sweep_thermal() -> bool:
 
 if __name__ == "__main__":
     sweep_kernel()
-    sweep_ci_si()
     sweep_aux()
     sweep_e1t()
     sweep_polygamma()

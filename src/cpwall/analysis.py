@@ -16,7 +16,6 @@ the derivative route independent of the series internals.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -42,7 +41,6 @@ from .vacuum import (
 )
 
 __all__ = [
-    "CurvatureSign",
     "EquilibriumResult",
     "QuadraticFit",
     "RegimeErrorRow",
@@ -57,13 +55,9 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 EQUILIBRIUM_BRACKET = (0.3, 0.7)
 FD_STEP_LAMBDA_T = 1e-4
 ROOT_XTOL_LAMBDA_T = 1e-4
+FIT_POINTS = 25
 
 PotentialFn = Callable[[AtomParams, ThermalEnvironment, float], float]
-
-
-class CurvatureSign(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,6 @@ class EquilibriumResult:
     """Stable minimum of the thermal potential, in lambda_T units."""
 
     z_star_over_lambdaT: float
-    second_derivative_sign: CurvatureSign
     bracket: tuple[float, float]
     iterations: int
 
@@ -81,8 +74,6 @@ class EquilibriumResult:
             raise DomainError(
                 f"z* = {self.z_star_over_lambdaT} outside bracket {self.bracket}"
             )
-        if self.second_derivative_sign is not CurvatureSign.POSITIVE:
-            raise DomainError("equilibrium must be stable (positive curvature)")
 
 
 @dataclass(frozen=True)
@@ -163,6 +154,8 @@ def find_thermal_equilibrium(
 
     bracket is in lambda_T units; potential_fn exists so the same
     search can run against the quadrature oracle (cross-validation).
+    A root of the derivative without positive curvature (a maximum)
+    raises DomainError.
     """
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     fn = potential_fn if potential_fn is not None else _thermal_value_fn(cst)
@@ -196,11 +189,10 @@ def find_thermal_equilibrium(
             raise ConvergenceError(f"root search did not converge: {info.flag}")
         iterations = info.iterations
 
-    curv = _fd_second_derivative(fn, atom, env, z_star * lam, h)
-    sign = CurvatureSign.POSITIVE if curv > 0.0 else CurvatureSign.NEGATIVE
+    if not _fd_second_derivative(fn, atom, env, z_star * lam, h) > 0.0:
+        raise DomainError("equilibrium must be stable (positive curvature)")
     return EquilibriumResult(
         z_star_over_lambdaT=float(z_star),
-        second_derivative_sign=sign,
         bracket=(lo, hi),
         iterations=int(iterations),
     )
@@ -240,7 +232,6 @@ def quadratic_fit(
     env: ThermalEnvironment,
     window: tuple[float, float],
     constants: PhysicalConstants | None = None,
-    n_points: int = 25,
     potential_fn: PotentialFn | None = None,
 ) -> QuadraticFit:
     """Unweighted least-squares parabola to V_T on a window (lambda_T
@@ -250,13 +241,11 @@ def quadratic_fit(
     z_lo, z_hi = window
     if not (0.0 < z_lo < z_hi < 1.5):
         raise DomainError(f"window must lie within (0, 1.5) lambda_T, got {window}")
-    if n_points < 20:
-        raise DomainError(f"need at least 20 sample points, got {n_points}")
     if z_hi - z_lo < 1e-3:
         raise DomainError(f"degenerate window {window}")
 
     lam = env.lambda_T
-    u = np.linspace(z_lo, z_hi, n_points)
+    u = np.linspace(z_lo, z_hi, FIT_POINTS)
     v = np.array([fn(atom, env, float(zr) * lam) for zr in u])
     # polyfit returns highest degree first
     c2, c1, c0 = np.polyfit(u, v, 2)

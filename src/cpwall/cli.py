@@ -88,7 +88,6 @@ class CurveSpec:
     theta: float
     points: int
     x_range: tuple[float, float]
-    columns: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.figure_id not in (1, 2, 3):
@@ -101,11 +100,10 @@ class CurveSpec:
         if self.figure_id == 1 and lo == 0.0:
             # figure 1 runs on a geometric grid, which cannot start at 0
             raise DomainError(f"figure 1 needs x_range lo > 0, got {self.x_range}")
-        if tuple(self.columns) != _FIGURE_COLUMNS[self.figure_id]:
-            raise DomainError(
-                f"figure {self.figure_id} emits columns "
-                f"{_FIGURE_COLUMNS[self.figure_id]}, got {self.columns}"
-            )
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        return _FIGURE_COLUMNS[self.figure_id]
 
     @classmethod
     def for_figure(
@@ -123,7 +121,6 @@ class CurveSpec:
             theta=theta,
             points=points,
             x_range=(float(rng[0]), float(rng[1])),
-            columns=_FIGURE_COLUMNS[figure_id],
         )
 
 
@@ -250,9 +247,7 @@ def _eval_payload(args: argparse.Namespace, cst: PhysicalConstants) -> dict:
 
     atom = AtomParams(k0=k0, alpha0=alpha0_um3)
     env = (
-        ThermalEnvironment(temperature=temperature, lambda_T=lam, theta=k0 * lam)
-        if lam is not None
-        else None
+        ThermalEnvironment.for_atom(atom, temperature, cst) if lam is not None else None
     )
     breakdown = total_potential(atom, args.z, env, cst)
 
@@ -395,7 +390,7 @@ def cmd_analyze(
     eq = find_thermal_equilibrium(atom, env, cst)
     out.write(
         f"equilibrium: z*/lambda_T = {eq.z_star_over_lambdaT:.6f} "
-        f"({eq.second_derivative_sign.value} curvature), "
+        "(positive curvature), "
         f"bracket [{eq.bracket[0]:g}, {eq.bracket[1]:g}], "
         f"{eq.iterations} iterations\n"
     )

@@ -84,14 +84,11 @@ _COMPARISON_FLOOR = 2e-10
 @dataclass(frozen=True)
 class QuadratureReport:
     """One oracle evaluation: value with an honest absolute error
-    estimate, panel count, and the regulator/extrapolation bookkeeping
-    (both zero when the scheme needs neither)."""
+    estimate and its panel count."""
 
     value: float
     abs_error_estimate: float
     subdivisions: int
-    regulator_epsilon: float
-    extrapolation_steps: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -100,12 +97,8 @@ class QuadratureReport:
             raise DomainError(
                 f"abs_error_estimate must be positive, got {self.abs_error_estimate}"
             )
-        if self.subdivisions < 0 or self.extrapolation_steps < 0:
-            raise DomainError("subdivision/extrapolation counts must be >= 0")
-        if self.regulator_epsilon < 0.0:
-            raise DomainError(
-                f"regulator_epsilon must be >= 0, got {self.regulator_epsilon}"
-            )
+        if self.subdivisions < 0:
+            raise DomainError(f"subdivisions must be >= 0, got {self.subdivisions}")
 
 
 # ----------------------------------------------------------------------
@@ -254,8 +247,6 @@ def vacuum_split_quadrature(
         value=2.0 * pref * val,
         abs_error_estimate=2.0 * pref * est,
         subdivisions=panels,
-        regulator_epsilon=_ABEL_C0 * 0.5 ** (_ABEL_LEVELS - 1),
-        extrapolation_steps=_ABEL_LEVELS,
     )
 
 
@@ -361,8 +352,6 @@ def thermal_quadrature(
         value=float(value),
         abs_error_estimate=float(est),
         subdivisions=panels,
-        regulator_epsilon=0.0,
-        extrapolation_steps=0,
     )
 
 
@@ -390,8 +379,6 @@ def thermal_quadrature_static(
         value=float(value),
         abs_error_estimate=float(pref * (e + _COMPARISON_FLOOR * g) + 1e-300),
         subdivisions=half.size,
-        regulator_epsilon=0.0,
-        extrapolation_steps=0,
     )
 
 
@@ -437,8 +424,6 @@ def f_integral_oracle(x: float) -> QuadratureReport:
         value=value,
         abs_error_estimate=e1 + scale * e2 + 1e-16 * abs(value) + 1e-300,
         subdivisions=int(info1["last"]) + int(info2["last"]),
-        regulator_epsilon=0.0,
-        extrapolation_steps=0,
     )
 
 
@@ -469,6 +454,4 @@ def bose_integral_quadrature(n: int) -> QuadratureReport:
         value=v,
         abs_error_estimate=e + 1e-16 * abs(v) + 1e-300,
         subdivisions=int(info["last"]),
-        regulator_epsilon=0.0,
-        extrapolation_steps=0,
     )

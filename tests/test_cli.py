@@ -265,7 +265,6 @@ class TestCurve:
                 theta=100.0,
                 points=1,
                 x_range=(0.1, 1.0),
-                columns=("k0z", "exact_scaled", "nonretarded_scaled", "retarded_scaled"),
             )
         with pytest.raises(DomainError):
             cli.CurveSpec(
@@ -273,15 +272,6 @@ class TestCurve:
                 theta=100.0,
                 points=10,
                 x_range=(1.0, 0.1),
-                columns=("k0z", "exact_scaled", "nonretarded_scaled", "retarded_scaled"),
-            )
-        with pytest.raises(DomainError):
-            cli.CurveSpec(
-                figure_id=2,
-                theta=100.0,
-                points=10,
-                x_range=(0.1, 1.0),
-                columns=("wrong", "columns"),
             )
 
 

@@ -57,8 +57,6 @@ class TestVacuumRoute:
 
     def test_report_bookkeeping(self):
         rep = vacuum_split_quadrature(ATOM, 0.5, CST)
-        assert rep.extrapolation_steps == 8
-        assert rep.regulator_epsilon == pytest.approx(0.1 * 0.5**7)
         assert rep.subdivisions > 100
 
     def test_epsilon_halving_within_claimed_error(self):
@@ -128,8 +126,6 @@ class TestThermalRoute:
     def test_no_regulator_no_extrapolation(self):
         atom, env = make_pair(100.0)
         rep = thermal_quadrature(atom, env, 0.5 * LAMBDA_T, CST)
-        assert rep.regulator_epsilon == 0.0
-        assert rep.extrapolation_steps == 0
         assert rep.abs_error_estimate > 0.0
 
     def test_z_to_zero_leading_constant(self):
@@ -249,8 +245,6 @@ class TestQuadratureReport:
                 value=1.0,
                 abs_error_estimate=0.0,
                 subdivisions=1,
-                regulator_epsilon=0.0,
-                extrapolation_steps=0,
             )
 
     def test_rejects_non_finite_value(self):
@@ -259,8 +253,6 @@ class TestQuadratureReport:
                 value=math.nan,
                 abs_error_estimate=1e-10,
                 subdivisions=1,
-                regulator_epsilon=0.0,
-                extrapolation_steps=0,
             )
 
     def test_rejects_negative_counts(self):
@@ -269,14 +261,4 @@ class TestQuadratureReport:
                 value=1.0,
                 abs_error_estimate=1e-10,
                 subdivisions=-1,
-                regulator_epsilon=0.0,
-                extrapolation_steps=0,
-            )
-        with pytest.raises(DomainError):
-            QuadratureReport(
-                value=1.0,
-                abs_error_estimate=1e-10,
-                subdivisions=1,
-                regulator_epsilon=-0.1,
-                extrapolation_steps=0,
             )
