@@ -8,9 +8,11 @@ Run from the repository root:
 For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
-this script's output.  The thermal section checks the static-alpha
-expansion of W where thermal_potential_exact takes it; the script exits
-with status 1 when its worst error there exceeds 2e-13.
+this script's output.  The thermal sections check W where
+thermal_potential_exact takes the static-alpha expansion, and W of the
+E1t series where it does not; the script exits with status 1 when the
+worst error of the first exceeds 2e-13, or an E1t-series point that
+thermal_potential_exact accepts misses 1e-8 of max(|W|, 2 pi/theta).
 """
 
 from __future__ import annotations
@@ -150,10 +152,54 @@ def sweep_thermal() -> bool:
     return worst <= THERMAL_RTOL
 
 
+SERIES_RTOL = 1e-8
+
+
+def sweep_series() -> bool:
+    """W of the E1t series against the mpmath E1t series for theta 10-44
+    and z/lambda_T 3e-3-1000, where the expansion is not taken.  Errors
+    are relative to max(|W|, 2 pi/theta), as the refusal's are; the
+    refusal's estimate eps x0^2 |K0| is reported next to them.  True
+    when every point thermal_potential_exact accepts is within
+    SERIES_RTOL."""
+    from make_reference_values import w_series  # sets mp.mp.dps = 50
+
+    thetas = (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)
+    zrs = sorted({*np.geomspace(3e-3, 1000.0, 24).tolist(), 0.125, 0.307, 100.0})
+    pts, errs, refused = [], [], []
+    ratio = 0.0  # error / (eps x0^2 |K0|) where the error exceeds 1e-10
+    for theta in thetas:
+        for zr in zrs:
+            eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
+            if th._w_expansion(eta, x0) is not None:
+                continue
+            terms = th.thermal_series_terms(eta, x0)
+            w = th._w_bracket(terms, x0)
+            want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
+            scale = max(abs(want), 2.0 * np.pi / theta)
+            err = abs(w - want) / scale
+            if err > 1e-10:
+                ratio = max(ratio, err * scale / (th._EPS * x0 * x0 * abs(terms.k0_val)))
+            try:
+                th._w_e1t(eta, x0)
+            except th.ValidityError:
+                refused.append((theta, zr))
+                continue
+            pts.append((theta, zr))
+            errs.append(err)
+    i = int(np.argmax(errs))
+    print(f"{'thermal E1t series (accepted)':34s} n={len(pts):4d}  worst {errs[i]:.3e} at {pts[i]}")
+    print(f"{'  refused (bracket loss)':34s} n={len(refused):4d}")
+    print(f"{'  error / (eps x0^2 |K0|), worst':34s} {ratio:.2f} where error > 1e-10")
+    return errs[i] <= SERIES_RTOL
+
+
 if __name__ == "__main__":
     sweep_kernel()
     sweep_aux()
     sweep_e1t()
     sweep_polygamma()
     sweep_bose_q()
-    sys.exit(0 if sweep_thermal() else 1)
+    ok = sweep_thermal()
+    ok = sweep_series() and ok
+    sys.exit(0 if ok else 1)

@@ -19,6 +19,9 @@ Branch map for E1t (validated in scripts/sweep_branch_switches.py):
                                   left-half-plane terms share one sign)
     |arg w| > 3pi/4, |w| > 35     asymptotic series, optimal truncation
 
+The thermal head needs E1t(w) -+ E1t(-w) at Re w >= 40; there
+``_e1t_pair`` sums both from their paired asymptotic series at once.
+
 Accuracy: every operation targets 1e-12 relative and guarantees 1e-10
 on its stated domain; measured worst-case errors per branch are quoted
 in the sweep script output committed alongside the tests.
@@ -28,6 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
+from itertools import accumulate
+from operator import mul
 
 from .errors import ConvergenceError, DomainError
 
@@ -109,6 +115,42 @@ def _scaled_e1_upper(w: complex) -> complex:
     if r <= 35.0:
         return _e1t_power_series(w)
     return _e1t_asymptotic(w)
+
+
+# Paired asymptotic series (DLMF 6.12.1) of the thermal head's far terms:
+#   D = E1t(w) - E1t(-w) ~ 2 sum_{k>=0} (2k)! / w^(2k+1),
+#   S = E1t(w) + E1t(-w) ~ -2 sum_{k>=1} (2k-1)! / w^(2k).
+# _PAIR_COEF[k] = ((2k)!, (2k+1)!).  For n = 20 down to 1, _PAIR_RADII
+# holds the least |w| at which n terms leave a first omitted D term of
+# at most 1e-16 of D's leading term 2/|w|: 17 terms at |w| = 40, 6 from
+# |w| = 114, 2 from 22,134.
+_PAIR_MIN = 40.0
+_PAIR_COEF = tuple(
+    (float(math.factorial(2 * k)), float(math.factorial(2 * k + 1))) for k in range(21)
+)
+_PAIR_RADII = tuple(
+    (math.factorial(2 * n) / 1e-16) ** (1.0 / (2 * n)) for n in range(20, 0, -1)
+)
+
+
+def _e1t_pair(w: complex) -> tuple[complex, complex, float]:
+    """(D, S, bound) at Re w >= 40 from the paired asymptotic series.
+
+    One Horner pass in 1/w^2 per call.  bound covers the error of D and
+    of S: the first omitted D term (S's is smaller by (2n+1)/|w| < 1)
+    plus 2 pi e^-Re(w), the Stokes term of E1t(-w) that the series
+    leaves out.
+    """
+    r = abs(w)
+    n = min(20, 21 - bisect_right(_PAIR_RADII, r))
+    u = 1.0 / w
+    u2 = u * u
+    d = s = 0.0
+    for cd, cs in reversed(_PAIR_COEF[:n]):
+        d = d * u2 + cd
+        s = s * u2 + cs
+    bound = 2.0 * _PAIR_COEF[n][0] / r ** (2 * n + 1) + 2.0 * math.pi * math.exp(-w.real)
+    return 2.0 * u * d, -2.0 * u2 * s, bound
 
 
 def scaled_e1(w: complex) -> complex:
@@ -212,6 +254,14 @@ def _zeta_even_unchecked(m: int) -> float:
 _BERN_ASYM_F = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
                 -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
                 -236364091 / 2730]
+# B_2j / (2j)!, j = 1..12, for the Euler-Maclaurin tail
+_EM_COEF = tuple(
+    b / f
+    for b, f in zip(
+        _BERN_ASYM_F,
+        accumulate(((2 * j + 1) * (2 * j + 2) for j in range(1, 12)), mul, initial=2.0),
+    )
+)
 
 
 def _hurwitz_direct(s: int, z: complex) -> complex:
@@ -233,7 +283,8 @@ def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
     s_hi <= 24 that is the shift each s needs alone), with one
     reciprocal 1/(z+n) per step and its powers by multiplication, so no
     step overflows for huge |z|; then the Euler-Maclaurin tail at
-    a = z + shift for each s (DLMF 25.11.5 in descending powers of a).
+    a = z + shift for each s (DLMF 25.11.5 in descending powers of a),
+    up to its first term below 1e-17 of the tail or 12 terms.
     """
     if not 2 <= s_lo <= s_hi:
         raise DomainError(f"_hurwitz needs integers 2 <= s_lo <= s_hi, got {s_lo}..{s_hi}")
@@ -241,7 +292,7 @@ def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
         raise DomainError(f"_hurwitz pole-adjacent argument z = {z}")
     if s_lo >= 40:
         return [_hurwitz_direct(s, z) for s in range(s_lo, s_hi + 1)]
-    n_asym = 12
+    n_asym = len(_EM_COEF)
     target = max(10.0, (s_hi + 2 * n_asym) / (2.0 * math.pi) * 1.3)
     shift = max(0, int(math.ceil(target - z.real)))
     out = [0.0 + 0.0j] * (s_hi - s_lo + 1)
@@ -253,19 +304,25 @@ def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
             p *= r
     ainv = 1.0 / (z + shift)
     ainv2 = ainv * ainv
+    ainv2_abs = abs(ainv2)
     lead = ainv ** (s_lo - 1)           # a^{1-s}
     for i, s in enumerate(range(s_lo, s_hi + 1)):
         apow = lead * ainv              # a^{-s}
         tail = lead / (s - 1) + 0.5 * apow
-        # sum_j B_2j/(2j)! (s)_{2j-1} a^{-s-2j+1}
+        tiny = 1e-17 * abs(tail)
+        # sum_j B_2j/(2j)! (s)_{2j-1} a^{-s-2j+1}, up to the first term
+        # below tiny (its size from |a^{-s-2j+1}| kept as a float)
         poch = float(s)                 # (s)_1
         apow *= ainv
-        fact = 2.0
-        for j in range(1, n_asym + 1):
-            tail += _BERN_ASYM_F[j - 1] / fact * poch * apow
+        size = abs(apow)
+        for j, coef in enumerate(_EM_COEF, 1):
+            c = coef * poch
+            tail += c * apow
+            if abs(c) * size <= tiny:
+                break
             poch *= (s + 2 * j - 1) * (s + 2 * j)
             apow *= ainv2
-            fact *= (2 * j + 1) * (2 * j + 2)
+            size *= ainv2_abs
         out[i] += tail
         lead *= ainv
     return out

@@ -18,9 +18,14 @@ scaled exponential integrals,
 
 where E1t is ``specfun.scaled_e1``.  The individual sums diverge
 logarithmically in their real parts; only the displayed combinations
-converge.  We therefore sum a finite head of m-terms and close both
-series with asymptotic tails built from Hurwitz zeta / digamma values
-of argument M + 1 - i/eta.
+converge, and they need only the pairs D_m = E1t(w_m) - E1t(-w_m) and
+S_m = E1t(w_m) + E1t(-w_m), w_m = m theta - i x0.  We therefore sum a
+finite head of pairs up to m theta ~ 240 and close both series with
+asymptotic tails built from Hurwitz zeta / digamma values of argument
+M + 1 - i/eta.  Head pairs with m theta < 40 come from two E1t values
+each, those from 40 on from the paired asymptotic series
+(``specfun._e1t_pair``, one Horner pass in 1/w^2), so theta >= 40
+needs no E1t call at all.
 
 ``thermal_potential_exact`` evaluates W by one of two routes, chosen by
 one deterministic rule per point:
@@ -34,8 +39,10 @@ one deterministic rule per point:
   (first omitted or smallest term, rounding, and a bound on the resonant
   pole the series misses) is at most 1e-13 |W|, which needs theta >~ 45;
 * the E1t series above everywhere else.  It raises ValidityError where
-  the rounding loss of the W bracket, about eps x0^2 |K0|, exceeds 1e-8
-  of max(|W|, 2 pi / theta): at large x0 for theta below ~45.
+  the rounding loss of the W bracket, estimated as 4 eps x0^2 |K0|,
+  exceeds 1e-8 of max(|W|, 2 pi / theta): at large x0 for theta below
+  ~45.  The factor 4 covers the measured error, up to 2.6 eps x0^2 |K0|
+  in scripts/sweep_branch_switches.py.
 
 Short- and long-distance expansions (H_T with its double zeta sum, L_T
 with its polygamma sums) and the Lifshitz total asymptote
@@ -55,7 +62,9 @@ from typing import Iterator
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .specfun import (
+    _PAIR_MIN,
     _digamma,
+    _e1t_pair,
     _hurwitz_range,
     _polygamma_scaled,
     _zeta_even_unchecked,
@@ -103,9 +112,10 @@ _EXP_ETA_MAX = 4.0
 _EXP_RTOL = 1e-13
 _EXP_TERM_CAP = 40
 _EPS = sys.float_info.epsilon
-# The E1t route refuses when its bracket's rounding loss, about
-# eps x0^2 |K0|, exceeds this share of |W|.
+# The E1t route refuses when its bracket's rounding loss, estimated as
+# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|.
 _BRACKET_RTOL = 1e-8
+_BRACKET_LOSS = 4.0
 
 
 @dataclass(frozen=True)
@@ -206,10 +216,12 @@ def _check_pair(eta: float, x0: float) -> float:
 def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     """Exact-series building blocks of W at one geometry point.
 
-    Sums scaled exponential integrals for m theta up to ~240 and closes
-    the remainder with digamma / Hurwitz-zeta asymptotic tails of the
-    paired combinations (the pairing decays like 1/m^2; the unpaired
-    real parts diverge and never appear alone).
+    Sums the pairs of scaled exponential integrals for m theta up to
+    ~240, from E1t below m theta = 40 and from their paired asymptotic
+    series above, and closes the remainder with digamma / Hurwitz-zeta
+    asymptotic tails of the same paired combinations (the pairing
+    decays like 1/m^2; the unpaired real parts diverge and never appear
+    alone).
     """
     theta = _check_pair(eta, x0)
     n_head = max(4, int(math.ceil(_HEAD_SCALE / theta)))
@@ -218,19 +230,27 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
             f"thermal series needs more than {_TERM_CAP} terms at theta={theta}"
         )
 
-    hp_re = hp_im = hm_re = hm_im = 0.0
+    # D_m = E1t(w_m) - E1t(-w_m) and S_m = E1t(w_m) + E1t(-w_m): K0
+    # needs only Im D, K1 only Re S.  From m theta = 40 on, each pair
+    # comes from its paired asymptotic series, whose error far_bound
+    # sums.
+    d_im = s_re = far_bound = 0.0
     for m in range(1, n_head + 1):
         w = complex(m * theta, -x0)
-        ep = scaled_e1(w)
-        em = scaled_e1(-w)
-        hp_re += ep.real
-        hp_im += ep.imag
-        hm_re += em.real
-        hm_im += em.imag
+        if w.real < _PAIR_MIN:
+            ep = scaled_e1(w)
+            em = scaled_e1(-w)
+            d_im += ep.imag - em.imag
+            s_re += ep.real + em.real
+        else:
+            d, s, bound = _e1t_pair(w)
+            d_im += d.imag
+            s_re += s.real
+            far_bound += bound
 
-    # Tails over m > n_head from the paired large-w expansions:
-    #   E1t(w) - E1t(-w) ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
-    #   E1t(w) + E1t(-w) ~ -2/w^2 - 12/w^4 - 240/w^6 - 10080/w^8
+    # Tails over m > n_head from the same paired expansions:
+    #   D ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
+    #   S ~ -2/w^2 - 12/w^4 - 240/w^6 - 10080/w^8
     # with sum_{m>M} w_m^{-s} = zeta(s, M+1-i/eta)/theta^s and the s=1
     # imaginary part via the digamma function.  All nine zeta values
     # come from one Hurwitz pass (one shift, one Euler-Maclaurin tail).
@@ -251,10 +271,14 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     )
     # First omitted orders bound the truncation (the expansion parameter
     # is 1/(m theta)^2 <= 1/240^2, so the remainders are dominated by
-    # their leading terms; 1.5 covers the geometric excess).
+    # their leading terms; 1.5 covers the geometric excess); the far
+    # head's error enters K0 and K1/x0 alike.
     tb_diff = 2.0 * math.factorial(8) * abs(z9) / theta**9
     tb_sum = 2.0 * math.factorial(9) * abs(z10) / theta**10
-    tail_bound = 1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
+    tail_bound = (
+        1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
+        + (abs(x0 * x0 - 2.0) + 2.0 * x0) * far_bound
+    )
 
     # Pole term of J0-: i pi e^{i x0} / (e^theta - 1), Bose factor in
     # decaying-exponential form.
@@ -262,14 +286,11 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     pole_re = -math.pi * math.sin(x0) * bose
     pole_im = math.pi * math.cos(x0) * bose
 
-    # The tails go half to J0+ and half to J0-; only K0 and K1 are physical.
-    jp_re = hp_re + 0.5 * retail
-    jp_im = hp_im + 0.5 * imtail
-    jm_re = hm_re + 0.5 * retail + pole_re
-    jm_im = hm_im - 0.5 * imtail + pole_im
+    # K0 = Im(J0+ - J0-) and K1 = -x0 Re(J0+ + J0-): the tails' halves
+    # in J0+ and J0- add up, the pole term is J0-'s alone.
     return ThermalSeriesTerms(
-        k0_val=jp_im - jm_im,
-        k1_val=-x0 * (jp_re + jm_re),
+        k0_val=d_im + imtail - pole_im,
+        k1_val=-x0 * (s_re + retail + pole_re),
         p_val=bose_sum_p(eta),
         terms_used=n_head,
         tail_bound=tail_bound,
@@ -375,13 +396,26 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     theta = _check_pair(eta, x0)
     e_th = math.exp(-theta)
     pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
-    if eta <= _EXP_ETA_MAX:
-        terms = _coth_terms(eta, x0)
-    else:
-        terms = _laurent_terms(eta, theta)
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
+    if eta <= _EXP_ETA_MAX:
+        terms = _coth_terms(eta, x0)
+    else:
+        # the Laurent route has a fixed number of terms, and each size is
+        # at least |I_0| times the envelope steps so far: leave when no
+        # term it has can reach 2 _EXP_RTOL |I_0|
+        env, j = 1.0, 1
+        while (
+            env > 2.0 * _EXP_RTOL
+            and j < _EXP_TERM_CAP
+            and 3 * (2 * j + 4) * (2 * j + 5) <= 5.0 * eta * eta
+        ):
+            env *= (2 * j + 1) * (2 * j + 2) / rho2
+            j += 1
+        if env > 2.0 * _EXP_RTOL:
+            return None
+        terms = _laurent_terms(eta, theta)
     total = prev = spread = 0.0
     for j, (term, pieces) in zip(range(_EXP_TERM_CAP), terms):
         # the poles' phases can make one term small by accident, so its
@@ -395,6 +429,13 @@ def _w_expansion(eta: float, x0: float) -> float | None:
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
             break
+        elif j == 1 and 0.5 * x0 * pole + _EPS * (spread + abs(term)) > _EXP_RTOL * (
+            abs(total) + 2.0 * abs(term)
+        ):
+            # the pole bound and the rounding of the j = 0 pieces fail
+            # against |W| read generously as |I_0| + 2 |I_1|: leave before
+            # the later terms
+            return None
         total += term
         spread += pieces if j == 0 else abs(term)
         prev = size
@@ -404,6 +445,26 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     err = 2.0 * (min(size, prev) + _EPS * spread) / x0 + pole
     if err > _EXP_RTOL * abs(w):
         return None
+    return w
+
+
+def _w_e1t(eta: float, x0: float) -> float:
+    """W from the E1t series, or ValidityError where the W bracket's
+    rounding loss, _BRACKET_LOSS eps x0^2 |K0|, exceeds _BRACKET_RTOL of
+    max(|W|, 2 pi / theta)."""
+    terms = thermal_series_terms(eta, x0)
+    w = _w_bracket(terms, x0)
+    # measured against |W| or, where W passes through zero, against
+    # the Lifshitz magnitude 2 pi / theta (k_B T alpha0 / 4 z^3 in W
+    # units), so that a sign change of V_T is not refused
+    loss = _BRACKET_LOSS * _EPS * x0 * x0 * abs(terms.k0_val)
+    scale = max(abs(w), 2.0 * math.pi / (eta * x0))
+    if loss > _BRACKET_RTOL * scale:
+        raise ValidityError(
+            f"thermal series rounding loss {loss:.1e} exceeds "
+            f"{_BRACKET_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
+            f"x0 = {x0:.6g}, theta = {eta * x0:.6g}"
+        )
     return w
 
 
@@ -438,19 +499,7 @@ def thermal_potential_exact(
     x0 = 2.0 * atom.k0 * z
     w = _w_expansion(eta, x0)
     if w is None:
-        terms = thermal_series_terms(eta, x0)
-        w = _w_bracket(terms, x0)
-        # measured against |W| or, where W passes through zero, against
-        # the Lifshitz magnitude 2 pi / theta (k_B T alpha0 / 4 z^3 in W
-        # units), so that a sign change of V_T is not refused
-        loss = _EPS * x0 * x0 * abs(terms.k0_val)
-        scale = max(abs(w), 2.0 * math.pi / (eta * x0))
-        if loss > _BRACKET_RTOL * scale:
-            raise ValidityError(
-                f"thermal series rounding loss {loss:.1e} exceeds "
-                f"{_BRACKET_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
-                f"x0 = {x0:.6g}, theta = {eta * x0:.6g}"
-            )
+        w = _w_e1t(eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
     return pref * w
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .constants import PhysicalConstants
 from .errors import DomainError
-from .specfun import auxiliary_f, auxiliary_g
+from .specfun import _scaled_e1_upper
 
 __all__ = [
     "AtomParams",
@@ -100,14 +100,14 @@ def h0(x0: float) -> float:
     """Dimensionless vacuum shape H0(x) = (x^2 - 2) F(x) + 2 x G(x) - x.
 
     Tends to -pi as x -> 0+ and falls off as -6/x for large x.  Strictly
-    negative on the whole half-line.  Domain errors from the auxiliary
-    functions propagate unchanged; x0 whose square overflows is refused.
+    negative on the whole half-line.  F and G come from one E1t
+    evaluation, g + i f = -E1t(i x0); x0 <= 0 and x0 whose square
+    overflows are refused.
     """
-    if not math.isfinite(x0 * x0):
-        raise DomainError(f"h0 needs x0 with a finite square, got {x0}")
-    f = auxiliary_f(x0)
-    g = auxiliary_g(x0)
-    return (x0 * x0 - 2.0) * f + 2.0 * x0 * g - x0
+    if not (x0 > 0.0 and math.isfinite(x0 * x0)):
+        raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
+    e = _scaled_e1_upper(1j * x0)
+    return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
 
 
 def vacuum_potential(

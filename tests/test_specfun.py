@@ -306,6 +306,20 @@ def test_scaled_e1_outer_switch_consistency():
             assert rel(sf._e1t_power_series(w), sf._e1t_asymptotic(w)) < 5e-11
 
 
+@pytest.mark.parametrize("x0", [1e-3, 1.0, 30.0, 300.0, 3000.0])
+@pytest.mark.parametrize("m_theta", [40.0, 41.0, 60.0, 120.0, 240.0])
+def test_e1t_pair_matches_scaled_e1(m_theta, x0):
+    # the thermal head's far pair (D, S) against E1t(w) -+ E1t(-w); the
+    # sum of the two E1t values rounds to about eps |E1t| each, the
+    # series itself stays within its own bound
+    w = complex(m_theta, -x0)
+    ep, em = sf.scaled_e1(w), sf.scaled_e1(-w)
+    d, s, bound = sf._e1t_pair(w)
+    assert abs(d - (ep - em)) <= 4 * sf._EPS * abs(ep - em) + bound
+    assert abs(s - (ep + em)) <= 4 * sf._EPS * (abs(ep) + abs(em)) + bound
+    assert bound <= 4e-17
+
+
 def test_bose_branch_consistency():
     # closed form vs alternating series around eta = 2
     for eta in np.linspace(1.5, 2.5, 100):
