@@ -14,6 +14,10 @@ runs first alternates from pair to pair.  The output JSON holds every
 pair's end-to-end metrics, each side's median and quartiles, how many
 pairs the change won (ties count for neither side), the attempted and
 failed operation counts, and perfbench's environment block of each side.
+On ``cli_cold`` each pair also keeps both sides' per-command medians
+(perfbench's ``extra.cli_kind_p50_ms``: eval, curve, verify_quick,
+analyze), summarized per kind, so the record shows which command moved
+the tail.
 Standard library only.
 """
 
@@ -37,7 +41,8 @@ def git(*args: str) -> str:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run; its summary line plus environment."""
+    """One untraced perfbench run; its summary line plus the record's
+    environment and extra blocks."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -47,7 +52,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"perfbench failed in {checkout}:\n{proc.stderr}")
     summary = json.loads(proc.stdout.strip().splitlines()[-1])
     record = checkout / ".perfbench" / f"{workload}_seed{seed}_trace0.json"
-    summary["environment"] = json.loads(record.read_text())["environment"]
+    full = json.loads(record.read_text())
+    summary["environment"] = full["environment"]
+    summary["extra"] = full["extra"]
     return summary
 
 
@@ -76,6 +83,25 @@ def summarize(pairs: list[dict], declared: list[dict]) -> dict:
             "change_wins": wins,
             "ties": ties,
             "median_change_pct": 100.0 * (c_med - p_med) / p_med if p_med else None,
+        }
+    return out
+
+
+def summarize_kinds(pairs: list[dict]) -> dict:
+    """Per cli_cold command kind found in every run: each side's median
+    and quartiles of the per-run medians, and the median change in
+    percent."""
+    out = {}
+    sides = [p["cli_kind_p50_ms"][s] for p in pairs for s in ("parent", "change")]
+    for kind in sorted(set.intersection(*map(set, sides))):
+        parent = [p["cli_kind_p50_ms"]["parent"][kind] for p in pairs]
+        change = [p["cli_kind_p50_ms"]["change"][kind] for p in pairs]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        out[kind] = {
+            "unit": "ms",
+            "parent": spread(parent),
+            "change": spread(change),
+            "median_change_pct": 100.0 * (c_med - p_med) / p_med,
         }
     return out
 
@@ -115,16 +141,23 @@ def main(argv: list[str] | None = None) -> int:
                     runs[side] = run_once(checkout, workload, args.seed, args.seconds)
                     failed[side].append([runs[side]["failed"], runs[side]["attempted"]])
                     report["environment"][side] = runs[side]["environment"]
-                pairs.append({
+                pair = {
                     "first": order[0],
                     **{s: {k: v["value"] for k, v in runs[s]["metrics"].items()} for s in runs},
-                })
+                }
+                if workload == "cli_cold":
+                    pair["cli_kind_p50_ms"] = {
+                        s: runs[s]["extra"]["cli_kind_p50_ms"] for s in runs
+                    }
+                pairs.append(pair)
                 print(f"{workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
             report["workloads"][workload] = {
                 "pairs": pairs,
                 "failed_of_attempted": failed,
                 "summary": summarize(pairs, declared),
             }
+            if workload == "cli_cold":
+                report["workloads"][workload]["cli_kind_p50_ms"] = summarize_kinds(pairs)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
     return 0

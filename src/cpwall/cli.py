@@ -47,8 +47,6 @@ from .vacuum import (
 )
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .verify import CriterionResult
 
 __all__ = [
@@ -129,18 +127,21 @@ def _fmt(value: float) -> str:
     return f"{value:.16e}"
 
 
-def _figure_grid(spec: CurveSpec) -> np.ndarray:
-    import numpy as np
-
-    lo, hi = spec.x_range
+def _figure_grid(spec: CurveSpec) -> list[float]:
+    """The figure's abscissae, bit for bit what numpy's linspace gives
+    (figures 2 and 3) and a geomspace with both endpoints exact (figure
+    1), computed without importing numpy."""
+    (lo, hi), n = spec.x_range, spec.points
     if spec.figure_id == 1:
-        return np.geomspace(lo, hi, spec.points)
+        a, b = math.log10(lo), math.log10(hi)
+        step = (b - a) / (n - 1)
+        return [lo, *(10.0 ** (a + i * step) for i in range(1, n - 1)), hi]
     if lo == 0.0:
         # open-left interval: the integrands are singular or undefined
         # at contact, so a range starting at 0 excludes the endpoint
-        steps = np.arange(1, spec.points + 1, dtype=float)
-        return lo + (hi - lo) * steps / float(spec.points)
-    return np.linspace(lo, hi, spec.points)
+        return [lo + (hi - lo) * (i + 1.0) / float(n) for i in range(n)]
+    step = (hi - lo) / (n - 1)
+    return [*(lo + i * step for i in range(n - 1)), hi]
 
 
 def _reference_pair(

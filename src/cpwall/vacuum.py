@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import PhysicalConstants
@@ -89,11 +90,15 @@ def classify_regime(x0: float) -> RegimeTag:
 
 
 def _z_power(z: float, n: int) -> float:
-    """z**n, refusing a z so large that the power overflows."""
+    """z**n, refusing a z so large that the power overflows or so small
+    that it underflows below the smallest normal float."""
     try:
-        return z**n
+        p = z**n
     except OverflowError:
         raise DomainError(f"z = {z} too large: z^{n} overflows") from None
+    if p < sys.float_info.min:
+        raise DomainError(f"z = {z} too small: z^{n} underflows")
+    return p
 
 
 def h0(x0: float) -> float:

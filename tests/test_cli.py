@@ -7,10 +7,12 @@ import json
 import math
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 try:
@@ -275,6 +277,43 @@ class TestCurve:
             )
 
 
+class TestFigureGrid:
+    """The plain-Python grids against the numpy grids they replaced."""
+
+    @staticmethod
+    def grid(figure_id, lo, hi, n):
+        return cli._figure_grid(cli.CurveSpec(figure_id, 100.0, n, (lo, hi)))
+
+    def test_linear_grids_match_numpy_bit_for_bit(self):
+        rng = random.Random(20261018)
+        for _ in range(600):
+            n = rng.randint(2, 400)
+            lo = 10.0 ** rng.uniform(-6.0, 3.0)
+            hi = lo + 10.0 ** rng.uniform(-6.0, 3.0)
+            want = np.linspace(lo, hi, n).tolist()
+            for figure_id in (2, 3):
+                got = self.grid(figure_id, lo, hi, n)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+            # a range from 0 runs on the open-left grid
+            lo = 0.0
+            want = (lo + (hi - lo) * np.arange(1, n + 1, dtype=float) / float(n)).tolist()
+            for figure_id in (2, 3):
+                got = self.grid(figure_id, lo, hi, n)
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_geometric_grid_within_1e13_of_numpy(self):
+        rng = random.Random(1018)
+        for _ in range(600):
+            n = rng.randint(2, 400)
+            lo = 10.0 ** rng.uniform(-4.0, 3.0)
+            hi = lo * 10.0 ** rng.uniform(0.001, 5.0)
+            got = self.grid(1, lo, hi, n)
+            want = np.geomspace(lo, hi, n)
+            assert len(got) == n and all(type(x) is float for x in got)
+            assert (got[0], got[-1]) == (lo, hi)
+            assert np.all(np.abs(np.array(got) - want) <= 1e-13 * want)
+
+
 class TestConfig:
     def test_constants_override(self, tmp_path, monkeypatch):
         cfg = tmp_path / "cpwall.cfg"
@@ -325,6 +364,23 @@ class TestExitCodeMapping:
     def test_huge_distance_maps_to_3(self, argv, capsys):
         # z^3, z^4 or x0^2 would overflow: refused before computing, and
         # curve writes nothing, not even its header
+        code, out = run_main(argv)
+        assert (code, out) == (3, "")
+        assert _one_line_domain_error(capsys.readouterr().err)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--z", "1e-120"],
+            ["curve", "--figure", "1", "--x-range", "1e-300", "1", "--points", "3"],
+            ["curve", "--figure", "2", "--points", "3", "--x-range", "1e-300", "1e-299"],
+            ["curve", "--figure", "3", "--points", "2", "--x-range", "0", "1e-300"],
+        ],
+        ids=" ".join,
+    )
+    def test_tiny_distance_maps_to_3(self, argv, capsys):
+        # z^3 would underflow below the smallest normal float and the
+        # prefactor would divide by zero: refused, and curve writes nothing
         code, out = run_main(argv)
         assert (code, out) == (3, "")
         assert _one_line_domain_error(capsys.readouterr().err)
@@ -501,8 +557,7 @@ def _modules_loaded_by(argv):
 
 class TestImportFootprint:
     """eval and curve need neither the oracles nor the root finders, so
-    they must not pay for importing scipy (or, for eval, numpy and
-    fractions)."""
+    they must not pay for importing numpy, scipy or fractions."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_eval_loads_neither_numpy_nor_scipy(self, fmt):
@@ -510,6 +565,6 @@ class TestImportFootprint:
         assert _modules_loaded_by(argv) == set()
 
     @pytest.mark.parametrize("figure_id", ["1", "2", "3"])
-    def test_curve_does_not_load_scipy(self, figure_id):
+    def test_curve_loads_neither_numpy_nor_scipy(self, figure_id):
         argv = ["curve", "--figure", figure_id, "--points", "5"]
-        assert "scipy" not in _modules_loaded_by(argv)
+        assert _modules_loaded_by(argv) == set()
