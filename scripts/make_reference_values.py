@@ -117,6 +117,10 @@ def main() -> None:
         ref[f"aux_g_{x:g}"] = float(aux_g(mp.mpf(x)))
     for x in (0.05, 1.0, 10.0, 100.0):
         ref[f"h0_{x:g}"] = float(h0(mp.mpf(x)))
+    # the far field, where h0 takes its asymptotic series (x0 = 1e9
+    # cancels 18 of the 50 digits)
+    for label in ("1e3", "1e4", "1e6", "1e9"):
+        ref[f"h0_{label}"] = float(h0(mp.mpf(label)))
     for u in (1e-3, 0.1, 5.0):
         ref[f"kernel_g_{u:g}"] = float(kernel_g(u))
 

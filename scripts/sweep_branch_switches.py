@@ -8,11 +8,14 @@ Run from the repository root:
 For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
-this script's output.  The thermal sections check W where
-thermal_potential_exact takes the static-alpha expansion, and W of the
-E1t series where it does not; the script exits with status 1 when the
-worst error of the first exceeds 2e-13, or an E1t-series point that
-thermal_potential_exact accepts misses 1e-8 of max(|W|, 2 pi/theta).
+this script's output.  The h0 section checks the vacuum shape from
+x0 = 30 to 1e12, the E1t bracket and the asymptotic series apart.  The
+thermal sections check W where thermal_potential_exact takes the
+static-alpha expansion, and W of the E1t series where it does not.  The
+script exits with status 1 when h0's series, where it is taken, is off
+by more than 1e-10, when the worst error of the expansion exceeds
+2e-13, or when an E1t-series point that thermal_potential_exact accepts
+misses 1e-8 of max(|W|, 2 pi/theta).
 """
 
 from __future__ import annotations
@@ -121,6 +124,30 @@ def sweep_bose_q() -> None:
     report("q_series (1.05..40)", grid_q, [sf.q_series(float(x)) for x in grid_q], [q_ref(x) for x in grid_q])
 
 
+H0_SERIES_RTOL = 1e-10
+
+
+def sweep_h0() -> bool:
+    """h0 against mpmath from x0 = 30 to 1e12, each branch apart: the
+    E1t bracket up to x0 = 100 and the asymptotic series above.  The
+    reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
+    them.  True when the series is within H0_SERIES_RTOL wherever it is
+    taken."""
+    from cpwall.vacuum import _H0_SERIES_MIN, h0
+    from make_reference_values import h0 as h0_mp
+
+    grid = sorted({*np.geomspace(30.0, 1e12, 400).tolist(), *np.linspace(90.0, 110.0, 41).tolist()})
+    with mp.workdps(60):
+        want = [float(h0_mp(mp.mpf(x))) for x in grid]
+    got = [h0(x) for x in grid]
+    near = [i for i, x in enumerate(grid) if x <= _H0_SERIES_MIN]
+    far = [i for i, x in enumerate(grid) if x > _H0_SERIES_MIN]
+    for name, idx in (("h0 E1t bracket (30..100)", near), ("h0 series (100..1e12)", far)):
+        report(name, [grid[i] for i in idx], [got[i] for i in idx], [want[i] for i in idx])
+    worst = max(abs(got[i] - want[i]) / abs(want[i]) for i in far)
+    return worst <= H0_SERIES_RTOL
+
+
 THERMAL_RTOL = 2e-13
 
 
@@ -200,6 +227,7 @@ if __name__ == "__main__":
     sweep_e1t()
     sweep_polygamma()
     sweep_bose_q()
-    ok = sweep_thermal()
+    ok = sweep_h0()
+    ok = sweep_thermal() and ok
     ok = sweep_series() and ok
     sys.exit(0 if ok else 1)

@@ -9,6 +9,7 @@ Layout:
     analysis  equilibrium point, crossovers, fit diagnostics
     verify    the acceptance-criteria harness behind `cpwall verify`
     cli       command line front end
+    record    read-only base of the parameter and result records
 """
 
 from .constants import PhysicalConstants, load_constants

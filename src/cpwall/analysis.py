@@ -17,7 +17,6 @@ the derivative route independent of the series internals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from scipy.optimize import brentq
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
+from .record import Record
 from .thermal import (
     ThermalEnvironment,
     lifshitz_asymptote,
@@ -60,51 +60,83 @@ FIT_POINTS = 25
 PotentialFn = Callable[[AtomParams, ThermalEnvironment, float], float]
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
+class EquilibriumResult(Record):
     """Stable minimum of the thermal potential, in lambda_T units."""
 
-    z_star_over_lambdaT: float
-    bracket: tuple[float, float]
-    iterations: int
+    __slots__ = ("z_star_over_lambdaT", "bracket", "iterations")
 
-    def __post_init__(self) -> None:
-        lo, hi = self.bracket
-        if not lo <= self.z_star_over_lambdaT <= hi:
-            raise DomainError(
-                f"z* = {self.z_star_over_lambdaT} outside bracket {self.bracket}"
-            )
+    def __init__(
+        self,
+        z_star_over_lambdaT: float,
+        bracket: tuple[float, float],
+        iterations: int,
+    ) -> None:
+        lo, hi = bracket
+        if not lo <= z_star_over_lambdaT <= hi:
+            raise DomainError(f"z* = {z_star_over_lambdaT} outside bracket {bracket}")
+        _set = object.__setattr__
+        _set(self, "z_star_over_lambdaT", z_star_over_lambdaT)
+        _set(self, "bracket", bracket)
+        _set(self, "iterations", iterations)
 
 
-@dataclass(frozen=True)
-class QuadraticFit:
+class QuadraticFit(Record):
     """Least-squares parabola a + b*u + c*u^2 in u = z/lambda_T."""
 
-    window: tuple[float, float]
-    coefficients: tuple[float, float, float]
-    rms_residual_relative: float
+    __slots__ = ("window", "coefficients", "rms_residual_relative")
 
-    def __post_init__(self) -> None:
-        if not self.rms_residual_relative < 0.02:
+    def __init__(
+        self,
+        window: tuple[float, float],
+        coefficients: tuple[float, float, float],
+        rms_residual_relative: float,
+    ) -> None:
+        if not rms_residual_relative < 0.02:
             raise DomainError(
                 "fit residual exceeds 2% of the window value range: "
-                f"{self.rms_residual_relative}"
+                f"{rms_residual_relative}"
             )
+        _set = object.__setattr__
+        _set(self, "window", window)
+        _set(self, "coefficients", coefficients)
+        _set(self, "rms_residual_relative", rms_residual_relative)
 
 
-@dataclass(frozen=True)
-class RegimeErrorRow:
+class RegimeErrorRow(Record):
     """Relative errors of each approximation at one grid point; NaN
     where an expansion refuses to evaluate outside its window."""
 
-    z: float
-    x0: float
-    z_over_lambdaT: float
-    err_non_retarded: float
-    err_retarded: float
-    err_short_leading: float
-    err_long_expansion: float
-    err_lifshitz: float
+    __slots__ = (
+        "z",
+        "x0",
+        "z_over_lambdaT",
+        "err_non_retarded",
+        "err_retarded",
+        "err_short_leading",
+        "err_long_expansion",
+        "err_lifshitz",
+    )
+
+    def __init__(
+        self,
+        z: float,
+        x0: float,
+        z_over_lambdaT: float,
+        err_non_retarded: float,
+        err_retarded: float,
+        err_short_leading: float,
+        err_long_expansion: float,
+        err_lifshitz: float,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "z", z)
+        _set(self, "x0", x0)
+        _set(self, "z_over_lambdaT", z_over_lambdaT)
+        _set(self, "err_non_retarded", err_non_retarded)
+        _set(self, "err_retarded", err_retarded)
+        _set(self, "err_short_leading", err_short_leading)
+        _set(self, "err_long_expansion", err_long_expansion)
+        _set(self, "err_lifshitz", err_lifshitz)
 
 
 def _thermal_value_fn(constants: PhysicalConstants) -> PotentialFn:

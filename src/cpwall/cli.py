@@ -21,15 +21,14 @@ summation order, single-threaded assembly).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence, TextIO
 
 from .constants import PhysicalConstants, load_constants
 from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
+from .record import Record
 from .thermal import (
     ThermalEnvironment,
     lifshitz_asymptote,
@@ -77,27 +76,34 @@ _FIGURE_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """One figure-data request; per-figure defaults give the standard
     ranges (figure 3 runs over z/lambda_T in (0, 1.5), open at 0)."""
 
-    figure_id: int
-    theta: float
-    points: int
-    x_range: tuple[float, float]
+    __slots__ = ("figure_id", "theta", "points", "x_range")
 
-    def __post_init__(self) -> None:
-        if self.figure_id not in (1, 2, 3):
-            raise DomainError(f"figure_id must be 1, 2 or 3, got {self.figure_id}")
-        if self.points < 2:
-            raise DomainError(f"need at least 2 points, got {self.points}")
-        lo, hi = self.x_range
+    def __init__(
+        self,
+        figure_id: int,
+        theta: float,
+        points: int,
+        x_range: tuple[float, float],
+    ) -> None:
+        if figure_id not in (1, 2, 3):
+            raise DomainError(f"figure_id must be 1, 2 or 3, got {figure_id}")
+        if points < 2:
+            raise DomainError(f"need at least 2 points, got {points}")
+        lo, hi = x_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and lo >= 0.0):
-            raise DomainError(f"bad x_range {self.x_range}")
-        if self.figure_id == 1 and lo == 0.0:
+            raise DomainError(f"bad x_range {x_range}")
+        if figure_id == 1 and lo == 0.0:
             # figure 1 runs on a geometric grid, which cannot start at 0
-            raise DomainError(f"figure 1 needs x_range lo > 0, got {self.x_range}")
+            raise DomainError(f"figure 1 needs x_range lo > 0, got {x_range}")
+        _set = object.__setattr__
+        _set(self, "figure_id", figure_id)
+        _set(self, "theta", theta)
+        _set(self, "points", points)
+        _set(self, "x_range", x_range)
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -311,6 +317,8 @@ def _flatten(payload: dict, prefix: str = "") -> list[tuple[str, object]]:
 
 def _print_eval(payload: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
+        import json
+
         json.dump(payload, out, indent=2)
         out.write("\n")
         return
@@ -465,6 +473,8 @@ def cmd_verify(
     elapsed = time.monotonic() - t0
 
     if args.fmt == "json":
+        import json
+
         payload = {
             "quick": args.quick,
             "elapsed_s": elapsed,

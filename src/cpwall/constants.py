@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from .errors import DomainError
+from .record import Record
 
 # CODATA 2018 values.
 HBAR_C_EV_NM = 197.3269804        # eV nm
@@ -22,17 +22,25 @@ DEFAULT_THETA = 100.0
 _CONFIG_KEYS = ("hbar_c_ev_nm", "k_b_ev_per_k", "default_theta")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Constants entering unit conversions.
 
     hbar_c is stored in eV nm, k_B in eV/K, matching the tabulated CODATA
     values; helpers convert to the internal micrometre scale.
     """
 
-    hbar_c: float = HBAR_C_EV_NM
-    k_B: float = K_B_EV_PER_K
-    default_theta: float = DEFAULT_THETA
+    __slots__ = ("hbar_c", "k_B", "default_theta")
+
+    def __init__(
+        self,
+        hbar_c: float = HBAR_C_EV_NM,
+        k_B: float = K_B_EV_PER_K,
+        default_theta: float = DEFAULT_THETA,
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "hbar_c", hbar_c)
+        _set(self, "k_B", k_B)
+        _set(self, "default_theta", default_theta)
 
     @property
     def hbar_c_ev_um(self) -> float:

@@ -47,7 +47,6 @@ segment's denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -56,6 +55,7 @@ from scipy.special import zeta as _riemann_zeta
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError
+from .record import Record
 from .thermal import ThermalEnvironment
 from .vacuum import AtomParams
 
@@ -81,24 +81,27 @@ _TAIL_PANELS = 64
 _COMPARISON_FLOOR = 2e-10
 
 
-@dataclass(frozen=True)
-class QuadratureReport:
+class QuadratureReport(Record):
     """One oracle evaluation: value with an honest absolute error
     estimate and its panel count."""
 
-    value: float
-    abs_error_estimate: float
-    subdivisions: int
+    __slots__ = ("value", "abs_error_estimate", "subdivisions")
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ConvergenceError(f"quadrature produced non-finite value {self.value}")
-        if not (math.isfinite(self.abs_error_estimate) and self.abs_error_estimate > 0):
+    def __init__(
+        self, value: float, abs_error_estimate: float, subdivisions: int
+    ) -> None:
+        if not math.isfinite(value):
+            raise ConvergenceError(f"quadrature produced non-finite value {value}")
+        if not (math.isfinite(abs_error_estimate) and abs_error_estimate > 0):
             raise DomainError(
-                f"abs_error_estimate must be positive, got {self.abs_error_estimate}"
+                f"abs_error_estimate must be positive, got {abs_error_estimate}"
             )
-        if self.subdivisions < 0:
-            raise DomainError(f"subdivisions must be >= 0, got {self.subdivisions}")
+        if subdivisions < 0:
+            raise DomainError(f"subdivisions must be >= 0, got {subdivisions}")
+        _set = object.__setattr__
+        _set(self, "value", value)
+        _set(self, "abs_error_estimate", abs_error_estimate)
+        _set(self, "subdivisions", subdivisions)
 
 
 # ----------------------------------------------------------------------

@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import count
 from operator import mul
 from typing import Iterator
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
+from .record import Record
 from .specfun import (
     _PAIR_MIN,
     _digamma,
@@ -111,6 +111,11 @@ _TERM_CAP = 100_000
 _EXP_ETA_MAX = 4.0
 _EXP_RTOL = 1e-13
 _EXP_TERM_CAP = 40
+# Bounds of the Laurent route's exit before its first term (see
+# _w_expansion): _LAURENT_FALL < 1 / (2 zeta(4)), _LAURENT_FLOOR > 4e-17
+# zeta(4).
+_LAURENT_FALL = 0.45
+_LAURENT_FLOOR = 5e-17
 _EPS = sys.float_info.epsilon
 # The E1t route refuses when its bracket's rounding loss, estimated as
 # _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|.
@@ -118,8 +123,7 @@ _BRACKET_RTOL = 1e-8
 _BRACKET_LOSS = 4.0
 
 
-@dataclass(frozen=True)
-class ThermalEnvironment:
+class ThermalEnvironment(Record):
     """Thermal state of the field: temperature (K), thermal wavelength
     lambda_T = hbar c / k_B T (um), and theta = k0 lambda_T.
 
@@ -128,24 +132,24 @@ class ThermalEnvironment:
     positivity and the theta >= 10 applicability gate.
     """
 
-    temperature: float
-    lambda_T: float
-    theta: float
+    __slots__ = ("temperature", "lambda_T", "theta")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.temperature) and self.temperature > 0.0):
+    def __init__(self, temperature: float, lambda_T: float, theta: float) -> None:
+        if not (math.isfinite(temperature) and temperature > 0.0):
             raise DomainError(
-                f"temperature must be positive and finite, got {self.temperature}"
+                f"temperature must be positive and finite, got {temperature}"
             )
-        if not (math.isfinite(self.lambda_T) and self.lambda_T > 0.0):
-            raise DomainError(
-                f"lambda_T must be positive and finite, got {self.lambda_T}"
-            )
-        if not (math.isfinite(self.theta) and self.theta >= THETA_MIN):
+        if not (math.isfinite(lambda_T) and lambda_T > 0.0):
+            raise DomainError(f"lambda_T must be positive and finite, got {lambda_T}")
+        if not (math.isfinite(theta) and theta >= THETA_MIN):
             raise DomainError(
                 f"theta = k0 lambda_T must be >= {THETA_MIN} for the two-level "
-                f"description, got {self.theta}"
+                f"description, got {theta}"
             )
+        _set = object.__setattr__
+        _set(self, "temperature", temperature)
+        _set(self, "lambda_T", lambda_T)
+        _set(self, "theta", theta)
 
     @classmethod
     def for_atom(
@@ -159,8 +163,7 @@ class ThermalEnvironment:
         return cls(temperature=temperature, lambda_T=lam, theta=atom.k0 * lam)
 
 
-@dataclass(frozen=True)
-class ThermalSeriesTerms:
+class ThermalSeriesTerms(Record):
     """Assembled pieces of the exact thermal series at one (eta, x0).
 
     k0_val = Im(J0+ - J0-) and k1_val = -x0 Re(J0+ + J0-); tail_bound
@@ -168,33 +171,49 @@ class ThermalSeriesTerms:
     make it superasymptotically small for theta >= 10).
     """
 
-    k0_val: float
-    k1_val: float
-    p_val: float
-    terms_used: int
-    tail_bound: float
+    __slots__ = ("k0_val", "k1_val", "p_val", "terms_used", "tail_bound")
 
-    def __post_init__(self) -> None:
-        for name in ("k0_val", "k1_val", "p_val", "tail_bound"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConvergenceError(f"non-finite {name} in ThermalSeriesTerms")
-        if self.tail_bound < 0.0:
-            raise DomainError(f"tail_bound must be >= 0, got {self.tail_bound}")
+    def __init__(
+        self,
+        k0_val: float,
+        k1_val: float,
+        p_val: float,
+        terms_used: int,
+        tail_bound: float,
+    ) -> None:
+        isfinite = math.isfinite
+        if not isfinite(k0_val):
+            raise ConvergenceError("non-finite k0_val in ThermalSeriesTerms")
+        if not isfinite(k1_val):
+            raise ConvergenceError("non-finite k1_val in ThermalSeriesTerms")
+        if not isfinite(p_val):
+            raise ConvergenceError("non-finite p_val in ThermalSeriesTerms")
+        if not isfinite(tail_bound):
+            raise ConvergenceError("non-finite tail_bound in ThermalSeriesTerms")
+        if tail_bound < 0.0:
+            raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
+        _set = object.__setattr__
+        _set(self, "k0_val", k0_val)
+        _set(self, "k1_val", k1_val)
+        _set(self, "p_val", p_val)
+        _set(self, "terms_used", terms_used)
+        _set(self, "tail_bound", tail_bound)
 
 
-@dataclass(frozen=True)
-class PotentialBreakdown:
+class PotentialBreakdown(Record):
     """Total interaction split into vacuum and thermal parts (eV); the
     total is the exact float sum of the parts."""
 
-    vacuum: float
-    thermal: float
-    total: float
-    notes: str
+    __slots__ = ("vacuum", "thermal", "total", "notes")
 
-    def __post_init__(self) -> None:
-        if self.total != self.vacuum + self.thermal:
+    def __init__(self, vacuum: float, thermal: float, total: float, notes: str) -> None:
+        if total != vacuum + thermal:
             raise DomainError("PotentialBreakdown total must equal vacuum + thermal")
+        _set = object.__setattr__
+        _set(self, "vacuum", vacuum)
+        _set(self, "thermal", thermal)
+        _set(self, "total", total)
+        _set(self, "notes", notes)
 
 
 def _check_pair(eta: float, x0: float) -> float:
@@ -414,6 +433,28 @@ def _w_expansion(eta: float, x0: float) -> float | None:
             env *= (2 * j + 1) * (2 * j + 2) / rho2
             j += 1
         if env > 2.0 * _EXP_RTOL:
+            return None
+        # The alternating sum behind I_j falls by at least half per term,
+        # so lead_j / 6 <= |I_j| <= zeta(4) lead_j / 3, where lead_j =
+        # (2j+3)! / (eta^4 theta^(2j)) is _laurent_terms' factor.  Where
+        # lead falls by more than 2 zeta(4) per term up to the last j,
+        # no term reaches the size before it (the envelope steps are
+        # smaller still), and where the last lead exceeds 1e-17 of the
+        # largest sum the terms allow (2 for rounding), no term ends the
+        # sum either: it would run out and return None, so leave before
+        # it starts.  j_last is at least the last j of _laurent_terms,
+        # which makes both tests stricter.
+        j_last = min(
+            _EXP_TERM_CAP - 1,
+            int(0.5 * (math.sqrt(5.0 * eta * eta / 3.0 + 0.25) - 4.5) + 1e-9),
+        )
+        fall = (2 * j_last + 2) * (2 * j_last + 3) / (theta * theta)
+        if fall < _LAURENT_FALL and (
+            math.lgamma(2 * j_last + 4)
+            - 2 * j_last * math.log(theta)
+            + math.log((1.0 - fall) / (6.0 * _LAURENT_FLOOR))
+            > 0.0
+        ):
             return None
         terms = _laurent_terms(eta, theta)
     total = prev = spread = 0.0

@@ -21,10 +21,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from itertools import count
 
 from .constants import PhysicalConstants
 from .errors import DomainError
+from .record import Record
 from .specfun import _scaled_e1_upper
 
 __all__ = [
@@ -47,6 +48,11 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 X0_NON_RETARDED_MAX = 0.1
 X0_RETARDED_MIN = 2.6 * 2.0 * math.pi
 
+# h0 takes its asymptotic series above this x0.  The series would do
+# from 50 on; at 100 the x0 of the vacuum oracle criterion and of figure
+# 1's default range keep the E1t bracket, within 1.4e-12 there.
+_H0_SERIES_MIN = 100.0
+
 
 class RegimeTag(enum.Enum):
     """Distance regime of a geometry point, keyed on x0 = 2 k0 z."""
@@ -56,21 +62,20 @@ class RegimeTag(enum.Enum):
     RETARDED = "retarded"
 
 
-@dataclass(frozen=True)
-class AtomParams:
+class AtomParams(Record):
     """Two-level atom: transition wavenumber k0 (rad/um) and static
     polarizability alpha0 (um^3)."""
 
-    k0: float
-    alpha0: float
+    __slots__ = ("k0", "alpha0")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.k0) and self.k0 > 0.0):
-            raise DomainError(f"k0 must be positive and finite, got {self.k0}")
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0.0):
-            raise DomainError(
-                f"alpha0 must be positive and finite, got {self.alpha0}"
-            )
+    def __init__(self, k0: float, alpha0: float) -> None:
+        if not (math.isfinite(k0) and k0 > 0.0):
+            raise DomainError(f"k0 must be positive and finite, got {k0}")
+        if not (math.isfinite(alpha0) and alpha0 > 0.0):
+            raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
+        _set = object.__setattr__
+        _set(self, "k0", k0)
+        _set(self, "alpha0", alpha0)
 
     @property
     def lambda0(self) -> float:
@@ -105,14 +110,44 @@ def h0(x0: float) -> float:
     """Dimensionless vacuum shape H0(x) = (x^2 - 2) F(x) + 2 x G(x) - x.
 
     Tends to -pi as x -> 0+ and falls off as -6/x for large x.  Strictly
-    negative on the whole half-line.  F and G come from one E1t
-    evaluation, g + i f = -E1t(i x0); x0 <= 0 and x0 whose square
-    overflows are refused.
+    negative on the whole half-line.  x0 <= 0 and x0 whose square
+    overflows are refused.  Two branches:
+
+    * x0 <= 100: F and G from one E1t evaluation, g + i f = -E1t(i x0).
+      The bracket cancels terms of size x0 down to one of size 1/x0, so
+      it loses about eps x0^2 of H0: 1.4e-12 at most up to x0 = 100, but
+      2e-9 at 1e4 and the wrong sign from 2e8 on;
+    * x0 > 100: the combined asymptotic series of f and g (DLMF
+      6.12.3-4), whose x0 orders cancel analytically,
+
+          H0 ~ sum_k (-1)^(k+1) [(2k+2)! + 2 (2k+1)! + 2 (2k)!] / x0^(2k+1)
+             = -6/x0 + 40/x0^3 - 252/x0^5 + ...,
+
+      stopped at its first term below 1e-17 of the sum (its smallest
+      term is about e^-x0, so 20 terms at most).
+      scripts/sweep_branch_switches.py finds it within 3e-16 of mpmath
+      up to x0 = 1e12.
     """
     if not (x0 > 0.0 and math.isfinite(x0 * x0)):
         raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
+    if x0 > _H0_SERIES_MIN:
+        return _h0_series(x0)
     e = _scaled_e1_upper(1j * x0)
     return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
+
+
+def _h0_series(x: float) -> float:
+    """H0 for x > 100 from its asymptotic series; the k-th coefficient
+    (2k+2)! + 2 (2k+1)! + 2 (2k)! is (2k)! 2 (k+1)(2k+3)."""
+    inv_x2 = 1.0 / (x * x)
+    fact = 1.0 / x  # (2k)! / x^(2k+1)
+    total = 0.0
+    for k in count():
+        term = 2.0 * (k + 1) * (2 * k + 3) * fact
+        total += term if k & 1 else -term
+        if term <= -1e-17 * total:
+            return total
+        fact *= (2 * k + 1) * (2 * k + 2) * inv_x2
 
 
 def vacuum_potential(

@@ -15,7 +15,6 @@ Importing this module loads numpy and, through ``oracle`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,6 +31,7 @@ from .oracle import (
     thermal_quadrature_static,
     vacuum_split_quadrature,
 )
+from .record import Record
 from .specfun import auxiliary_f, auxiliary_g, bose_sum_p, kernel_g, zeta_even
 from .thermal import (
     C_SHORT,
@@ -51,14 +51,28 @@ from .vacuum import (
 __all__ = ["CRITERIA", "CriterionResult", "run_verification"]
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    number: int
-    name: str
-    passed: bool
-    measured: str
-    tolerance: str
-    note: str = ""
+class CriterionResult(Record):
+    """One criterion's verdict, with what was measured against what
+    tolerance."""
+
+    __slots__ = ("number", "name", "passed", "measured", "tolerance", "note")
+
+    def __init__(
+        self,
+        number: int,
+        name: str,
+        passed: bool,
+        measured: str,
+        tolerance: str,
+        note: str = "",
+    ) -> None:
+        _set = object.__setattr__
+        _set(self, "number", number)
+        _set(self, "name", name)
+        _set(self, "passed", passed)
+        _set(self, "measured", measured)
+        _set(self, "tolerance", tolerance)
+        _set(self, "note", note)
 
 
 def _verify_setup(cst: PhysicalConstants):

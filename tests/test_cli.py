@@ -1,6 +1,7 @@
 """CLI surface: flag parsing, exit codes, figure CSV contracts,
 config pinning, unit round-trips, and the verification harness."""
 
+import functools
 import importlib
 import io
 import json
@@ -532,17 +533,21 @@ class TestConsoleEntry:
 
 
 # Runs one command through cli.main in a fresh interpreter and prints its
-# exit code, then which of numpy, scipy and fractions it loaded.
+# exit code, then which of the watched modules the command loaded.
 _IMPORT_PROBE = """
-import contextlib, io, sys
+import sys
+before = set(sys.modules)
+import contextlib, io
 from cpwall import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *(m for m in ("numpy", "scipy", "fractions") if m in sys.modules))
+watched = ("numpy", "scipy", "fractions", "dataclasses", "inspect", "json")
+print(code, *(m for m in watched if m in sys.modules and m not in before))
 """
 
 
-def _modules_loaded_by(argv):
+@functools.lru_cache(maxsize=None)
+def _loaded_by(argv):
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *argv],
         capture_output=True,
@@ -552,19 +557,57 @@ def _modules_loaded_by(argv):
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
     assert code == "0", proc.stderr
-    return set(loaded)
+    return frozenset(loaded)
+
+
+def _modules_loaded_by(argv, watched=("numpy", "scipy", "fractions")):
+    return set(_loaded_by(tuple(argv))) & set(watched)
+
+
+_EVAL_ARGV = {fmt: ("eval", "--z", "1.0", "--format", fmt) for fmt in ("json", "csv", "text")}
+_CURVE_ARGV = {fig: ("curve", "--figure", fig, "--points", "5") for fig in ("1", "2", "3")}
 
 
 class TestImportFootprint:
     """eval and curve need neither the oracles nor the root finders, so
-    they must not pay for importing numpy, scipy or fractions."""
+    they must not pay for importing numpy, scipy or fractions; their
+    records are plain classes, so they load neither dataclasses nor the
+    inspect module behind it; json loads only to write JSON."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_eval_loads_neither_numpy_nor_scipy(self, fmt):
-        argv = ["eval", "--z", "1.0", "--format", fmt]
-        assert _modules_loaded_by(argv) == set()
+        assert _modules_loaded_by(_EVAL_ARGV[fmt]) == set()
 
     @pytest.mark.parametrize("figure_id", ["1", "2", "3"])
     def test_curve_loads_neither_numpy_nor_scipy(self, figure_id):
-        argv = ["curve", "--figure", figure_id, "--points", "5"]
-        assert _modules_loaded_by(argv) == set()
+        assert _modules_loaded_by(_CURVE_ARGV[figure_id]) == set()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_eval_loads_neither_dataclasses_nor_inspect(self, fmt):
+        assert _modules_loaded_by(_EVAL_ARGV[fmt], ("dataclasses", "inspect")) == set()
+
+    @pytest.mark.parametrize("figure_id", ["1", "2", "3"])
+    def test_curve_loads_neither_dataclasses_nor_inspect(self, figure_id):
+        argv = _CURVE_ARGV[figure_id]
+        assert _modules_loaded_by(argv, ("dataclasses", "inspect")) == set()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_eval_loads_json_only_for_json(self, fmt):
+        loaded = _modules_loaded_by(_EVAL_ARGV[fmt], ("json",))
+        assert loaded == ({"json"} if fmt == "json" else set())
+
+    @pytest.mark.parametrize("figure_id", ["1", "2", "3"])
+    def test_curve_does_not_load_json(self, figure_id):
+        assert _modules_loaded_by(_CURVE_ARGV[figure_id], ("json",)) == set()
+
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        probe = (
+            "import sys; before = set(sys.modules); import cpwall.cli; "
+            "print(*(m for m in ('dataclasses', 'inspect', 'json') "
+            "if m in sys.modules and m not in before))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

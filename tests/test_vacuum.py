@@ -1,5 +1,5 @@
 """Vacuum module: closed form against frozen references, asymptote
-windows, regime classification, and dataclass invariants."""
+windows, regime classification, and record invariants."""
 
 from __future__ import annotations
 
@@ -33,6 +33,17 @@ class TestH0:
         ref = REFERENCE[f"h0_{x0:g}"]
         assert h0(x0) == pytest.approx(ref, rel=1e-9)
 
+    @pytest.mark.parametrize("label", ["1e3", "1e4", "1e6", "1e9"])
+    def test_frozen_far_field(self, label: str) -> None:
+        # the E1t bracket lost eps x0^2 here (2e-9 at 1e4, 3e-5 at 1e6,
+        # the wrong sign at 1e9); the asymptotic series keeps 1e-15
+        assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15)
+
+    def test_branches_meet_at_switch(self) -> None:
+        # E1t bracket at and below x0 = 100, asymptotic series above
+        below, above = h0(100.0), h0(math.nextafter(100.0, math.inf))
+        assert above == pytest.approx(below, rel=1e-11)
+
     def test_contact_limit(self) -> None:
         # H0 = -pi + x + O(x^2 log x) near the origin.
         assert h0(1e-8) == pytest.approx(-math.pi, abs=1e-7)
@@ -42,8 +53,8 @@ class TestH0:
         assert x * h0(x) == pytest.approx(-6.0, abs=1e-6)
 
     def test_negative_on_wide_grid(self) -> None:
-        for i in range(121):
-            x0 = 10.0 ** (-3 + 6 * i / 120)
+        for i in range(301):
+            x0 = 10.0 ** (-3 + 15 * i / 300)
             assert h0(x0) < 0.0
 
     def test_domain_error_propagates(self) -> None:
