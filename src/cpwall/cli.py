@@ -31,6 +31,7 @@ from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
 from .record import Record
 from .thermal import (
     ThermalEnvironment,
+    _reference_pair,
     lifshitz_asymptote,
     recommended_approximation,
     thermal_potential_exact,
@@ -148,16 +149,6 @@ def _figure_grid(spec: CurveSpec) -> list[float]:
         return [lo + (hi - lo) * (i + 1.0) / float(n) for i in range(n)]
     step = (hi - lo) / (n - 1)
     return [*(lo + i * step for i in range(n - 1)), hi]
-
-
-def _reference_pair(
-    theta: float, cst: PhysicalConstants, alpha0_um3: float = 1.0e-9
-) -> tuple[AtomParams, ThermalEnvironment]:
-    """Room-temperature atom/environment pair at the requested theta."""
-    lam = cst.thermal_wavelength_um(300.0)
-    atom = AtomParams(k0=theta / lam, alpha0=alpha0_um3)
-    env = ThermalEnvironment(temperature=300.0, lambda_T=lam, theta=theta)
-    return atom, env
 
 
 def _row_function(

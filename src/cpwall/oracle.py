@@ -57,7 +57,7 @@ from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError
 from .record import Record
 from .thermal import ThermalEnvironment
-from .vacuum import AtomParams
+from .vacuum import AtomParams, _z_power
 
 __all__ = [
     "QuadratureReport",
@@ -240,11 +240,10 @@ def vacuum_split_quadrature(
 ) -> QuadratureReport:
     """Quadrature reconstruction of the vacuum shift (eV) from the
     pole-free combination alpha+ + alpha- = alpha0 k0/(k + k0)."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     x0 = 2.0 * atom.k0 * z
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (16.0 * _PI * z**3)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (16.0 * _PI * z3)
     val, est, panels = _h0_quadrature(x0)
     return QuadratureReport(
         value=2.0 * pref * val,
@@ -304,8 +303,7 @@ def thermal_quadrature(
 ) -> QuadratureReport:
     """Direct quadrature of the thermal integral (eV): Bose-weighted
     plus-part minus the principal-value part across k = k0."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z3 = _z_power(z, 3)
     if not 0.0 < window_scale <= 1.0:
         raise DomainError(f"window_scale must be in (0, 1], got {window_scale}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
@@ -342,7 +340,7 @@ def thermal_quadrature(
         gross += g
         panels += half.size
 
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z**3)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z3)
     value = pref * (v_plus - v_pv)
     # GL16-vs-GL8 saturates once converged, so a floor on the gross
     # panel magnitude keeps the estimate honest when this value is
@@ -367,8 +365,7 @@ def thermal_quadrature_static(
     """Thermal integral with the dispersive polarizability frozen at its
     static value alpha0 (the k << k0 form); used to measure how little
     dispersion matters at theta >= 10."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z4 = _z_power(z, 4)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
     cap = min(_PI, 3.0 / eta)
@@ -376,7 +373,7 @@ def thermal_quadrature_static(
 
     u, half = _gl_points(_uniform_edges(0.0, u_max, cap))
     v, e, g = _panel_sums(*_bose_h(eta, [u]), half)
-    pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z**4)
+    pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z4)
     value = pref * v
     return QuadratureReport(
         value=float(value),

@@ -65,7 +65,7 @@ def _e1t_power_series(w: complex) -> complex:
     raise ConvergenceError(f"E1t power series stalled at w={w}")
 
 
-def _e1t_continued_fraction(w: complex, max_iter: int = 512) -> complex:
+def _e1t_continued_fraction(w: complex) -> complex:
     # E1t = 1/(w+1 - 1^2/(w+3 - 2^2/(w+5 - ...))), modified Lentz
     tiny = 1e-300
     f = w + 1.0
@@ -73,7 +73,7 @@ def _e1t_continued_fraction(w: complex, max_iter: int = 512) -> complex:
         f = tiny
     c = f
     d = 0.0 + 0.0j
-    for n in range(1, max_iter):
+    for n in range(1, 512):
         a = -float(n * n)
         b = w + (2 * n + 1)
         d = b + a * d

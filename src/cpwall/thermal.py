@@ -34,10 +34,13 @@ one deterministic rule per point:
   polarizability (``_w_expansion``), a series in 1/x0^2 whose terms fall
   like 1/theta^2 and whose leading term does not depend on k0.  Its
   derivatives of coth come from a Riccati recurrence for eta <= 4
-  (z >= lambda_T / 8) and from the Laurent series of coth above, as far
-  as that sum does not cancel.  It is taken where its error estimate
-  (first omitted or smallest term, rounding, and a bound on the resonant
-  pole the series misses) is at most 1e-13 |W|, which needs theta >~ 45;
+  (z >= lambda_T / 8) and from the Laurent series of coth above, whose
+  terms end where their sums would cancel (``_laurent_terms``).  One
+  loop sums either route and stops at its first omitted or smallest
+  term; a route whose terms run out before that falls back.  It is taken
+  where its error estimate (that term, rounding, and a bound on the
+  resonant pole the series misses) is at most 1e-13 |W|, which needs
+  theta >~ 45;
 * the E1t series above everywhere else.  It raises ValidityError where
   the rounding loss of the W bracket, estimated as 4 eps x0^2 |K0|,
   exceeds 1e-8 of max(|W|, 2 pi / theta): at large x0 for theta below
@@ -102,7 +105,6 @@ CURV_SHORT = (2.0 * math.pi) ** 5 / 315.0
 # Head length: m-terms up to m*theta >= this are summed explicitly,
 # the rest goes into the zeta/digamma tails.
 _HEAD_SCALE = 240.0
-_TERM_CAP = 100_000
 
 # Switch rule of the static-alpha expansion: taken where its error
 # estimate is at most _EXP_RTOL |W|.  Its derivatives come from coth's
@@ -111,11 +113,6 @@ _TERM_CAP = 100_000
 _EXP_ETA_MAX = 4.0
 _EXP_RTOL = 1e-13
 _EXP_TERM_CAP = 40
-# Bounds of the Laurent route's exit before its first term (see
-# _w_expansion): _LAURENT_FALL < 1 / (2 zeta(4)), _LAURENT_FLOOR > 4e-17
-# zeta(4).
-_LAURENT_FALL = 0.45
-_LAURENT_FLOOR = 5e-17
 _EPS = sys.float_info.epsilon
 # The E1t route refuses when its bracket's rounding loss, estimated as
 # _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|.
@@ -161,6 +158,16 @@ class ThermalEnvironment(Record):
         cst = constants if constants is not None else _DEFAULT_CONSTANTS
         lam = cst.thermal_wavelength_um(temperature)
         return cls(temperature=temperature, lambda_T=lam, theta=atom.k0 * lam)
+
+
+def _reference_pair(
+    theta: float, cst: PhysicalConstants, alpha0_um3: float = 1.0e-9
+) -> tuple[AtomParams, ThermalEnvironment]:
+    """Room-temperature atom/environment pair at the requested theta."""
+    lam = cst.thermal_wavelength_um(300.0)
+    atom = AtomParams(k0=theta / lam, alpha0=alpha0_um3)
+    env = ThermalEnvironment(temperature=300.0, lambda_T=lam, theta=theta)
+    return atom, env
 
 
 class ThermalSeriesTerms(Record):
@@ -244,10 +251,6 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     """
     theta = _check_pair(eta, x0)
     n_head = max(4, int(math.ceil(_HEAD_SCALE / theta)))
-    if n_head > _TERM_CAP:
-        raise ConvergenceError(
-            f"thermal series needs more than {_TERM_CAP} terms at theta={theta}"
-        )
 
     # D_m = E1t(w_m) - E1t(-w_m) and S_m = E1t(w_m) + E1t(-w_m): K0
     # needs only Im D, K1 only Re S.  From m theta = 40 on, each pair
@@ -406,7 +409,11 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
     from coth's Taylor coefficients for eta <= 4 and from P's Laurent
     series above.  The sum stops at the first term below 1e-17 of it or
-    past its smallest term.  The estimate is that term, plus eps times the
+    past its smallest term; it returns None where the terms run out first
+    (the Laurent route ends where its sums would cancel, see
+    _laurent_terms, and both routes at _EXP_TERM_CAP terms), and leaves
+    early at j = 0 and j = 1 where the pole bound and the rounding of I_0
+    already fail.  The estimate is that term, plus eps times the
     magnitudes behind I_0 (they cancel near a zero of the static term) and
     the later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
     (1 - e^-theta), a bound on the resonant pole of alpha that the
@@ -418,45 +425,7 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
-    if eta <= _EXP_ETA_MAX:
-        terms = _coth_terms(eta, x0)
-    else:
-        # the Laurent route has a fixed number of terms, and each size is
-        # at least |I_0| times the envelope steps so far: leave when no
-        # term it has can reach 2 _EXP_RTOL |I_0|
-        env, j = 1.0, 1
-        while (
-            env > 2.0 * _EXP_RTOL
-            and j < _EXP_TERM_CAP
-            and 3 * (2 * j + 4) * (2 * j + 5) <= 5.0 * eta * eta
-        ):
-            env *= (2 * j + 1) * (2 * j + 2) / rho2
-            j += 1
-        if env > 2.0 * _EXP_RTOL:
-            return None
-        # The alternating sum behind I_j falls by at least half per term,
-        # so lead_j / 6 <= |I_j| <= zeta(4) lead_j / 3, where lead_j =
-        # (2j+3)! / (eta^4 theta^(2j)) is _laurent_terms' factor.  Where
-        # lead falls by more than 2 zeta(4) per term up to the last j,
-        # no term reaches the size before it (the envelope steps are
-        # smaller still), and where the last lead exceeds 1e-17 of the
-        # largest sum the terms allow (2 for rounding), no term ends the
-        # sum either: it would run out and return None, so leave before
-        # it starts.  j_last is at least the last j of _laurent_terms,
-        # which makes both tests stricter.
-        j_last = min(
-            _EXP_TERM_CAP - 1,
-            int(0.5 * (math.sqrt(5.0 * eta * eta / 3.0 + 0.25) - 4.5) + 1e-9),
-        )
-        fall = (2 * j_last + 2) * (2 * j_last + 3) / (theta * theta)
-        if fall < _LAURENT_FALL and (
-            math.lgamma(2 * j_last + 4)
-            - 2 * j_last * math.log(theta)
-            + math.log((1.0 - fall) / (6.0 * _LAURENT_FLOOR))
-            > 0.0
-        ):
-            return None
-        terms = _laurent_terms(eta, theta)
+    terms = _coth_terms(eta, x0) if eta <= _EXP_ETA_MAX else _laurent_terms(eta, theta)
     total = prev = spread = 0.0
     for j, (term, pieces) in zip(range(_EXP_TERM_CAP), terms):
         # the poles' phases can make one term small by accident, so its
@@ -531,11 +500,9 @@ def thermal_potential_exact(
     raises ValidityError where its bracket loses more than 1e-8 of
     max(|W|, 2 pi / theta).
     """
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z3 = _z_power(z, 3)
     _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    z3 = _z_power(z, 3)
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
     w = _w_expansion(eta, x0)
@@ -599,8 +566,7 @@ def thermal_short_expansion(
     Requires z < 0.2 lambda_T (eta > 2.5) so Q and the sums converge;
     raises ValidityError outside that window.
     """
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z2 = _z_power(z, 2)
     _check_env(atom, env)
     if z >= 0.2 * env.lambda_T:
         raise ValidityError(
@@ -633,7 +599,7 @@ def thermal_short_expansion(
         raise ConvergenceError(
             f"H_T outer sum did not converge at z/lambda_T = {z / env.lambda_T}"
         )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0**2 / (2.0 * math.pi * _z_power(z, 2))
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0**2 / (2.0 * math.pi * z2)
     return pref * h_t
 
 
@@ -650,8 +616,7 @@ def thermal_long_expansion(
     The polygamma convention here is F^(m)(x) = psi^(m)(x + 1).
     Requires z >= 0.5 lambda_T (eta <= 1); raises ValidityError below.
     """
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
+    z3 = _z_power(z, 3)
     _check_env(atom, env)
     if z < 0.5 * env.lambda_T:
         raise ValidityError(
@@ -693,7 +658,7 @@ def thermal_long_expansion(
         + (1.0 - 0.5 * x0 * x0) * sum_im
         + x0 * sum_re
     )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (2.0 * math.pi * _z_power(z, 3))
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (2.0 * math.pi * z3)
     return pref * l_t
 
 
@@ -705,8 +670,6 @@ def lifshitz_asymptote(
 ) -> float:
     """Asymptote of the TOTAL interaction for z >> lambda_T:
     -(k_B T / 4) alpha0 / z^3, linear in T and hbar-free."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     return -cst.k_B * env.temperature * atom.alpha0 / (4.0 * _z_power(z, 3))
 

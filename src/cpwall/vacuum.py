@@ -95,8 +95,11 @@ def classify_regime(x0: float) -> RegimeTag:
 
 
 def _z_power(z: float, n: int) -> float:
-    """z**n, refusing a z so large that the power overflows or so small
-    that it underflows below the smallest normal float."""
+    """z**n, refusing a z that is not positive and finite, or so large
+    that the power overflows, or so small that it underflows below the
+    smallest normal float: the one gate of every distance."""
+    if not (math.isfinite(z) and z > 0.0):
+        raise DomainError(f"z must be positive and finite, got {z}")
     try:
         p = z**n
     except OverflowError:
@@ -160,8 +163,6 @@ def vacuum_potential(
     V0(z) = (hbar c / 8 pi) (k0 alpha0 / z^3) H0(2 k0 z); strictly
     negative (attractive) at every separation.
     """
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     prefactor = cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0 / z3
@@ -178,8 +179,6 @@ def nonretarded_asymptote(
     Expressed via hbar omega0 = hbar c k0 (eV); c drops out of the
     physics once the transition energy is fixed.
     """
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     hbar_omega0 = cst.hbar_c_ev_um * atom.k0
     return -hbar_omega0 * atom.alpha0 / (8.0 * _z_power(z, 3))
@@ -191,7 +190,5 @@ def retarded_asymptote(
     constants: PhysicalConstants | None = None,
 ) -> float:
     """Long-distance form -(3 / 8 pi) hbar c alpha0 / z^4 (k0-free)."""
-    if not (math.isfinite(z) and z > 0.0):
-        raise DomainError(f"z must be positive and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0 / _z_power(z, 4)

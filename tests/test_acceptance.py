@@ -28,13 +28,25 @@ from cpwall import cli, verify
 
 @pytest.fixture(scope="module")
 def report():
-    """Full-grid criterion results plus per-criterion wall time."""
+    """Full-grid criterion results plus per-criterion wall time, from
+    run_verification with each row's check timed."""
     constants = cli.load_constants(env={})
-    out = {}
-    for fn in verify.CRITERIA:
-        t0 = time.monotonic()
-        result = fn(False, constants)
-        out[result.number] = (result, time.monotonic() - t0)
+    elapsed = []
+
+    def timed(check):
+        def run(quick, cst):
+            t0 = time.monotonic()
+            outcome = check(quick, cst)
+            elapsed.append(time.monotonic() - t0)
+            return outcome
+
+        return run
+
+    rows = [(name, tol, note, timed(check)) for name, tol, note, check in verify.CRITERIA]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "CRITERIA", rows)
+        results = verify.run_verification(False, constants)
+    out = {r.number: (r, dt) for r, dt in zip(results, elapsed)}
     assert sorted(out) == list(range(1, 15))
     return out
 

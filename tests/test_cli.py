@@ -611,3 +611,13 @@ class TestImportFootprint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    def test_verify_import_does_not_load_cli(self):
+        # the command line imports the verification harness, never the
+        # other way round
+        probe = "import sys, cpwall.verify; print('cpwall.cli' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]

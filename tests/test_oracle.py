@@ -66,10 +66,10 @@ class TestVacuumRoute:
             assert abs(v1 - v2) <= e1 + e2
 
     def test_part_validation(self):
-        with pytest.raises(DomainError):
-            vacuum_split_quadrature(ATOM, -1.0, CST)
-        with pytest.raises(DomainError):
-            vacuum_split_quadrature(ATOM, math.inf, CST)
+        # z^3 underflows at 1e-110 and overflows at 1e110
+        for z in (-1.0, math.inf, 1e-110, 1e110):
+            with pytest.raises(DomainError):
+                vacuum_split_quadrature(ATOM, z, CST)
 
     @settings(max_examples=25)
     @given(st.floats(min_value=0.05, max_value=50.0))
@@ -175,8 +175,11 @@ class TestThermalRoute:
             thermal_quadrature(atom, env, 1.0, CST, window_scale=0.0)
         with pytest.raises(DomainError):
             thermal_quadrature(atom, env, 1.0, CST, window_scale=1.5)
-        with pytest.raises(DomainError):
-            thermal_quadrature(atom, env, -1.0, CST)
+        for z in (-1.0, 1e-110, 1e110):
+            with pytest.raises(DomainError):
+                thermal_quadrature(atom, env, z, CST)
+            with pytest.raises(DomainError):
+                thermal_quadrature_static(atom, env, z, CST)
 
     def test_static_route_close_away_from_thermal_zero(self):
         atom, env = make_pair(100.0)
