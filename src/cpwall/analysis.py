@@ -11,16 +11,19 @@ tabulate the validity of every asymptotic regime against exact values.
 Root-finding uses Brent's bracketed bisection-secant hybrid on a
 5-point central finite difference of the exact series (step 1e-4
 lambda_T); no analytic derivative exists in the main path, which keeps
-the derivative route independent of the series internals.
+the derivative route independent of the series internals.  ``_brent``
+takes the steps of the widely used C routine ``brentq`` one for one;
+the tests hold its roots and iteration counts to that routine's, bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
@@ -56,6 +59,9 @@ EQUILIBRIUM_BRACKET = (0.3, 0.7)
 FD_STEP_LAMBDA_T = 1e-4
 ROOT_XTOL_LAMBDA_T = 1e-4
 FIT_POINTS = 25
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 PotentialFn = Callable[[AtomParams, ThermalEnvironment, float], float]
 
@@ -175,6 +181,67 @@ def _fd_second_derivative(
     return (-vm2 + 16.0 * vm1 - 30.0 * v0 + 16.0 * vp1 - vp2) / (12.0 * h * h)
 
 
+def _brent(
+    f: Callable[[float], float], a: float, b: float, xtol: float
+) -> tuple[float, int]:
+    """Root of f on [a, b] and its iteration count, by Brent's method
+    (R. P. Brent, Algorithms for Minimization without Derivatives,
+    1973) with the steps of the C routine brentq: relative tolerance 4 eps,
+    at most 100 iterations, the same interpolate, extrapolate and
+    bisect rules.  Raises ConvergenceError where f has the same sign at
+    both ends, returns NaN, or has not converged by the last
+    iteration."""
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise ConvergenceError(f"f is NaN at an end of [{a}, {b}]")
+    if fpre == 0.0:
+        return xpre, 0
+    if fcur == 0.0:
+        return xcur, 0
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ConvergenceError(
+            f"no sign change on [{a}, {b}]: {fpre:+.3e} vs {fcur:+.3e}"
+        )
+    xblk = fblk = spre = scur = 0.0
+    for iterations in range(1, _BRENT_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + _BRENT_RTOL * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iterations
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate (inverse quadratic)
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ConvergenceError(f"f is NaN at {xcur}")
+    raise ConvergenceError(f"no convergence in {_BRENT_MAXITER} iterations on [{a}, {b}]")
+
+
 def find_thermal_equilibrium(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -200,26 +267,10 @@ def find_thermal_equilibrium(
     def deriv(zr: float) -> float:
         return _fd_derivative(fn, atom, env, zr * lam, h)
 
-    d_lo = deriv(lo)
-    d_hi = deriv(hi)
-    if d_lo == 0.0:
-        z_star = lo
-        iterations = 0
-    elif d_hi == 0.0:
-        z_star = hi
-        iterations = 0
-    elif d_lo * d_hi > 0.0:
-        raise ConvergenceError(
-            f"derivative does not change sign on [{lo}, {hi}] lambda_T: "
-            f"{d_lo:+.3e} vs {d_hi:+.3e}"
-        )
-    else:
-        z_star, info = brentq(
-            deriv, lo, hi, xtol=ROOT_XTOL_LAMBDA_T, full_output=True
-        )
-        if not info.converged:
-            raise ConvergenceError(f"root search did not converge: {info.flag}")
-        iterations = info.iterations
+    try:
+        z_star, iterations = _brent(deriv, lo, hi, ROOT_XTOL_LAMBDA_T)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"dV_T/dz, z in lambda_T: {exc}") from None
 
     if not _fd_second_derivative(fn, atom, env, z_star * lam, h) > 0.0:
         raise DomainError("equilibrium must be stable (positive curvature)")
@@ -249,13 +300,10 @@ def dominance_crossover(
         return math.log(abs(vt) / abs(v0))
 
     lo, hi = bracket
-    g_lo = log_ratio(lo)
-    g_hi = log_ratio(hi)
-    if g_lo * g_hi > 0.0:
-        raise ConvergenceError(
-            f"|V_T|/|V0| does not cross 1 on [{lo}, {hi}] lambda_T"
-        )
-    zr_cross = brentq(log_ratio, lo, hi, xtol=ROOT_XTOL_LAMBDA_T)
+    try:
+        zr_cross, _ = _brent(log_ratio, lo, hi, ROOT_XTOL_LAMBDA_T)
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"log |V_T|/|V0|, z in lambda_T: {exc}") from None
     return float(zr_cross) * lam
 
 

@@ -42,6 +42,10 @@ No regulator, no extrapolation.  One call evaluates the weighted
 integrand h(u) = u^3 G(u)/(e^{eta u} - 1) once, on the GL16 and GL8
 nodes of every segment together with u = x0, and then applies each
 segment's denominator.
+
+Scalar oracles.  F(x) as its Laplace integral and the Bose moments
+int u^n/(e^u - 1) du run on the same GL16-vs-GL8 panels; the closed
+Bose moments use zeta(4) = pi^4/90 and zeta(6) = pi^6/945.
 """
 
 from __future__ import annotations
@@ -50,8 +54,6 @@ import math
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
-from scipy.special import zeta as _riemann_zeta
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError
@@ -79,6 +81,11 @@ _ABEL_LEVELS = 8
 _ABEL_C0 = 0.1
 _TAIL_PANELS = 64
 _COMPARISON_FLOOR = 2e-10
+# Rounding floor of the scalar oracles' estimates, per unit of gross
+# panel magnitude: auxiliary_f, the closed form f_integral_oracle is
+# held against, is off by up to 6.6e-15 relative on x in [0.01, 1e4]
+# (measured against 25-digit mpmath), taken with 3x headroom.
+_SCALAR_FLOOR = 2e-14
 
 
 class QuadratureReport(Record):
@@ -386,72 +393,82 @@ def thermal_quadrature_static(
 # scalar oracles
 
 
+def _f_head_edges(x: float, t_split: float) -> np.ndarray:
+    """Panels over [0, t_split] doubling from 0.5 min(1, 1/x): the first
+    resolves both the e^{-xt} decay length and the 1/(1 + t^2) poles at
+    t = +-i, and doubling keeps every later panel as long as its
+    distance from either."""
+    edges = [0.0]
+    t = 0.5 * min(1.0, 1.0 / x)
+    while t < t_split:
+        edges.append(t)
+        t *= 2.0
+    edges.append(t_split)
+    return np.array(edges)
+
+
+# v = 2^-k, k = 60..0, after [0, 2^-60]: halving toward the log term
+# of the mapped tail at v = 0
+_F_TAIL_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(60, -1, -1.0)])
+
+
 def f_integral_oracle(x: float) -> QuadratureReport:
-    """F(x) = int_0^inf e^{-xt}/(1+t^2) dt by adaptive quadrature, split
-    at t = 1 with the tail mapped to [0, 1] via v = e^{-x(t-1)}."""
+    """F(x) = int_0^inf e^{-xt}/(1+t^2) dt on GL16-vs-GL8 panels, split
+    at T = max(1, 1/x).  The head [0, T] is taken in t; the tail is
+    mapped to [0, 1] by v = e^{-x(t-T)}, which leaves e^{-xT}/x times
+    int_0^1 dv/(1 + (T - ln(v)/x)^2), smooth at v = 1 because xT >= 1.
+
+    The estimate adds to |GL16 - GL8| a floor of _SCALAR_FLOOR times the
+    gross panel magnitude, which covers the rounding of the closed form
+    this value is compared with once the GL difference has fallen below
+    it."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
+    t_split = max(1.0, 1.0 / x)
 
-    r1 = quad(
-        lambda t: math.exp(-x * t) / (1.0 + t * t),
-        0.0,
-        1.0,
-        epsabs=1e-15,
-        epsrel=1e-13,
-        limit=200,
-        full_output=1,
-    )
-    if len(r1) > 3:
-        raise ConvergenceError(f"head quadrature failed at x={x}: {r1[3]}")
-    v1, e1, info1 = r1
+    t, t_half = _gl_points(_f_head_edges(x, t_split))
+    head, e_head, g_head = _panel_sums(np.exp(-x * t) / (1.0 + t * t), t_half)
+    v, v_half = _gl_points(_F_TAIL_EDGES)
+    s = t_split - np.log(v) / x
+    tail, e_tail, g_tail = _panel_sums(1.0 / (1.0 + s * s), v_half)
 
-    def tail_integrand(v: float) -> float:
-        if v <= 0.0:
-            return 0.0
-        s = 1.0 - math.log(v) / x
-        return 1.0 / (1.0 + s * s)
-
-    r2 = quad(
-        tail_integrand, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13, limit=200, full_output=1
-    )
-    if len(r2) > 3:
-        raise ConvergenceError(f"tail quadrature failed at x={x}: {r2[3]}")
-    v2, e2, info2 = r2
-
-    scale = math.exp(-x) / x
-    value = v1 + scale * v2
+    scale = math.exp(-x * t_split) / x
+    value = float(head + scale * tail)
+    err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
     return QuadratureReport(
         value=value,
-        abs_error_estimate=e1 + scale * e2 + 1e-16 * abs(value) + 1e-300,
-        subdivisions=int(info1["last"]) + int(info2["last"]),
+        abs_error_estimate=float(err) + 1e-300,
+        subdivisions=t_half.size + v_half.size,
     )
+
+
+# zeta(n + 1) for the moments bose_integral serves
+_BOSE_ZETA = {3: _PI**4 / 90.0, 5: _PI**6 / 945.0}
+
+
+def _check_bose_n(n: int, name: str) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n not in _BOSE_ZETA:
+        raise DomainError(f"{name} serves n in {{3, 5}} only, got {n!r}")
 
 
 def bose_integral(n: int) -> float:
-    """int_0^inf x^n/(e^x - 1) dx = Gamma(n+1) zeta(n+1) for integer
-    n >= 1 (Riemann zeta from scipy, independent of specfun)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"bose_integral needs an integer n >= 1, got {n!r}")
-    return math.gamma(n + 1) * float(_riemann_zeta(n + 1))
+    """int_0^inf x^n/(e^x - 1) dx = Gamma(n+1) zeta(n+1) for n in {3, 5},
+    from zeta(4) = pi^4/90 and zeta(6) = pi^6/945 (independent of
+    specfun)."""
+    _check_bose_n(n, "bose_integral")
+    return math.gamma(n + 1) * _BOSE_ZETA[n]
 
 
 def bose_integral_quadrature(n: int) -> QuadratureReport:
     """Self-check companion of :func:`bose_integral`: the same integral
-    by adaptive quadrature."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"bose_integral_quadrature needs an integer n >= 1, got {n!r}")
-
-    def f(u: float) -> float:
-        if u <= 0.0 or u > 700.0:
-            return 0.0
-        return u**n / math.expm1(u)
-
-    r = quad(f, 0.0, np.inf, epsabs=1e-14, epsrel=1e-13, limit=200, full_output=1)
-    if len(r) > 3:
-        raise ConvergenceError(f"bose integral quadrature failed at n={n}: {r[3]}")
-    v, e, info = r
+    on GL16-vs-GL8 panels of length pi over [0, 32 pi], short enough
+    for the integrand's poles at u = +-2 pi i; the cut tail is below
+    1e-33."""
+    _check_bose_n(n, "bose_integral_quadrature")
+    u, half = _gl_points(_uniform_edges(0.0, 32.0 * _PI, _PI))
+    v, e, g = _panel_sums(u**n * _bose_weight(u), half)
     return QuadratureReport(
-        value=v,
-        abs_error_estimate=e + 1e-16 * abs(v) + 1e-300,
-        subdivisions=int(info["last"]),
+        value=float(v),
+        abs_error_estimate=float(e + _SCALAR_FLOOR * g) + 1e-300,
+        subdivisions=half.size,
     )

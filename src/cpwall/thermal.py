@@ -566,7 +566,7 @@ def thermal_short_expansion(
     Requires z < 0.2 lambda_T (eta > 2.5) so Q and the sums converge;
     raises ValidityError outside that window.
     """
-    z2 = _z_power(z, 2)
+    _z_power(z, 2)
     _check_env(atom, env)
     if z >= 0.2 * env.lambda_T:
         raise ValidityError(
@@ -579,15 +579,16 @@ def thermal_short_expansion(
     theta = eta * x0
     n_cap = int(math.ceil(theta))
 
-    h_t = q_series(eta)
+    # The sum runs on H_T / x0^2, with a_m b_m / x0^2 = x0^(2m-4)
+    # (2 - x0^2 (1 - 1/m)) / (2m-1)!: its leading m = 2 term holds no
+    # power of x0, so it cannot underflow however short z is.
+    h_t = q_series(eta) / x0 / x0
     log_x0 = math.log(x0)
     small = 0
     for m in range(2, 601):
         inner = _ht_inner_sum(m, theta, n_cap)
-        log_a = (2 * m - 1) * log_x0 - math.lgamma(2 * m)
-        a_m = math.exp(log_a) if log_a > -700.0 else 0.0
-        b_m = 2.0 / x0 - x0 * (1.0 - 1.0 / m)
-        term = a_m * b_m * inner
+        power = math.exp((2 * m - 4) * log_x0 - math.lgamma(2 * m))
+        term = power * (2.0 - x0 * x0 * (1.0 - 1.0 / m)) * inner
         h_t += term if m % 2 == 0 else -term
         if abs(term) <= 1e-17 * (abs(h_t) + 1e-300):
             small += 1
@@ -599,7 +600,8 @@ def thermal_short_expansion(
         raise ConvergenceError(
             f"H_T outer sum did not converge at z/lambda_T = {z / env.lambda_T}"
         )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0**2 / (2.0 * math.pi * z2)
+    # (hbar c / 2 pi) alpha0 k0^2 x0^2 / z^2, with x0 = 2 k0 z
+    pref = 2.0 * cst.hbar_c_ev_um * atom.alpha0 * atom.k0**4 / math.pi
     return pref * h_t
 
 

@@ -10,9 +10,9 @@ check)``; its criterion number is its position, counted from 1, and
 ``quick`` shrinks the grids of the criteria where the verdict does not
 depend on the resolution.
 
-Importing this module loads numpy and, through ``oracle`` and
-``analysis``, scipy, so the command line imports it only when
-``verify`` runs.
+Importing this module loads numpy, through ``oracle`` and
+``analysis`` too, so the command line imports it only when ``verify``
+runs.
 """
 
 from __future__ import annotations

@@ -7,17 +7,21 @@ import numpy as np
 import pytest
 
 from cpwall.analysis import (
+    FD_STEP_LAMBDA_T,
+    ROOT_XTOL_LAMBDA_T,
     EquilibriumResult,
     QuadraticFit,
+    _brent,
+    _fd_derivative,
     dominance_crossover,
     find_thermal_equilibrium,
     quadratic_fit,
     regime_error_table,
 )
-from cpwall.constants import PhysicalConstants
+from cpwall.constants import PhysicalConstants, load_constants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.oracle import thermal_quadrature
-from cpwall.thermal import ThermalEnvironment, thermal_potential_exact
+from cpwall.thermal import ThermalEnvironment, _reference_pair, thermal_potential_exact
 from cpwall.vacuum import AtomParams, vacuum_potential
 
 CST = PhysicalConstants()
@@ -121,6 +125,115 @@ class TestCrossover:
         atom, env = make_pair(100.0)
         with pytest.raises(ConvergenceError):
             dominance_crossover(atom, env, CST, bracket=(1.5, 2.0))
+
+
+# The analyze presets: _reference_pair at each theta with the built-in
+# constants.  Roots and iteration counts as scipy.optimize.brentq gave
+# them on the same functions, brackets and xtol.
+_FROZEN_ROOTS = {
+    30.0: (0.5209945493488893, 8, 7.266651306188363),
+    100.0: (0.5248382848493179, 8, 7.279927841689163),
+    300.0: (0.5251755868973943, 8, 7.281098538424237),
+}
+
+
+def _committed_root_problems(theta):
+    """(f, bracket) of the two committed root searches at one theta:
+    the equilibrium derivative and the dominance log-ratio."""
+    cst = load_constants()
+    atom, env = _reference_pair(theta, cst)
+    lam = env.lambda_T
+
+    def value(a, e, z):
+        return thermal_potential_exact(a, e, z, cst)
+
+    def deriv(zr):
+        return _fd_derivative(value, atom, env, zr * lam, FD_STEP_LAMBDA_T * lam)
+
+    def log_ratio(zr):
+        z = zr * lam
+        vt = thermal_potential_exact(atom, env, z, cst)
+        return math.log(abs(vt) / abs(vacuum_potential(atom, z, cst)))
+
+    return [(deriv, (0.3, 0.7)), (log_ratio, (0.5, 2.0))]
+
+
+def _step(x):
+    return 1.0 if x > 0.3 else -1.0
+
+
+# analytic cases for the scipy cross-check: a root at an end (either
+# one), an interior root met exactly, an odd-power root where the
+# interpolation stalls and bisection steps take over, a jump with no
+# root that only bisection narrows, and smooth roots of either slope
+_ANALYTIC = [
+    (lambda x: x - 1.0, 1.0, 3.0),
+    (lambda x: x - 3.0, 1.0, 3.0),
+    (lambda x: x - 0.5, 0.0, 1.0),
+    (lambda x: (x - 0.3) ** 9, 0.0, 1.0),
+    (_step, 0.0, 1.0),
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e6, 0.0, 30.0),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+]
+
+
+class TestBrent:
+    @pytest.mark.parametrize("theta", sorted(_FROZEN_ROOTS))
+    def test_frozen_roots(self, theta):
+        z_star, iterations, z_cross = _FROZEN_ROOTS[theta]
+        cst = load_constants()
+        atom, env = _reference_pair(theta, cst)
+        eq = find_thermal_equilibrium(atom, env, cst)
+        assert eq.z_star_over_lambdaT == z_star
+        assert eq.iterations == iterations
+        assert dominance_crossover(atom, env, cst) == z_cross
+
+    def test_root_at_an_end(self):
+        assert _brent(lambda x: x - 1.0, 1.0, 3.0, 1e-4) == (1.0, 0)
+        assert _brent(lambda x: x - 3.0, 1.0, 3.0, 1e-4) == (3.0, 0)
+
+    def test_refusals(self):
+        with pytest.raises(ConvergenceError):
+            _brent(lambda x: x * x + 1.0, -1.0, 1.0, 1e-4)
+        with pytest.raises(ConvergenceError):
+            _brent(lambda x: math.nan if x > 0.2 else -1.0, 0.0, 1.0, 1e-4)
+        # scipy reports no convergence in 100 iterations here
+        with pytest.raises(ConvergenceError):
+            _brent(lambda x: x**3, -1.0, 0.5, 2e-12)
+
+    @pytest.mark.parametrize("theta", sorted(_FROZEN_ROOTS))
+    def test_committed_searches_match_scipy(self, theta):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        for f, (lo, hi) in _committed_root_problems(theta):
+            root, iterations = _brent(f, lo, hi, ROOT_XTOL_LAMBDA_T)
+            ref, info = scipy_optimize.brentq(
+                f, lo, hi, xtol=ROOT_XTOL_LAMBDA_T, full_output=True
+            )
+            assert root.hex() == ref.hex()
+            assert iterations == info.iterations
+
+    @pytest.mark.parametrize("case", range(len(_ANALYTIC)))
+    @pytest.mark.parametrize("xtol", [1e-4, 2e-12])
+    def test_analytic_roots_match_scipy(self, case, xtol):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        f, lo, hi = _ANALYTIC[case]
+        ref, info = scipy_optimize.brentq(
+            f, lo, hi, xtol=xtol, full_output=True, disp=False
+        )
+        if not info.converged:
+            with pytest.raises(ConvergenceError):
+                _brent(f, lo, hi, xtol)
+            return
+        root, iterations = _brent(f, lo, hi, xtol)
+        assert root.hex() == float(ref).hex()
+        if info.function_calls == 2:
+            # a root at an end: scipy returns before it sets its
+            # iteration count, so only the root is compared
+            assert iterations == 0
+        else:
+            assert iterations == info.iterations
 
 
 class TestQuadraticFit:

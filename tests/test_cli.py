@@ -556,23 +556,66 @@ def _loaded_by(argv):
     )
     assert proc.returncode == 0, proc.stderr
     code, *loaded = proc.stdout.split()
-    assert code == "0", proc.stderr
-    return frozenset(loaded)
+    return int(code), frozenset(loaded)
 
 
-def _modules_loaded_by(argv, watched=("numpy", "scipy", "fractions")):
-    return set(_loaded_by(tuple(argv))) & set(watched)
+def _modules_loaded_by(argv, watched=("numpy", "scipy", "fractions"), code=0):
+    exit_code, loaded = _loaded_by(tuple(argv))
+    assert exit_code == code
+    return set(loaded) & set(watched)
+
+
+# Runs one command with scipy made unimportable, before cpwall loads.
+_NO_SCIPY_PROBE = """
+import sys
+sys.modules["scipy"] = None
+from cpwall import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_without_scipy(argv):
+    return subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
 
 
 _EVAL_ARGV = {fmt: ("eval", "--z", "1.0", "--format", fmt) for fmt in ("json", "csv", "text")}
 _CURVE_ARGV = {fig: ("curve", "--figure", fig, "--points", "5") for fig in ("1", "2", "3")}
+# verify --quick exits 1: its documented failures (criteria 3, 4, 10, 13)
+_EVERY_COMMAND = [
+    (_EVAL_ARGV["json"], 0),
+    (_CURVE_ARGV["3"], 0),
+    (("verify", "--quick"), 1),
+    (("analyze",), 0),
+]
 
 
 class TestImportFootprint:
-    """eval and curve need neither the oracles nor the root finders, so
-    they must not pay for importing numpy, scipy or fractions; their
-    records are plain classes, so they load neither dataclasses nor the
-    inspect module behind it; json loads only to write JSON."""
+    """No command loads scipy: the root finder and the quadratures are
+    the package's own.  eval and curve need neither the oracles nor the
+    root finders, so they must not pay for importing numpy or fractions;
+    their records are plain classes, so they load neither dataclasses
+    nor the inspect module behind it; json loads only to write JSON."""
+
+    @pytest.mark.parametrize("argv,code", _EVERY_COMMAND)
+    def test_no_command_loads_scipy(self, argv, code):
+        assert _modules_loaded_by(argv, ("scipy",), code) == set()
+
+    def test_verify_runs_without_scipy(self):
+        proc = _run_without_scipy(("verify", "--quick", "--format", "json"))
+        assert proc.returncode == 1, proc.stderr
+        report = json.loads(proc.stdout)
+        failed = [c["number"] for c in report["criteria"] if not c["passed"]]
+        assert failed == [3, 4, 10, 13]
+
+    def test_analyze_runs_without_scipy(self):
+        proc = _run_without_scipy(("analyze",))
+        assert proc.returncode == 0, proc.stderr
+        assert "8 iterations" in proc.stdout
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_eval_loads_neither_numpy_nor_scipy(self, fmt):

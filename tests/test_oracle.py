@@ -210,6 +210,13 @@ class TestScalarOracles:
         rep01 = f_integral_oracle(0.1)
         assert abs(rep01.value - auxiliary_f(0.1)) < 1e-9
 
+    def test_f_integral_sweep(self):
+        for x in np.geomspace(0.01, 1e4, 121):
+            rep = f_integral_oracle(float(x))
+            ref = auxiliary_f(float(x))
+            assert abs(rep.value - ref) <= 1e-10 * ref
+            assert abs(rep.value - ref) <= rep.abs_error_estimate
+
     def test_f_integral_watson_limit(self):
         rep = f_integral_oracle(1e4)
         assert abs(rep.value * 1e4 - 1.0) < 1e-7
@@ -234,7 +241,8 @@ class TestScalarOracles:
             assert abs(rep.value - closed) <= rep.abs_error_estimate
 
     def test_bose_integral_rejects_bad_n(self):
-        for bad in (0, -1, 2.5, True):
+        # both serve the moments the checks use, n = 3 and 5, only
+        for bad in (0, -1, 1, 2, 4, 6, 7, 3.0, 2.5, True):
             with pytest.raises(DomainError):
                 bose_integral(bad)
             with pytest.raises(DomainError):

@@ -295,6 +295,17 @@ class TestExpansions:
         ex = thermal_potential_exact(atom, env, z)
         assert abs(se / ex - 1.0) < 1e-8
 
+    @pytest.mark.parametrize("z", [1e-103, 1e-110])
+    def test_short_expansion_holds_c_t_at_extreme_short_distance(self, z: float) -> None:
+        # the leading term a_2 b_2 ~ x0^2/3 is a normal float here even
+        # though a_2 = x0^3/3! alone underflows
+        atom, env = make_pair(100.0)
+        c_t = thermal_short_expansion(atom, env, 1e-100)
+        assert c_t == pytest.approx(
+            thermal_potential_exact(atom, env, 1e-5 * LAMBDA_T), rel=1e-8
+        )
+        assert thermal_short_expansion(atom, env, z) == pytest.approx(c_t, rel=1e-14)
+
     def test_short_leading_window(self) -> None:
         atom, env = make_pair(100.0)
         for zr in (0.005, 0.02, 0.05):
