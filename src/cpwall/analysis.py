@@ -71,19 +71,12 @@ class EquilibriumResult(Record):
 
     __slots__ = ("z_star_over_lambdaT", "bracket", "iterations")
 
-    def __init__(
-        self,
-        z_star_over_lambdaT: float,
-        bracket: tuple[float, float],
-        iterations: int,
-    ) -> None:
-        lo, hi = bracket
-        if not lo <= z_star_over_lambdaT <= hi:
-            raise DomainError(f"z* = {z_star_over_lambdaT} outside bracket {bracket}")
-        _set = object.__setattr__
-        _set(self, "z_star_over_lambdaT", z_star_over_lambdaT)
-        _set(self, "bracket", bracket)
-        _set(self, "iterations", iterations)
+    def _check(self) -> None:
+        lo, hi = self.bracket
+        if not lo <= self.z_star_over_lambdaT <= hi:
+            raise DomainError(
+                f"z* = {self.z_star_over_lambdaT} outside bracket {self.bracket}"
+            )
 
 
 class QuadraticFit(Record):
@@ -91,21 +84,12 @@ class QuadraticFit(Record):
 
     __slots__ = ("window", "coefficients", "rms_residual_relative")
 
-    def __init__(
-        self,
-        window: tuple[float, float],
-        coefficients: tuple[float, float, float],
-        rms_residual_relative: float,
-    ) -> None:
-        if not rms_residual_relative < 0.02:
+    def _check(self) -> None:
+        if not self.rms_residual_relative < 0.02:
             raise DomainError(
                 "fit residual exceeds 2% of the window value range: "
-                f"{rms_residual_relative}"
+                f"{self.rms_residual_relative}"
             )
-        _set = object.__setattr__
-        _set(self, "window", window)
-        _set(self, "coefficients", coefficients)
-        _set(self, "rms_residual_relative", rms_residual_relative)
 
 
 class RegimeErrorRow(Record):
@@ -122,27 +106,6 @@ class RegimeErrorRow(Record):
         "err_long_expansion",
         "err_lifshitz",
     )
-
-    def __init__(
-        self,
-        z: float,
-        x0: float,
-        z_over_lambdaT: float,
-        err_non_retarded: float,
-        err_retarded: float,
-        err_short_leading: float,
-        err_long_expansion: float,
-        err_lifshitz: float,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "z", z)
-        _set(self, "x0", x0)
-        _set(self, "z_over_lambdaT", z_over_lambdaT)
-        _set(self, "err_non_retarded", err_non_retarded)
-        _set(self, "err_retarded", err_retarded)
-        _set(self, "err_short_leading", err_short_leading)
-        _set(self, "err_long_expansion", err_long_expansion)
-        _set(self, "err_lifshitz", err_lifshitz)
 
 
 def _thermal_value_fn(constants: PhysicalConstants) -> PotentialFn:

@@ -83,28 +83,17 @@ class CurveSpec(Record):
 
     __slots__ = ("figure_id", "theta", "points", "x_range")
 
-    def __init__(
-        self,
-        figure_id: int,
-        theta: float,
-        points: int,
-        x_range: tuple[float, float],
-    ) -> None:
-        if figure_id not in (1, 2, 3):
-            raise DomainError(f"figure_id must be 1, 2 or 3, got {figure_id}")
-        if points < 2:
-            raise DomainError(f"need at least 2 points, got {points}")
-        lo, hi = x_range
+    def _check(self) -> None:
+        if self.figure_id not in (1, 2, 3):
+            raise DomainError(f"figure_id must be 1, 2 or 3, got {self.figure_id}")
+        if self.points < 2:
+            raise DomainError(f"need at least 2 points, got {self.points}")
+        lo, hi = self.x_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and lo >= 0.0):
-            raise DomainError(f"bad x_range {x_range}")
-        if figure_id == 1 and lo == 0.0:
+            raise DomainError(f"bad x_range {self.x_range}")
+        if self.figure_id == 1 and lo == 0.0:
             # figure 1 runs on a geometric grid, which cannot start at 0
-            raise DomainError(f"figure 1 needs x_range lo > 0, got {x_range}")
-        _set = object.__setattr__
-        _set(self, "figure_id", figure_id)
-        _set(self, "theta", theta)
-        _set(self, "points", points)
-        _set(self, "x_range", x_range)
+            raise DomainError(f"figure 1 needs x_range lo > 0, got {self.x_range}")
 
     @property
     def columns(self) -> tuple[str, ...]:

@@ -30,17 +30,17 @@ class PhysicalConstants(Record):
     """
 
     __slots__ = ("hbar_c", "k_B", "default_theta")
+    _defaults = {
+        "hbar_c": HBAR_C_EV_NM,
+        "k_B": K_B_EV_PER_K,
+        "default_theta": DEFAULT_THETA,
+    }
 
-    def __init__(
-        self,
-        hbar_c: float = HBAR_C_EV_NM,
-        k_B: float = K_B_EV_PER_K,
-        default_theta: float = DEFAULT_THETA,
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "hbar_c", hbar_c)
-        _set(self, "k_B", k_B)
-        _set(self, "default_theta", default_theta)
+    def _check(self) -> None:
+        for name in self.__slots__:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be positive and finite, got {value}")
 
     @property
     def hbar_c_ev_um(self) -> float:

@@ -94,21 +94,14 @@ class QuadratureReport(Record):
 
     __slots__ = ("value", "abs_error_estimate", "subdivisions")
 
-    def __init__(
-        self, value: float, abs_error_estimate: float, subdivisions: int
-    ) -> None:
-        if not math.isfinite(value):
-            raise ConvergenceError(f"quadrature produced non-finite value {value}")
-        if not (math.isfinite(abs_error_estimate) and abs_error_estimate > 0):
-            raise DomainError(
-                f"abs_error_estimate must be positive, got {abs_error_estimate}"
-            )
-        if subdivisions < 0:
-            raise DomainError(f"subdivisions must be >= 0, got {subdivisions}")
-        _set = object.__setattr__
-        _set(self, "value", value)
-        _set(self, "abs_error_estimate", abs_error_estimate)
-        _set(self, "subdivisions", subdivisions)
+    def _check(self) -> None:
+        if not math.isfinite(self.value):
+            raise ConvergenceError(f"quadrature produced non-finite value {self.value}")
+        err = self.abs_error_estimate
+        if not (math.isfinite(err) and err > 0):
+            raise DomainError(f"abs_error_estimate must be positive, got {err}")
+        if self.subdivisions < 0:
+            raise DomainError(f"subdivisions must be >= 0, got {self.subdivisions}")
 
 
 # ----------------------------------------------------------------------
@@ -425,12 +418,17 @@ def f_integral_oracle(x: float) -> QuadratureReport:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
     t_split = max(1.0, 1.0 / x)
+    if t_split == math.inf:
+        raise DomainError(f"f_integral_oracle needs a finite 1/x, got x = {x}")
 
     t, t_half = _gl_points(_f_head_edges(x, t_split))
-    head, e_head, g_head = _panel_sums(np.exp(-x * t) / (1.0 + t * t), t_half)
     v, v_half = _gl_points(_F_TAIL_EDGES)
-    s = t_split - np.log(v) / x
-    tail, e_tail, g_tail = _panel_sums(1.0 / (1.0 + s * s), v_half)
+    # below x ~ 1e-154, t^2, ln(v)/x and s^2 may overflow to inf, where
+    # 1/(1 + inf) = 0 is the integrand's exact limit
+    with np.errstate(over="ignore"):
+        head, e_head, g_head = _panel_sums(np.exp(-x * t) / (1.0 + t * t), t_half)
+        s = t_split - np.log(v) / x
+        tail, e_tail, g_tail = _panel_sums(1.0 / (1.0 + s * s), v_half)
 
     scale = math.exp(-x * t_split) / x
     value = float(head + scale * tail)

@@ -59,7 +59,7 @@ import math
 import sys
 from itertools import count
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
@@ -131,7 +131,8 @@ class ThermalEnvironment(Record):
 
     __slots__ = ("temperature", "lambda_T", "theta")
 
-    def __init__(self, temperature: float, lambda_T: float, theta: float) -> None:
+    def _check(self) -> None:
+        temperature, lambda_T, theta = self.temperature, self.lambda_T, self.theta
         if not (math.isfinite(temperature) and temperature > 0.0):
             raise DomainError(
                 f"temperature must be positive and finite, got {temperature}"
@@ -143,10 +144,6 @@ class ThermalEnvironment(Record):
                 f"theta = k0 lambda_T must be >= {THETA_MIN} for the two-level "
                 f"description, got {theta}"
             )
-        _set = object.__setattr__
-        _set(self, "temperature", temperature)
-        _set(self, "lambda_T", lambda_T)
-        _set(self, "theta", theta)
 
     @classmethod
     def for_atom(
@@ -180,31 +177,19 @@ class ThermalSeriesTerms(Record):
 
     __slots__ = ("k0_val", "k1_val", "p_val", "terms_used", "tail_bound")
 
-    def __init__(
-        self,
-        k0_val: float,
-        k1_val: float,
-        p_val: float,
-        terms_used: int,
-        tail_bound: float,
-    ) -> None:
+    def _check(self) -> None:
         isfinite = math.isfinite
-        if not isfinite(k0_val):
+        if not isfinite(self.k0_val):
             raise ConvergenceError("non-finite k0_val in ThermalSeriesTerms")
-        if not isfinite(k1_val):
+        if not isfinite(self.k1_val):
             raise ConvergenceError("non-finite k1_val in ThermalSeriesTerms")
-        if not isfinite(p_val):
+        if not isfinite(self.p_val):
             raise ConvergenceError("non-finite p_val in ThermalSeriesTerms")
+        tail_bound = self.tail_bound
         if not isfinite(tail_bound):
             raise ConvergenceError("non-finite tail_bound in ThermalSeriesTerms")
         if tail_bound < 0.0:
             raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
-        _set = object.__setattr__
-        _set(self, "k0_val", k0_val)
-        _set(self, "k1_val", k1_val)
-        _set(self, "p_val", p_val)
-        _set(self, "terms_used", terms_used)
-        _set(self, "tail_bound", tail_bound)
 
 
 class PotentialBreakdown(Record):
@@ -213,14 +198,9 @@ class PotentialBreakdown(Record):
 
     __slots__ = ("vacuum", "thermal", "total", "notes")
 
-    def __init__(self, vacuum: float, thermal: float, total: float, notes: str) -> None:
-        if total != vacuum + thermal:
+    def _check(self) -> None:
+        if self.total != self.vacuum + self.thermal:
             raise DomainError("PotentialBreakdown total must equal vacuum + thermal")
-        _set = object.__setattr__
-        _set(self, "vacuum", vacuum)
-        _set(self, "thermal", thermal)
-        _set(self, "total", total)
-        _set(self, "notes", notes)
 
 
 def _check_pair(eta: float, x0: float) -> float:
@@ -309,13 +289,15 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     pole_im = math.pi * math.cos(x0) * bose
 
     # K0 = Im(J0+ - J0-) and K1 = -x0 Re(J0+ + J0-): the tails' halves
-    # in J0+ and J0- add up, the pole term is J0-'s alone.
+    # in J0+ and J0- add up, the pole term is J0-'s alone.  Passed by
+    # position, the record's fast path: k0_val, k1_val, p_val,
+    # terms_used, tail_bound.
     return ThermalSeriesTerms(
-        k0_val=d_im + imtail - pole_im,
-        k1_val=-x0 * (s_re + retail + pole_re),
-        p_val=bose_sum_p(eta),
-        terms_used=n_head,
-        tail_bound=tail_bound,
+        d_im + imtail - pole_im,
+        -x0 * (s_re + retail + pole_re),
+        bose_sum_p(eta),
+        n_head,
+        tail_bound,
     )
 
 
@@ -605,6 +587,21 @@ def thermal_short_expansion(
     return pref * h_t
 
 
+def _sum_while_falling(terms: Iterable[float]) -> float:
+    """Sum terms in order, stopping before the first that grows in size
+    and after the first below 1e-18 of the running sum."""
+    total = 0.0
+    prev = math.inf
+    for term in terms:
+        if abs(term) > prev:
+            break
+        total += term
+        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
+            break
+        prev = abs(term)
+    return total
+
+
 def thermal_long_expansion(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -633,27 +630,13 @@ def thermal_long_expansion(
     zarg = complex(1.0, -1.0 / eta)
     log_theta = math.log(theta)
 
-    sum_im = 0.0
-    prev = math.inf
-    for j in range(1, n_cap + 1):
-        v = _polygamma_scaled(2 * j, zarg, (2 * j + 1) * log_theta)
-        if abs(v.imag) > prev:
-            break
-        sum_im += v.imag
-        if abs(v.imag) <= 1e-18 * (abs(sum_im) + 1e-300):
-            break
-        prev = abs(v.imag)
-
-    sum_re = 0.0
-    prev = math.inf
-    for j in range(1, n_cap + 1):
-        v = _polygamma_scaled(2 * j - 1, zarg, 2 * j * log_theta)
-        if abs(v.real) > prev:
-            break
-        sum_re += v.real
-        if abs(v.real) <= 1e-18 * (abs(sum_re) + 1e-300):
-            break
-        prev = abs(v.real)
+    js = range(1, n_cap + 1)
+    sum_im = _sum_while_falling(
+        _polygamma_scaled(2 * j, zarg, (2 * j + 1) * log_theta).imag for j in js
+    )
+    sum_re = _sum_while_falling(
+        _polygamma_scaled(2 * j - 1, zarg, 2 * j * log_theta).real for j in js
+    )
 
     l_t = (
         -bose_sum_p(eta) / x0
@@ -714,4 +697,5 @@ def total_potential(
         f"thermal part {'repulsive' if th > 0 else 'attractive'}; "
         f"auto mode: {recommended_approximation(zr)}"
     )
-    return PotentialBreakdown(vacuum=vac, thermal=th, total=vac + th, notes=notes)
+    # by position (vacuum, thermal, total, notes), the record's fast path
+    return PotentialBreakdown(vac, th, vac + th, notes)

@@ -68,14 +68,12 @@ class AtomParams(Record):
 
     __slots__ = ("k0", "alpha0")
 
-    def __init__(self, k0: float, alpha0: float) -> None:
+    def _check(self) -> None:
+        k0, alpha0 = self.k0, self.alpha0
         if not (math.isfinite(k0) and k0 > 0.0):
             raise DomainError(f"k0 must be positive and finite, got {k0}")
         if not (math.isfinite(alpha0) and alpha0 > 0.0):
             raise DomainError(f"alpha0 must be positive and finite, got {alpha0}")
-        _set = object.__setattr__
-        _set(self, "k0", k0)
-        _set(self, "alpha0", alpha0)
 
     @property
     def lambda0(self) -> float:

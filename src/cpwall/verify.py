@@ -59,23 +59,7 @@ class CriterionResult(Record):
     tolerance."""
 
     __slots__ = ("number", "name", "passed", "measured", "tolerance", "note")
-
-    def __init__(
-        self,
-        number: int,
-        name: str,
-        passed: bool,
-        measured: str,
-        tolerance: str,
-        note: str = "",
-    ) -> None:
-        _set = object.__setattr__
-        _set(self, "number", number)
-        _set(self, "name", name)
-        _set(self, "passed", passed)
-        _set(self, "measured", measured)
-        _set(self, "tolerance", tolerance)
-        _set(self, "note", note)
+    _defaults = {"note": ""}
 
 
 def _verify_setup(cst: PhysicalConstants):

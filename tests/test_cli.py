@@ -332,6 +332,25 @@ class TestConfig:
         code, _ = run_main(["eval", "--z", "1.0"])
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "hbar_c_ev_nm = -197.3269804",
+            "hbar_c_ev_nm = inf",
+            "k_b_ev_per_k = 0",
+            "default_theta = nan",
+        ],
+    )
+    def test_nonpositive_or_nonfinite_constant_is_domain_error(
+        self, line, tmp_path, monkeypatch
+    ):
+        # a negative hbar c used to print a positive vacuum potential
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        monkeypatch.setenv("CPWALL_CONFIG", str(cfg))
+        code, out = run_main(["eval", "--temperature", "0", "--k0", "1", "--z", "1"])
+        assert (code, out) == (3, "")
+
     def test_missing_file_is_domain_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CPWALL_CONFIG", str(tmp_path / "absent.cfg"))
         code, _ = run_main(["eval", "--z", "1.0"])

@@ -3,6 +3,7 @@ window independence, and agreement with the closed forms it exists to
 check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,20 @@ class TestScalarOracles:
             f_integral_oracle(-2.0)
         with pytest.raises(DomainError):
             f_integral_oracle(math.nan)
+
+    @pytest.mark.parametrize("x", [1e-320, 5e-324])
+    def test_f_integral_refuses_where_reciprocal_overflows(self, x):
+        with pytest.raises(DomainError, match="finite 1/x"):
+            f_integral_oracle(x)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-200])
+    def test_f_integral_tiny_x_limit_without_warnings(self, x):
+        # F(x) -> pi/2 as x -> 0; t^2 overflows to inf on the far panels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = f_integral_oracle(x)
+        assert abs(rep.value - math.pi / 2) <= rep.abs_error_estimate
+        assert abs(rep.value - math.pi / 2) < 1e-12
 
     def test_bose_integral_closed_forms(self):
         assert bose_integral(3) == pytest.approx(math.pi**4 / 15.0, rel=1e-14)

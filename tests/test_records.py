@@ -163,6 +163,22 @@ def test_equality_repr_hash_and_pickle(cls, names, values, bad):
         assert type(twin) is cls and repr(twin) == repr(rec)
 
 
+@pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
+def test_binder_refuses_bad_calls(cls, names, values, bad):
+    name = cls.__name__
+    by_name = dict(zip(names, values))
+    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields"):
+        cls(*values, values[0])
+    # PhysicalConstants has a default for every field, so none can be missing
+    for missing in [n for n in names if n not in cls._defaults]:
+        with pytest.raises(TypeError, match=f"{name} is missing field '{missing}'"):
+            cls(**{n: v for n, v in by_name.items() if n != missing})
+    with pytest.raises(TypeError, match=f"{name} has no field 'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match=f"{name} got field '{names[0]}' twice"):
+        cls(*values[:1], **by_name)
+
+
 def test_records_differ_by_field():
     assert AtomParams(1.0, 2.0) != AtomParams(1.0, 3.0)
     assert CriterionResult(1, "a", True, "m", "t") == CriterionResult(1, "a", True, "m", "t", "")
