@@ -166,11 +166,21 @@ def main() -> None:
         if (theta, zr) != (50.0, 1000.0)
     ]
     thermal_points += [(30.0, 3.0)]
-    # the E1t route below theta = 45: near head terms from E1t, far ones
-    # from the paired asymptotic series
+    # the E1t route below theta = 45 (near head terms from E1t, far ones
+    # from the paired asymptotic series); at 3 lambda_T the far-field form
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
     ]
+    # the far-field form (expansion plus the exact pole term) from x0 = 40
+    # to 1e9 below theta = 45, where the E1t route lost up to 1.7e-9 or
+    # refused (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T)
+    thermal_points += [(10.0, 2.0), (20.0, 1.0), (30.0, 1.0), (40.0, 3.0)]
+    thermal_points += [
+        (theta, zr) for theta in (10.0, 20.0, 30.0, 40.0) for zr in (100.0, 1000.0, 1e5)
+    ]
+    thermal_points += [(10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7)]
+    # the Laurent route where its terms run out before the sum stops
+    thermal_points += [(101.95, 0.02893), (248.3, 0.04819), (1000.0, 0.05896)]
     for theta, zr in thermal_points:
         x0 = 2 * theta * zr
         eta = 1 / (2 * mp.mpf(zr))

@@ -11,11 +11,12 @@ per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
 x0 = 30 to 1e12, the E1t bracket and the asymptotic series apart.  The
 thermal sections check W where thermal_potential_exact takes the
-static-alpha expansion, and W of the E1t series where it does not.  The
-script exits with status 1 when h0's series, where it is taken, is off
-by more than 1e-10, when the worst error of the expansion exceeds
-2e-13, or when an E1t-series point that thermal_potential_exact accepts
-misses 1e-8 of max(|W|, 2 pi/theta).
+static-alpha expansion (its far-field form, with the exact pole term,
+from x0 = 40 to 1e9 below theta = 45), and W of the E1t series where it
+does not.  The script exits with status 1 when h0's series, where it is
+taken, is off by more than 1e-10, when the worst error of the expansion
+exceeds 2e-13, or when an E1t-series point that thermal_potential_exact
+accepts misses 1e-8 of max(|W|, 2 pi/theta).
 """
 
 from __future__ import annotations
@@ -152,30 +153,52 @@ THERMAL_RTOL = 2e-13
 
 
 def sweep_thermal() -> bool:
-    """W of the static-alpha expansion against the mpmath E1t series on
-    64 points straddling its switch: theta around the pole bound's edge
-    (~45), z/lambda_T around the coth/Laurent switch (eta = 4) and the
-    sign change of V_T near 0.307.  True when the worst error where the
-    expansion is taken is within THERMAL_RTOL."""
+    """W of the static-alpha expansion against the mpmath E1t series:
+    64 points straddling its switch (theta around the pole bound's edge,
+    ~45; z/lambda_T around the coth/Laurent switch, eta = 4, and the
+    sign change of V_T near 0.307), and the far-field form (expansion
+    plus the exact pole term) on theta 10-44 x x0 40-1e9.  The far grid
+    hands mpmath the same float x0 and eta, since cos x0 inherits the
+    rounding of x0 itself (relative eps x0).  True when the worst error
+    where the expansion is taken is within THERMAL_RTOL."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     thetas = (38.0, 42.0, 45.0, 48.0, 52.0, 60.0, 100.0, 1000.0)
     zrs = (0.01, 0.05, 0.12, 0.125, 0.13, 0.307, 1.0, 30.0)
-    pts, got, want, rest = [], [], [], []
-    with mp.workdps(40):
-        for theta in thetas:
-            for zr in zrs:
-                eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
+    near = [
+        ((theta, zr), 1.0 / (2.0 * zr), 2.0 * theta * zr)
+        for theta in thetas
+        for zr in zrs
+    ]
+    far_thetas = (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)
+    far = [
+        ((theta, x0), theta / x0, x0)
+        for theta in far_thetas
+        for x0 in np.geomspace(40.0, 1e9, 40).tolist()
+    ]
+    worst = 0.0
+    for name, grid in (
+        ("thermal _w_expansion (taken)", near),
+        ("thermal far field (x0 40..1e9)", far),
+    ):
+        pts, got, want = [], [], []
+        e1t = refused = 0
+        with mp.workdps(50):
+            for pt, eta, x0 in grid:
                 w = th._w_expansion(eta, x0)
                 if w is None:
-                    rest.append((theta, zr))
+                    try:
+                        th._w_e1t(eta, x0)
+                        e1t += 1
+                    except th.ValidityError:
+                        refused += 1
                     continue
-                pts.append((theta, zr))
+                pts.append(pt)
                 got.append(w)
                 want.append(float(w_series(mp.mpf(x0), mp.mpf(eta))))
-    report("thermal _w_expansion (taken)", pts, got, want)
-    print(f"{'  E1t series elsewhere':34s} n={len(rest):4d}")
-    worst = max(abs(g - w) / abs(w) for g, w in zip(got, want))
+        report(name, pts, got, want)
+        print(f"{'  elsewhere: E1t series, refused':34s} n={e1t:4d}, {refused}")
+        worst = max([worst] + [abs(g - w) / abs(w) for g, w in zip(got, want)])
     return worst <= THERMAL_RTOL
 
 
@@ -186,9 +209,10 @@ def sweep_series() -> bool:
     """W of the E1t series against the mpmath E1t series for theta 10-44
     and z/lambda_T 3e-3-1000, where the expansion is not taken.  Errors
     are relative to max(|W|, 2 pi/theta), as the refusal's are; the
-    refusal's estimate eps x0^2 |K0| is reported next to them.  True
-    when every point thermal_potential_exact accepts is within
-    SERIES_RTOL."""
+    refusal's estimate eps x0^2 |K0| is reported next to them, at every
+    point, since the large-x0 points that calibrate it now take the
+    far-field form.  True when every point thermal_potential_exact
+    accepts is within SERIES_RTOL."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     thetas = (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)
@@ -198,8 +222,6 @@ def sweep_series() -> bool:
     for theta in thetas:
         for zr in zrs:
             eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
-            if th._w_expansion(eta, x0) is not None:
-                continue
             terms = th.thermal_series_terms(eta, x0)
             w = th._w_bracket(terms, x0)
             want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
@@ -207,6 +229,8 @@ def sweep_series() -> bool:
             err = abs(w - want) / scale
             if err > 1e-10:
                 ratio = max(ratio, err * scale / (th._EPS * x0 * x0 * abs(terms.k0_val)))
+            if th._w_expansion(eta, x0) is not None:
+                continue
             try:
                 th._w_e1t(eta, x0)
             except th.ValidityError:

@@ -37,15 +37,21 @@ one deterministic rule per point:
   (z >= lambda_T / 8) and from the Laurent series of coth above, whose
   terms end where their sums would cancel (``_laurent_terms``).  One
   loop sums either route and stops at its first omitted or smallest
-  term; a route whose terms run out before that falls back.  It is taken
-  where its error estimate (that term, rounding, and a bound on the
-  resonant pole the series misses) is at most 1e-13 |W|, which needs
-  theta >~ 45;
+  term; where a route's terms run out before that, the next envelope
+  step stands for the rest.  It is taken where its error estimate (that
+  term, rounding, and a bound on the resonant pole the series misses) is
+  at most 1e-13 |W|, which needs theta >~ 45.  Where the pole bound
+  fails, the far-field form adds the pole term exactly,
+  W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = 1/(e^theta - 1),
+  and bounds what is left by x0^2 e^-x0 plus the pole term's rounding:
+  this takes x0 >~ 40 (z >~ 20 lambda_T / theta) at every theta, except
+  near the zeros of the oscillating far-field W;
 * the E1t series above everywhere else.  It raises ValidityError where
   the rounding loss of the W bracket, estimated as 4 eps x0^2 |K0|,
   exceeds 1e-8 of max(|W|, 2 pi / theta): at large x0 for theta below
-  ~45.  The factor 4 covers the measured error, up to 2.6 eps x0^2 |K0|
-  in scripts/sweep_branch_switches.py.
+  ~45, which the far-field form leaves only near zeros of W.  The
+  factor 4 covers the measured error, up to 2.6 eps x0^2 |K0| in
+  scripts/sweep_branch_switches.py.
 
 Short- and long-distance expansions (H_T with its double zeta sum, L_T
 with its polygamma sums) and the Lifshitz total asymptote
@@ -118,6 +124,10 @@ _EPS = sys.float_info.epsilon
 # _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|.
 _BRACKET_RTOL = 1e-8
 _BRACKET_LOSS = 4.0
+# The H_T form's inner sums are asymptotic and capped at N = ceil(theta):
+# against mpmath they miss 1e-8 of V_T at theta up to 29 (1.2e-8 at 29,
+# 1.1e-5 at 20, 1.8e-2 at 10) and hold 2.2e-9 at 30.
+_SHORT_THETA_MIN = 30.0
 
 
 class ThermalEnvironment(Record):
@@ -377,6 +387,23 @@ def _laurent_terms(eta: float, theta: float) -> Iterator[tuple[float, float]]:
         lead *= (2 * j + 4) * (2 * j + 5) * inv_t2
 
 
+def _pole_term(x0: float, e_th: float) -> tuple[float, float]:
+    """The far-field form's resonant pole term and its error bound.
+
+    W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = e^-theta /
+    (1 - e^-theta), is what the pole term of J0- adds to the W bracket.
+    Expansion plus W_pole miss a remainder that falls like e^-x0, bounded
+    by x0^2 e^-x0 (measured at 1/10 of it or less for theta 10-44, x0
+    30-40), and W_pole carries the rounding of its pieces, bounded by
+    4 eps times their magnitudes.
+    """
+    sin_part = 2.0 * x0 * math.sin(x0)
+    cos_part = (x0 * x0 - 2.0) * math.cos(x0)
+    scale = math.pi * e_th / (1.0 - e_th)
+    rounding = 4.0 * _EPS * scale * (abs(sin_part) + abs(cos_part))
+    return scale * (sin_part - cos_part), x0 * x0 * math.exp(-x0) + rounding
+
+
 def _w_expansion(eta: float, x0: float) -> float | None:
     """W from its expansion about the static polarizability, or None
     where the error estimate exceeds _EXP_RTOL |W|.
@@ -391,19 +418,30 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
     from coth's Taylor coefficients for eta <= 4 and from P's Laurent
     series above.  The sum stops at the first term below 1e-17 of it or
-    past its smallest term; it returns None where the terms run out first
-    (the Laurent route ends where its sums would cancel, see
-    _laurent_terms, and both routes at _EXP_TERM_CAP terms), and leaves
-    early at j = 0 and j = 1 where the pole bound and the rounding of I_0
-    already fail.  The estimate is that term, plus eps times the
-    magnitudes behind I_0 (they cancel near a zero of the static term) and
-    the later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
+    past its smallest term; where the terms run out first (the Laurent
+    route ends where its sums would cancel, see _laurent_terms, and both
+    routes at _EXP_TERM_CAP terms), the next envelope step stands for the
+    rest.  It leaves early at j = 0 and j = 1 where the pole bound and the
+    rounding of I_0 already fail.  The estimate is that term, plus eps
+    times the magnitudes behind I_0 (they cancel near a zero of the static
+    term) and the later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
     (1 - e^-theta), a bound on the resonant pole of alpha that the
     expansion misses.
+
+    Where that pole bound fails one of the three checks (j = 0, j = 1,
+    the final estimate), W switches once to the far-field form: the sum
+    plus the pole term W_pole taken exactly, with _pole_term's bound,
+    which falls like e^-x0, in place of the pole bound.  The rest of the
+    rule is unchanged, so the far-field form serves x0 >~ 40, and points
+    the pole bound accepts never compute W_pole.
     """
     theta = _check_pair(eta, x0)
     e_th = math.exp(-theta)
     pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
+    # each check that fails switches once to the far-field form, whose
+    # pole term (0.0 before) then adds to |W| in every check
+    w_pole = 0.0
+    far = False
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
@@ -414,30 +452,45 @@ def _w_expansion(eta: float, x0: float) -> float | None:
         # size is the larger of it and the previous size's envelope step
         size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
         if j == 0:
-            # the pole bound alone already fails: leave before the series
-            if pole >= _EXP_RTOL * 2.0 * size / x0:
-                return None
+            # the pole bound alone already fails: switch, and leave before
+            # the series if the far-field form's bound fails too
+            while pole >= _EXP_RTOL * 2.0 * size / x0 + _EXP_RTOL * abs(w_pole):
+                if far:
+                    return None
+                far = True
+                w_pole, pole = _pole_term(x0, e_th)
         elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
             break
-        elif j == 1 and 0.5 * x0 * pole + _EPS * (spread + abs(term)) > _EXP_RTOL * (
-            abs(total) + 2.0 * abs(term)
-        ):
+        elif j == 1:
             # the pole bound and the rounding of the j = 0 pieces fail
-            # against |W| read generously as |I_0| + 2 |I_1|: leave before
-            # the later terms
-            return None
+            # against |W| read generously as |I_0| + 2 |I_1| (plus the
+            # pole term): switch once, then leave before the later terms
+            rounding = _EPS * (spread + abs(term))
+            while 0.5 * x0 * pole + rounding > _EXP_RTOL * (
+                abs(total) + 2.0 * abs(term) + 0.5 * x0 * abs(w_pole)
+            ):
+                if far:
+                    return None
+                far = True
+                w_pole, pole = _pole_term(x0, e_th)
         total += term
         spread += pieces if j == 0 else abs(term)
         prev = size
     else:
-        return None
+        # the terms ran out before the sum stopped (both routes yield
+        # j = 0: the Laurent route runs for eta > 4): the next envelope
+        # step stands for the rest
+        size = prev * (2 * j + 3) * (2 * j + 4) / rho2
     w = 2.0 * total / x0
-    err = 2.0 * (min(size, prev) + _EPS * spread) / x0 + pole
-    if err > _EXP_RTOL * abs(w):
-        return None
-    return w
+    rest = 2.0 * (min(size, prev) + _EPS * spread) / x0
+    while rest + pole > _EXP_RTOL * abs(w + w_pole):
+        if far:
+            return None
+        far = True
+        w_pole, pole = _pole_term(x0, e_th)
+    return w + w_pole
 
 
 def _w_e1t(eta: float, x0: float) -> float:
@@ -545,8 +598,9 @@ def thermal_short_expansion(
     [Q(eta) + double zeta sum], inner sums truncated adaptively and
     capped at N = ceil(theta).
 
-    Requires z < 0.2 lambda_T (eta > 2.5) so Q and the sums converge;
-    raises ValidityError outside that window.
+    Requires z < 0.2 lambda_T (eta > 2.5) so Q and the sums converge,
+    and theta >= _SHORT_THETA_MIN, below which the capped inner sums miss
+    1e-8; raises ValidityError outside that window.
     """
     _z_power(z, 2)
     _check_env(atom, env)
@@ -554,6 +608,11 @@ def thermal_short_expansion(
         raise ValidityError(
             f"short-distance expansion needs z < 0.2 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
+        )
+    if env.theta < _SHORT_THETA_MIN:
+        raise ValidityError(
+            f"short-distance expansion needs theta >= {_SHORT_THETA_MIN:g}, "
+            f"got theta = {env.theta}"
         )
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)

@@ -406,9 +406,11 @@ class TestExitCodeMapping:
         assert _one_line_domain_error(capsys.readouterr().err)
 
     def test_thermal_rounding_loss_maps_to_3(self, capsys):
-        # theta = 30 at z = 1000 lambda_T: the E1t bracket would lose ~4e-7
+        # theta = 20 at a zero of the oscillating far-field W near
+        # 250 lambda_T (x0 = 1e4): the far-field form's rounding exceeds
+        # 1e-13 |W| and the E1t bracket would lose more than 1e-8
         lam = PhysicalConstants().thermal_wavelength_um(300.0)
-        argv = ["eval", "--k0", repr(30.0 / lam), "--z", repr(1000.0 * lam),
+        argv = ["eval", "--k0", repr(20.0 / lam), "--z", "1908.3810961947077",
                 "--temperature", "300"]
         code, out = run_main(argv)
         assert (code, out) == (3, "")
