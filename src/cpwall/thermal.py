@@ -37,10 +37,10 @@ one deterministic rule per point:
   (z >= lambda_T / 8) and from the Laurent series of coth above, whose
   terms end where their sums would cancel (``_laurent_terms``).  One
   loop sums either route and stops at its first omitted or smallest
-  term; where a route's terms run out before that, the next envelope
-  step stands for the rest.  It is taken where its error estimate (that
-  term, rounding, and a bound on the resonant pole the series misses) is
-  at most 1e-13 |W|, which needs theta >~ 45.  Where the pole bound
+  term; where a route's terms run out before that, the geometric tail
+  of the envelope stands for the rest.  It is taken where its error
+  estimate (that term, rounding, and a bound on the resonant pole the
+  series misses) is at most 1e-13 |W|, which needs theta >~ 45.  Where the pole bound
   fails, the far-field form adds the pole term exactly,
   W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = 1/(e^theta - 1),
   and bounds what is left by x0^2 e^-x0 plus the pole term's rounding:
@@ -52,6 +52,13 @@ one deterministic rule per point:
   ~45, which the far-field form leaves only near zeros of W.  The
   factor 4 covers the measured error, up to 2.6 eps x0^2 |K0| in
   scripts/sweep_branch_switches.py.
+
+Either route computes W of the float x0 = 2 k0 z, whose rounding moves
+the pole term's phase by up to eps x0 / 2.  ``thermal_potential_exact``
+raises ValidityError where the change of W, bounded by eps x0 pi b x0^2,
+exceeds 1e-8 of max(|W|, 2 pi / theta): near the zeros of W from
+x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7 below
+theta = 45.
 
 Short- and long-distance expansions (H_T with its double zeta sum, L_T
 with its polygamma sums) and the Lifshitz total asymptote
@@ -121,9 +128,16 @@ _EXP_RTOL = 1e-13
 _EXP_TERM_CAP = 40
 _EPS = sys.float_info.epsilon
 # The E1t route refuses when its bracket's rounding loss, estimated as
-# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|.
-_BRACKET_RTOL = 1e-8
+# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|, and either
+# route where the rounding of x0 does.
+_LOSS_RTOL = 1e-8
 _BRACKET_LOSS = 4.0
+# Below this x0 the rounding of x0 cannot move W by _LOSS_RTOL of
+# 2 pi / theta at any theta >= THETA_MIN (eps x0^3 pi b <= 2 pi 1e-8 /
+# theta, and theta b is largest at THETA_MIN): about 5.8e3.
+_X0_ROUNDING_MIN = (
+    2.0 * _LOSS_RTOL * math.expm1(THETA_MIN) / (_EPS * THETA_MIN)
+) ** (1.0 / 3.0)
 # The H_T form's inner sums are asymptotic and capped at N = ceil(theta):
 # against mpmath they miss 1e-8 of V_T at theta up to 29 (1.2e-8 at 29,
 # 1.1e-5 at 20, 1.8e-2 at 10) and hold 2.2e-9 at 30.
@@ -420,16 +434,18 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     series above.  The sum stops at the first term below 1e-17 of it or
     past its smallest term; where the terms run out first (the Laurent
     route ends where its sums would cancel, see _laurent_terms, and both
-    routes at _EXP_TERM_CAP terms), the next envelope step stands for the
-    rest.  It leaves early at j = 0 and j = 1 where the pole bound and the
-    rounding of I_0 already fail.  The estimate is that term, plus eps
-    times the magnitudes behind I_0 (they cancel near a zero of the static
-    term) and the later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
+    routes at _EXP_TERM_CAP terms), the envelope's tail from the next
+    step, summed as a geometric series with that step's ratio r, stands
+    for the rest, and it returns None where r >= 1.  It leaves early at
+    j = 0 and j = 1 where the pole bound and the rounding of I_0 already
+    fail.  The estimate is that term, plus eps times the magnitudes
+    behind I_0 (they cancel near a zero of the static term) and the
+    later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
     (1 - e^-theta), a bound on the resonant pole of alpha that the
     expansion misses.
 
     Where that pole bound fails one of the three checks (j = 0, j = 1,
-    the final estimate), W switches once to the far-field form: the sum
+    the final estimate), W switches to the far-field form: the sum
     plus the pole term W_pole taken exactly, with _pole_term's bound,
     which falls like e^-x0, in place of the pole bound.  The rest of the
     rule is unchanged, so the far-field form serves x0 >~ 40, and points
@@ -438,10 +454,20 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     theta = _check_pair(eta, x0)
     e_th = math.exp(-theta)
     pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
-    # each check that fails switches once to the far-field form, whose
+    # the first check that fails switches to the far-field form, whose
     # pole term (0.0 before) then adds to |W| in every check
     w_pole = 0.0
     far = False
+
+    def far_field() -> bool:
+        """Switch to the far-field form; False if it is already in use."""
+        nonlocal far, w_pole, pole
+        if far:
+            return False
+        far = True
+        w_pole, pole = _pole_term(x0, e_th)
+        return True
+
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
@@ -455,47 +481,46 @@ def _w_expansion(eta: float, x0: float) -> float | None:
             # the pole bound alone already fails: switch, and leave before
             # the series if the far-field form's bound fails too
             while pole >= _EXP_RTOL * 2.0 * size / x0 + _EXP_RTOL * abs(w_pole):
-                if far:
+                if not far_field():
                     return None
-                far = True
-                w_pole, pole = _pole_term(x0, e_th)
         elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
+            omitted = min(size, prev)
             break
         elif j == 1:
             # the pole bound and the rounding of the j = 0 pieces fail
             # against |W| read generously as |I_0| + 2 |I_1| (plus the
-            # pole term): switch once, then leave before the later terms
+            # pole term): switch, then leave before the later terms
             rounding = _EPS * (spread + abs(term))
             while 0.5 * x0 * pole + rounding > _EXP_RTOL * (
                 abs(total) + 2.0 * abs(term) + 0.5 * x0 * abs(w_pole)
             ):
-                if far:
+                if not far_field():
                     return None
-                far = True
-                w_pole, pole = _pole_term(x0, e_th)
         total += term
         spread += pieces if j == 0 else abs(term)
         prev = size
     else:
         # the terms ran out before the sum stopped (both routes yield
-        # j = 0: the Laurent route runs for eta > 4): the next envelope
-        # step stands for the rest
-        size = prev * (2 * j + 3) * (2 * j + 4) / rho2
-    w = 2.0 * total / x0
-    rest = 2.0 * (min(size, prev) + _EPS * spread) / x0
-    while rest + pole > _EXP_RTOL * abs(w + w_pole):
-        if far:
+        # j = 0: the Laurent route runs for eta > 4): the envelope's tail,
+        # read as geometric with the next step's ratio r, stands for the
+        # rest, and r >= 1 leaves
+        r = (2 * j + 3) * (2 * j + 4) / rho2
+        if r >= 1.0:
             return None
-        far = True
-        w_pole, pole = _pole_term(x0, e_th)
+        omitted = prev * r / (1.0 - r)
+    w = 2.0 * total / x0
+    rest = 2.0 * (omitted + _EPS * spread) / x0
+    while rest + pole > _EXP_RTOL * abs(w + w_pole):
+        if not far_field():
+            return None
     return w + w_pole
 
 
 def _w_e1t(eta: float, x0: float) -> float:
     """W from the E1t series, or ValidityError where the W bracket's
-    rounding loss, _BRACKET_LOSS eps x0^2 |K0|, exceeds _BRACKET_RTOL of
+    rounding loss, _BRACKET_LOSS eps x0^2 |K0|, exceeds _LOSS_RTOL of
     max(|W|, 2 pi / theta)."""
     terms = thermal_series_terms(eta, x0)
     w = _w_bracket(terms, x0)
@@ -504,13 +529,34 @@ def _w_e1t(eta: float, x0: float) -> float:
     # units), so that a sign change of V_T is not refused
     loss = _BRACKET_LOSS * _EPS * x0 * x0 * abs(terms.k0_val)
     scale = max(abs(w), 2.0 * math.pi / (eta * x0))
-    if loss > _BRACKET_RTOL * scale:
+    if loss > _LOSS_RTOL * scale:
         raise ValidityError(
             f"thermal series rounding loss {loss:.1e} exceeds "
-            f"{_BRACKET_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
+            f"{_LOSS_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
             f"x0 = {x0:.6g}, theta = {eta * x0:.6g}"
         )
     return w
+
+
+def _check_x0_rounding(w: float, eta: float, x0: float) -> None:
+    """ValidityError where the rounding of x0 = 2 k0 z, up to eps x0 / 2,
+    moves W by more than _LOSS_RTOL of max(|W|, 2 pi / theta).
+
+    Both routes compute W of the float x0, whose rounding moves the pole
+    term's phase: dW_pole/dx0 = pi b x0^2 sin x0, so the loss is bounded
+    by eps x0 pi b x0^2, b = e^-theta / (1 - e^-theta).  The scale is the
+    E1t route's (see _w_e1t).
+    """
+    theta = eta * x0
+    e_th = math.exp(-theta)
+    loss = _EPS * x0 * math.pi * e_th / (1.0 - e_th) * x0 * x0
+    scale = max(abs(w), 2.0 * math.pi / theta)
+    if loss > _LOSS_RTOL * scale:
+        raise ValidityError(
+            f"rounding of x0 moves W by up to {loss:.1e}, more than "
+            f"{_LOSS_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
+            f"x0 = {x0:.6g}, theta = {theta:.6g}"
+        )
 
 
 def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
@@ -533,7 +579,9 @@ def thermal_potential_exact(
     W comes from the static-alpha expansion where its error estimate is
     at most 1e-13 |W|, and from the E1t series elsewhere; the latter
     raises ValidityError where its bracket loses more than 1e-8 of
-    max(|W|, 2 pi / theta).
+    max(|W|, 2 pi / theta).  Either raises ValidityError where the
+    rounding of x0 = 2 k0 z moves W by more than that (see
+    _check_x0_rounding).
     """
     z3 = _z_power(z, 3)
     _check_env(atom, env)
@@ -543,6 +591,8 @@ def thermal_potential_exact(
     w = _w_expansion(eta, x0)
     if w is None:
         w = _w_e1t(eta, x0)
+    if x0 > _X0_ROUNDING_MIN:
+        _check_x0_rounding(w, eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
     return pref * w
 

@@ -406,11 +406,10 @@ class TestExitCodeMapping:
         assert _one_line_domain_error(capsys.readouterr().err)
 
     def test_thermal_rounding_loss_maps_to_3(self, capsys):
-        # theta = 20 at a zero of the oscillating far-field W near
-        # 250 lambda_T (x0 = 1e4): the far-field form's rounding exceeds
-        # 1e-13 |W| and the E1t bracket would lose more than 1e-8
+        # theta = 20 at 2.5e7 lambda_T (x0 = 1e9): the rounding of
+        # x0 = 2 k0 z alone moves W by ~2.6e-7 of |W|
         lam = PhysicalConstants().thermal_wavelength_um(300.0)
-        argv = ["eval", "--k0", repr(20.0 / lam), "--z", "1908.3810961947077",
+        argv = ["eval", "--k0", repr(20.0 / lam), "--z", repr(2.5e7 * lam),
                 "--temperature", "300"]
         code, out = run_main(argv)
         assert (code, out) == (3, "")

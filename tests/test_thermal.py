@@ -4,7 +4,6 @@ invariants, expansion windows, and limiting behavior."""
 from __future__ import annotations
 
 import math
-import sys
 
 import pytest
 from hypothesis import given
@@ -81,15 +80,14 @@ LOW_THETA_POINTS = [
     (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
 ]
 # the far-field form, expansion plus the exact pole term, from x0 = 40
-# to 1e9 below theta = 45: the E1t route refused theta = 30 at
+# to 8e6 below theta = 45: the E1t route refused theta = 30 at
 # 1000 lambda_T and 40 at 100 lambda_T
 FAR_POINTS = [(10.0, 2.0), (20.0, 1.0), (30.0, 1.0), (40.0, 3.0)]
 FAR_POINTS += [
     (theta, zr) for theta in (10.0, 20.0, 30.0, 40.0) for zr in (100.0, 1000.0, 1e5)
 ]
-FAR_POINTS += [(10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7)]
 # the Laurent route where its terms run out before the sum stops: the
-# next envelope step stands for the rest
+# envelope's geometric tail stands for the rest
 RUN_OUT_POINTS = [(101.95, 0.02893), (248.3, 0.04819), (1000.0, 0.05896)]
 FROZEN_POINTS = [
     (theta, zr)
@@ -101,14 +99,15 @@ E1T_POINTS = {(50.0, 0.125), (100.0, 0.125), (1000.0, 0.125)}
 E1T_POINTS |= {(theta, zr) for theta, zr in LOW_THETA_POINTS if zr < 1.0}
 
 
-def _vhat_rtol(theta: float, zr: float) -> float:
-    """2e-13 plus what the rounding of x0 = 2 k0 z on the dimensional
-    path, a few eps x0, moves the pole term of size pi b x0^2 by."""
+def _x0_shift_rtol(theta: float, zr: float, x0_dim: float) -> float:
+    """The most that moving x0 from the frozen 2 theta zr to the
+    dimensional path's 2 k0 z (they can differ in the last bit) moves W,
+    |shift| pi b x0^2, relative to |W|."""
     x0 = 2.0 * theta * zr
     e_th = math.exp(-theta)
     pole = math.pi * x0 * x0 * e_th / (1.0 - e_th)
     w = abs(REFERENCE[f"w_theta{theta:g}_zr{zr:g}"])
-    return 2e-13 + 4.0 * sys.float_info.epsilon * x0 * pole / w
+    return abs(x0_dim - x0) * pole / w
 
 
 class TestStaticAlphaExpansion:
@@ -126,10 +125,14 @@ class TestStaticAlphaExpansion:
     @pytest.mark.parametrize("theta,zr", FROZEN_POINTS)
     def test_frozen_vhat(self, theta: float, zr: float) -> None:
         atom, env = make_pair(theta)
-        v = thermal_potential_exact(atom, env, zr * LAMBDA_T)
+        z = zr * LAMBDA_T
+        v = thermal_potential_exact(atom, env, z)
         vhat = v / (CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4)
         ref = REFERENCE[f"vhat_theta{theta:g}_zr{zr:g}"]
-        tol = 5e-10 if (theta, zr) in E1T_POINTS else _vhat_rtol(theta, zr)
+        if (theta, zr) in E1T_POINTS:
+            tol = 5e-10
+        else:
+            tol = 2e-13 + _x0_shift_rtol(theta, zr, 2.0 * atom.k0 * z)
         assert vhat == pytest.approx(ref, rel=tol)
 
     @pytest.mark.parametrize("theta,zr", [(10.0, 0.3), (20.0, 0.75), (30.0, 0.05)])
@@ -183,6 +186,19 @@ class TestStaticLimit:
             diff[theta] = thermal_potential_exact(atom, env, z) - static
         ratio = diff[300.0] / diff[1000.0]
         assert ratio == pytest.approx((1000.0 / 300.0) ** 2, rel=1e-3)
+
+
+class TestX0Rounding:
+    @pytest.mark.parametrize(
+        "theta,zr", [(10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7)]
+    )
+    def test_refused_at_x0_1e9(self, theta: float, zr: float) -> None:
+        # x0 = 2 k0 z ~ 1e9: its rounding alone moves the pole term, and
+        # so W, by up to 2.6e-7 to 9.8e-7 of |W|, although the far-field form
+        # is within 1e-13 of mpmath at the float x0
+        atom, env = make_pair(theta)
+        with pytest.raises(ValidityError, match="rounding of x0"):
+            thermal_potential_exact(atom, env, zr * LAMBDA_T)
 
 
 class TestBracketLoss:
