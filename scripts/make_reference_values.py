@@ -56,14 +56,6 @@ def bose_p(eta):
     return mp.pi / mp.tanh(mp.pi / eta) / (2 * eta) - mp.mpf(1) / 2
 
 
-def q_series(x, terms=400):
-    x = mp.mpf(x)
-    s = mp.mpf(0)
-    for m in range(2, terms):
-        s += (-1) ** m * (1 - mp.mpf(1) / m) * mp.zeta(2 * m) / x ** (2 * m)
-    return s
-
-
 def w_series(x0, eta, M=60):
     """Thermal series W(x0, eta); validated against PV quadrature."""
     x0 = mp.mpf(x0)
@@ -147,18 +139,16 @@ def main() -> None:
 
     for eta in (0.01, 0.1, 1.0, 10.0):
         ref[f"bose_p_{eta:g}"] = float(bose_p(eta))
-    ref["q_10"] = float(q_series(10.0))
-    ref["q_2"] = float(q_series(2.0))
     ref["zeta_40_minus_1"] = float(mp.zeta(40) - 1)
 
     thermal_points = [
         (100.0, 0.05), (100.0, 0.3), (100.0, 1.0),
         (30.0, 0.5), (300.0, 0.2),
     ]
-    # the static-alpha expansion's range, both of its derivative routes
-    # (z >= lambda_T / 8 and z = 0.01 lambda_T) and the E1t route at
-    # theta = 30; theta = 50 at z = 1000 lambda_T is left out because
-    # thermal_potential_exact refuses it
+    # the static-alpha expansion's range (z >= lambda_T / 8), the H_T
+    # form (z = 0.01 lambda_T) and the E1t route at theta = 30; theta = 50
+    # at z = 1000 lambda_T is left out because thermal_potential_exact
+    # refuses it
     thermal_points += [
         (theta, zr)
         for theta in (50.0, 100.0, 1000.0)
@@ -180,19 +170,17 @@ def main() -> None:
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0, 30.0, 40.0) for zr in (100.0, 1000.0, 1e5)
     ]
-    # the Laurent route where its terms run out before the sum stops
+    # the H_T form at eta 8.5-17 and x0 6-118
     thermal_points += [(101.95, 0.02893), (248.3, 0.04819), (1000.0, 0.05896)]
+    # the C(T) plateau: theta = 40 at z = 5e-4 lambda_T, 100 at 1e-10 and
+    # 30 at 1e-8, where the E1t series is off by 2.4e-7 up to orders of
+    # magnitude
+    thermal_points += [(40.0, 0.0005), (100.0, 1e-10), (30.0, 1e-8)]
     for theta, zr in thermal_points:
         x0 = 2 * theta * zr
         eta = 1 / (2 * mp.mpf(zr))
         ref[f"w_theta{theta:g}_zr{zr:g}"] = float(w_series(x0, eta))
         ref[f"vhat_theta{theta:g}_zr{zr:g}"] = float(vhat(theta, zr))
-    # theta = 40 at z = 5e-4 lambda_T: the E1t route is off by 2.4e-7
-    # there and does not refuse (a strict xfail in tests/test_thermal.py).
-    # perfbench requires every w_theta*/vhat_theta* key to hold to 1e-8,
-    # so this known fault is kept under its own prefix.
-    ref["known_fault_vhat_theta40_zr0.0005"] = float(vhat(40.0, 0.0005))
-
     lines = [
         "# Generated by scripts/make_reference_values.py -- do not edit by hand.",
         "# 50-digit mpmath evaluations rounded to float64.",

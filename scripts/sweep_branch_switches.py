@@ -10,13 +10,15 @@ grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
 x0 = 30 to 1e12, the E1t bracket and the asymptotic series apart.  The
-thermal sections check W where thermal_potential_exact takes the
-static-alpha expansion (its far-field form, with the exact pole term,
-from x0 = 40 to 1e9 below theta = 45), and W of the E1t series where it
-does not.  The script exits with status 1 when h0's series, where it is
-taken, is off by more than 1e-10, when the worst error of the expansion
-exceeds 2e-13, or when an E1t-series point that thermal_potential_exact
-accepts misses 1e-8 of max(|W|, 2 pi/theta).
+thermal sections check W of each route of thermal_potential_exact: the
+H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25), the
+static-alpha expansion where it is taken (its far-field form, with the
+exact pole term, from x0 = 40 to 1e9 below theta = 45), and the E1t
+series elsewhere.  The script exits with status 1 when h0's series,
+where it is taken, is off by more than 1e-10, when the H_T form is off
+by more than 1e-11 of |W|, when the worst error of the expansion exceeds
+2e-13, or when an E1t-series point that thermal_potential_exact accepts
+misses 1e-8 of max(|W|, 2 pi/theta).
 """
 
 from __future__ import annotations
@@ -113,16 +115,10 @@ def sweep_polygamma() -> None:
     report("_polygamma_scaled (m in 40..160)", pts2, got, want)
 
 
-def sweep_bose_q() -> None:
+def sweep_bose() -> None:
     grid = np.geomspace(0.02, 50.0, 200)
     want = [float(mp.pi / mp.tanh(mp.pi / e) / (2 * e) - mp.mpf(1) / 2) for e in grid]
     report("bose_sum_p (switch 2)", grid, [sf.bose_sum_p(float(e)) for e in grid], want)
-
-    grid_q = np.geomspace(1.05, 40.0, 60)
-    def q_ref(x):
-        x = mp.mpf(float(x))
-        return float(mp.nsum(lambda m: (-1) ** m * (1 - 1 / m) * mp.zeta(2 * m) / x ** (2 * m), [2, mp.inf]))
-    report("q_series (1.05..40)", grid_q, [sf.q_series(float(x)) for x in grid_q], [q_ref(x) for x in grid_q])
 
 
 H0_SERIES_RTOL = 1e-10
@@ -149,22 +145,49 @@ def sweep_h0() -> bool:
     return worst <= H0_SERIES_RTOL
 
 
+SHORT_RTOL = 1e-11
+
+
+def sweep_short() -> bool:
+    """W of the H_T form, which thermal_potential_exact takes for
+    z < lambda_T / 8, against the mpmath E1t series on theta 10-1000 x
+    x0/theta 1e-10-0.25 and x0 = 2 (where the m = 2 factor of the
+    printed form vanishes), with the thetas where n theta = 40 switches
+    F from E1t to the zeta tail and theta = 35, next to E1t's |w| = 35
+    switch.  mpmath gets the same float x0 and eta.  True when the worst
+    error is within SHORT_RTOL of |W|."""
+    from make_reference_values import w_series  # sets mp.mp.dps = 50
+
+    thetas = sorted({*np.geomspace(10.0, 1000.0, 13).tolist(), 13.34, 20.0, 35.0, 40.0, 44.0})
+    pts, got, want = [], [], []
+    with mp.workdps(50):
+        for theta in thetas:
+            for q in [*np.geomspace(1e-10, 0.25, 12).tolist(), 2.0 / theta]:
+                x0 = q * theta
+                eta = theta / x0
+                pts.append((theta, q))
+                got.append(2.0 * th._h_t(eta, x0) / (eta**3 * theta))
+                want.append(float(w_series(mp.mpf(x0), mp.mpf(eta))))
+    report("thermal H_T form (x0/theta)", pts, got, want)
+    return max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= SHORT_RTOL
+
+
 THERMAL_RTOL = 2e-13
 
 
 def sweep_thermal() -> bool:
     """W of the static-alpha expansion against the mpmath E1t series:
-    64 points straddling its switch (theta around the pole bound's edge,
-    ~45; z/lambda_T around the coth/Laurent switch, eta = 4, and the
-    sign change of V_T near 0.307), and the far-field form (expansion
-    plus the exact pole term) on theta 10-44 x x0 40-1e9.  The far grid
-    hands mpmath the same float x0 and eta, since cos x0 inherits the
-    rounding of x0 itself (relative eps x0).  True when the worst error
-    where the expansion is taken is within THERMAL_RTOL."""
+    40 points straddling its switch (theta around the pole bound's edge,
+    ~45; z/lambda_T from the H_T form's switch, eta = 4, to the sign
+    change of V_T near 0.307 and beyond), and the far-field form
+    (expansion plus the exact pole term) on theta 10-44 x x0 40-1e9.
+    The far grid hands mpmath the same float x0 and eta, since cos x0
+    inherits the rounding of x0 itself (relative eps x0).  True when the
+    worst error where the expansion is taken is within THERMAL_RTOL."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     thetas = (38.0, 42.0, 45.0, 48.0, 52.0, 60.0, 100.0, 1000.0)
-    zrs = (0.01, 0.05, 0.12, 0.125, 0.13, 0.307, 1.0, 30.0)
+    zrs = (0.125, 0.13, 0.307, 1.0, 30.0)
     near = [
         ((theta, zr), 1.0 / (2.0 * zr), 2.0 * theta * zr)
         for theta in thetas
@@ -207,12 +230,12 @@ SERIES_RTOL = 1e-8
 
 def sweep_series() -> bool:
     """W of the E1t series against the mpmath E1t series for theta 10-44
-    and z/lambda_T 3e-3-1000, where the expansion is not taken.  Errors
-    are relative to max(|W|, 2 pi/theta), as the refusal's are; the
-    refusal's estimate eps x0^2 |K0| is reported next to them, at every
-    point, since the large-x0 points that calibrate it now take the
-    far-field form.  True when every point thermal_potential_exact
-    accepts is within SERIES_RTOL."""
+    and z/lambda_T 3e-3-1000, where neither the H_T form nor the
+    expansion is taken.  Errors are relative to max(|W|, 2 pi/theta), as
+    the refusal's are; the refusal's estimate eps x0^2 |K0| is reported
+    next to them, at every point, since the large-x0 points that
+    calibrate it now take the far-field form.  True when every point
+    thermal_potential_exact accepts is within SERIES_RTOL."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     thetas = (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)
@@ -229,7 +252,7 @@ def sweep_series() -> bool:
             err = abs(w - want) / scale
             if err > 1e-10:
                 ratio = max(ratio, err * scale / (th._EPS * x0 * x0 * abs(terms.k0_val)))
-            if th._w_expansion(eta, x0) is not None:
+            if eta > th._SHORT_ETA or th._w_expansion(eta, x0) is not None:
                 continue
             try:
                 th._w_e1t(eta, x0)
@@ -250,8 +273,9 @@ if __name__ == "__main__":
     sweep_aux()
     sweep_e1t()
     sweep_polygamma()
-    sweep_bose_q()
+    sweep_bose()
     ok = sweep_h0()
+    ok = sweep_short() and ok
     ok = sweep_thermal() and ok
     ok = sweep_series() and ok
     sys.exit(0 if ok else 1)

@@ -90,7 +90,8 @@ _SCALAR_FLOOR = 2e-14
 
 class QuadratureReport(Record):
     """One oracle evaluation: value with an honest absolute error
-    estimate and its panel count."""
+    estimate and its panel count.  The oracles build it by position
+    (value, abs_error_estimate, subdivisions), the record's fast path."""
 
     __slots__ = ("value", "abs_error_estimate", "subdivisions")
 
@@ -245,11 +246,7 @@ def vacuum_split_quadrature(
     x0 = 2.0 * atom.k0 * z
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (16.0 * _PI * z3)
     val, est, panels = _h0_quadrature(x0)
-    return QuadratureReport(
-        value=2.0 * pref * val,
-        abs_error_estimate=2.0 * pref * est,
-        subdivisions=panels,
-    )
+    return QuadratureReport(2.0 * pref * val, 2.0 * pref * est, panels)
 
 
 # ----------------------------------------------------------------------
@@ -349,11 +346,7 @@ def thermal_quadrature(
     # (x0^2 - 2) bracket cancellation at large x0 (measured need 8e-12
     # on the acceptance grids, taken with 6x headroom).
     est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
-    return QuadratureReport(
-        value=float(value),
-        abs_error_estimate=float(est),
-        subdivisions=panels,
-    )
+    return QuadratureReport(float(value), float(est), panels)
 
 
 def thermal_quadrature_static(
@@ -376,9 +369,7 @@ def thermal_quadrature_static(
     pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z4)
     value = pref * v
     return QuadratureReport(
-        value=float(value),
-        abs_error_estimate=float(pref * (e + _COMPARISON_FLOOR * g) + 1e-300),
-        subdivisions=half.size,
+        float(value), float(pref * (e + _COMPARISON_FLOOR * g) + 1e-300), half.size
     )
 
 
@@ -433,11 +424,7 @@ def f_integral_oracle(x: float) -> QuadratureReport:
     scale = math.exp(-x * t_split) / x
     value = float(head + scale * tail)
     err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
-    return QuadratureReport(
-        value=value,
-        abs_error_estimate=float(err) + 1e-300,
-        subdivisions=t_half.size + v_half.size,
-    )
+    return QuadratureReport(value, float(err) + 1e-300, t_half.size + v_half.size)
 
 
 # zeta(n + 1) for the moments bose_integral serves
@@ -466,7 +453,5 @@ def bose_integral_quadrature(n: int) -> QuadratureReport:
     u, half = _gl_points(_uniform_edges(0.0, 32.0 * _PI, _PI))
     v, e, g = _panel_sums(u**n * _bose_weight(u), half)
     return QuadratureReport(
-        value=float(v),
-        abs_error_estimate=float(e + _SCALAR_FLOOR * g) + 1e-300,
-        subdivisions=half.size,
+        float(v), float(e + _SCALAR_FLOOR * g) + 1e-300, half.size
     )

@@ -388,20 +388,3 @@ def bose_sum_p(eta: float) -> float:
         if term < 1e-18 * (abs(s) + 1e-300):
             return s
     raise ConvergenceError(f"bose_sum_p series stalled at eta={eta}")
-
-
-def q_series(x: float) -> float:
-    """Q(x) = sum_{m>=2} (-1)^m (1 - 1/m) zeta(2m) / x^{2m}, x > 1."""
-    if x <= 1.0:
-        raise DomainError(f"q_series diverges for x <= 1, got {x}")
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    p = inv2
-    for m in range(2, 200000):
-        p *= inv2
-        term = (1.0 - 1.0 / m) * _zeta_even_unchecked(m) * p
-        s += term if m % 2 == 0 else -term
-        # alternating series: first omitted term bounds the remainder
-        if term < 1e-17 * (abs(s) + 1e-300):
-            return s
-    raise ConvergenceError(f"q_series did not meet its tail bound at x={x}")

@@ -27,21 +27,22 @@ each, those from 40 on from the paired asymptotic series
 (``specfun._e1t_pair``, one Horner pass in 1/w^2), so theta >= 40
 needs no E1t call at all.
 
-``thermal_potential_exact`` evaluates W by one of two routes, chosen by
-one deterministic rule per point:
+``thermal_potential_exact`` evaluates W by one of three routes, chosen
+by one deterministic rule per point:
 
-* the expansion of alpha(k) = alpha0 / (1 - (k/k0)^2) about the static
-  polarizability (``_w_expansion``), a series in 1/x0^2 whose terms fall
-  like 1/theta^2 and whose leading term does not depend on k0.  Its
-  derivatives of coth come from a Riccati recurrence for eta <= 4
-  (z >= lambda_T / 8) and from the Laurent series of coth above, whose
-  terms end where their sums would cancel (``_laurent_terms``).  One
-  loop sums either route and stops at its first omitted or smallest
-  term; where a route's terms run out before that, the geometric tail
-  of the envelope stands for the rest.  It is taken where its error
-  estimate (that term, rounding, and a bound on the resonant pole the
-  series misses) is at most 1e-13 |W|, which needs theta >~ 45.  Where the pole bound
-  fails, the far-field form adds the pole term exactly,
+* for z < lambda_T / 8 (eta > 4, x0 < theta / 4), the exact H_T form
+  (``_h_t``): the short-distance double zeta sum with its inner sums
+  resummed through F(y) = -[Re E1t(-y) + E1t(y)] / 2, a series in
+  1/eta^2 whose leading term is C(T) and holds no power of z;
+* for z >= lambda_T / 8, the expansion of alpha(k) = alpha0 /
+  (1 - (k/k0)^2) about the static polarizability (``_w_expansion``), a
+  series in 1/x0^2 whose terms fall like 1/theta^2 and whose leading
+  term does not depend on k0.  Its derivatives of coth come from a
+  Riccati recurrence, and it stops at its first omitted or smallest
+  term.  It is taken where its error estimate (that term, rounding,
+  and a bound on the resonant pole the series misses) is at most
+  1e-13 |W|, which needs theta >~ 45.  Where the pole bound fails, the
+  far-field form adds the pole term exactly,
   W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = 1/(e^theta - 1),
   and bounds what is left by x0^2 e^-x0 plus the pole term's rounding:
   this takes x0 >~ 40 (z >~ 20 lambda_T / theta) at every theta, except
@@ -53,15 +54,15 @@ one deterministic rule per point:
   factor 4 covers the measured error, up to 2.6 eps x0^2 |K0| in
   scripts/sweep_branch_switches.py.
 
-Either route computes W of the float x0 = 2 k0 z, whose rounding moves
-the pole term's phase by up to eps x0 / 2.  ``thermal_potential_exact``
+The last two routes compute W of the float x0 = 2 k0 z, whose rounding
+moves the pole term's phase by up to eps x0 / 2.  ``thermal_potential_exact``
 raises ValidityError where the change of W, bounded by eps x0 pi b x0^2,
 exceeds 1e-8 of max(|W|, 2 pi / theta): near the zeros of W from
 x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7 below
 theta = 45.
 
-Short- and long-distance expansions (H_T with its double zeta sum, L_T
-with its polygamma sums) and the Lifshitz total asymptote
+Short- and long-distance expansions (H_T, the first route on its own,
+and L_T with its polygamma sums) and the Lifshitz total asymptote
 -(k_B T) alpha0 / 4 z^3 complete the module.  All series are summed in
 a fixed order so repeated runs are bit-identical.
 """
@@ -83,11 +84,10 @@ from .specfun import (
     _e1t_pair,
     _hurwitz_range,
     _polygamma_scaled,
+    _scaled_e1_upper,
     _zeta_even_unchecked,
     bose_sum_p,
-    q_series,
     scaled_e1,
-    zeta_even,
 )
 from .vacuum import AtomParams, _z_power, classify_regime, vacuum_potential
 
@@ -119,16 +119,16 @@ CURV_SHORT = (2.0 * math.pi) ** 5 / 315.0
 # the rest goes into the zeta/digamma tails.
 _HEAD_SCALE = 240.0
 
-# Switch rule of the static-alpha expansion: taken where its error
-# estimate is at most _EXP_RTOL |W|.  Its derivatives come from coth's
-# Taylor coefficients up to eta = _EXP_ETA_MAX and from P's Laurent
-# series above.
-_EXP_ETA_MAX = 4.0
+# Route split: the H_T form for eta > _SHORT_ETA (z < lambda_T / 8), the
+# static-alpha expansion below, taken where its error estimate is at
+# most _EXP_RTOL |W|.  Both series raise ConvergenceError if they have
+# not stopped after _TERM_CAP terms.
+_SHORT_ETA = 4.0
 _EXP_RTOL = 1e-13
-_EXP_TERM_CAP = 40
+_TERM_CAP = 40
 _EPS = sys.float_info.epsilon
 # The E1t route refuses when its bracket's rounding loss, estimated as
-# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|, and either
+# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|, and every
 # route where the rounding of x0 does.
 _LOSS_RTOL = 1e-8
 _BRACKET_LOSS = 4.0
@@ -138,10 +138,6 @@ _BRACKET_LOSS = 4.0
 _X0_ROUNDING_MIN = (
     2.0 * _LOSS_RTOL * math.expm1(THETA_MIN) / (_EPS * THETA_MIN)
 ) ** (1.0 / 3.0)
-# The H_T form's inner sums are asymptotic and capped at N = ceil(theta):
-# against mpmath they miss 1e-8 of V_T at theta up to 29 (1.2e-8 at 29,
-# 1.1e-5 at 20, 1.8e-2 at 10) and hold 2.2e-9 at 30.
-_SHORT_THETA_MIN = 30.0
 
 
 class ThermalEnvironment(Record):
@@ -366,41 +362,6 @@ def _coth_terms(eta: float, x0: float) -> Iterator[tuple[float, float]]:
         scale *= f2 * inv_x2
 
 
-def _laurent_terms(eta: float, theta: float) -> Iterator[tuple[float, float]]:
-    """I_j / x0^(2j), j = 0, 1, ..., from the Laurent series of P (eta > 4),
-    each with the sum of the magnitudes it is built from.
-
-    P(a) = sum_k (-1)^(k+1) zeta(2k) a^(2k-1) / eta^(2k) (DLMF 4.36) has
-    no pole to subtract, and the bracket of I_j sums exactly to
-
-        I_j = sum_i (-1)^i zeta(2(j+i+2)) (2(j+i)+3)! / ((2i+3) (2i)!)
-              / eta^(2(j+i+2)).
-
-    The terms stop where that alternating sum would no longer decrease
-    from its first term (it would cancel).
-    """
-    eta2 = eta * eta
-    inv_t2 = 1.0 / (theta * theta)
-    lead = 6.0 / (eta2 * eta2)  # (2j+3)! / (eta^4 theta^(2j))
-    for j in count():
-        if 3 * (2 * j + 4) * (2 * j + 5) > 5.0 * eta2:
-            return
-        u = 1.0 / 3.0
-        acc = pieces = 0.0
-        for i in count():
-            term = u * _zeta_even_unchecked(j + i + 2)
-            acc += term
-            pieces += abs(term)
-            if abs(term) <= 1e-17 * acc:
-                break
-            k = 2 * (j + i)
-            u *= -(k + 4) * (k + 5) * (2 * i + 3) / (
-                (2 * i + 1) * (2 * i + 2) * (2 * i + 5) * eta2
-            )
-        yield lead * acc, lead * pieces
-        lead *= (2 * j + 4) * (2 * j + 5) * inv_t2
-
-
 def _pole_term(x0: float, e_th: float) -> tuple[float, float]:
     """The far-field form's resonant pole term and its error bound.
 
@@ -430,19 +391,16 @@ def _w_expansion(eta: float, x0: float) -> float | None:
 
     with P(1) = bose_sum_p(eta); j = 0 is the static-alpha term, the
     terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
-    from coth's Taylor coefficients for eta <= 4 and from P's Laurent
-    series above.  The sum stops at the first term below 1e-17 of it or
-    past its smallest term; where the terms run out first (the Laurent
-    route ends where its sums would cancel, see _laurent_terms, and both
-    routes at _EXP_TERM_CAP terms), the envelope's tail from the next
-    step, summed as a geometric series with that step's ratio r, stands
-    for the rest, and it returns None where r >= 1.  It leaves early at
-    j = 0 and j = 1 where the pole bound and the rounding of I_0 already
-    fail.  The estimate is that term, plus eps times the magnitudes
-    behind I_0 (they cancel near a zero of the static term) and the
-    later terms, plus pi b (x0^2 + 2 x0 + 2), b = e^-theta /
-    (1 - e^-theta), a bound on the resonant pole of alpha that the
-    expansion misses.
+    from coth's Taylor coefficients, which hold for eta <= 4 (above,
+    thermal_potential_exact takes the H_T form, see _h_t).  The sum stops
+    at the first term below 1e-17 of it or past its smallest term, and
+    raises ConvergenceError if it has not stopped after _TERM_CAP terms.
+    It leaves early at j = 0 and j = 1 where the pole bound and the
+    rounding of I_0 already fail.  The estimate is that term, plus eps
+    times the magnitudes behind I_0 (they cancel near a zero of the
+    static term) and the later terms, plus pi b (x0^2 + 2 x0 + 2),
+    b = e^-theta / (1 - e^-theta), a bound on the resonant pole of alpha
+    that the expansion misses.
 
     Where that pole bound fails one of the three checks (j = 0, j = 1,
     the final estimate), W switches to the far-field form: the sum
@@ -471,9 +429,8 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
-    terms = _coth_terms(eta, x0) if eta <= _EXP_ETA_MAX else _laurent_terms(eta, theta)
     total = prev = spread = 0.0
-    for j, (term, pieces) in zip(range(_EXP_TERM_CAP), terms):
+    for j, (term, pieces) in zip(range(_TERM_CAP), _coth_terms(eta, x0)):
         # the poles' phases can make one term small by accident, so its
         # size is the larger of it and the previous size's envelope step
         size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
@@ -502,20 +459,113 @@ def _w_expansion(eta: float, x0: float) -> float | None:
         spread += pieces if j == 0 else abs(term)
         prev = size
     else:
-        # the terms ran out before the sum stopped (both routes yield
-        # j = 0: the Laurent route runs for eta > 4): the envelope's tail,
-        # read as geometric with the next step's ratio r, stands for the
-        # rest, and r >= 1 leaves
-        r = (2 * j + 3) * (2 * j + 4) / rho2
-        if r >= 1.0:
-            return None
-        omitted = prev * r / (1.0 - r)
+        raise ConvergenceError(
+            f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
+            f"eta = {eta:.6g}, x0 = {x0:.6g}"
+        )
     w = 2.0 * total / x0
     rest = 2.0 * (omitted + _EPS * spread) / x0
     while rest + pole > _EXP_RTOL * abs(w + w_pole):
         if not far_field():
             return None
     return w + w_pole
+
+
+def _h_t(eta: float, x0: float) -> float:
+    """theta^4 h_T, h_T = W / (2 x0^3), from the exact H_T form, for
+    eta > 2.5.
+
+    With F(y) = -[Re E1t(-y) + E1t(y)] / 2 (E1t(-y) on the upper side
+    of its cut), whose asymptotic series is sum_{j>=1} (2j-1)! / y^(2j)
+    (DLMF 6.12.1-2), and
+
+        I_m = sum_{n>=1} [F(n theta) - sum_{j<m} (2j-1)! / (n theta)^(2j)],
+
+    the H_T form reads
+
+        h_T = sum_{m>=2} (-1)^m x0^(2m-4) / (2m-1)!
+              [2 I_m - x0^2 (1 - 1/m) I_{m+1}]:
+
+    the identity I_m - I_{m+1} = (2m-1)! zeta(2m) / theta^(2m) has
+    cancelled the printed form's Q(eta).  The sum runs on
+    J_m = I_m theta^(2m) / (2m-1)!, which tends to zeta(2m), so that
+    theta^4 h_T = sum_m (-u^2)^(m-2) [2 J_m - u^2 (2m-2) (2m+1) J_{m+1}],
+    u = x0 / theta = 1/eta, holds no power of x0 or theta that could
+    over- or underflow.  Its terms fall like 1/eta^2.
+
+    For the n with n theta < 40 (at most three) F comes from E1t and
+    sheds its head terms one at a time.  For n >= n0 the inner sums are
+    the tails of sum_j c_j, c_j = (2j-1)! [zeta(2j) - sum_{k<n0}
+    k^(-2j)] / theta^(2j), cut at its smallest term; they are summed
+    over m first, so that c_j adds c_j times the coefficient the outer
+    sum gives it.  The sum stops at the first m where the magnitudes of
+    its pieces, plus u^(2m-4) zeta(2m), which unlike J_m never vanishes
+    by accident, fall below 1e-17 of the sum.
+
+    Against mpmath (50 digits) W is within 7e-15 at theta >= 44 and
+    2.6e-12 below, at worst at theta 30-35, where F minus its head
+    carries the rounding of E1t near |w| = 35.
+    """
+    theta = _check_pair(eta, x0)
+    theta2 = theta * theta
+    u2 = 1.0 / (eta * eta)
+    # the n < n0 terms of J_2, and 1/n^2 for their head terms
+    near = 0.0
+    inv_n2 = []
+    for n in count(1):
+        y = n * theta
+        if y >= _PAIR_MIN:
+            break
+        e_minus = _scaled_e1_upper(complex(-y, 0.0)).real
+        e_plus = _scaled_e1_upper(complex(y, 0.0)).real
+        f_rest = -0.5 * (e_minus + e_plus) - 1.0 / (y * y)
+        near += f_rest * theta2 * theta2 / 6.0
+        inv_n2.append(1.0 / (n * n))
+    powers = inv_n2  # n^(2-2m) before step m
+    weight = 1.0  # u^(2m-4)
+    total = coef = spread = b = head = 0.0
+    far, prev_tail = True, math.inf
+    for m in range(2, _TERM_CAP):
+        if inv_n2:
+            powers = [p * q for p, q in zip(powers, inv_n2)]
+            head = sum(powers)
+        zeta = _zeta_even_unchecked(m)
+        a = 2.0 * weight if m % 2 == 0 else -2.0 * weight
+        v = u2 * (2 * m - 2) * (2 * m + 1)
+        near_next = (near - head) * theta2 / ((2 * m) * (2 * m + 1))
+        total += a * near - 0.5 * a * v * near_next
+        size = weight * (2.0 * abs(near) + v * abs(near_next) + zeta)
+        # the far tails: c_m / c_(m-1) is step times the ratio of their
+        # zeta differences, and coef the coefficient the outer sum
+        # gives c_m, in the units of J_m
+        step = (2 * m - 2) * (2 * m - 1) / theta2
+        coef = coef * step + a - b
+        spread = spread * step + abs(a) + abs(b)
+        b = 0.5 * a * v
+        tail = zeta - head
+        # cut before the first c_m above c_(m-1)
+        far = far and step * abs(tail) < abs(prev_tail)
+        if far:
+            total += tail * coef
+            size += abs(tail) * spread
+        prev_tail = tail
+        if size <= 1e-17 * abs(total):
+            return total
+        near = near_next
+        weight *= u2
+    raise ConvergenceError(
+        f"H_T form did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "
+        f"x0 = {x0:.6g}"
+    )
+
+
+def _v_short(
+    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants, z: float
+) -> float:
+    """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
+    (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
+    h_t = _h_t(env.lambda_T / (2.0 * z), 2.0 * atom.k0 * z)
+    return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * env.lambda_T**4) * h_t
 
 
 def _w_e1t(eta: float, x0: float) -> float:
@@ -576,18 +626,22 @@ def thermal_potential_exact(
 ) -> float:
     """Ground-truth thermal correction V_T(z) in eV.
 
-    W comes from the static-alpha expansion where its error estimate is
-    at most 1e-13 |W|, and from the E1t series elsewhere; the latter
-    raises ValidityError where its bracket loses more than 1e-8 of
-    max(|W|, 2 pi / theta).  Either raises ValidityError where the
-    rounding of x0 = 2 k0 z moves W by more than that (see
-    _check_x0_rounding).
+    W comes from the H_T form for z < lambda_T / 8, from the
+    static-alpha expansion where its error estimate is at most 1e-13 |W|,
+    and from the E1t series elsewhere; the latter raises ValidityError
+    where its bracket loses more than 1e-8 of max(|W|, 2 pi / theta).
+    The last two raise ValidityError where the rounding of x0 = 2 k0 z
+    moves W by more than that (see _check_x0_rounding).
     """
     z3 = _z_power(z, 3)
     _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
+    if eta > _SHORT_ETA:
+        # x0 > _X0_ROUNDING_MIN would need theta > 2.3e4, where the pole
+        # term that _check_x0_rounding bounds is 0
+        return _v_short(atom, env, cst, z)
     w = _w_expansion(eta, x0)
     if w is None:
         w = _w_e1t(eta, x0)
@@ -617,40 +671,18 @@ def thermal_short_leading(
     return scale * (C_SHORT / lam**4 - CURV_SHORT * z * z / lam**6)
 
 
-def _ht_inner_sum(m: int, theta: float, n_cap: int) -> float:
-    """sum_{j=m}^{<=n_cap} (2j-1)! zeta(2j) / theta^{2j}, truncated at the
-    smallest term of the asymptotic sequence."""
-    log_t = math.lgamma(2 * m) - 2 * m * math.log(theta)
-    if log_t < -700.0:
-        return 0.0
-    t = math.exp(log_t) * zeta_even(m)
-    acc = 0.0
-    prev = math.inf
-    for j in range(m, n_cap + 1):
-        if t > prev:
-            break
-        acc += t
-        if t <= 1e-18 * acc:
-            break
-        prev = t
-        t *= (2 * j) * (2 * j + 1) / (theta * theta)
-        t *= zeta_even(j + 1) / zeta_even(j)
-    return acc
-
-
 def thermal_short_expansion(
     atom: AtomParams,
     env: ThermalEnvironment,
     z: float,
     constants: PhysicalConstants | None = None,
 ) -> float:
-    """Short-distance H_T form: V_T = (hbar c / 2 pi)(alpha0 k0^2 / z^2)
-    [Q(eta) + double zeta sum], inner sums truncated adaptively and
-    capped at N = ceil(theta).
+    """Short-distance H_T form: V_T = (2 / pi) hbar c alpha0 k0^4 h_T,
+    with h_T the exact form of _h_t (no power of z in the prefactor).
 
-    Requires z < 0.2 lambda_T (eta > 2.5) so Q and the sums converge,
-    and theta >= _SHORT_THETA_MIN, below which the capped inner sums miss
-    1e-8; raises ValidityError outside that window.
+    Requires z < 0.2 lambda_T (eta > 2.5), so that the outer sum
+    converges; raises ValidityError beyond.  From z < lambda_T / 8 on,
+    thermal_potential_exact takes the same form.
     """
     _z_power(z, 2)
     _check_env(atom, env)
@@ -659,41 +691,8 @@ def thermal_short_expansion(
             f"short-distance expansion needs z < 0.2 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    if env.theta < _SHORT_THETA_MIN:
-        raise ValidityError(
-            f"short-distance expansion needs theta >= {_SHORT_THETA_MIN:g}, "
-            f"got theta = {env.theta}"
-        )
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta = env.lambda_T / (2.0 * z)
-    x0 = 2.0 * atom.k0 * z
-    theta = eta * x0
-    n_cap = int(math.ceil(theta))
-
-    # The sum runs on H_T / x0^2, with a_m b_m / x0^2 = x0^(2m-4)
-    # (2 - x0^2 (1 - 1/m)) / (2m-1)!: its leading m = 2 term holds no
-    # power of x0, so it cannot underflow however short z is.
-    h_t = q_series(eta) / x0 / x0
-    log_x0 = math.log(x0)
-    small = 0
-    for m in range(2, 601):
-        inner = _ht_inner_sum(m, theta, n_cap)
-        power = math.exp((2 * m - 4) * log_x0 - math.lgamma(2 * m))
-        term = power * (2.0 - x0 * x0 * (1.0 - 1.0 / m)) * inner
-        h_t += term if m % 2 == 0 else -term
-        if abs(term) <= 1e-17 * (abs(h_t) + 1e-300):
-            small += 1
-            if small >= 2:
-                break
-        else:
-            small = 0
-    else:
-        raise ConvergenceError(
-            f"H_T outer sum did not converge at z/lambda_T = {z / env.lambda_T}"
-        )
-    # (hbar c / 2 pi) alpha0 k0^2 x0^2 / z^2, with x0 = 2 k0 z
-    pref = 2.0 * cst.hbar_c_ev_um * atom.alpha0 * atom.k0**4 / math.pi
-    return pref * h_t
+    return _v_short(atom, env, cst, z)
 
 
 def _sum_while_falling(terms: Iterable[float]) -> float:

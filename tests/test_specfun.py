@@ -90,11 +90,6 @@ def test_bose_sum_p_reference(eta):
     assert rel(sf.bose_sum_p(eta), REF[f"bose_p_{eta:g}"]) < TARGET
 
 
-def test_q_series_reference():
-    assert rel(sf.q_series(10.0), REF["q_10"]) < 1e-13
-    assert rel(sf.q_series(2.0), REF["q_2"]) < TARGET
-
-
 # ----------------------------------------------------------------------
 # limits and classical values
 
@@ -204,18 +199,6 @@ def test_bose_sum_p_direct_sum_oracle():
     assert rel(closed, 0.5 * math.pi / math.tanh(math.pi) - 0.5) < 1e-15
 
 
-def test_q_series_leading_order():
-    x = 50.0
-    lead = 0.5 * sf.zeta_even(2) / x**4
-    assert rel(sf.q_series(x), lead) < 2.0 / x**2
-
-
-def test_q_series_alternating_bound():
-    # |Q| does not exceed the first term of the alternating series
-    for x in (2.0, 1.2):
-        assert abs(sf.q_series(x)) <= 0.5 * sf.zeta_even(2) / x**4
-
-
 # ----------------------------------------------------------------------
 # domain errors
 
@@ -240,9 +223,6 @@ def test_domain_errors():
         sf._hurwitz_range(3, 3, -3 + 0j)
     with pytest.raises(DomainError):
         sf.bose_sum_p(0.0)
-    for bad in (1.0, 0.5):
-        with pytest.raises(DomainError):
-            sf.q_series(bad)
 
 
 def test_polygamma_overflow_is_flagged():
