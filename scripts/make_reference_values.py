@@ -181,6 +181,13 @@ def main() -> None:
         eta = 1 / (2 * mp.mpf(zr))
         ref[f"w_theta{theta:g}_zr{zr:g}"] = float(w_series(x0, eta))
         ref[f"vhat_theta{theta:g}_zr{zr:g}"] = float(vhat(theta, zr))
+    # far-field points next to zeros of W, at the float eta = theta / x0:
+    # the expansion serves them against max(|W|, 2 pi / theta), while
+    # against |W| alone it declined them and the E1t route refused them
+    # for rounding loss.  Not w_ keys: |W| here is too small to hold
+    # through the dimensional path to a share of |W|
+    for theta, x0 in ((25.179, 139761.245), (22.949, 30942.115), (19.175, 5738.847)):
+        ref[f"far_zero_theta{theta:g}_x0{x0!r}"] = float(w_series(x0, theta / x0))
     lines = [
         "# Generated by scripts/make_reference_values.py -- do not edit by hand.",
         "# 50-digit mpmath evaluations rounded to float64.",

@@ -39,27 +39,26 @@ by one deterministic rule per point:
   series in 1/x0^2 whose terms fall like 1/theta^2 and whose leading
   term does not depend on k0.  Its derivatives of coth come from a
   Riccati recurrence, and it stops at its first omitted or smallest
-  term.  It is taken where its error estimate (that term, rounding,
-  and a bound on the resonant pole the series misses) is at most
-  1e-13 |W|, which needs theta >~ 45.  Where the pole bound fails, the
+  term.  Two forms of it are tried on the one sum.  The pole-bound form
+  adds to the error estimate (that term and rounding) a bound on the
+  resonant pole the series misses, which needs theta >~ 40.  The
   far-field form adds the pole term exactly,
   W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = 1/(e^theta - 1),
-  and bounds what is left by x0^2 e^-x0 plus the pole term's rounding:
-  this takes x0 >~ 40 (z >~ 20 lambda_T / theta) at every theta, except
-  near the zeros of the oscillating far-field W;
-* the E1t series above everywhere else.  It raises ValidityError where
-  the rounding loss of the W bracket, estimated as 4 eps x0^2 |K0|,
-  exceeds 1e-8 of max(|W|, 2 pi / theta): at large x0 for theta below
-  ~45, which the far-field form leaves only near zeros of W.  The
-  factor 4 covers the measured error, up to 2.6 eps x0^2 |K0| in
-  scripts/sweep_branch_switches.py.
+  and bounds what is left by x0^2 e^-x0 plus the pole term's rounding,
+  which needs x0 >~ 40 (z >~ 20 lambda_T / theta).  A form is taken
+  where its estimate is at most 1e-13 of the accuracy scale;
+* the E1t series above everywhere else, theta and x0 both below ~40.
 
-The last two routes compute W of the float x0 = 2 k0 z, whose rounding
-moves the pole term's phase by up to eps x0 / 2.  ``thermal_potential_exact``
-raises ValidityError where the change of W, bounded by eps x0 pi b x0^2,
-exceeds 1e-8 of max(|W|, 2 pi / theta): near the zeros of W from
-x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7 below
-theta = 45.
+The accuracy scale (``_w_scale``) is max(|W|, 2 pi / theta): |W|, or,
+where W passes through zero, the Lifshitz magnitude k_B T alpha0 / 4 z^3
+in W units, so that a zero of W neither pushes a point off the
+expansion nor turns into a refusal.  The last two routes compute W of
+the float x0 = 2 k0 z, whose rounding moves the pole term's phase by up
+to eps x0 / 2.  This is the one refusal of the thermal point:
+``thermal_potential_exact`` raises ValidityError where the change of W,
+bounded by eps x0 pi b x0^2, exceeds 1e-8 of the scale, near the zeros
+of W from x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7
+below theta = 45.
 
 Short- and long-distance expansions (H_T, the first route on its own,
 and L_T with its polygamma sums) and the Lifshitz total asymptote
@@ -121,17 +120,15 @@ _HEAD_SCALE = 240.0
 
 # Route split: the H_T form for eta > _SHORT_ETA (z < lambda_T / 8), the
 # static-alpha expansion below, taken where its error estimate is at
-# most _EXP_RTOL |W|.  Both series raise ConvergenceError if they have
-# not stopped after _TERM_CAP terms.
+# most _EXP_RTOL of the accuracy scale (_w_scale).  Both series raise
+# ConvergenceError if they have not stopped after _TERM_CAP terms.
 _SHORT_ETA = 4.0
 _EXP_RTOL = 1e-13
 _TERM_CAP = 40
 _EPS = sys.float_info.epsilon
-# The E1t route refuses when its bracket's rounding loss, estimated as
-# _BRACKET_LOSS eps x0^2 |K0|, exceeds this share of |W|, and every
-# route where the rounding of x0 does.
+# A point is refused where the rounding of x0 moves W by more than this
+# share of the accuracy scale.
 _LOSS_RTOL = 1e-8
-_BRACKET_LOSS = 4.0
 # Below this x0 the rounding of x0 cannot move W by _LOSS_RTOL of
 # 2 pi / theta at any theta >= THETA_MIN (eps x0^3 pi b <= 2 pi 1e-8 /
 # theta, and theta b is largest at THETA_MIN): about 5.8e3.
@@ -379,9 +376,15 @@ def _pole_term(x0: float, e_th: float) -> tuple[float, float]:
     return scale * (sin_part - cos_part), x0 * x0 * math.exp(-x0) + rounding
 
 
+def _w_scale(w: float, theta: float) -> float:
+    """The accuracy scale of W: max(|W|, 2 pi / theta), where 2 pi / theta
+    is the Lifshitz magnitude k_B T alpha0 / 4 z^3 in W units."""
+    return max(abs(w), 2.0 * math.pi / theta)
+
+
 def _w_expansion(eta: float, x0: float) -> float | None:
     """W from its expansion about the static polarizability, or None
-    where the error estimate exceeds _EXP_RTOL |W|.
+    where the error estimate exceeds _EXP_RTOL of _w_scale.
 
     Expanding alpha(k) = alpha0 / (1 - (k/k0)^2) in (k/k0)^2 gives
 
@@ -395,37 +398,22 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     thermal_potential_exact takes the H_T form, see _h_t).  The sum stops
     at the first term below 1e-17 of it or past its smallest term, and
     raises ConvergenceError if it has not stopped after _TERM_CAP terms.
-    It leaves early at j = 0 and j = 1 where the pole bound and the
-    rounding of I_0 already fail.  The estimate is that term, plus eps
-    times the magnitudes behind I_0 (they cancel near a zero of the
-    static term) and the later terms, plus pi b (x0^2 + 2 x0 + 2),
-    b = e^-theta / (1 - e^-theta), a bound on the resonant pole of alpha
-    that the expansion misses.
+    Its error estimate is that term plus eps times the magnitudes behind
+    I_0 (they cancel near a zero of the static term) and the later terms.
 
-    Where that pole bound fails one of the three checks (j = 0, j = 1,
-    the final estimate), W switches to the far-field form: the sum
-    plus the pole term W_pole taken exactly, with _pole_term's bound,
-    which falls like e^-x0, in place of the pole bound.  The rest of the
-    rule is unchanged, so the far-field form serves x0 >~ 40, and points
-    the pole bound accepts never compute W_pole.
+    Two forms are tried on the one sum, in order: the pole-bound form,
+    the sum with pi b (x0^2 + 2 x0 + 2), b = e^-theta / (1 - e^-theta),
+    a bound on the resonant pole of alpha that the expansion misses,
+    added to the estimate; then the far-field form, the sum plus the pole
+    term W_pole taken exactly, with _pole_term's bound, which falls like
+    e^-x0, in its place.  The far-field form serves x0 >~ 40 at every
+    theta; W_pole is computed only where the pole bound fails.  The sum
+    is not run where both bounds already fail at j = 0, against |W| read
+    as 2 |I_0| / x0.
     """
     theta = _check_pair(eta, x0)
     e_th = math.exp(-theta)
     pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
-    # the first check that fails switches to the far-field form, whose
-    # pole term (0.0 before) then adds to |W| in every check
-    w_pole = 0.0
-    far = False
-
-    def far_field() -> bool:
-        """Switch to the far-field form; False if it is already in use."""
-        nonlocal far, w_pole, pole
-        if far:
-            return False
-        far = True
-        w_pole, pole = _pole_term(x0, e_th)
-        return True
-
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
@@ -435,26 +423,17 @@ def _w_expansion(eta: float, x0: float) -> float | None:
         # size is the larger of it and the previous size's envelope step
         size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
         if j == 0:
-            # the pole bound alone already fails: switch, and leave before
-            # the series if the far-field form's bound fails too
-            while pole >= _EXP_RTOL * 2.0 * size / x0 + _EXP_RTOL * abs(w_pole):
-                if not far_field():
+            # leave before the series where both bounds already fail
+            w0 = 2.0 * size / x0
+            if pole >= _EXP_RTOL * _w_scale(w0, theta):
+                w_pole, bound = _pole_term(x0, e_th)
+                if bound >= _EXP_RTOL * _w_scale(w0 + abs(w_pole), theta):
                     return None
         elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
             omitted = min(size, prev)
             break
-        elif j == 1:
-            # the pole bound and the rounding of the j = 0 pieces fail
-            # against |W| read generously as |I_0| + 2 |I_1| (plus the
-            # pole term): switch, then leave before the later terms
-            rounding = _EPS * (spread + abs(term))
-            while 0.5 * x0 * pole + rounding > _EXP_RTOL * (
-                abs(total) + 2.0 * abs(term) + 0.5 * x0 * abs(w_pole)
-            ):
-                if not far_field():
-                    return None
         total += term
         spread += pieces if j == 0 else abs(term)
         prev = size
@@ -465,10 +444,13 @@ def _w_expansion(eta: float, x0: float) -> float | None:
         )
     w = 2.0 * total / x0
     rest = 2.0 * (omitted + _EPS * spread) / x0
-    while rest + pole > _EXP_RTOL * abs(w + w_pole):
-        if not far_field():
-            return None
-    return w + w_pole
+    if rest + pole <= _EXP_RTOL * _w_scale(w, theta):
+        return w
+    w_pole, bound = _pole_term(x0, e_th)
+    w += w_pole
+    if rest + bound <= _EXP_RTOL * _w_scale(w, theta):
+        return w
+    return None
 
 
 def _h_t(eta: float, x0: float) -> float:
@@ -568,39 +550,21 @@ def _v_short(
     return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * env.lambda_T**4) * h_t
 
 
-def _w_e1t(eta: float, x0: float) -> float:
-    """W from the E1t series, or ValidityError where the W bracket's
-    rounding loss, _BRACKET_LOSS eps x0^2 |K0|, exceeds _LOSS_RTOL of
-    max(|W|, 2 pi / theta)."""
-    terms = thermal_series_terms(eta, x0)
-    w = _w_bracket(terms, x0)
-    # measured against |W| or, where W passes through zero, against
-    # the Lifshitz magnitude 2 pi / theta (k_B T alpha0 / 4 z^3 in W
-    # units), so that a sign change of V_T is not refused
-    loss = _BRACKET_LOSS * _EPS * x0 * x0 * abs(terms.k0_val)
-    scale = max(abs(w), 2.0 * math.pi / (eta * x0))
-    if loss > _LOSS_RTOL * scale:
-        raise ValidityError(
-            f"thermal series rounding loss {loss:.1e} exceeds "
-            f"{_LOSS_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
-            f"x0 = {x0:.6g}, theta = {eta * x0:.6g}"
-        )
-    return w
-
-
 def _check_x0_rounding(w: float, eta: float, x0: float) -> None:
     """ValidityError where the rounding of x0 = 2 k0 z, up to eps x0 / 2,
-    moves W by more than _LOSS_RTOL of max(|W|, 2 pi / theta).
+    moves W by more than _LOSS_RTOL of _w_scale: the one refusal of the
+    thermal point.
 
-    Both routes compute W of the float x0, whose rounding moves the pole
-    term's phase: dW_pole/dx0 = pi b x0^2 sin x0, so the loss is bounded
-    by eps x0 pi b x0^2, b = e^-theta / (1 - e^-theta).  The scale is the
-    E1t route's (see _w_e1t).
+    The expansion and the E1t route compute W of the float x0, whose
+    rounding moves the pole term's phase: dW_pole/dx0 = pi b x0^2 sin x0,
+    so the loss is bounded by eps x0 pi b x0^2, b = e^-theta /
+    (1 - e^-theta).  Measured against the scale rather than |W|, a sign
+    change of V_T is not refused.
     """
     theta = eta * x0
     e_th = math.exp(-theta)
     loss = _EPS * x0 * math.pi * e_th / (1.0 - e_th) * x0 * x0
-    scale = max(abs(w), 2.0 * math.pi / theta)
+    scale = _w_scale(w, theta)
     if loss > _LOSS_RTOL * scale:
         raise ValidityError(
             f"rounding of x0 moves W by up to {loss:.1e}, more than "
@@ -627,11 +591,11 @@ def thermal_potential_exact(
     """Ground-truth thermal correction V_T(z) in eV.
 
     W comes from the H_T form for z < lambda_T / 8, from the
-    static-alpha expansion where its error estimate is at most 1e-13 |W|,
-    and from the E1t series elsewhere; the latter raises ValidityError
-    where its bracket loses more than 1e-8 of max(|W|, 2 pi / theta).
-    The last two raise ValidityError where the rounding of x0 = 2 k0 z
-    moves W by more than that (see _check_x0_rounding).
+    static-alpha expansion where its error estimate is at most 1e-13 of
+    max(|W|, 2 pi / theta), and from the E1t series elsewhere (theta and
+    x0 both below ~40).  The last two raise ValidityError where the
+    rounding of x0 = 2 k0 z moves W by more than 1e-8 of that scale (see
+    _check_x0_rounding), its one refusal.
     """
     z3 = _z_power(z, 3)
     _check_env(atom, env)
@@ -644,7 +608,7 @@ def thermal_potential_exact(
         return _v_short(atom, env, cst, z)
     w = _w_expansion(eta, x0)
     if w is None:
-        w = _w_e1t(eta, x0)
+        w = _w_bracket(thermal_series_terms(eta, x0), x0)
     if x0 > _X0_ROUNDING_MIN:
         _check_x0_rounding(w, eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)

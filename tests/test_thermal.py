@@ -19,7 +19,6 @@ from cpwall.thermal import (
     _coth_terms,
     _h_t,
     _w_bracket,
-    _w_e1t,
     _w_expansion,
     lifshitz_asymptote,
     recommended_approximation,
@@ -71,10 +70,10 @@ class TestFrozenReferences:
 
 
 # frozen points of the three routes: the static-alpha expansion
-# (z >= lambda_T / 8), the H_T form (0.01) and the E1t route; at eta = 4
-# (0.125) the expansion's rounding estimate exceeds 1e-13 |W|, and at
-# theta = 10 and 20 up to 0.5 lambda_T its pole bound does (the E1t head
-# there is 3 and 1 E1t pairs, the rest the paired asymptotic series)
+# (z >= lambda_T / 8), the H_T form (0.01) and the E1t route; at
+# theta = 10 and 20 from 0.125 to 0.5 lambda_T the expansion's pole
+# bound exceeds 1e-13 of max(|W|, 2 pi / theta) (the E1t head there is 3
+# and 1 E1t pairs, the rest the paired asymptotic series)
 LOW_THETA_POINTS = [
     (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
 ]
@@ -97,8 +96,7 @@ FROZEN_POINTS = [
     for zr in (0.01, 0.125, 0.5, 3.0, 1000.0)
     if (theta, zr) != (50.0, 1000.0)
 ] + [(30.0, 3.0)] + LOW_THETA_POINTS + FAR_POINTS + MID_ETA_POINTS + PLATEAU_POINTS
-E1T_POINTS = {(50.0, 0.125), (100.0, 0.125), (1000.0, 0.125)}
-E1T_POINTS |= {(theta, zr) for theta, zr in LOW_THETA_POINTS if 0.1 < zr < 1.0}
+E1T_POINTS = {(theta, zr) for theta, zr in LOW_THETA_POINTS if 0.1 < zr < 1.0}
 
 
 def _route_rtol(theta: float, zr: float) -> float:
@@ -132,7 +130,7 @@ class TestStaticAlphaExpansion:
             w = _w_expansion(eta, x0)
             assert (w is None) == ((theta, zr) in E1T_POINTS)
             if w is None:
-                w = _w_e1t(eta, x0)
+                w = _w_bracket(thermal_series_terms(eta, x0), x0)
         ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
         assert w == pytest.approx(ref, rel=_route_rtol(theta, zr))
 
@@ -214,7 +212,7 @@ class TestX0Rounding:
             thermal_potential_exact(atom, env, zr * LAMBDA_T)
 
 
-class TestBracketLoss:
+class TestSignChange:
     @pytest.mark.parametrize("theta", [10.0, 30.0, 1000.0])
     def test_sign_change_not_refused(self, theta: float) -> None:
         # V_T changes sign near 0.3 lambda_T; closing in on the zero must
@@ -228,6 +226,42 @@ class TestBracketLoss:
             else:
                 hi = mid
         assert 0.25 < lo < 0.31
+
+
+# x0 from 40 to 2e9, and z/lambda_T across the sign change of V_T
+FAR_X0 = [40.0 * (5e7) ** (i / 79) for i in range(80)]
+SIGN_CHANGE_ZR = [0.29 + 0.0025 * i for i in range(13)]
+
+
+class TestExpansionRoute:
+    @pytest.mark.parametrize(
+        "theta", [10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 38.0, 40.0, 44.0,
+                  45.0, 60.0, 100.0, 300.0, 1000.0]
+    )
+    def test_serves_every_point_from_x0_40(self, theta: float) -> None:
+        # against max(|W|, 2 pi / theta), zeros of W do not push a point
+        # off the expansion; what it declines from x0 = 40 on is refused
+        # because the rounding of x0 moves W too far
+        atom, env = make_pair(theta)
+        zs = [x0 / (2.0 * atom.k0) for x0 in FAR_X0]
+        zs += [zr * LAMBDA_T for zr in SIGN_CHANGE_ZR if 2.0 * theta * zr >= 40.0]
+        for z in zs:
+            eta, x0 = env.lambda_T / (2.0 * z), 2.0 * atom.k0 * z
+            if _w_expansion(eta, x0) is None:
+                with pytest.raises(ValidityError, match="rounding of x0"):
+                    thermal_potential_exact(atom, env, z)
+
+    @pytest.mark.parametrize(
+        "theta,x0", [(25.179, 139761.245), (22.949, 30942.115), (19.175, 5738.847)]
+    )
+    def test_far_field_next_to_a_zero_of_w(self, theta: float, x0: float) -> None:
+        # next to zeros of W (|W| 3e-5 to 3e-3): against |W| alone the
+        # expansion would decline them, and the E1t bracket is off by
+        # 2.2e-9 to 1.1e-6 of max(|W|, 2 pi / theta) here
+        w = _w_expansion(theta / x0, x0)
+        assert w is not None
+        ref = REFERENCE[f"far_zero_theta{theta:g}_x0{x0!r}"]
+        assert abs(w - ref) <= 2e-13 * max(abs(ref), 2.0 * math.pi / theta)
 
 
 class TestSeriesTerms:
