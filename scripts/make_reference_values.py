@@ -157,15 +157,15 @@ def main() -> None:
     ]
     thermal_points += [(30.0, 3.0)]
     # the E1t route below theta = 45 (near head terms from E1t, far ones
-    # from the paired asymptotic series); at 3 lambda_T the far-field form
+    # from the paired asymptotic series); at 3 lambda_T the expansion
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
     ]
-    # the far-field form (expansion plus the exact pole term) from x0 = 40
-    # to 8e6 below theta = 45, where the E1t route lost up to 1.7e-9 or
-    # refused (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T); from
-    # x0 ~ 5e7 thermal_potential_exact refuses, since the rounding of
-    # x0 = 2 k0 z alone moves W by more than 1e-8
+    # the expansion with its exact pole term from x0 = 40 to 8e6 below
+    # theta = 45, where the E1t route lost up to 1.7e-9 or refused
+    # (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T); from x0 ~ 5e7
+    # thermal_potential_exact refuses, since the rounding of x0 = 2 k0 z
+    # alone moves W by more than 1e-8
     thermal_points += [(10.0, 2.0), (20.0, 1.0), (30.0, 1.0), (40.0, 3.0)]
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0, 30.0, 40.0) for zr in (100.0, 1000.0, 1e5)
@@ -181,13 +181,19 @@ def main() -> None:
         eta = 1 / (2 * mp.mpf(zr))
         ref[f"w_theta{theta:g}_zr{zr:g}"] = float(w_series(x0, eta))
         ref[f"vhat_theta{theta:g}_zr{zr:g}"] = float(vhat(theta, zr))
-    # far-field points next to zeros of W, at the float eta = theta / x0:
-    # the expansion serves them against max(|W|, 2 pi / theta), while
-    # against |W| alone it declined them and the E1t route refused them
-    # for rounding loss.  Not w_ keys: |W| here is too small to hold
-    # through the dimensional path to a share of |W|
-    for theta, x0 in ((25.179, 139761.245), (22.949, 30942.115), (19.175, 5738.847)):
-        ref[f"far_zero_theta{theta:g}_x0{x0!r}"] = float(w_series(x0, theta / x0))
+    # far-field points at the float eta = theta / x0: three next to zeros
+    # of W, which the expansion serves against max(|W|, 2 pi / theta),
+    # while against |W| alone it declined them and the E1t route refused
+    # them for rounding loss, and one of the sweep's far grid, where
+    # without the pole term the expansion is 8.8e-14 of that scale off.
+    # Not w_ keys: |W| next to a zero is too small to hold through the
+    # dimensional path to a share of |W|
+    far_points = (
+        (25.179, 139761.245), (22.949, 30942.115), (19.175, 5738.847),
+        (44.0, 229.5213391443621),
+    )
+    for theta, x0 in far_points:
+        ref[f"far_theta{theta:g}_x0{x0!r}"] = float(w_series(x0, theta / x0))
     lines = [
         "# Generated by scripts/make_reference_values.py -- do not edit by hand.",
         "# 50-digit mpmath evaluations rounded to float64.",

@@ -12,16 +12,16 @@ this script's output.  The h0 section checks the vacuum shape from
 x0 = 30 to 1e12, the E1t bracket and the asymptotic series apart.  The
 thermal sections check W of each route of thermal_potential_exact: the
 H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25), the
-static-alpha expansion where it is taken (its far-field form, with the
-exact pole term, from x0 = 40 to 1e9 below theta = 45), and the E1t
-series elsewhere.  The expansion and the E1t series are measured against
-max(|W|, 2 pi/theta), the scale the expansion accepts against.  The
-script exits with status 1 when h0's series, where it is taken, is off
-by more than 1e-10, when the H_T form is off by more than 1e-11 of |W|,
-when the expansion, where it is taken, is off by more than 2e-13 of the
-scale, when a point of the far grid (x0 >= 40) falls to the E1t series,
-or when the E1t series, where it is taken, is off by more than 1e-8 of
-the scale.
+static-alpha expansion with its exact resonant pole term where it is
+taken (near its switch, and from x0 = 40 to 1e9 below theta = 45), and
+the E1t series elsewhere.  The expansion and the E1t series are
+measured against max(|W|, 2 pi/theta), the scale the expansion accepts
+against.  The script exits with status 1 when h0's series, where it is
+taken, is off by more than 1e-10, when the H_T form is off by more than
+1e-11 of |W|, when the expansion, where it is taken, is off by more
+than 1e-14 of the scale, when a point of the far grid (x0 >= 40) falls
+to the E1t series, or when the E1t series, where it is taken, is off by
+more than 1e-8 of the scale.
 """
 
 from __future__ import annotations
@@ -180,15 +180,15 @@ def sweep_short() -> bool:
     return max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= SHORT_RTOL
 
 
-THERMAL_RTOL = 2e-13
+THERMAL_RTOL = 1e-14
 
 
 def sweep_thermal() -> bool:
-    """W of the static-alpha expansion against the mpmath E1t series:
-    40 points straddling its switch (theta around the pole bound's edge,
-    ~45; z/lambda_T from the H_T form's switch, eta = 4, to the sign
-    change of V_T near 0.307 and beyond), and the far-field form
-    (expansion plus the exact pole term) on theta 10-44 x x0 40-1e9.
+    """W of the static-alpha expansion plus the exact resonant pole term
+    against the mpmath E1t series: 40 points straddling its switch (theta
+    around the pole bound's edge, ~45; z/lambda_T from the H_T form's
+    switch, eta = 4, to the sign change of V_T near 0.307 and beyond),
+    and a far grid on theta 10-44 x x0 40-1e9.
     The far grid hands mpmath the same float x0 and eta, since cos x0
     inherits the rounding of x0 itself (relative eps x0).  Errors are
     relative to max(|W|, 2 pi/theta): against |W| alone a point next to
@@ -213,8 +213,8 @@ def sweep_thermal() -> bool:
     ]
     ok = True
     for name, grid, every_point in (
-        ("thermal _w_expansion (taken)", near, False),
-        ("thermal far field (x0 40..1e9)", far, True),
+        ("thermal expansion+pole (switch)", near, False),
+        ("thermal exp+pole (x0 40..1e9)", far, True),
     ):
         pts, errs = [], []
         with mp.workdps(50):

@@ -373,7 +373,7 @@ def bose_sum_p(eta: float) -> float:
     the alternating zeta series avoids the cancellation of the two
     half-sized terms.
     """
-    if eta <= 0.0:
+    if not eta > 0.0:
         raise DomainError(f"bose_sum_p needs eta > 0, got {eta}")
     if eta < 2.0:
         return 0.5 * math.pi / (math.tanh(math.pi / eta) * eta) - 0.5

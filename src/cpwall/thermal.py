@@ -39,14 +39,13 @@ by one deterministic rule per point:
   series in 1/x0^2 whose terms fall like 1/theta^2 and whose leading
   term does not depend on k0.  Its derivatives of coth come from a
   Riccati recurrence, and it stops at its first omitted or smallest
-  term.  Two forms of it are tried on the one sum.  The pole-bound form
-  adds to the error estimate (that term and rounding) a bound on the
-  resonant pole the series misses, which needs theta >~ 40.  The
-  far-field form adds the pole term exactly,
-  W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = 1/(e^theta - 1),
-  and bounds what is left by x0^2 e^-x0 plus the pole term's rounding,
-  which needs x0 >~ 40 (z >~ 20 lambda_T / theta).  A form is taken
-  where its estimate is at most 1e-13 of the accuracy scale;
+  term.  The series misses the resonant pole of alpha, so the pole
+  term W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0],
+  b = 1/(e^theta - 1), is always added exactly.  What is left is
+  bounded by the pole's size, small from theta ~ 40, or by x0^2 e^-x0,
+  small from x0 ~ 40 (z >~ 20 lambda_T / theta) at every theta; the
+  route is taken where its error estimate is at most 1e-13 of the
+  accuracy scale;
 * the E1t series above everywhere else, theta and x0 both below ~40.
 
 The accuracy scale (``_w_scale``) is max(|W|, 2 pi / theta): |W|, or,
@@ -360,20 +359,26 @@ def _coth_terms(eta: float, x0: float) -> Iterator[tuple[float, float]]:
 
 
 def _pole_term(x0: float, e_th: float) -> tuple[float, float]:
-    """The far-field form's resonant pole term and its error bound.
+    """The resonant pole term W_pole and the error bound of the
+    expansion with it added.
 
     W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = e^-theta /
     (1 - e^-theta), is what the pole term of J0- adds to the W bracket.
-    Expansion plus W_pole miss a remainder that falls like e^-x0, bounded
-    by x0^2 e^-x0 (measured at 1/10 of it or less for theta 10-44, x0
-    30-40), and W_pole carries the rounding of its pieces, bounded by
-    4 eps times their magnitudes.
+    The expansion misses at most pi b (x0^2 + 2 x0 + 2) of W, so with
+    W_pole added it misses at most that plus |W_pole|; it also misses a
+    remainder that falls like e^-x0, bounded by x0^2 e^-x0 (measured at
+    1/10 of it or less for theta 10-44, x0 30-40).  The bound is the
+    smaller of the two plus the rounding of W_pole, 4 eps times the
+    magnitudes of its pieces.
     """
     sin_part = 2.0 * x0 * math.sin(x0)
     cos_part = (x0 * x0 - 2.0) * math.cos(x0)
     scale = math.pi * e_th / (1.0 - e_th)
-    rounding = 4.0 * _EPS * scale * (abs(sin_part) + abs(cos_part))
-    return scale * (sin_part - cos_part), x0 * x0 * math.exp(-x0) + rounding
+    w_pole = scale * (sin_part - cos_part)
+    missed = min(
+        scale * (x0 * x0 + 2.0 * x0 + 2.0) + abs(w_pole), x0 * x0 * math.exp(-x0)
+    )
+    return w_pole, missed + 4.0 * _EPS * scale * (abs(sin_part) + abs(cos_part))
 
 
 def _w_scale(w: float, theta: float) -> float:
@@ -401,19 +406,13 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     Its error estimate is that term plus eps times the magnitudes behind
     I_0 (they cancel near a zero of the static term) and the later terms.
 
-    Two forms are tried on the one sum, in order: the pole-bound form,
-    the sum with pi b (x0^2 + 2 x0 + 2), b = e^-theta / (1 - e^-theta),
-    a bound on the resonant pole of alpha that the expansion misses,
-    added to the estimate; then the far-field form, the sum plus the pole
-    term W_pole taken exactly, with _pole_term's bound, which falls like
-    e^-x0, in its place.  The far-field form serves x0 >~ 40 at every
-    theta; W_pole is computed only where the pole bound fails.  The sum
-    is not run where both bounds already fail at j = 0, against |W| read
-    as 2 |I_0| / x0.
+    The sum misses the resonant pole of alpha; W_pole is added exactly,
+    and _pole_term's bound, computed before the sum runs, joins the
+    estimate.  The sum is not run where that bound already fails at
+    j = 0, against |W| read as 2 |I_0| / x0 + |W_pole|.
     """
     theta = _check_pair(eta, x0)
-    e_th = math.exp(-theta)
-    pole = math.pi * e_th / (1.0 - e_th) * (x0 * x0 + 2.0 * x0 + 2.0)
+    w_pole, bound = _pole_term(x0, math.exp(-theta))
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     rho2 = x0 * x0 + theta * theta
@@ -423,12 +422,8 @@ def _w_expansion(eta: float, x0: float) -> float | None:
         # size is the larger of it and the previous size's envelope step
         size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
         if j == 0:
-            # leave before the series where both bounds already fail
-            w0 = 2.0 * size / x0
-            if pole >= _EXP_RTOL * _w_scale(w0, theta):
-                w_pole, bound = _pole_term(x0, e_th)
-                if bound >= _EXP_RTOL * _w_scale(w0 + abs(w_pole), theta):
-                    return None
+            if bound >= _EXP_RTOL * _w_scale(2.0 * size / x0 + abs(w_pole), theta):
+                return None
         elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
@@ -442,15 +437,9 @@ def _w_expansion(eta: float, x0: float) -> float | None:
             f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
             f"eta = {eta:.6g}, x0 = {x0:.6g}"
         )
-    w = 2.0 * total / x0
+    w = 2.0 * total / x0 + w_pole
     rest = 2.0 * (omitted + _EPS * spread) / x0
-    if rest + pole <= _EXP_RTOL * _w_scale(w, theta):
-        return w
-    w_pole, bound = _pole_term(x0, e_th)
-    w += w_pole
-    if rest + bound <= _EXP_RTOL * _w_scale(w, theta):
-        return w
-    return None
+    return w if rest + bound <= _EXP_RTOL * _w_scale(w, theta) else None
 
 
 def _h_t(eta: float, x0: float) -> float:

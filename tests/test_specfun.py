@@ -221,8 +221,9 @@ def test_domain_errors():
         sf._hurwitz_range(2, 2, 0j)
     with pytest.raises(DomainError):
         sf._hurwitz_range(3, 3, -3 + 0j)
-    with pytest.raises(DomainError):
-        sf.bose_sum_p(0.0)
+    for bad_eta in (0.0, math.nan):
+        with pytest.raises(DomainError):
+            sf.bose_sum_p(bad_eta)
 
 
 def test_polygamma_overflow_is_flagged():
