@@ -56,6 +56,27 @@ def bose_p(eta):
     return mp.pi / mp.tanh(mp.pi / eta) / (2 * eta) - mp.mpf(1) / 2
 
 
+def lt_coef(eta, k):
+    """Coefficient of x0^-(2k+1) in the paper's L_T form,
+
+        L_T = -P(eta) / x0 + (1 - x0^2 / 2) sum_{j>=1} Im psi^(2j)(z) / theta^(2j+1)
+              + x0 sum_{j>=1} Re psi^(2j-1)(z) / theta^(2j),
+
+    z = 1 - i/eta, theta = eta x0: the polygamma sums grouped by powers
+    of 1/x0."""
+    eta = mp.mpf(eta)
+    z = mp.mpc(1, -1 / eta)
+
+    def a(j):
+        return mp.im(mp.psi(2 * j, z)) / eta ** (2 * j + 1)
+
+    def b(j):
+        return mp.re(mp.psi(2 * j - 1, z)) / eta ** (2 * j)
+
+    c = b(k + 1) - a(k + 1) / 2
+    return c - bose_p(eta) if k == 0 else c + a(k)
+
+
 def w_series(x0, eta, M=60):
     """Thermal series W(x0, eta); validated against PV quadrature."""
     x0 = mp.mpf(x0)
@@ -126,7 +147,7 @@ def main() -> None:
         val = scaled_e1(w)
         ref[f"scaled_e1_{w}"] = complex(val)
 
-    # Hurwitz zeta: shifted (Re z < 10), unshifted and direct-sum cases
+    # Hurwitz zeta: shifted (Re z < 10), unshifted and high-order cases
     for z in (5 - 0.6j, 21 - 3j):
         for s in range(2, 11):
             ref[f"hurwitz_{s}_{z}"] = complex(mp.zeta(s, mp.mpc(z)))
@@ -140,6 +161,10 @@ def main() -> None:
     for eta in (0.01, 0.1, 1.0, 10.0):
         ref[f"bose_p_{eta:g}"] = float(bose_p(eta))
     ref["zeta_40_minus_1"] = float(mp.zeta(40) - 1)
+    # L_T's coefficients, which are I_k / 2 of the static-alpha expansion
+    # (W = 4 L_T); not w_ or vhat_ keys, since they are no thermal point
+    for k in range(6):
+        ref[f"lt_coef_eta0.7_k{k}"] = float(lt_coef(0.7, k))
 
     thermal_points = [
         (100.0, 0.05), (100.0, 0.3), (100.0, 1.0),

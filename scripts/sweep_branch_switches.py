@@ -103,24 +103,24 @@ def sweep_e1t() -> None:
     report("scaled_e1 (random box 60)", pts, got, want)
 
 
-def sweep_polygamma() -> None:
+def sweep_hurwitz() -> None:
     rng = np.random.default_rng(7)
     pts = []
     for _ in range(120):
-        m = int(rng.integers(1, 12))
+        s = int(rng.integers(2, 13))
         z = complex(rng.uniform(-8, 12), rng.uniform(-12, 12))
         if abs(z.imag) < 0.05:
             z += 0.3j
-        pts.append((m, z))
-    got = [sf._polygamma_scaled(m, z, 0.0) for m, z in pts]
-    want = [complex(mp.psi(m, z)) for m, z in pts]
-    report("_polygamma_scaled (m 1..11, box)", pts, got, want)
+        pts.append((s, z))
+    got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts]
+    want = [complex(mp.zeta(s, z)) for s, z in pts]
+    report("_hurwitz_range (s 2..12, box)", pts, got, want)
 
-    # high orders: direct Hurwitz sums from s = 41 on
-    pts2 = [(m, 1.0 - 1j / eta) for m in (40, 80, 160) for eta in (0.05, 0.5, 5.0)]
-    got = [sf._polygamma_scaled(m, z, 0.0) for m, z in pts2]
-    want = [complex(mp.psi(m, z)) for m, z in pts2]
-    report("_polygamma_scaled (m in 40..160)", pts2, got, want)
+    # high orders, the shift grows with s (Re a ~ 38 at s = 161)
+    pts2 = [(s, 1.0 - 1j / eta) for s in (41, 81, 161) for eta in (0.05, 0.5, 5.0)]
+    got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts2]
+    want = [complex(mp.zeta(s, z)) for s, z in pts2]
+    report("_hurwitz_range (s in 41..161)", pts2, got, want)
 
 
 def sweep_bose() -> None:
@@ -261,7 +261,7 @@ if __name__ == "__main__":
     sweep_kernel()
     sweep_aux()
     sweep_e1t()
-    sweep_polygamma()
+    sweep_hurwitz()
     sweep_bose()
     ok = sweep_h0()
     ok = sweep_short() and ok

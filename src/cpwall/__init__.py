@@ -2,7 +2,7 @@
 conducting wall, in vacuum and at finite temperature.
 
 Layout:
-    specfun   special functions (F, G, scaled E1, polygamma, Bose sums)
+    specfun   special functions (F, G, scaled E1, Bose sums)
     vacuum    zero-temperature potential and its limiting forms
     thermal   finite-temperature series, expansions, Lifshitz tail
     oracle    independent quadrature cross-checks

@@ -86,8 +86,9 @@ class CurveSpec(Record):
     def _check(self) -> None:
         if self.figure_id not in (1, 2, 3):
             raise DomainError(f"figure_id must be 1, 2 or 3, got {self.figure_id}")
-        if self.points < 2:
-            raise DomainError(f"need at least 2 points, got {self.points}")
+        points = self.points
+        if not isinstance(points, int) or isinstance(points, bool) or points < 2:
+            raise DomainError(f"need an integer number of points >= 2, got {points!r}")
         lo, hi = self.x_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and lo >= 0.0):
             raise DomainError(f"bad x_range {self.x_range}")

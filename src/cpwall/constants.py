@@ -71,6 +71,8 @@ def _parse_config_text(text: str) -> dict[str, float]:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise DomainError(f"config line {lineno}: repeated key {key!r}")
         try:
             values[key] = float(val.strip())
         except ValueError as exc:
@@ -81,8 +83,9 @@ def _parse_config_text(text: str) -> dict[str, float]:
 def load_constants(env: dict[str, str] | None = None) -> PhysicalConstants:
     """Build PhysicalConstants, honouring the CPWALL_CONFIG file if set.
 
-    Unknown keys and malformed lines raise DomainError rather than being
-    ignored, so a typo in a config file cannot silently change physics.
+    Unknown or repeated keys and malformed lines raise DomainError rather
+    than being ignored, so a typo in a config file cannot silently change
+    physics.
     """
     environ = os.environ if env is None else env
     path = environ.get("CPWALL_CONFIG")

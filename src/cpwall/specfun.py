@@ -248,7 +248,7 @@ def _zeta_even_unchecked(m: int) -> float:
 
 
 # ----------------------------------------------------------------------
-# Hurwitz zeta and polygamma
+# Hurwitz zeta and digamma
 
 # B_2, B_4, ..., B_24; each quotient rounds once to the nearest double
 _BERN_ASYM_F = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
@@ -264,34 +264,21 @@ _EM_COEF = tuple(
 )
 
 
-def _hurwitz_direct(s: int, z: complex) -> complex:
-    total = 0.0 + 0.0j
-    for n in range(100000):
-        term = (z + n) ** (-s)
-        total += term
-        # <= so a fully underflowed term (0 < 0 is false) still stops
-        if abs(term) <= 1e-18 * abs(total):
-            return total
-    raise ConvergenceError(f"_hurwitz direct sum stalled, s={s} z={z}")
-
-
 def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
     """[zeta(s, z) for s = s_lo..s_hi], integers 2 <= s_lo <= s_hi, Re z > 0.
 
-    Direct sums once they converge geometrically (s_lo >= 40).
-    Otherwise one pass shifts z rightwards, far enough for s_hi (for
-    s_hi <= 24 that is the shift each s needs alone), with one
-    reciprocal 1/(z+n) per step and its powers by multiplication, so no
-    step overflows for huge |z|; then the Euler-Maclaurin tail at
-    a = z + shift for each s (DLMF 25.11.5 in descending powers of a),
-    up to its first term below 1e-17 of the tail or 12 terms.
+    One pass shifts z rightwards, far enough for s_hi (for s_hi <= 24
+    that is the shift each s needs alone; at s_hi = 161 it is Re a ~ 38),
+    with one reciprocal 1/(z+n) per step and its powers by
+    multiplication, so no step overflows for huge |z|; then the
+    Euler-Maclaurin tail at a = z + shift for each s (DLMF 25.11.5 in
+    descending powers of a), up to its first term below 1e-17 of the
+    tail or 12 terms.
     """
     if not 2 <= s_lo <= s_hi:
         raise DomainError(f"_hurwitz needs integers 2 <= s_lo <= s_hi, got {s_lo}..{s_hi}")
     if z.real <= 0.0 and abs(z.imag) < 1e-12:
         raise DomainError(f"_hurwitz pole-adjacent argument z = {z}")
-    if s_lo >= 40:
-        return [_hurwitz_direct(s, z) for s in range(s_lo, s_hi + 1)]
     n_asym = len(_EM_COEF)
     target = max(10.0, (s_hi + 2 * n_asym) / (2.0 * math.pi) * 1.3)
     shift = max(0, int(math.ceil(target - z.real)))
@@ -342,24 +329,6 @@ def _digamma(z: complex) -> complex:
         s -= _BERN_ASYM_F[k - 1] / (2 * k) * zp
         zp *= zinv2
     return head + s
-
-
-def _polygamma_scaled(m: int, z: complex, log_scale: float) -> complex:
-    """psi^(m)(z) * exp(-log_scale) for integer m >= 1, from
-    psi^(m)(z) = (-1)^{m+1} m! zeta(m+1, z) composed in log magnitude.
-
-    The thermal expansions divide psi^(2j) by (eta x0)^{2j+1}; passing
-    log_scale = (2j+1) ln(eta x0) keeps every intermediate bounded even
-    when the bare polygamma would overflow.
-    """
-    hz = _hurwitz_range(m + 1, m + 1, z)[0]
-    sign = 1.0 if m % 2 == 1 else -1.0
-    if abs(hz) == 0.0:
-        return 0.0 + 0.0j
-    log_mag = math.lgamma(m + 1) - log_scale
-    if log_mag + math.log(abs(hz)) > 709.0:
-        raise OverflowError(f"scaled polygamma overflows: m={m}, log_scale={log_scale}")
-    return sign * cmath.exp(log_mag + cmath.log(hz))
 
 
 # ----------------------------------------------------------------------

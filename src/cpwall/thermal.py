@@ -60,9 +60,9 @@ of W from x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7
 below theta = 45.
 
 Short- and long-distance expansions (H_T, the first route on its own,
-and L_T with its polygamma sums) and the Lifshitz total asymptote
--(k_B T) alpha0 / 4 z^3 complete the module.  All series are summed in
-a fixed order so repeated runs are bit-identical.
+and L_T, the second without its pole term) and the Lifshitz total
+asymptote -(k_B T) alpha0 / 4 z^3 complete the module.  All series are
+summed in a fixed order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ import math
 import sys
 from itertools import count
 from operator import mul
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
@@ -81,7 +81,6 @@ from .specfun import (
     _digamma,
     _e1t_pair,
     _hurwitz_range,
-    _polygamma_scaled,
     _scaled_e1_upper,
     _zeta_even_unchecked,
     bose_sum_p,
@@ -387,6 +386,47 @@ def _w_scale(w: float, theta: float) -> float:
     return max(abs(w), 2.0 * math.pi / theta)
 
 
+def _static_alpha_sum(
+    first: tuple[float, float],
+    rest: Iterator[tuple[float, float]],
+    eta: float,
+    x0: float,
+) -> tuple[float, float]:
+    """(2/x0) sum_j I_j / x0^(2j) over the terms of _coth_terms, first
+    (j = 0) and then rest, and its error estimate.
+
+    The sum stops at the first term below 1e-17 of it or past its
+    smallest term, and raises ConvergenceError if it has not stopped
+    after _TERM_CAP terms.  The estimate is that term plus eps times the
+    magnitudes behind I_0 (they cancel near a zero of the static term)
+    and the later terms.
+    """
+    # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
+    # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
+    theta = eta * x0
+    rho2 = x0 * x0 + theta * theta
+    total, spread = first
+    prev = abs(total)
+    for j, (term, _) in zip(range(1, _TERM_CAP), rest):
+        # the poles' phases can make one term small by accident, so its
+        # size is the larger of it and the previous size's envelope step
+        size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
+        if size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
+            # first omitted term, or past the smallest one; j = 0 may sit
+            # near a zero of the static term, so j = 1 never ends the sum
+            omitted = min(size, prev)
+            break
+        total += term
+        spread += abs(term)
+        prev = size
+    else:
+        raise ConvergenceError(
+            f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
+            f"eta = {eta:.6g}, x0 = {x0:.6g}"
+        )
+    return 2.0 * total / x0, 2.0 * (omitted + _EPS * spread) / x0
+
+
 def _w_expansion(eta: float, x0: float) -> float | None:
     """W from its expansion about the static polarizability, or None
     where the error estimate exceeds _EXP_RTOL of _w_scale.
@@ -400,11 +440,8 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     with P(1) = bose_sum_p(eta); j = 0 is the static-alpha term, the
     terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
     from coth's Taylor coefficients, which hold for eta <= 4 (above,
-    thermal_potential_exact takes the H_T form, see _h_t).  The sum stops
-    at the first term below 1e-17 of it or past its smallest term, and
-    raises ConvergenceError if it has not stopped after _TERM_CAP terms.
-    Its error estimate is that term plus eps times the magnitudes behind
-    I_0 (they cancel near a zero of the static term) and the later terms.
+    thermal_potential_exact takes the H_T form, see _h_t), and
+    _static_alpha_sum sums them.
 
     The sum misses the resonant pole of alpha; W_pole is added exactly,
     and _pole_term's bound, computed before the sum runs, joins the
@@ -413,33 +450,13 @@ def _w_expansion(eta: float, x0: float) -> float | None:
     """
     theta = _check_pair(eta, x0)
     w_pole, bound = _pole_term(x0, math.exp(-theta))
-    # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
-    # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
-    rho2 = x0 * x0 + theta * theta
-    total = prev = spread = 0.0
-    for j, (term, pieces) in zip(range(_TERM_CAP), _coth_terms(eta, x0)):
-        # the poles' phases can make one term small by accident, so its
-        # size is the larger of it and the previous size's envelope step
-        size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
-        if j == 0:
-            if bound >= _EXP_RTOL * _w_scale(2.0 * size / x0 + abs(w_pole), theta):
-                return None
-        elif size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
-            # first omitted term, or past the smallest one; j = 0 may sit
-            # near a zero of the static term, so j = 1 never ends the sum
-            omitted = min(size, prev)
-            break
-        total += term
-        spread += pieces if j == 0 else abs(term)
-        prev = size
-    else:
-        raise ConvergenceError(
-            f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
-            f"eta = {eta:.6g}, x0 = {x0:.6g}"
-        )
-    w = 2.0 * total / x0 + w_pole
-    rest = 2.0 * (omitted + _EPS * spread) / x0
-    return w if rest + bound <= _EXP_RTOL * _w_scale(w, theta) else None
+    terms = _coth_terms(eta, x0)
+    first = next(terms)
+    if bound >= _EXP_RTOL * _w_scale(2.0 * abs(first[0]) / x0 + abs(w_pole), theta):
+        return None
+    w_static, err = _static_alpha_sum(first, terms, eta, x0)
+    w = w_static + w_pole
+    return w if err + bound <= _EXP_RTOL * _w_scale(w, theta) else None
 
 
 def _h_t(eta: float, x0: float) -> float:
@@ -648,33 +665,21 @@ def thermal_short_expansion(
     return _v_short(atom, env, cst, z)
 
 
-def _sum_while_falling(terms: Iterable[float]) -> float:
-    """Sum terms in order, stopping before the first that grows in size
-    and after the first below 1e-18 of the running sum."""
-    total = 0.0
-    prev = math.inf
-    for term in terms:
-        if abs(term) > prev:
-            break
-        total += term
-        if abs(term) <= 1e-18 * (abs(total) + 1e-300):
-            break
-        prev = abs(term)
-    return total
-
-
 def thermal_long_expansion(
     atom: AtomParams,
     env: ThermalEnvironment,
     z: float,
     constants: PhysicalConstants | None = None,
 ) -> float:
-    """Long-distance L_T form: V_T = (hbar c / 2 pi)(alpha0 k0 / z^3) L_T
-    with polygamma sums of argument -i/eta, adaptively truncated and
-    capped at N = ceil(theta).
+    """Long-distance L_T form: V_T = (hbar c / 2 pi)(alpha0 k0 / z^3) L_T,
+    a series in 1/x0 whose leading term is the static-alpha term.
 
-    The polygamma convention here is F^(m)(x) = psi^(m)(x + 1).
-    Requires z >= 0.5 lambda_T (eta <= 1); raises ValidityError below.
+    Grouped by powers of 1/x0, the paper's L_T, written with polygamma
+    sums of argument 1 - i/eta, has the coefficients I_k / 2 of the
+    static-alpha expansion (W = 4 L_T, see _w_expansion), so this sums
+    that expansion without the resonant pole term that
+    thermal_potential_exact adds.  Requires z >= 0.5 lambda_T
+    (eta <= 1); raises ValidityError below.
     """
     z3 = _z_power(z, 3)
     _check_env(atom, env)
@@ -686,26 +691,10 @@ def thermal_long_expansion(
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
-    theta = eta * x0
-    n_cap = int(math.ceil(theta))
-    zarg = complex(1.0, -1.0 / eta)
-    log_theta = math.log(theta)
-
-    js = range(1, n_cap + 1)
-    sum_im = _sum_while_falling(
-        _polygamma_scaled(2 * j, zarg, (2 * j + 1) * log_theta).imag for j in js
-    )
-    sum_re = _sum_while_falling(
-        _polygamma_scaled(2 * j - 1, zarg, 2 * j * log_theta).real for j in js
-    )
-
-    l_t = (
-        -bose_sum_p(eta) / x0
-        + (1.0 - 0.5 * x0 * x0) * sum_im
-        + x0 * sum_re
-    )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (2.0 * math.pi * z3)
-    return pref * l_t
+    terms = _coth_terms(eta, x0)
+    w_static, _ = _static_alpha_sum(next(terms), terms, eta, x0)
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
+    return pref * w_static
 
 
 def lifshitz_asymptote(

@@ -276,6 +276,11 @@ class TestCurve:
                 points=10,
                 x_range=(1.0, 0.1),
             )
+        # a non-integer count would fail in cmd_curve with a TypeError,
+        # which is no CpwallError
+        for points in (2.5, 2.0, True):
+            with pytest.raises(DomainError):
+                cli.CurveSpec.for_figure(2, 100.0, points=points)
 
 
 class TestFigureGrid:
@@ -339,12 +344,13 @@ class TestConfig:
             "hbar_c_ev_nm = inf",
             "k_b_ev_per_k = 0",
             "default_theta = nan",
+            "hbar_c_ev_nm = 197.33\nhbar_c_ev_nm = 19.733",
         ],
     )
-    def test_nonpositive_or_nonfinite_constant_is_domain_error(
-        self, line, tmp_path, monkeypatch
-    ):
-        # a negative hbar c used to print a positive vacuum potential
+    def test_bad_constant_is_domain_error(self, line, tmp_path, monkeypatch):
+        # a negative hbar c used to print a positive vacuum potential; the
+        # second value of a repeated key would silently give a 10x smaller
+        # lambda_T
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         monkeypatch.setenv("CPWALL_CONFIG", str(cfg))

@@ -18,6 +18,7 @@ from cpwall.thermal import (
     ThermalEnvironment,
     _coth_terms,
     _h_t,
+    _pole_term,
     _w_bracket,
     _w_expansion,
     lifshitz_asymptote,
@@ -187,6 +188,15 @@ class TestStaticLimit:
         static = CST.hbar_c_ev_um * atom.alpha0 / (8.0 * math.pi * z**4) * i0
         rep = thermal_quadrature_static(atom, env, z)
         assert abs(static - rep.value) <= rep.abs_error_estimate
+
+    def test_l_t_coefficients_are_half_the_expansion_terms(self) -> None:
+        # grouped by powers of 1/x0, the paper's L_T (polygamma sums of
+        # argument 1 - i/eta) has the coefficients I_k / 2, since W = 4 L_T
+        terms = _coth_terms(0.7, 1.0)
+        for k in range(6):
+            i_k, _ = next(terms)
+            ref = REFERENCE[f"lt_coef_eta0.7_k{k}"]
+            assert i_k / 2.0 == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("zr", [0.15, 0.5, 2.0])
     def test_approach_as_inverse_theta_squared(self, zr: float) -> None:
@@ -388,6 +398,13 @@ class TestExpansions:
         lo = thermal_long_expansion(atom, env, z)
         ex = thermal_potential_exact(atom, env, z)
         assert abs(lo / ex - 1.0) < 1e-7
+        # L_T is the static-alpha expansion without the resonant pole
+        # term, so with V_pole added it is the exact point (the E1t
+        # series at theta = 30, z = 0.5 lambda_T)
+        eta, x0 = LAMBDA_T / (2.0 * z), 2.0 * atom.k0 * z
+        w_pole, _ = _pole_term(x0, math.exp(-eta * x0))
+        pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
+        assert abs((lo + pref * w_pole) / ex - 1.0) < 1e-12
 
     def test_long_matches_lifshitz_minus_vacuum_far_out(self) -> None:
         atom, env = make_pair(100.0)
