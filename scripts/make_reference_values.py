@@ -170,10 +170,9 @@ def main() -> None:
         (100.0, 0.05), (100.0, 0.3), (100.0, 1.0),
         (30.0, 0.5), (300.0, 0.2),
     ]
-    # the static-alpha expansion's range (z >= lambda_T / 8), the H_T
-    # form (z = 0.01 lambda_T) and the E1t route at theta = 30; theta = 50
-    # at z = 1000 lambda_T is left out because thermal_potential_exact
-    # refuses it
+    # the Lifshitz route's range (z >= lambda_T / 8) and the H_T form
+    # (z = 0.01 lambda_T); theta = 50 at z = 1000 lambda_T is left out
+    # because thermal_potential_exact refuses it
     thermal_points += [
         (theta, zr)
         for theta in (50.0, 100.0, 1000.0)
@@ -181,13 +180,13 @@ def main() -> None:
         if (theta, zr) != (50.0, 1000.0)
     ]
     thermal_points += [(30.0, 3.0)]
-    # the E1t route below theta = 45 (near head terms from E1t, far ones
-    # from the paired asymptotic series); at 3 lambda_T the expansion
+    # low theta, where theta and x0 both below ~40 once took the E1t
+    # series
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
     ]
-    # the expansion with its exact pole term from x0 = 40 to 8e6 below
-    # theta = 45, where the E1t route lost up to 1.7e-9 or refused
+    # the far field from x0 = 40 to 8e6 below theta = 45, where the E1t
+    # series lost up to 1.7e-9 or was refused
     # (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T); from x0 ~ 5e7
     # thermal_potential_exact refuses, since the rounding of x0 = 2 k0 z
     # alone moves W by more than 1e-8
@@ -207,10 +206,10 @@ def main() -> None:
         ref[f"w_theta{theta:g}_zr{zr:g}"] = float(w_series(x0, eta))
         ref[f"vhat_theta{theta:g}_zr{zr:g}"] = float(vhat(theta, zr))
     # far-field points at the float eta = theta / x0: three next to zeros
-    # of W, which the expansion serves against max(|W|, 2 pi / theta),
-    # while against |W| alone it declined them and the E1t route refused
-    # them for rounding loss, and one of the sweep's far grid, where
-    # without the pole term the expansion is 8.8e-14 of that scale off.
+    # of W, where the E1t bracket is off by 2.2e-9 to 1.1e-6 of
+    # max(|W|, 2 pi / theta), and one of the sweep's far grid, where the
+    # static-alpha expansion without the pole term is 8.8e-14 of that
+    # scale off.
     # Not w_ keys: |W| next to a zero is too small to hold through the
     # dimensional path to a share of |W|
     far_points = (

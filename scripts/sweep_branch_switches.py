@@ -9,19 +9,19 @@ For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
-x0 = 30 to 1e12, the E1t bracket and the asymptotic series apart.  The
-thermal sections check W of each route of thermal_potential_exact: the
-H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25), the
-static-alpha expansion with its exact resonant pole term where it is
-taken (near its switch, and from x0 = 40 to 1e9 below theta = 45), and
-the E1t series elsewhere.  The expansion and the E1t series are
-measured against max(|W|, 2 pi/theta), the scale the expansion accepts
-against.  The script exits with status 1 when h0's series, where it is
-taken, is off by more than 1e-10, when the H_T form is off by more than
-1e-11 of |W|, when the expansion, where it is taken, is off by more
-than 1e-14 of the scale, when a point of the far grid (x0 >= 40) falls
-to the E1t series, or when the E1t series, where it is taken, is off by
-more than 1e-8 of the scale.
+x0 = 0.5 to 1e12, its three branches apart: the E1t bracket below
+x0 = 2, the E5 form up to 100 and the asymptotic series above.  The
+thermal sections check W of both routes of thermal_potential_exact: the
+H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25) and
+the Lifshitz sum plus the resonant term from there on (next to the
+route switch, from x0 = 40 to 1e9 below theta = 45, and on theta 10-44
+x z/lambda_T 0.125-1000, where the E1t series once served).  The
+Lifshitz route is measured against max(|W|, 2 pi/theta), since W
+passes through zero.  The script exits with status 1 when h0's E5 form
+is off by more than 1e-14, or its series by more than 1e-10, when the
+H_T form is off by more than 1e-11 of |W|, or when the Lifshitz route
+is off by more than 1e-14 of the scale next to its switch and in the
+far field, or by more than 1e-13 on the low-theta grid.
 """
 
 from __future__ import annotations
@@ -129,28 +129,42 @@ def sweep_bose() -> None:
     report("bose_sum_p (switch 2)", grid, [sf.bose_sum_p(float(e)) for e in grid], want)
 
 
+H0_E5_RTOL = 1e-14
 H0_SERIES_RTOL = 1e-10
 
 
 def sweep_h0() -> bool:
-    """h0 against mpmath from x0 = 30 to 1e12, each branch apart: the
-    E1t bracket up to x0 = 100 and the asymptotic series above.  The
-    reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
-    them.  True when the series is within H0_SERIES_RTOL wherever it is
+    """h0 against mpmath from x0 = 0.5 to 1e12, each branch apart: the
+    E1t bracket below x0 = 2, the E5 form up to 100 and the asymptotic
+    series above.  The reference runs at 60 digits, since the bracket
+    cancels 2 log10 x0 of them.  True when the E5 form is within
+    H0_E5_RTOL and the series within H0_SERIES_RTOL wherever they are
     taken."""
-    from cpwall.vacuum import _H0_SERIES_MIN, h0
+    from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, h0
     from make_reference_values import h0 as h0_mp
 
-    grid = sorted({*np.geomspace(30.0, 1e12, 400).tolist(), *np.linspace(90.0, 110.0, 41).tolist()})
+    grid = sorted({
+        *np.geomspace(0.5, 1e12, 400).tolist(),
+        *np.linspace(1.5, 2.5, 41).tolist(),
+        *np.linspace(90.0, 110.0, 41).tolist(),
+    })
     with mp.workdps(60):
         want = [float(h0_mp(mp.mpf(x))) for x in grid]
     got = [h0(x) for x in grid]
-    near = [i for i, x in enumerate(grid) if x <= _H0_SERIES_MIN]
-    far = [i for i, x in enumerate(grid) if x > _H0_SERIES_MIN]
-    for name, idx in (("h0 E1t bracket (30..100)", near), ("h0 series (100..1e12)", far)):
-        report(name, [grid[i] for i in idx], [got[i] for i in idx], [want[i] for i in idx])
-    worst = max(abs(got[i] - want[i]) / abs(want[i]) for i in far)
-    return worst <= H0_SERIES_RTOL
+    # branch of each point: the E1t bracket below _H0_E5_MIN, the E5
+    # form up to and at _H0_SERIES_MIN, the series above
+    branch = [(x >= _H0_E5_MIN) + (x > _H0_SERIES_MIN) for x in grid]
+    ok = True
+    for b, name, rtol in (
+        (0, "h0 E1t bracket (0.5..2)", None),
+        (1, "h0 E5 form (2..100)", H0_E5_RTOL),
+        (2, "h0 series (100..1e12)", H0_SERIES_RTOL),
+    ):
+        idx = [i for i in range(len(grid)) if branch[i] == b]
+        errs = [abs(got[i] - want[i]) / abs(want[i]) for i in idx]
+        worst = report_scaled(name, [grid[i] for i in idx], errs)
+        ok = ok and (rtol is None or worst <= rtol)
+    return ok
 
 
 SHORT_RTOL = 1e-11
@@ -183,21 +197,30 @@ def sweep_short() -> bool:
 THERMAL_RTOL = 1e-14
 
 
-def sweep_thermal() -> bool:
-    """W of the static-alpha expansion plus the exact resonant pole term
-    against the mpmath E1t series: 40 points straddling its switch (theta
-    around the pole bound's edge, ~45; z/lambda_T from the H_T form's
-    switch, eta = 4, to the sign change of V_T near 0.307 and beyond),
-    and a far grid on theta 10-44 x x0 40-1e9.
-    The far grid hands mpmath the same float x0 and eta, since cos x0
-    inherits the rounding of x0 itself (relative eps x0).  Errors are
-    relative to max(|W|, 2 pi/theta): against |W| alone a point next to
-    a zero of W, such as theta = 42 at 0.307 lambda_T, reads orders of
-    magnitude worse than the expansion's error.  True when the worst
-    error where the expansion is taken is within THERMAL_RTOL and every
-    point of the far grid takes the expansion."""
+def _lifshitz_errors(grid):
+    """Errors of the Lifshitz route (``_w_lifshitz``) against the mpmath
+    E1t series at (label, eta, x0) points, relative to
+    max(|W|, 2 pi/theta): against |W| alone a point next to a zero of W,
+    such as theta = 42 at 0.307 lambda_T, reads orders of magnitude
+    worse than the route's error.  mpmath gets the same float x0 and
+    eta, since cos x0 inherits the rounding of x0 itself (relative
+    eps x0)."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
+    errs = []
+    with mp.workdps(50):
+        for _, eta, x0 in grid:
+            want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
+            errs.append(abs(th._w_lifshitz(eta, x0) - want) / th._w_scale(want, eta * x0))
+    return [pt for pt, _, _ in grid], errs
+
+
+def sweep_thermal() -> bool:
+    """W of the Lifshitz sum plus the resonant term: 40 points next to
+    its switch (theta 38-1000; z/lambda_T from the H_T form's switch,
+    eta = 4, to the sign change of V_T near 0.307 and beyond), and a far
+    grid on theta 10-44 x x0 40-1e9.  True when the worst error on each
+    is within THERMAL_RTOL of max(|W|, 2 pi/theta)."""
     thetas = (38.0, 42.0, 45.0, 48.0, 52.0, 60.0, 100.0, 1000.0)
     zrs = (0.125, 0.13, 0.307, 1.0, 30.0)
     near = [
@@ -212,49 +235,31 @@ def sweep_thermal() -> bool:
         for x0 in np.geomspace(40.0, 1e9, 40).tolist()
     ]
     ok = True
-    for name, grid, every_point in (
-        ("thermal expansion+pole (switch)", near, False),
-        ("thermal exp+pole (x0 40..1e9)", far, True),
+    for name, grid in (
+        ("thermal Lifshitz route (switch)", near),
+        ("thermal Lifshitz (x0 40..1e9)", far),
     ):
-        pts, errs = [], []
-        with mp.workdps(50):
-            for pt, eta, x0 in grid:
-                w = th._w_expansion(eta, x0)
-                if w is None:
-                    continue
-                want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
-                pts.append(pt)
-                errs.append(abs(w - want) / th._w_scale(want, eta * x0))
-        ok = report_scaled(name, pts, errs) <= THERMAL_RTOL and ok
-        e1t = len(grid) - len(pts)
-        print(f"{'  elsewhere: E1t series':34s} n={e1t:4d}")
-        ok = ok and not (every_point and e1t)
+        ok = report_scaled(name, *_lifshitz_errors(grid)) <= THERMAL_RTOL and ok
     return ok
 
 
-SERIES_RTOL = 1e-8
+LOW_THETA_RTOL = 1e-13
 
 
-def sweep_series() -> bool:
-    """W of the E1t series against the mpmath E1t series for theta 10-44
-    and z/lambda_T 3e-3-1000, at the points where neither the H_T form nor
-    the expansion is taken.  Errors are relative to max(|W|, 2 pi/theta).
-    True when every such point is within SERIES_RTOL."""
-    from make_reference_values import w_series  # sets mp.mp.dps = 50
-
+def sweep_low_theta() -> bool:
+    """W of the Lifshitz route for theta 10-44 and z/lambda_T 0.125-1000,
+    where theta and x0 both below ~40 once took the E1t series.  True
+    when every point is within LOW_THETA_RTOL of max(|W|, 2 pi/theta)."""
     thetas = (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)
     zrs = sorted({*np.geomspace(3e-3, 1000.0, 24).tolist(), 0.125, 0.307, 100.0})
-    pts, errs = [], []
-    for theta in thetas:
-        for zr in zrs:
-            eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
-            if eta > th._SHORT_ETA or th._w_expansion(eta, x0) is not None:
-                continue
-            w = th._w_bracket(th.thermal_series_terms(eta, x0), x0)
-            want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
-            pts.append((theta, zr))
-            errs.append(abs(w - want) / th._w_scale(want, theta))
-    return report_scaled("thermal E1t series (taken)", pts, errs) <= SERIES_RTOL
+    grid = [
+        ((theta, zr), 1.0 / (2.0 * zr), 2.0 * theta * zr)
+        for theta in thetas
+        for zr in zrs
+        if 1.0 / (2.0 * zr) <= th._SHORT_ETA
+    ]
+    pts, errs = _lifshitz_errors(grid)
+    return report_scaled("thermal Lifshitz (theta 10..44)", pts, errs) <= LOW_THETA_RTOL
 
 
 if __name__ == "__main__":
@@ -266,5 +271,5 @@ if __name__ == "__main__":
     ok = sweep_h0()
     ok = sweep_short() and ok
     ok = sweep_thermal() and ok
-    ok = sweep_series() and ok
+    ok = sweep_low_theta() and ok
     sys.exit(0 if ok else 1)

@@ -65,17 +65,19 @@ def _e1t_power_series(w: complex) -> complex:
     raise ConvergenceError(f"E1t power series stalled at w={w}")
 
 
-def _e1t_continued_fraction(w: complex) -> complex:
-    # E1t = 1/(w+1 - 1^2/(w+3 - 2^2/(w+5 - ...))), modified Lentz
+def _e1t_continued_fraction(w: complex, order: int) -> complex:
+    # e^w E_p(w) = 1/(w+p - 1 p/(w+p+2 - 2 (p+1)/(w+p+4 - ...))),
+    # p = order: a_k = -k (p+k-1), b_k = w + p + 2k, the even part of
+    # DLMF 8.19.17; modified Lentz
     tiny = 1e-300
-    f = w + 1.0
+    f = w + float(order)
     if f == 0:
         f = tiny
     c = f
     d = 0.0 + 0.0j
     for n in range(1, 512):
-        a = -float(n * n)
-        b = w + (2 * n + 1)
+        a = -float(n * (order + n - 1))
+        b = w + (2 * n + order)
         d = b + a * d
         if d == 0:
             d = tiny
@@ -111,7 +113,7 @@ def _scaled_e1_upper(w: complex) -> complex:
     if r < 2.0:
         return _e1t_power_series(w)
     if abs(cmath.phase(w)) <= 0.75 * math.pi:
-        return _e1t_continued_fraction(w)
+        return _e1t_continued_fraction(w, 1)
     if r <= 35.0:
         return _e1t_power_series(w)
     return _e1t_asymptotic(w)

@@ -19,50 +19,50 @@ scaled exponential integrals,
 where E1t is ``specfun.scaled_e1``.  The individual sums diverge
 logarithmically in their real parts; only the displayed combinations
 converge, and they need only the pairs D_m = E1t(w_m) - E1t(-w_m) and
-S_m = E1t(w_m) + E1t(-w_m), w_m = m theta - i x0.  We therefore sum a
-finite head of pairs up to m theta ~ 240 and close both series with
-asymptotic tails built from Hurwitz zeta / digamma values of argument
-M + 1 - i/eta.  Head pairs with m theta < 40 come from two E1t values
-each, those from 40 on from the paired asymptotic series
-(``specfun._e1t_pair``, one Horner pass in 1/w^2), so theta >= 40
-needs no E1t call at all.
+S_m = E1t(w_m) + E1t(-w_m), w_m = m theta - i x0.
+``thermal_series_terms`` sums a finite head of pairs up to
+m theta ~ 240 and closes both series with asymptotic tails built from
+Hurwitz zeta / digamma values of argument M + 1 - i/eta.  It is the
+independent cross-check of the two routes below, not a route itself.
 
-``thermal_potential_exact`` evaluates W by one of three routes, chosen
-by one deterministic rule per point:
+``thermal_potential_exact`` evaluates W by one of two routes, picked
+by eta alone:
 
 * for z < lambda_T / 8 (eta > 4, x0 < theta / 4), the exact H_T form
   (``_h_t``): the short-distance double zeta sum with its inner sums
   resummed through F(y) = -[Re E1t(-y) + E1t(y)] / 2, a series in
   1/eta^2 whose leading term is C(T) and holds no power of z;
-* for z >= lambda_T / 8, the expansion of alpha(k) = alpha0 /
-  (1 - (k/k0)^2) about the static polarizability (``_w_expansion``), a
-  series in 1/x0^2 whose terms fall like 1/theta^2 and whose leading
-  term does not depend on k0.  Its derivatives of coth come from a
-  Riccati recurrence, and it stops at its first omitted or smallest
-  term.  The series misses the resonant pole of alpha, so the pole
-  term W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0],
-  b = 1/(e^theta - 1), is always added exactly.  What is left is
-  bounded by the pole's size, small from theta ~ 40, or by x0^2 e^-x0,
-  small from x0 ~ 40 (z >~ 20 lambda_T / theta) at every theta; the
-  route is taken where its error estimate is at most 1e-13 of the
-  accuracy scale;
-* the E1t series above everywhere else, theta and x0 both below ~40.
+* for z >= lambda_T / 8 (eta <= 4), the Lifshitz (Matsubara) sum plus
+  the resonant term (``_w_lifshitz``),
+
+      W = -(4 pi / theta) sum'_{n>=0} e^-y_n (1 + y_n + y_n^2 / 2)
+            / (1 + (2 pi n / theta)^2) - H0(x0) + W_pole,
+
+  y_n = 2 pi n / eta, the n = 0 term weighted 1/2.  The sum is the
+  whole shift of a ground-state atom at temperature T apart from its
+  resonant term W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0],
+  b = 1/(e^theta - 1); H0 (``vacuum.h0``) is the vacuum part it holds.
+  Its n = 0 term, -2 pi / theta, is Lifshitz's result: linear in T and
+  free of c, hbar and k0.  The terms fall by e^(-2 pi / eta) <= 0.21
+  each, and |H0| <= 6 / x0 stays within 4 times 2 pi / theta, so
+  nothing cancels.  Past eta = 4 the sum would need hundreds of terms
+  and cancel against H0.
 
 The accuracy scale (``_w_scale``) is max(|W|, 2 pi / theta): |W|, or,
 where W passes through zero, the Lifshitz magnitude k_B T alpha0 / 4 z^3
-in W units, so that a zero of W neither pushes a point off the
-expansion nor turns into a refusal.  The last two routes compute W of
-the float x0 = 2 k0 z, whose rounding moves the pole term's phase by up
-to eps x0 / 2.  This is the one refusal of the thermal point:
-``thermal_potential_exact`` raises ValidityError where the change of W,
-bounded by eps x0 pi b x0^2, exceeds 1e-8 of the scale, near the zeros
-of W from x0 ~ 5.8e3 (theta = 10) up, and everywhere from x0 ~ 5e7
-below theta = 45.
+in W units, so that a zero of W does not turn into a refusal.  The
+second route computes W of the float x0 = 2 k0 z, whose rounding moves
+the pole term's phase by up to eps x0 / 2.  This is the one refusal of
+the thermal point: ``thermal_potential_exact`` raises ValidityError
+where the change of W, bounded by eps x0 pi b x0^2, exceeds 1e-8 of the
+scale, near the zeros of W from x0 ~ 5.8e3 (theta = 10) up, and
+everywhere from x0 ~ 5e7 below theta = 45.
 
 Short- and long-distance expansions (H_T, the first route on its own,
-and L_T, the second without its pole term) and the Lifshitz total
-asymptote -(k_B T) alpha0 / 4 z^3 complete the module.  All series are
-summed in a fixed order so repeated runs are bit-identical.
+and L_T, the expansion of W about the static polarizability without
+its pole term) and the Lifshitz total asymptote -(k_B T) alpha0 / 4 z^3
+complete the module.  All series are summed in a fixed order so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ from .specfun import (
     bose_sum_p,
     scaled_e1,
 )
-from .vacuum import AtomParams, _z_power, classify_regime, vacuum_potential
+from .vacuum import AtomParams, _z_power, classify_regime, h0, vacuum_potential
 
 __all__ = [
     "PotentialBreakdown",
@@ -117,11 +117,10 @@ CURV_SHORT = (2.0 * math.pi) ** 5 / 315.0
 _HEAD_SCALE = 240.0
 
 # Route split: the H_T form for eta > _SHORT_ETA (z < lambda_T / 8), the
-# static-alpha expansion below, taken where its error estimate is at
-# most _EXP_RTOL of the accuracy scale (_w_scale).  Both series raise
-# ConvergenceError if they have not stopped after _TERM_CAP terms.
+# Lifshitz sum plus the resonant term below.  Both sums, and the
+# static-alpha expansion of L_T, raise ConvergenceError if they have not
+# stopped after _TERM_CAP terms.
 _SHORT_ETA = 4.0
-_EXP_RTOL = 1e-13
 _TERM_CAP = 40
 _EPS = sys.float_info.epsilon
 # A point is refused where the rounding of x0 moves W by more than this
@@ -235,7 +234,9 @@ def _check_pair(eta: float, x0: float) -> float:
 
 
 def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
-    """Exact-series building blocks of W at one geometry point.
+    """Exact-series building blocks of W at one geometry point: the
+    independent cross-check of thermal_potential_exact's two routes,
+    which takes neither of them from here.
 
     Sums the pairs of scaled exponential integrals for m theta up to
     ~240, from E1t below m theta = 40 and from their paired asymptotic
@@ -324,9 +325,8 @@ def _w_bracket(terms: ThermalSeriesTerms, x0: float) -> float:
     )
 
 
-def _coth_terms(eta: float, x0: float) -> Iterator[tuple[float, float]]:
-    """I_j / x0^(2j), j = 0, 1, ..., from the Taylor coefficients of coth,
-    each with the sum of the magnitudes it is built from.
+def _coth_terms(eta: float, x0: float) -> Iterator[float]:
+    """I_j / x0^(2j), j = 0, 1, ..., from the Taylor coefficients of coth.
 
     With Y = pi/eta, the coefficients t_n of coth(Y(1+h)) obey the
     Riccati recurrence (n+1) t_{n+1} = -Y sum_k t_k t_{n-k}, and
@@ -352,32 +352,16 @@ def _coth_terms(eta: float, x0: float) -> Iterator[tuple[float, float]]:
         a, b, c = half_y * t[n + 2], half_y * t[n + 1], half_y * t[n]
         f2, f1 = (n + 1) * (n + 2), 2 * (n + 1)
         bracket = -f2 * (a - 0.5) + f1 * (b + 0.5) - 2.0 * (c - 0.5)
-        pieces = f2 * abs(a) + f1 * abs(b) + 2.0 * abs(c)
-        yield (scale * bracket if n % 4 == 0 else -scale * bracket), scale * pieces
+        yield scale * bracket if n % 4 == 0 else -scale * bracket
         scale *= f2 * inv_x2
 
 
-def _pole_term(x0: float, e_th: float) -> tuple[float, float]:
-    """The resonant pole term W_pole and the error bound of the
-    expansion with it added.
-
-    W_pole = pi b [2 x0 sin x0 - (x0^2 - 2) cos x0], b = e^-theta /
-    (1 - e^-theta), is what the pole term of J0- adds to the W bracket.
-    The expansion misses at most pi b (x0^2 + 2 x0 + 2) of W, so with
-    W_pole added it misses at most that plus |W_pole|; it also misses a
-    remainder that falls like e^-x0, bounded by x0^2 e^-x0 (measured at
-    1/10 of it or less for theta 10-44, x0 30-40).  The bound is the
-    smaller of the two plus the rounding of W_pole, 4 eps times the
-    magnitudes of its pieces.
-    """
-    sin_part = 2.0 * x0 * math.sin(x0)
-    cos_part = (x0 * x0 - 2.0) * math.cos(x0)
+def _pole_term(x0: float, e_th: float) -> float:
+    """The resonant pole term W_pole = pi b [2 x0 sin x0 - (x0^2 - 2)
+    cos x0], b = e^-theta / (1 - e^-theta): what the pole term of J0-
+    adds to the W bracket, and the resonant term of the Lifshitz route."""
     scale = math.pi * e_th / (1.0 - e_th)
-    w_pole = scale * (sin_part - cos_part)
-    missed = min(
-        scale * (x0 * x0 + 2.0 * x0 + 2.0) + abs(w_pole), x0 * x0 * math.exp(-x0)
-    )
-    return w_pole, missed + 4.0 * _EPS * scale * (abs(sin_part) + abs(cos_part))
+    return scale * (2.0 * x0 * math.sin(x0) - (x0 * x0 - 2.0) * math.cos(x0))
 
 
 def _w_scale(w: float, theta: float) -> float:
@@ -386,77 +370,70 @@ def _w_scale(w: float, theta: float) -> float:
     return max(abs(w), 2.0 * math.pi / theta)
 
 
-def _static_alpha_sum(
-    first: tuple[float, float],
-    rest: Iterator[tuple[float, float]],
-    eta: float,
-    x0: float,
-) -> tuple[float, float]:
-    """(2/x0) sum_j I_j / x0^(2j) over the terms of _coth_terms, first
-    (j = 0) and then rest, and its error estimate.
+def _static_alpha_sum(eta: float, x0: float) -> float:
+    """W without its resonant pole term, from the expansion of
+    alpha(k) = alpha0 / (1 - (k/k0)^2) in (k/k0)^2:
 
-    The sum stops at the first term below 1e-17 of it or past its
-    smallest term, and raises ConvergenceError if it has not stopped
-    after _TERM_CAP terms.  The estimate is that term plus eps times the
-    magnitudes behind I_0 (they cancel near a zero of the static term)
-    and the later terms.
+        W - W_pole ~ (2/x0) sum_j I_j / x0^(2j),
+        I_j = (-1)^j [-P^(2j+2) + 2 P^(2j+1) - 2 P^(2j)](a = 1),
+        P(a) = (pi / 2 eta) coth(pi a / eta) - 1/(2a),
+
+    with P(1) = bose_sum_p(eta); j = 0 is the static-alpha term, the
+    terms fall like (2j+1)(2j+2) / (x0^2 + theta^2) and come from
+    _coth_terms, which holds for eta <= 4.  The sum stops at the first
+    term below 1e-17 of it or past its smallest term, and raises
+    ConvergenceError if it has not stopped after _TERM_CAP terms.
     """
     # P's poles nearest a = 1 sit at 1 +- i eta, hence the envelope step
     # (2j+1)(2j+2) / rho2 with rho2 = x0^2 |1 + i eta|^2
     theta = eta * x0
     rho2 = x0 * x0 + theta * theta
-    total, spread = first
+    terms = _coth_terms(eta, x0)
+    total = next(terms)
     prev = abs(total)
-    for j, (term, _) in zip(range(1, _TERM_CAP), rest):
+    for j, term in zip(range(1, _TERM_CAP), terms):
         # the poles' phases can make one term small by accident, so its
         # size is the larger of it and the previous size's envelope step
         size = max(abs(term), prev * (2 * j + 1) * (2 * j + 2) / rho2)
         if size <= 1e-17 * abs(total) or (j > 1 and size >= prev):
             # first omitted term, or past the smallest one; j = 0 may sit
             # near a zero of the static term, so j = 1 never ends the sum
-            omitted = min(size, prev)
-            break
+            return 2.0 * total / x0
         total += term
-        spread += abs(term)
         prev = size
-    else:
-        raise ConvergenceError(
-            f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
-            f"eta = {eta:.6g}, x0 = {x0:.6g}"
-        )
-    return 2.0 * total / x0, 2.0 * (omitted + _EPS * spread) / x0
+    raise ConvergenceError(
+        f"static-alpha expansion did not stop in {_TERM_CAP} terms at "
+        f"eta = {eta:.6g}, x0 = {x0:.6g}"
+    )
 
 
-def _w_expansion(eta: float, x0: float) -> float | None:
-    """W from its expansion about the static polarizability, or None
-    where the error estimate exceeds _EXP_RTOL of _w_scale.
+def _w_lifshitz(eta: float, x0: float) -> float:
+    """W for eta <= 4 from the Lifshitz (Matsubara) sum minus H0 plus
+    the resonant term W_pole, as the module docstring writes it.
 
-    Expanding alpha(k) = alpha0 / (1 - (k/k0)^2) in (k/k0)^2 gives
-
-        W = (2/x0) sum_j I_j / x0^(2j),
-        I_j = (-1)^j [-P^(2j+2) + 2 P^(2j+1) - 2 P^(2j)](a = 1),
-        P(a) = (pi / 2 eta) coth(pi a / eta) - 1/(2a),
-
-    with P(1) = bose_sum_p(eta); j = 0 is the static-alpha term, the
-    terms fall like (2j+1)(2j+2) / (x0^2 + theta^2).  The derivatives come
-    from coth's Taylor coefficients, which hold for eta <= 4 (above,
-    thermal_potential_exact takes the H_T form, see _h_t), and
-    _static_alpha_sum sums them.
-
-    The sum misses the resonant pole of alpha; W_pole is added exactly,
-    and _pole_term's bound, computed before the sum runs, joins the
-    estimate.  The sum is not run where that bound already fails at
-    j = 0, against |W| read as 2 |I_0| / x0 + |W_pole|.
+    The terms of the sum are positive and fall by e^(-2 pi / eta) each:
+    1 to 5 terms for eta <= 1, about 30 at eta = 4.  The sum stops at
+    its first term below 1e-17 of it and raises ConvergenceError if it
+    has not stopped after _TERM_CAP terms.  It is added up by fsum: at
+    eta ~ 4 it and H0 cancel down to a |W| some 500 times smaller.
     """
     theta = _check_pair(eta, x0)
-    w_pole, bound = _pole_term(x0, math.exp(-theta))
-    terms = _coth_terms(eta, x0)
-    first = next(terms)
-    if bound >= _EXP_RTOL * _w_scale(2.0 * abs(first[0]) / x0 + abs(w_pole), theta):
-        return None
-    w_static, err = _static_alpha_sum(first, terms, eta, x0)
-    w = w_static + w_pole
-    return w if err + bound <= _EXP_RTOL * _w_scale(w, theta) else None
+    step = 2.0 * math.pi / eta
+    ratio = 2.0 * math.pi / theta
+    total, terms = 0.5, [0.5]
+    for n in range(1, _TERM_CAP):
+        y = n * step
+        r = n * ratio
+        term = math.exp(-y) * (1.0 + y * (1.0 + 0.5 * y)) / (1.0 + r * r)
+        terms.append(term)
+        total += term
+        if term < 1e-17 * total:
+            s = math.fsum(terms)
+            return -2.0 * ratio * s - h0(x0) + _pole_term(x0, math.exp(-theta))
+    raise ConvergenceError(
+        f"Lifshitz sum did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "
+        f"x0 = {x0:.6g}"
+    )
 
 
 def _h_t(eta: float, x0: float) -> float:
@@ -561,8 +538,8 @@ def _check_x0_rounding(w: float, eta: float, x0: float) -> None:
     moves W by more than _LOSS_RTOL of _w_scale: the one refusal of the
     thermal point.
 
-    The expansion and the E1t route compute W of the float x0, whose
-    rounding moves the pole term's phase: dW_pole/dx0 = pi b x0^2 sin x0,
+    The Lifshitz route computes W of the float x0, whose rounding moves
+    the pole term's phase: dW_pole/dx0 = pi b x0^2 sin x0,
     so the loss is bounded by eps x0 pi b x0^2, b = e^-theta /
     (1 - e^-theta).  Measured against the scale rather than |W|, a sign
     change of V_T is not refused.
@@ -596,11 +573,11 @@ def thermal_potential_exact(
 ) -> float:
     """Ground-truth thermal correction V_T(z) in eV.
 
-    W comes from the H_T form for z < lambda_T / 8, from the
-    static-alpha expansion where its error estimate is at most 1e-13 of
-    max(|W|, 2 pi / theta), and from the E1t series elsewhere (theta and
-    x0 both below ~40).  The last two raise ValidityError where the
-    rounding of x0 = 2 k0 z moves W by more than 1e-8 of that scale (see
+    eta = lambda_T / 2z alone picks the route: W comes from the H_T
+    form for z < lambda_T / 8 (eta > 4) and from the Lifshitz sum plus
+    the resonant term from there on (eta <= 4, see _w_lifshitz).  The
+    latter raises ValidityError where the rounding of x0 = 2 k0 z moves
+    W by more than 1e-8 of max(|W|, 2 pi / theta) (see
     _check_x0_rounding), its one refusal.
     """
     z3 = _z_power(z, 3)
@@ -612,9 +589,7 @@ def thermal_potential_exact(
         # x0 > _X0_ROUNDING_MIN would need theta > 2.3e4, where the pole
         # term that _check_x0_rounding bounds is 0
         return _v_short(atom, env, cst, z)
-    w = _w_expansion(eta, x0)
-    if w is None:
-        w = _w_bracket(thermal_series_terms(eta, x0), x0)
+    w = _w_lifshitz(eta, x0)
     if x0 > _X0_ROUNDING_MIN:
         _check_x0_rounding(w, eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
@@ -676,9 +651,9 @@ def thermal_long_expansion(
 
     Grouped by powers of 1/x0, the paper's L_T, written with polygamma
     sums of argument 1 - i/eta, has the coefficients I_k / 2 of the
-    static-alpha expansion (W = 4 L_T, see _w_expansion), so this sums
-    that expansion without the resonant pole term that
-    thermal_potential_exact adds.  Requires z >= 0.5 lambda_T
+    static-alpha expansion (W = 4 L_T, see _static_alpha_sum), so this
+    sums that expansion, which misses the resonant pole term W_pole.
+    Requires z >= 0.5 lambda_T
     (eta <= 1); raises ValidityError below.
     """
     z3 = _z_power(z, 3)
@@ -691,8 +666,7 @@ def thermal_long_expansion(
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
     x0 = 2.0 * atom.k0 * z
-    terms = _coth_terms(eta, x0)
-    w_static, _ = _static_alpha_sum(next(terms), terms, eta, x0)
+    w_static = _static_alpha_sum(eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
     return pref * w_static
 

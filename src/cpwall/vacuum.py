@@ -26,7 +26,7 @@ from itertools import count
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .record import Record
-from .specfun import _scaled_e1_upper
+from .specfun import _e1t_continued_fraction, _scaled_e1_upper
 
 __all__ = [
     "AtomParams",
@@ -48,9 +48,12 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 X0_NON_RETARDED_MAX = 0.1
 X0_RETARDED_MIN = 2.6 * 2.0 * math.pi
 
-# h0 takes its asymptotic series above this x0.  The series would do
-# from 50 on; at 100 the x0 of the vacuum oracle criterion and of figure
-# 1's default range keep the E1t bracket, within 1.4e-12 there.
+# h0 takes the E1t bracket below _H0_E5_MIN, the E5 form up to
+# _H0_SERIES_MIN and its asymptotic series above.  At x0 = 2 the E5
+# form and the bracket are both within 2e-15 of mpmath, the E5 form
+# better above and the bracket below.  The series would do from 50 on,
+# 2-3x faster than the E5 form; it keeps the switch at 100 that it had.
+_H0_E5_MIN = 2.0
 _H0_SERIES_MIN = 100.0
 
 
@@ -112,12 +115,20 @@ def h0(x0: float) -> float:
 
     Tends to -pi as x -> 0+ and falls off as -6/x for large x.  Strictly
     negative on the whole half-line.  x0 <= 0 and x0 whose square
-    overflows are refused.  Two branches:
+    overflows are refused.  Three branches:
 
-    * x0 <= 100: F and G from one E1t evaluation, g + i f = -E1t(i x0).
+    * x0 < 2: F and G from one E1t evaluation, g + i f = -E1t(i x0).
       The bracket cancels terms of size x0 down to one of size 1/x0, so
-      it loses about eps x0^2 of H0: 1.4e-12 at most up to x0 = 100, but
-      2e-9 at 1e4 and the wrong sign from 2e8 on;
+      it loses about eps x0^2 of H0, under 1e-15 below x0 = 2;
+    * 2 <= x0 <= 100: the same bracket with E1t raised to E5 by the
+      recurrence E~_n = (1 - n E~_(n+1)) / w for E~_n = e^w E_n(w)
+      (DLMF 8.19.12), so that its x0 orders cancel analytically,
+
+          H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
+               - 48 Re E~5(ix) / x^3,
+
+      with E~5(ix) ~ 1/(ix) from its continued fraction: within 2e-15
+      of mpmath, where the plain bracket lost up to 1.2e-12;
     * x0 > 100: the combined asymptotic series of f and g (DLMF
       6.12.3-4), whose x0 orders cancel analytically,
 
@@ -126,15 +137,24 @@ def h0(x0: float) -> float:
 
       stopped at its first term below 1e-17 of the sum (its smallest
       term is about e^-x0, so 20 terms at most).
-      scripts/sweep_branch_switches.py finds it within 3e-16 of mpmath
-      up to x0 = 1e12.
+
+    scripts/sweep_branch_switches.py holds the last two to 60-digit
+    mpmath: the E5 form to 1e-14, the series to 1e-10 (measured 4e-16
+    up to x0 = 1e12).
     """
     if not (x0 > 0.0 and math.isfinite(x0 * x0)):
         raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
     if x0 > _H0_SERIES_MIN:
         return _h0_series(x0)
-    e = _scaled_e1_upper(1j * x0)
-    return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
+    if x0 < _H0_E5_MIN:
+        e = _scaled_e1_upper(1j * x0)
+        return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
+    e5 = _e1t_continued_fraction(1j * x0, 5)
+    inv_x = 1.0 / x0
+    inv_x2 = inv_x * inv_x
+    return -6.0 * inv_x + inv_x * inv_x2 * (
+        16.0 - 24.0 * (x0 * x0 - 2.0) * inv_x * e5.imag - 48.0 * e5.real
+    )
 
 
 def _h0_series(x: float) -> float:

@@ -131,9 +131,9 @@ class TestCrossover:
 # constants.  Roots and iteration counts as scipy.optimize.brentq gave
 # them on the same functions, brackets and xtol.
 _FROZEN_ROOTS = {
-    30.0: (0.5209945500216467, 8, 7.2666513061907745),
-    100.0: (0.5248382848487723, 8, 7.279927841689163),
-    300.0: (0.5251755868982045, 8, 7.281098538424237),
+    30.0: (0.5209945497370133, 8, 7.266651306190122),
+    100.0: (0.5248382848485118, 8, 7.27992784168916),
+    300.0: (0.5251755868981776, 8, 7.281098538424238),
 }
 
 

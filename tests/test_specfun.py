@@ -265,7 +265,7 @@ def test_scaled_e1_radial_switch_consistency():
     for r in np.linspace(1.7, 2.4, 10):
         for ph in np.linspace(-0.74 * math.pi, 0.74 * math.pi, 10):
             w = r * cmath.exp(1j * ph)
-            assert rel(sf._e1t_power_series(w), sf._e1t_continued_fraction(w)) < GUARANTEE
+            assert rel(sf._e1t_power_series(w), sf._e1t_continued_fraction(w, 1)) < GUARANTEE
 
 
 def test_scaled_e1_angular_switch_consistency():
@@ -273,7 +273,17 @@ def test_scaled_e1_angular_switch_consistency():
     for r in np.geomspace(2.5, 33.0, 10):
         for ph in np.linspace(0.72 * math.pi, 0.78 * math.pi, 10):
             w = r * cmath.exp(1j * ph)
-            assert rel(sf._e1t_power_series(w), sf._e1t_continued_fraction(w)) < GUARANTEE
+            assert rel(sf._e1t_power_series(w), sf._e1t_continued_fraction(w, 1)) < GUARANTEE
+
+
+def test_continued_fraction_orders_obey_the_recurrence():
+    # e^w E_p(w) of successive orders: p E~_(p+1) = 1 - w E~_p (DLMF
+    # 8.19.12); h0 takes order 5 on the imaginary axis.  The right side
+    # cancels to p/w, so the check holds to 1e-13 rather than 1e-15
+    for w in (2.5j, 10j, 40j, 3 + 4j, 20 - 5j):
+        for p in range(1, 5):
+            lhs = p * sf._e1t_continued_fraction(w, p + 1)
+            assert rel(lhs, 1.0 - w * sf._e1t_continued_fraction(w, p)) < 1e-13
 
 
 def test_scaled_e1_outer_switch_consistency():

@@ -30,8 +30,11 @@ ATOM = AtomParams(k0=13.101, alpha0=3.0e-8)
 class TestH0:
     @pytest.mark.parametrize("x0", [0.05, 1.0, 10.0, 100.0])
     def test_frozen_reference(self, x0: float) -> None:
+        # the E1t bracket below x0 = 2, the E5 form at 10 and 100 (the
+        # bracket lost 3.1e-15 and 5.2e-13 there); the E5 form is
+        # measured within 2e-16
         ref = REFERENCE[f"h0_{x0:g}"]
-        assert h0(x0) == pytest.approx(ref, rel=1e-9)
+        assert abs(h0(x0) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("label", ["1e3", "1e4", "1e6", "1e9"])
     def test_frozen_far_field(self, label: str) -> None:
@@ -40,9 +43,13 @@ class TestH0:
         assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15)
 
     def test_branches_meet_at_switch(self) -> None:
-        # E1t bracket at and below x0 = 100, asymptotic series above
-        below, above = h0(100.0), h0(math.nextafter(100.0, math.inf))
-        assert above == pytest.approx(below, rel=1e-11)
+        # E1t bracket below x0 = 2, the E5 form from 2 to 100 and the
+        # asymptotic series above; measured 2.5e-16 apart at both
+        for below, above in (
+            (math.nextafter(2.0, 0.0), 2.0),
+            (100.0, math.nextafter(100.0, math.inf)),
+        ):
+            assert abs(h0(above) - h0(below)) <= 1e-15 * abs(h0(below))
 
     def test_contact_limit(self) -> None:
         # H0 = -pi + x + O(x^2 log x) near the origin.
