@@ -14,7 +14,7 @@ closed form follow from it on the imaginary axis,
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
     |w| < 2                       power series around 0
-    |w| >= 2, |arg w| <= 3pi/4    modified-Lentz continued fraction
+    |w| >= 2, |arg w| <= 3pi/4    modified-Lentz continued fraction, any order p
     |arg w| > 3pi/4, |w| <= 35    power series (no cancellation there:
                                   left-half-plane terms share one sign)
     |arg w| > 3pi/4, |w| > 35     asymptotic series, optimal truncation
@@ -65,7 +65,7 @@ def _e1t_power_series(w: complex) -> complex:
     raise ConvergenceError(f"E1t power series stalled at w={w}")
 
 
-def _e1t_continued_fraction(w: complex, order: int) -> complex:
+def _e1t_continued_fraction(w: complex, order: float) -> complex:
     # e^w E_p(w) = 1/(w+p - 1 p/(w+p+2 - 2 (p+1)/(w+p+4 - ...))),
     # p = order: a_k = -k (p+k-1), b_k = w + p + 2k, the even part of
     # DLMF 8.19.17; modified Lentz
@@ -155,11 +155,13 @@ def _e1t_pair(w: complex) -> tuple[complex, complex, float]:
     return 2.0 * u * d, -2.0 * u2 * s, bound
 
 
-def scaled_e1(w: complex) -> complex:
-    """E1t(w) = e^w E1(w), principal branch.
+def scaled_e1(w: complex, order: float = 1) -> complex:
+    """E1t(w) = e^w E1(w), principal branch; e^w E_p(w) for order p != 1.
 
     Raises DomainError at w = 0, on the negative real axis (the branch
     cut) and for non-finite w.  E1t(w) ~ 1/w as |w| grows in |arg w| < pi.
+    Orders p != 1 come from the continued fraction alone and only on its
+    sector |w| >= 2, |arg w| <= 3pi/4 (DomainError elsewhere).
     """
     z = complex(w)
     if not cmath.isfinite(z):
@@ -168,9 +170,11 @@ def scaled_e1(w: complex) -> complex:
         raise DomainError("scaled_e1 undefined at w = 0")
     if z.imag == 0.0 and z.real < 0.0:
         raise DomainError(f"scaled_e1 on the branch cut: w = {z}")
-    if z.imag < 0.0:
-        return _finite(_scaled_e1_upper(z.conjugate()).conjugate())
-    return _finite(_scaled_e1_upper(z))
+    if order != 1 and (abs(z) < 2.0 or abs(cmath.phase(z)) > 0.75 * math.pi):
+        raise DomainError(f"order {order} needs |w| >= 2, |arg w| <= 3pi/4: w = {z}")
+    u = z.conjugate() if z.imag < 0.0 else z
+    e = _scaled_e1_upper(u) if order == 1 else _e1t_continued_fraction(u, order)
+    return _finite(e.conjugate() if z.imag < 0.0 else e)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import count
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .record import Record
-from .specfun import _e1t_continued_fraction, _scaled_e1_upper
+from .specfun import scaled_e1
 
 __all__ = [
     "AtomParams",
@@ -117,9 +117,9 @@ def h0(x0: float) -> float:
     negative on the whole half-line.  x0 <= 0 and x0 whose square
     overflows are refused.  Three branches:
 
-    * x0 < 2: F and G from one E1t evaluation, g + i f = -E1t(i x0).
-      The bracket cancels terms of size x0 down to one of size 1/x0, so
-      it loses about eps x0^2 of H0, under 1e-15 below x0 = 2;
+    * x0 < 2: F and G from one E1t (``specfun.scaled_e1``) evaluation,
+      g + i f = -E1t(i x0).  The bracket cancels terms of size x0 down
+      to one of size 1/x0, so it loses eps x0^2 of H0, under 1e-15;
     * 2 <= x0 <= 100: the same bracket with E1t raised to E5 by the
       recurrence E~_n = (1 - n E~_(n+1)) / w for E~_n = e^w E_n(w)
       (DLMF 8.19.12), so that its x0 orders cancel analytically,
@@ -127,8 +127,8 @@ def h0(x0: float) -> float:
           H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
                - 48 Re E~5(ix) / x^3,
 
-      with E~5(ix) ~ 1/(ix) from its continued fraction: within 2e-15
-      of mpmath, where the plain bracket lost up to 1.2e-12;
+      with E~5(ix) ~ 1/(ix) from scaled_e1(ix, 5): within 2e-15 of
+      mpmath, where the plain bracket lost up to 1.2e-12;
     * x0 > 100: the combined asymptotic series of f and g (DLMF
       6.12.3-4), whose x0 orders cancel analytically,
 
@@ -147,9 +147,9 @@ def h0(x0: float) -> float:
     if x0 > _H0_SERIES_MIN:
         return _h0_series(x0)
     if x0 < _H0_E5_MIN:
-        e = _scaled_e1_upper(1j * x0)
+        e = scaled_e1(1j * x0)
         return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
-    e5 = _e1t_continued_fraction(1j * x0, 5)
+    e5 = scaled_e1(1j * x0, 5)
     inv_x = 1.0 / x0
     inv_x2 = inv_x * inv_x
     return -6.0 * inv_x + inv_x * inv_x2 * (

@@ -216,6 +216,10 @@ def test_domain_errors():
         sf.scaled_e1(0.0)
     with pytest.raises(DomainError):
         sf.scaled_e1(-3.0)  # branch cut
+    # orders p != 1 only on the continued fraction's sector
+    for w, order in ((1.9j, 5), (-3 + 2.9j, 2), (-3 - 2.9j, 0.5), (1.0, 2)):
+        with pytest.raises(DomainError):
+            sf.scaled_e1(w, order)
     for bad_m in (0, 261, 2.0, True):
         with pytest.raises(DomainError):
             sf.zeta_even(bad_m)
@@ -276,14 +280,14 @@ def test_scaled_e1_angular_switch_consistency():
             assert rel(sf._e1t_power_series(w), sf._e1t_continued_fraction(w, 1)) < GUARANTEE
 
 
-def test_continued_fraction_orders_obey_the_recurrence():
+def test_orders_obey_the_recurrence():
     # e^w E_p(w) of successive orders: p E~_(p+1) = 1 - w E~_p (DLMF
     # 8.19.12); h0 takes order 5 on the imaginary axis.  The right side
     # cancels to p/w, so the check holds to 1e-13 rather than 1e-15
-    for w in (2.5j, 10j, 40j, 3 + 4j, 20 - 5j):
-        for p in range(1, 5):
-            lhs = p * sf._e1t_continued_fraction(w, p + 1)
-            assert rel(lhs, 1.0 - w * sf._e1t_continued_fraction(w, p)) < 1e-13
+    for w in (2.5j, 10j, 40j, 3 + 4j, 20 - 5j, 2.0, -3 + 3.2j):
+        for p in (0.5, 1, 2, 3, 4):
+            lhs = p * sf.scaled_e1(w, p + 1)
+            assert rel(lhs, 1.0 - w * sf.scaled_e1(w, p)) < 1e-13
 
 
 def test_scaled_e1_outer_switch_consistency():
