@@ -17,6 +17,15 @@ refactor can be checked with
     diff <(python scripts/output_digest.py --root OLD) \
          <(python scripts/output_digest.py --root NEW)
 
+With ``--against OLD`` each command also runs from a second checkout,
+and under every command whose exit code or stdout differs there one
+indented line says by how much: the largest relative move of any number
+in its output (CSV and JSON cells, and the numbers of the text formats)
+from OLD's value, and how many numbers moved, or that the two outputs
+differ in more than their numbers:
+
+    python scripts/output_digest.py --root NEW --against OLD
+
 Standard library only.
 """
 
@@ -25,7 +34,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,7 +79,11 @@ def commands() -> list[list[str]]:
     return cmds
 
 
-def digest(root: Path, argv: list[str]) -> tuple[int, str]:
+# a decimal number, optionally signed and with an exponent
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def run(root: Path, argv: list[str]) -> tuple[int, bytes]:
     src = root / "src"
     env = {k: v for k, v in os.environ.items() if k != "CPWALL_CONFIG"}
     env["PYTHONPATH"] = str(src)
@@ -81,17 +96,40 @@ def digest(root: Path, argv: list[str]) -> tuple[int, str]:
         payload = json.loads(out)
         payload.pop("elapsed_s")
         out = (json.dumps(payload, indent=2) + "\n").encode()
-    return proc.returncode, hashlib.sha256(out).hexdigest()
+    return proc.returncode, out
+
+
+def largest_move(old: bytes, new: bytes) -> str:
+    """How far the numbers of new moved from those of old."""
+    a, b = old.decode(), new.decode()
+    if _NUMBER.sub("#", a) != _NUMBER.sub("#", b):
+        return "output differs in more than its numbers"
+    numbers = zip(map(float, _NUMBER.findall(a)), map(float, _NUMBER.findall(b)))
+    pairs = [(x, y) for x, y in numbers if x != y]
+    worst = max(
+        (abs(y - x) / abs(x) if x else math.inf for x, y in pairs), default=0.0
+    )
+    return f"largest relative cell move {worst:.2e} ({len(pairs)} numbers moved)"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, required=True, help="checkout to run")
+    parser.add_argument(
+        "--against", type=Path, help="second checkout to measure the moves from"
+    )
     args = parser.parse_args()
     root = args.root.resolve()
     for argv in commands():
-        code, sha = digest(root, argv)
-        print(code, sha, " ".join(argv), flush=True)
+        code, out = run(root, argv)
+        print(code, hashlib.sha256(out).hexdigest(), " ".join(argv), flush=True)
+        if args.against is None:
+            continue
+        old_code, old = run(args.against.resolve(), argv)
+        if old_code != code:
+            print(f"  exit code {old_code} -> {code}", flush=True)
+        elif old != out:
+            print("  " + largest_move(old, out), flush=True)
     return 0
 
 

@@ -17,11 +17,13 @@ the Lifshitz sum plus the resonant term from there on (next to the
 route switch, from x0 = 40 to 1e9 below theta = 45, and on theta 10-44
 x z/lambda_T 0.125-1000, where the E1t series once served).  The
 Lifshitz route is measured against max(|W|, 2 pi/theta), since W
-passes through zero.  The script exits with status 1 when h0's E5 form
-is off by more than 1e-14, or its series by more than 1e-10, when the
-H_T form is off by more than 1e-11 of |W|, or when the Lifshitz route
-is off by more than 1e-14 of the scale next to its switch and in the
-far field, or by more than 1e-13 on the low-theta grid.
+passes through zero.  The script exits with status 1 when scaled_e1
+of any order on its continued fraction's sector (p = 0.5-1000,
+|w| = 2-300, |arg w| <= 3pi/4) or h0's E5 form is off by more than
+1e-14, or h0's series by more than 1e-10, when the H_T form is off by
+more than 1e-11 of |W|, or when the Lifshitz route is off by more than
+1e-14 of the scale next to its switch and in the far field, or by more
+than 1e-13 on the low-theta grid.
 """
 
 from __future__ import annotations
@@ -101,6 +103,28 @@ def sweep_e1t() -> None:
     got = [complex(sf.scaled_e1(w)) for w in pts]
     want = [ref(w) for w in pts]
     report("scaled_e1 (random box 60)", pts, got, want)
+
+
+ORDERS_RTOL = 1e-14
+
+
+def sweep_orders() -> bool:
+    """scaled_e1(w, p), the continued fraction evaluated backward from
+    its depth 10 + 200/(|w| + Re w), against mpmath on its sector: p =
+    0.5, 1, 2, 5, 10, 50 and 1000 at |w| = 2-300 and |arg w| up to
+    3pi/4, the edge and the conjugates included.  True when the worst
+    error of every order is within ORDERS_RTOL."""
+    radii = np.geomspace(2.0, 300.0, 13)
+    angs = np.linspace(0.0, 0.75 * np.pi, 7)
+    pts = [r * np.exp(1j * a) for r in radii for a in angs]
+    pts += [p.conjugate() for p in pts if p.imag != 0.0]
+    ok = True
+    for p in (0.5, 1, 2, 5, 10, 50, 1000):
+        got = [complex(sf.scaled_e1(w, p)) for w in pts]
+        want = [complex(mp.exp(w) * mp.expint(p, w)) for w in pts]
+        errs = [abs(g - w) / abs(w) for g, w in zip(got, want)]
+        ok = report_scaled(f"scaled_e1 order {p} (sector)", pts, errs) <= ORDERS_RTOL and ok
+    return ok
 
 
 def sweep_hurwitz() -> None:
@@ -268,7 +292,8 @@ if __name__ == "__main__":
     sweep_e1t()
     sweep_hurwitz()
     sweep_bose()
-    ok = sweep_h0()
+    ok = sweep_orders()
+    ok = sweep_h0() and ok
     ok = sweep_short() and ok
     ok = sweep_thermal() and ok
     ok = sweep_low_theta() and ok

@@ -329,9 +329,8 @@ def regime_error_table(
 
     rows: list[RegimeErrorRow] = []
     for z in zs:
-        v0 = vacuum_potential(atom, z, cst)
-        vt = thermal_potential_exact(atom, env, z, cst)
-        vtot = total_potential(atom, z, env, cst).total
+        bd = total_potential(atom, z, env, cst)
+        v0, vt, vtot = bd.vacuum, bd.thermal, bd.total
         err_nr = _relative_error(nonretarded_asymptote(atom, z, cst), v0)
         err_ret = _relative_error(retarded_asymptote(atom, z, cst), v0)
         err_short = _relative_error(thermal_short_leading(atom, env, z, cst), vt)

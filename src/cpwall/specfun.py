@@ -14,7 +14,8 @@ closed form follow from it on the imaginary axis,
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
     |w| < 2                       power series around 0
-    |w| >= 2, |arg w| <= 3pi/4    modified-Lentz continued fraction, any order p
+    |w| >= 2, |arg w| <= 3pi/4    continued fraction, any order p, evaluated
+                                  backward from depth 10 + 200/(|w| + Re w)
     |arg w| > 3pi/4, |w| <= 35    power series (no cancellation there:
                                   left-half-plane terms share one sign)
     |arg w| > 3pi/4, |w| > 35     asymptotic series, optimal truncation
@@ -39,14 +40,6 @@ from .errors import ConvergenceError, DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_EPS = 2.220446049250313e-16
-
-
-def _finite(v: complex) -> complex:
-    if not cmath.isfinite(v):
-        raise ConvergenceError(f"non-finite complex value {v}")
-    return v
-
 
 # ----------------------------------------------------------------------
 # scaled exponential integral
@@ -65,31 +58,19 @@ def _e1t_power_series(w: complex) -> complex:
     raise ConvergenceError(f"E1t power series stalled at w={w}")
 
 
-def _e1t_continued_fraction(w: complex, order: float) -> complex:
+def _e1t_fraction(w: complex, order: float) -> complex:
     # e^w E_p(w) = 1/(w+p - 1 p/(w+p+2 - 2 (p+1)/(w+p+4 - ...))),
     # p = order: a_k = -k (p+k-1), b_k = w + p + 2k, the even part of
-    # DLMF 8.19.17; modified Lentz
-    tiny = 1e-300
-    f = w + float(order)
-    if f == 0:
-        f = tiny
-    c = f
-    d = 0.0 + 0.0j
-    for n in range(1, 512):
-        a = -float(n * (order + n - 1))
-        b = w + (2 * n + order)
-        d = b + a * d
-        if d == 0:
-            d = tiny
-        c = b + a / c
-        if c == 0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 4.0 * _EPS:
-            return 1.0 / f
-    raise ConvergenceError(f"E1t continued fraction did not converge at w={w}")
+    # DLMF 8.19.17, evaluated backward from depth n (Numerical Recipes
+    # 5.2).  It converges like exp(-4 sqrt(n) Re sqrt(w)), and
+    # 2 (Re sqrt(w))^2 = |w| + Re w: n = 10 + 200/(|w| + Re w) holds that
+    # exponent below -40, 110 steps at w = 2i, 351 at |w| = 2, arg 3pi/4
+    n = 10 + int(200.0 / (abs(w) + w.real))
+    b = w + order
+    t = b + 2 * n
+    for k in range(n, 0, -1):
+        t = b + (2 * k - 2) - k * (order + k - 1) / t
+    return 1.0 / t
 
 
 def _e1t_asymptotic(w: complex) -> complex:
@@ -113,7 +94,7 @@ def _scaled_e1_upper(w: complex) -> complex:
     if r < 2.0:
         return _e1t_power_series(w)
     if abs(cmath.phase(w)) <= 0.75 * math.pi:
-        return _e1t_continued_fraction(w, 1)
+        return _e1t_fraction(w, 1)
     if r <= 35.0:
         return _e1t_power_series(w)
     return _e1t_asymptotic(w)
@@ -173,8 +154,11 @@ def scaled_e1(w: complex, order: float = 1) -> complex:
     if order != 1 and (abs(z) < 2.0 or abs(cmath.phase(z)) > 0.75 * math.pi):
         raise DomainError(f"order {order} needs |w| >= 2, |arg w| <= 3pi/4: w = {z}")
     u = z.conjugate() if z.imag < 0.0 else z
-    e = _scaled_e1_upper(u) if order == 1 else _e1t_continued_fraction(u, order)
-    return _finite(e.conjugate() if z.imag < 0.0 else e)
+    e = _scaled_e1_upper(u) if order == 1 else _e1t_fraction(u, order)
+    e = e.conjugate() if z.imag < 0.0 else e
+    if not cmath.isfinite(e):
+        raise ConvergenceError(f"non-finite complex value {e}")
+    return e
 
 
 # ----------------------------------------------------------------------

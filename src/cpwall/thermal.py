@@ -86,7 +86,7 @@ from .specfun import (
     bose_sum_p,
     scaled_e1,
 )
-from .vacuum import AtomParams, _z_power, classify_regime, h0, vacuum_potential
+from .vacuum import AtomParams, _vacuum_parts, _z_power, classify_regime, h0
 
 __all__ = [
     "PotentialBreakdown",
@@ -407,9 +407,9 @@ def _static_alpha_sum(eta: float, x0: float) -> float:
     )
 
 
-def _w_lifshitz(eta: float, x0: float) -> float:
-    """W for eta <= 4 from the Lifshitz (Matsubara) sum minus H0 plus
-    the resonant term W_pole, as the module docstring writes it.
+def _w_lifshitz(eta: float, x0: float, h: float | None = None) -> float:
+    """W for eta <= 4 from the Lifshitz (Matsubara) sum minus H0 (h, if
+    given) plus the resonant term W_pole, as the module docstring writes it.
 
     The terms of the sum are positive and fall by e^(-2 pi / eta) each:
     1 to 5 terms for eta <= 1, about 30 at eta = 4.  The sum stops at
@@ -429,7 +429,8 @@ def _w_lifshitz(eta: float, x0: float) -> float:
         total += term
         if term < 1e-17 * total:
             s = math.fsum(terms)
-            return -2.0 * ratio * s - h0(x0) + _pole_term(x0, math.exp(-theta))
+            h = h0(x0) if h is None else h
+            return -2.0 * ratio * s - h + _pole_term(x0, math.exp(-theta))
     raise ConvergenceError(
         f"Lifshitz sum did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "
         f"x0 = {x0:.6g}"
@@ -580,6 +581,17 @@ def thermal_potential_exact(
     W by more than 1e-8 of max(|W|, 2 pi / theta) (see
     _check_x0_rounding), its one refusal.
     """
+    return _thermal_exact(atom, env, z, constants)
+
+
+def _thermal_exact(
+    atom: AtomParams,
+    env: ThermalEnvironment,
+    z: float,
+    constants: PhysicalConstants | None,
+    h: float | None = None,
+) -> float:
+    """thermal_potential_exact, given h = H0(2 k0 z) if the caller has it."""
     z3 = _z_power(z, 3)
     _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
@@ -589,7 +601,7 @@ def thermal_potential_exact(
         # x0 > _X0_ROUNDING_MIN would need theta > 2.3e4, where the pole
         # term that _check_x0_rounding bounds is 0
         return _v_short(atom, env, cst, z)
-    w = _w_lifshitz(eta, x0)
+    w = _w_lifshitz(eta, x0, h)
     if x0 > _X0_ROUNDING_MIN:
         _check_x0_rounding(w, eta, x0)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
@@ -704,17 +716,14 @@ def total_potential(
     ``env=None`` means a zero-temperature field: the thermal part is
     exactly zero and only the vacuum term survives.
     """
-    vac = vacuum_potential(atom, z, constants)
+    pref, h = _vacuum_parts(atom, z, constants)
+    vac = pref * h
     x0 = 2.0 * atom.k0 * z
     tag = classify_regime(x0).value
     if env is None:
-        return PotentialBreakdown(
-            vacuum=vac,
-            thermal=0.0,
-            total=vac + 0.0,
-            notes=f"x0 = {x0:.6g} ({tag}); zero-temperature field, thermal term absent",
-        )
-    th = thermal_potential_exact(atom, env, z, constants)
+        notes = f"x0 = {x0:.6g} ({tag}); zero-temperature field, thermal term absent"
+        return PotentialBreakdown(vac, 0.0, vac + 0.0, notes)
+    th = _thermal_exact(atom, env, z, constants, h)
     zr = z / env.lambda_T
     notes = (
         f"x0 = {x0:.6g} ({tag}); z/lambda_T = {zr:.6g}; "

@@ -49,10 +49,10 @@ X0_NON_RETARDED_MAX = 0.1
 X0_RETARDED_MIN = 2.6 * 2.0 * math.pi
 
 # h0 takes the E1t bracket below _H0_E5_MIN, the E5 form up to
-# _H0_SERIES_MIN and its asymptotic series above.  At x0 = 2 the E5
-# form and the bracket are both within 2e-15 of mpmath, the E5 form
-# better above and the bracket below.  The series would do from 50 on,
-# 2-3x faster than the E5 form; it keeps the switch at 100 that it had.
+# _H0_SERIES_MIN and its asymptotic series above.  The E5 form needs
+# |w| >= 2 of scaled_e1's order 5; at x0 = 2 both forms are within
+# 2e-16 of mpmath, and the bracket loses up to 1.6e-15 below it.  The
+# series would do from 50 on; it keeps the switch at 100 that it had.
 _H0_E5_MIN = 2.0
 _H0_SERIES_MIN = 100.0
 
@@ -127,7 +127,7 @@ def h0(x0: float) -> float:
           H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
                - 48 Re E~5(ix) / x^3,
 
-      with E~5(ix) ~ 1/(ix) from scaled_e1(ix, 5): within 2e-15 of
+      with E~5(ix) ~ 1/(ix) from scaled_e1(ix, 5): within 3e-16 of
       mpmath, where the plain bracket lost up to 1.2e-12;
     * x0 > 100: the combined asymptotic series of f and g (DLMF
       6.12.3-4), whose x0 orders cancel analytically,
@@ -139,8 +139,8 @@ def h0(x0: float) -> float:
       term is about e^-x0, so 20 terms at most).
 
     scripts/sweep_branch_switches.py holds the last two to 60-digit
-    mpmath: the E5 form to 1e-14, the series to 1e-10 (measured 4e-16
-    up to x0 = 1e12).
+    mpmath: the E5 form to 1e-14 (measured 2.2e-16), the series to
+    1e-10 (measured 4e-16 up to x0 = 1e12).
     """
     if not (x0 > 0.0 and math.isfinite(x0 * x0)):
         raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
@@ -181,10 +181,18 @@ def vacuum_potential(
     V0(z) = (hbar c / 8 pi) (k0 alpha0 / z^3) H0(2 k0 z); strictly
     negative (attractive) at every separation.
     """
+    prefactor, h = _vacuum_parts(atom, z, constants)
+    return prefactor * h
+
+
+def _vacuum_parts(
+    atom: AtomParams, z: float, constants: PhysicalConstants | None
+) -> tuple[float, float]:
+    """(prefactor, H0(2 k0 z)), whose product is vacuum_potential."""
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     prefactor = cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0 / z3
-    return prefactor * h0(2.0 * atom.k0 * z)
+    return prefactor, h0(2.0 * atom.k0 * z)
 
 
 def nonretarded_asymptote(

@@ -19,6 +19,7 @@ from cpwall.thermal import (
     _coth_terms,
     _h_t,
     _pole_term,
+    _reference_pair,
     _w_bracket,
     _w_lifshitz,
     lifshitz_asymptote,
@@ -56,7 +57,7 @@ class TestFrozenReferences:
         x0 = 2.0 * theta * zr
         terms = thermal_series_terms(1.0 / (2.0 * zr), x0)
         ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
-        assert _w_bracket(terms, x0) == pytest.approx(ref, rel=5e-10)
+        assert abs(_w_bracket(terms, x0) - ref) <= 5e-10 * abs(ref)
 
     @pytest.mark.parametrize(
         "theta,zr",
@@ -170,7 +171,9 @@ class TestStaticAlphaExpansion:
         env = ThermalEnvironment(temperature=temp, lambda_T=lam, theta=theta)
         z = 0.5 / atom.k0
         v_t = thermal_potential_exact(atom, env, z)
-        assert v_t == pytest.approx(thermal_short_leading(atom, env, z), rel=1e-10)
+        assert v_t == pytest.approx(
+            thermal_short_leading(atom, env, z), rel=1e-10, abs=0
+        )
 
 
 class TestStaticLimit:
@@ -196,7 +199,7 @@ class TestStaticLimit:
         for k in range(6):
             i_k = next(terms)
             ref = REFERENCE[f"lt_coef_eta0.7_k{k}"]
-            assert i_k / 2.0 == pytest.approx(ref, rel=1e-12)
+            assert i_k / 2.0 == pytest.approx(ref, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("zr", [0.15, 0.5, 2.0])
     def test_approach_as_inverse_theta_squared(self, zr: float) -> None:
@@ -396,9 +399,11 @@ class TestExpansions:
         atom, env = make_pair(100.0)
         c_t = thermal_short_expansion(atom, env, 1e-100)
         assert c_t == pytest.approx(
-            thermal_potential_exact(atom, env, 1e-5 * LAMBDA_T), rel=1e-8
+            thermal_potential_exact(atom, env, 1e-5 * LAMBDA_T), rel=1e-8, abs=0
         )
-        assert thermal_short_expansion(atom, env, z) == pytest.approx(c_t, rel=1e-14)
+        assert thermal_short_expansion(atom, env, z) == pytest.approx(
+            c_t, rel=1e-14, abs=0
+        )
 
     def test_short_leading_window(self) -> None:
         atom, env = make_pair(100.0)
@@ -451,7 +456,7 @@ class TestExpansions:
         atom, env = make_pair(100.0)
         c_t = thermal_short_leading(atom, env, 0.0)
         expect = 2.0 * math.pi**3 / 45.0 * CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4
-        assert c_t == pytest.approx(expect, rel=1e-14)
+        assert c_t == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 class TestLifshitz:
@@ -469,7 +474,7 @@ class TestLifshitz:
         env2 = ThermalEnvironment.for_atom(atom, 600.0)
         z = 20.0
         assert lifshitz_asymptote(atom, env2, z) == pytest.approx(
-            2.0 * lifshitz_asymptote(atom, env1, z), rel=1e-12
+            2.0 * lifshitz_asymptote(atom, env1, z), rel=1e-12, abs=0
         )
 
 
@@ -530,6 +535,37 @@ class TestTotalPotential:
         bd = total_potential(atom, 2.0, env=env)
         assert bd.total == bd.vacuum + bd.thermal
         assert "z/lambda_T" in bd.notes
+
+    @pytest.mark.parametrize("theta", [10.0, 45.0, 1000.0])
+    def test_shared_h0_is_bit_identical(self, theta: float) -> None:
+        # total_potential takes H0 once for both parts; on figure 2's
+        # range z/lambda_T = 0.1-3 (the H_T form below 0.125, the
+        # Lifshitz sum from there on) and at zero temperature each field
+        # is still the stand-alone function's value, bit for bit
+        atom, env = _reference_pair(theta, CST)
+        for i in range(146):
+            z = (0.1 + 0.02 * i) * env.lambda_T
+            vac = vacuum_potential(atom, z, CST)
+            th = thermal_potential_exact(atom, env, z, CST)
+            bd = total_potential(atom, z, env, CST)
+            assert (bd.vacuum, bd.thermal, bd.total) == (vac, th, vac + th)
+            bd = total_potential(atom, z, None, CST)
+            assert (bd.vacuum, bd.thermal, bd.total) == (vac, 0.0, vac + 0.0)
+        # a bad z is refused by the vacuum part first, as before
+        for z in (0.0, -1.0, math.nan, math.inf, 1e-110, 1e110):
+            with pytest.raises(DomainError) as want:
+                vacuum_potential(atom, z, CST)
+            for e in (env, None):
+                with pytest.raises(DomainError) as got:
+                    total_potential(atom, z, e, CST)
+                assert str(got.value) == str(want.value)
+        # an environment built for another atom, by the thermal part
+        other, _ = _reference_pair(2.0 * theta, CST)
+        with pytest.raises(DomainError) as want:
+            thermal_potential_exact(other, env, env.lambda_T, CST)
+        with pytest.raises(DomainError) as got:
+            total_potential(other, env.lambda_T, env, CST)
+        assert str(got.value) == str(want.value)
 
     def test_breakdown_rejects_bad_total(self) -> None:
         with pytest.raises(DomainError):

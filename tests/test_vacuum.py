@@ -40,7 +40,7 @@ class TestH0:
     def test_frozen_far_field(self, label: str) -> None:
         # the E1t bracket lost eps x0^2 here (2e-9 at 1e4, 3e-5 at 1e6,
         # the wrong sign at 1e9); the asymptotic series keeps 1e-15
-        assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15)
+        assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15, abs=0)
 
     def test_branches_meet_at_switch(self) -> None:
         # E1t bracket below x0 = 2, the E5 form from 2 to 100 and the
@@ -138,12 +138,12 @@ class TestAsymptoteScaling:
     def test_nonretarded_cube_law(self) -> None:
         a = nonretarded_asymptote(ATOM, 0.3)
         b = nonretarded_asymptote(ATOM, 0.6)
-        assert a / b == pytest.approx(8.0, rel=1e-14)
+        assert a / b == pytest.approx(8.0, rel=1e-14, abs=0)
 
     def test_retarded_quartic_law(self) -> None:
         a = retarded_asymptote(ATOM, 0.3)
         b = retarded_asymptote(ATOM, 0.6)
-        assert a / b == pytest.approx(16.0, rel=1e-14)
+        assert a / b == pytest.approx(16.0, rel=1e-14, abs=0)
 
     def test_retarded_k0_free(self) -> None:
         other = AtomParams(k0=2.5 * ATOM.k0, alpha0=ATOM.alpha0)
@@ -172,7 +172,7 @@ class TestDataclasses:
             AtomParams(k0=math.inf, alpha0=1.0)
 
     def test_lambda0(self) -> None:
-        assert ATOM.lambda0 == pytest.approx(2.0 * math.pi / ATOM.k0, rel=1e-15)
+        assert ATOM.lambda0 == pytest.approx(2.0 * math.pi / ATOM.k0, rel=1e-15, abs=0)
 
 
 @given(st.floats(min_value=1e-3, max_value=1e3))
