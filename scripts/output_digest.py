@@ -66,6 +66,12 @@ def commands() -> list[list[str]]:
     for figure in ("1", "2", "3"):
         for theta in CURVE_THETAS:
             cmds.append(["curve", "--figure", figure, "--theta", theta])
+    # non-default grids with H_T rows below theta 40, as the curve
+    # benchmark draws them
+    cmds += [
+        ["curve", "--figure", "3", "--theta", "12", "--points", "57"],
+        ["curve", "--figure", "2", "--theta", "33", "--points", "149"],
+    ]
     cmds += [
         ["verify", "--format", "json"],
         ["verify", "--quick", "--format", "json"],

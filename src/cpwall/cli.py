@@ -32,6 +32,7 @@ from .record import Record
 from .thermal import (
     ThermalEnvironment,
     _reference_pair,
+    _thermal_exact,
     lifshitz_asymptote,
     recommended_approximation,
     thermal_potential_exact,
@@ -40,6 +41,7 @@ from .thermal import (
 )
 from .vacuum import (
     AtomParams,
+    _vacuum_parts,
     classify_regime,
     nonretarded_asymptote,
     retarded_asymptote,
@@ -119,9 +121,9 @@ class CurveSpec(Record):
         )
 
 
-def _fmt(value: float) -> str:
-    # 17 significant digits, enough to round-trip any double
-    return f"{value:.16e}"
+# 17 significant digits, enough to round-trip any double
+_CELL = "{:.16e}"
+_fmt = _CELL.format
 
 
 def _figure_grid(spec: CurveSpec) -> list[float]:
@@ -166,7 +168,9 @@ def _row_function(
 
         def total_row(zr: float) -> tuple[float, ...]:
             z = zr * lam
-            tot = total_potential(atom, z, env, cst).total
+            # total_potential's total, without its notes and record
+            pref, h = _vacuum_parts(atom, z, cst)
+            tot = pref * h + _thermal_exact(atom, env, z, cst, h)
             lif = lifshitz_asymptote(atom, env, z, cst)
             s = zr**3 / scale
             return zr, tot * s, lif * s
@@ -191,13 +195,15 @@ def cmd_curve(
     """Emit one figure's data as CSV with a header row.
 
     Every row is computed before anything is written, so an error at
-    any grid point leaves no partial output.
+    any grid point leaves no partial output.  The row format, one _CELL
+    per column, is built once per curve: one str.format call per row.
     """
     cst = constants if constants is not None else load_constants()
     out = stream if stream is not None else sys.stdout
     row = _row_function(spec, cst)
+    cells = ",".join([_CELL] * len(spec.columns)).format
     lines = [",".join(spec.columns)]
-    lines += [",".join(map(_fmt, row(float(x)))) for x in _figure_grid(spec)]
+    lines += [cells(*row(float(x))) for x in _figure_grid(spec)]
     out.write("\n".join(lines) + "\n")
     return 0
 

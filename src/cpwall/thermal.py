@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from itertools import count
 from operator import mul
 from typing import Iterator
@@ -437,6 +438,24 @@ def _w_lifshitz(eta: float, x0: float, h: float | None = None) -> float:
     )
 
 
+@lru_cache(maxsize=64)
+def _h_t_near(theta: float) -> tuple[float, tuple[float, ...]]:
+    """_h_t's n theta < 40 terms of J_2, and 1/n^2 for their head terms."""
+    theta2 = theta * theta
+    near = 0.0
+    inv_n2 = []
+    for n in count(1):
+        y = n * theta
+        if y >= _PAIR_MIN:
+            break
+        e_minus = _scaled_e1_upper(complex(-y, 0.0)).real
+        e_plus = _scaled_e1_upper(complex(y, 0.0)).real
+        f_rest = -0.5 * (e_minus + e_plus) - 1.0 / (y * y)
+        near += f_rest * theta2 * theta2 / 6.0
+        inv_n2.append(1.0 / (n * n))
+    return near, tuple(inv_n2)
+
+
 def _h_t(eta: float, x0: float) -> float:
     """theta^4 h_T, h_T = W / (2 x0^3), from the exact H_T form, for
     eta > 2.5.
@@ -459,14 +478,15 @@ def _h_t(eta: float, x0: float) -> float:
     u = x0 / theta = 1/eta, holds no power of x0 or theta that could
     over- or underflow.  Its terms fall like 1/eta^2.
 
-    For the n with n theta < 40 (at most three) F comes from E1t and
-    sheds its head terms one at a time.  For n >= n0 the inner sums are
-    the tails of sum_j c_j, c_j = (2j-1)! [zeta(2j) - sum_{k<n0}
-    k^(-2j)] / theta^(2j), cut at its smallest term; they are summed
-    over m first, so that c_j adds c_j times the coefficient the outer
-    sum gives it.  The sum stops at the first m where the magnitudes of
-    its pieces, plus u^(2m-4) zeta(2m), which unlike J_m never vanishes
-    by accident, fall below 1e-17 of the sum.
+    For the n with n theta < 40 (at most three) F comes from E1t, once
+    per theta (_h_t_near), and sheds its head terms one at a time.
+    For n >= n0 the inner sums are the tails of sum_j c_j, c_j =
+    (2j-1)! [zeta(2j) - sum_{k<n0} k^(-2j)] / theta^(2j), cut at its
+    smallest term; they are summed over m first, so that c_j adds c_j
+    times the coefficient the outer sum gives it.  The sum stops at the
+    first m where the magnitudes of its pieces, plus u^(2m-4) zeta(2m),
+    which unlike J_m never vanishes by accident, fall below 1e-17 of
+    the sum.
 
     Against mpmath (50 digits) W is within 7e-15 at theta >= 44 and
     2.6e-12 below, at worst at theta 30-35, where F minus its head
@@ -475,18 +495,7 @@ def _h_t(eta: float, x0: float) -> float:
     theta = _check_pair(eta, x0)
     theta2 = theta * theta
     u2 = 1.0 / (eta * eta)
-    # the n < n0 terms of J_2, and 1/n^2 for their head terms
-    near = 0.0
-    inv_n2 = []
-    for n in count(1):
-        y = n * theta
-        if y >= _PAIR_MIN:
-            break
-        e_minus = _scaled_e1_upper(complex(-y, 0.0)).real
-        e_plus = _scaled_e1_upper(complex(y, 0.0)).real
-        f_rest = -0.5 * (e_minus + e_plus) - 1.0 / (y * y)
-        near += f_rest * theta2 * theta2 / 6.0
-        inv_n2.append(1.0 / (n * n))
+    near, inv_n2 = _h_t_near(theta)
     powers = inv_n2  # n^(2-2m) before step m
     weight = 1.0  # u^(2m-4)
     total = coef = spread = b = head = 0.0

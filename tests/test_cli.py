@@ -24,6 +24,7 @@ except ModuleNotFoundError:  # Python 3.10: pyproject.toml is read with a regex
 from cpwall import cli
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
+from cpwall.thermal import _reference_pair, total_potential
 
 EV_TO_J = 1.602176634e-19
 
@@ -281,6 +282,58 @@ class TestCurve:
         for points in (2.5, 2.0, True):
             with pytest.raises(DomainError):
                 cli.CurveSpec.for_figure(2, 100.0, points=points)
+
+
+class TestCurveRows:
+    """A curve row formats its cells in one call and takes figure 2's
+    total from the parts total_potential adds, bit for bit."""
+
+    @pytest.mark.parametrize("theta", [10.0, 45.0, 1000.0])
+    def test_figure2_total_is_total_potential(self, theta):
+        cst = PhysicalConstants()
+        # the H_T form below z/lambda_T = 1/8, the Lifshitz sum above
+        spec = cli.CurveSpec.for_figure(2, theta, 40, x_range=(0.02, 0.8))
+        buf = io.StringIO()
+        assert cli.cmd_curve(spec, cst, buf) == 0
+        lines = buf.getvalue().splitlines()[1:]
+        rows = [list(map(float, line.split(","))) for line in lines]
+        assert min(r[0] for r in rows) < 0.125 < max(r[0] for r in rows)
+        atom, env = _reference_pair(theta, cst)
+        lam = env.lambda_T
+        scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
+        for zr, total_scaled, _ in rows:
+            tot = total_potential(atom, zr * lam, env, cst).total
+            assert total_scaled == tot * (zr**3 / scale)
+
+    CELLS = [
+        -0.0,
+        5e-324,
+        -5e-324,
+        2.2250738585072014e-308,
+        1.7976931348623157e308,
+        -1.7976931348623157e308,
+        -0.25,
+        -123456.789,
+        1.0,
+    ]
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 3])
+    def test_row_format_is_the_joined_cells(self, figure_id, monkeypatch):
+        width = len(cli.CurveSpec.for_figure(figure_id, 100.0).columns)
+        rows = [
+            tuple(self.CELLS[(i + j) % len(self.CELLS)] for j in range(width))
+            for i in range(len(self.CELLS))
+        ]
+        feed = iter(rows)
+        monkeypatch.setattr(cli, "_row_function", lambda *_: lambda x: next(feed))
+        spec = cli.CurveSpec.for_figure(figure_id, 100.0, len(rows))
+        buf = io.StringIO()
+        assert cli.cmd_curve(spec, PhysicalConstants(), buf) == 0
+        lines = buf.getvalue().splitlines()[1:]
+        assert lines == [",".join(map(cli._fmt, row)) for row in rows]
+        # _fmt, as the CSV of eval writes a cell
+        assert all(cli._fmt(v) == f"{v:.16e}" for v in self.CELLS)
+        assert all(_CELL_RE.match(c) for line in lines for c in line.split(","))
 
 
 class TestFigureGrid:

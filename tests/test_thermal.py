@@ -3,12 +3,15 @@ invariants, expansion windows, and limiting behavior."""
 
 from __future__ import annotations
 
+import io
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cpwall import thermal
+from cpwall.cli import CurveSpec, cmd_curve
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import DomainError, ValidityError
 from cpwall.oracle import thermal_quadrature_static
@@ -68,7 +71,7 @@ class TestFrozenReferences:
         v = thermal_potential_exact(atom, env, zr * LAMBDA_T)
         vhat = v / (CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4)
         ref = REFERENCE[f"vhat_theta{theta:g}_zr{zr:g}"]
-        assert vhat == pytest.approx(ref, rel=5e-10)
+        assert vhat == pytest.approx(ref, rel=5e-10, abs=0)
 
 
 # frozen points of the two routes: the Lifshitz sum (z >= lambda_T / 8)
@@ -174,6 +177,33 @@ class TestStaticAlphaExpansion:
         assert v_t == pytest.approx(
             thermal_short_leading(atom, env, z), rel=1e-10, abs=0
         )
+
+
+class TestHTNearTerms:
+    """_h_t takes the near terms of J_2 (n theta < 40) from a cache keyed
+    on theta alone, which holds whatever (eta, x0) filled it."""
+
+    @pytest.mark.parametrize("theta", [10.0, 20.0, 39.9, 100.0])
+    def test_cold_and_warm_cache_agree(self, theta: float) -> None:
+        # eta a power of 2, so that eta * (theta / eta) is theta exactly
+        pairs = [(eta, theta / eta) for eta in (8.0, 16.0, 32.0)]
+        cold = []
+        for eta, x0 in pairs:
+            thermal._h_t_near.cache_clear()
+            cold.append(_h_t(eta, x0))
+        thermal._h_t_near.cache_clear()
+        warm = [_h_t(eta, x0) for eta, x0 in pairs]
+        assert thermal._h_t_near.cache_info().hits == len(pairs) - 1
+        assert warm == cold
+        assert warm == [_h_t(eta, x0) for eta, x0 in pairs]
+        assert bool(thermal._h_t_near(theta)[1]) == (theta < 40.0)
+
+    def test_a_figure_3_curve_reaches_the_cache(self) -> None:
+        thermal._h_t_near.cache_clear()
+        cmd_curve(CurveSpec.for_figure(3, 12.0, 150), CST, io.StringIO())
+        info = thermal._h_t_near.cache_info()
+        assert info.hits > 0
+        assert info.currsize < info.hits
 
 
 class TestStaticLimit:
