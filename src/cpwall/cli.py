@@ -32,7 +32,6 @@ from .record import Record
 from .thermal import (
     ThermalEnvironment,
     _reference_pair,
-    _thermal_exact,
     lifshitz_asymptote,
     recommended_approximation,
     thermal_potential_exact,
@@ -41,7 +40,6 @@ from .thermal import (
 )
 from .vacuum import (
     AtomParams,
-    _vacuum_parts,
     classify_regime,
     nonretarded_asymptote,
     retarded_asymptote,
@@ -168,9 +166,7 @@ def _row_function(
 
         def total_row(zr: float) -> tuple[float, ...]:
             z = zr * lam
-            # total_potential's total, without its notes and record
-            pref, h = _vacuum_parts(atom, z, cst)
-            tot = pref * h + _thermal_exact(atom, env, z, cst, h)
+            tot = total_potential(atom, z, env, cst).total
             lif = lifshitz_asymptote(atom, env, z, cst)
             s = zr**3 / scale
             return zr, tot * s, lif * s

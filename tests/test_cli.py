@@ -285,8 +285,8 @@ class TestCurve:
 
 
 class TestCurveRows:
-    """A curve row formats its cells in one call and takes figure 2's
-    total from the parts total_potential adds, bit for bit."""
+    """A curve row formats its cells in one call, and figure 2's total
+    cell is total_potential's total scaled, bit for bit."""
 
     @pytest.mark.parametrize("theta", [10.0, 45.0, 1000.0])
     def test_figure2_total_is_total_potential(self, theta):
