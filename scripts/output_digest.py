@@ -76,11 +76,15 @@ def commands() -> list[list[str]]:
         ["verify", "--format", "json"],
         ["verify", "--quick", "--format", "json"],
         ["analyze"],
+        ["analyze", "--theta", "10"],
         ["analyze", "--theta", "30"],
         ["analyze", "--theta", "1000"],
-        # refusals: a negative distance, and theta below 10
+        ["analyze", "--fit-window", "0.2", "0.45"],
+        # refusals: a negative distance, theta below 10 and an inverted
+        # fit window
         ["eval", "--z", "-1"],
         ["curve", "--figure", "2", "--theta", "5"],
+        ["analyze", "--fit-window", "0.45", "0.2"],
     ]
     return cmds
 

@@ -14,7 +14,8 @@ lambda_T); no analytic derivative exists in the main path, which keeps
 the derivative route independent of the series internals.  ``_brent``
 takes the steps of the widely used C routine ``brentq`` one for one;
 the tests hold its roots and iteration counts to that routine's, bit
-for bit.
+for bit.  The brackets are fixed, in lambda_T units, and every value
+comes from ``thermal_potential_exact`` as this module binds it.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
 _DEFAULT_CONSTANTS = PhysicalConstants()
 
 EQUILIBRIUM_BRACKET = (0.3, 0.7)
+CROSSOVER_BRACKET = (0.5, 2.0)
 FD_STEP_LAMBDA_T = 1e-4
 ROOT_XTOL_LAMBDA_T = 1e-4
 FIT_POINTS = 25
@@ -63,30 +65,28 @@ FIT_POINTS = 25
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
-PotentialFn = Callable[[AtomParams, ThermalEnvironment, float], float]
-
 
 class EquilibriumResult(Record):
     """Stable minimum of the thermal potential, in lambda_T units."""
 
-    __slots__ = ("z_star_over_lambdaT", "bracket", "iterations")
+    __slots__ = ("z_star_over_lambdaT", "iterations")
 
     def _check(self) -> None:
-        lo, hi = self.bracket
+        lo, hi = EQUILIBRIUM_BRACKET
         if not lo <= self.z_star_over_lambdaT <= hi:
             raise DomainError(
-                f"z* = {self.z_star_over_lambdaT} outside bracket {self.bracket}"
+                f"z* = {self.z_star_over_lambdaT} outside bracket {EQUILIBRIUM_BRACKET}"
             )
 
 
 class QuadraticFit(Record):
     """Least-squares parabola a + b*u + c*u^2 in u = z/lambda_T."""
 
-    __slots__ = ("window", "coefficients", "rms_residual_relative")
+    __slots__ = ("coefficients", "rms_residual_relative")
 
     def _check(self) -> None:
         if not self.rms_residual_relative < 0.02:
-            raise DomainError(
+            raise ValidityError(
                 "fit residual exceeds 2% of the window value range: "
                 f"{self.rms_residual_relative}"
             )
@@ -97,7 +97,6 @@ class RegimeErrorRow(Record):
     where an expansion refuses to evaluate outside its window."""
 
     __slots__ = (
-        "z",
         "x0",
         "z_over_lambdaT",
         "err_non_retarded",
@@ -108,39 +107,20 @@ class RegimeErrorRow(Record):
     )
 
 
-def _thermal_value_fn(constants: PhysicalConstants) -> PotentialFn:
-    def fn(atom: AtomParams, env: ThermalEnvironment, z: float) -> float:
-        return thermal_potential_exact(atom, env, z, constants)
-
-    return fn
-
-
-def _fd_derivative(
-    fn: PotentialFn,
-    atom: AtomParams,
-    env: ThermalEnvironment,
-    z: float,
-    h: float,
-) -> float:
-    vm2 = fn(atom, env, z - 2.0 * h)
-    vm1 = fn(atom, env, z - h)
-    vp1 = fn(atom, env, z + h)
-    vp2 = fn(atom, env, z + 2.0 * h)
+def _fd_derivative(fn: Callable[[float], float], z: float, h: float) -> float:
+    vm2 = fn(z - 2.0 * h)
+    vm1 = fn(z - h)
+    vp1 = fn(z + h)
+    vp2 = fn(z + 2.0 * h)
     return (vm2 - 8.0 * vm1 + 8.0 * vp1 - vp2) / (12.0 * h)
 
 
-def _fd_second_derivative(
-    fn: PotentialFn,
-    atom: AtomParams,
-    env: ThermalEnvironment,
-    z: float,
-    h: float,
-) -> float:
-    vm2 = fn(atom, env, z - 2.0 * h)
-    vm1 = fn(atom, env, z - h)
-    v0 = fn(atom, env, z)
-    vp1 = fn(atom, env, z + h)
-    vp2 = fn(atom, env, z + 2.0 * h)
+def _fd_second_derivative(fn: Callable[[float], float], z: float, h: float) -> float:
+    vm2 = fn(z - 2.0 * h)
+    vm1 = fn(z - h)
+    v0 = fn(z)
+    vp1 = fn(z + h)
+    vp2 = fn(z + 2.0 * h)
     return (-vm2 + 16.0 * vm1 - 30.0 * v0 + 16.0 * vp1 - vp2) / (12.0 * h * h)
 
 
@@ -209,48 +189,38 @@ def find_thermal_equilibrium(
     atom: AtomParams,
     env: ThermalEnvironment,
     constants: PhysicalConstants | None = None,
-    bracket: tuple[float, float] = EQUILIBRIUM_BRACKET,
-    potential_fn: PotentialFn | None = None,
 ) -> EquilibriumResult:
-    """Locate the stable minimum of the thermal potential.
-
-    bracket is in lambda_T units; potential_fn exists so the same
-    search can run against the quadrature oracle (cross-validation).
-    A root of the derivative without positive curvature (a maximum)
-    raises DomainError.
+    """Locate the stable minimum of the thermal potential in
+    EQUILIBRIUM_BRACKET.  A root of the derivative without positive
+    curvature (a maximum) raises DomainError.
     """
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    fn = potential_fn if potential_fn is not None else _thermal_value_fn(cst)
     lam = env.lambda_T
     h = FD_STEP_LAMBDA_T * lam
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise DomainError(f"bad bracket {bracket}")
+
+    def value(z: float) -> float:
+        return thermal_potential_exact(atom, env, z, cst)
 
     def deriv(zr: float) -> float:
-        return _fd_derivative(fn, atom, env, zr * lam, h)
+        return _fd_derivative(value, zr * lam, h)
 
     try:
-        z_star, iterations = _brent(deriv, lo, hi, ROOT_XTOL_LAMBDA_T)
+        z_star, iterations = _brent(deriv, *EQUILIBRIUM_BRACKET, ROOT_XTOL_LAMBDA_T)
     except ConvergenceError as exc:
         raise ConvergenceError(f"dV_T/dz, z in lambda_T: {exc}") from None
 
-    if not _fd_second_derivative(fn, atom, env, z_star * lam, h) > 0.0:
+    if not _fd_second_derivative(value, z_star * lam, h) > 0.0:
         raise DomainError("equilibrium must be stable (positive curvature)")
-    return EquilibriumResult(
-        z_star_over_lambdaT=float(z_star),
-        bracket=(lo, hi),
-        iterations=int(iterations),
-    )
+    return EquilibriumResult(float(z_star), int(iterations))
 
 
 def dominance_crossover(
     atom: AtomParams,
     env: ThermalEnvironment,
     constants: PhysicalConstants | None = None,
-    bracket: tuple[float, float] = (0.5, 2.0),
 ) -> float:
-    """Distance (um) where |V_T| = |V0|, by the log-ratio root."""
+    """Distance (um) where |V_T| = |V0|, by the log-ratio root in
+    CROSSOVER_BRACKET."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     lam = env.lambda_T
 
@@ -262,9 +232,8 @@ def dominance_crossover(
             return -math.inf
         return math.log(abs(vt) / abs(v0))
 
-    lo, hi = bracket
     try:
-        zr_cross, _ = _brent(log_ratio, lo, hi, ROOT_XTOL_LAMBDA_T)
+        zr_cross, _ = _brent(log_ratio, *CROSSOVER_BRACKET, ROOT_XTOL_LAMBDA_T)
     except ConvergenceError as exc:
         raise ConvergenceError(f"log |V_T|/|V0|, z in lambda_T: {exc}") from None
     return float(zr_cross) * lam
@@ -275,33 +244,30 @@ def quadratic_fit(
     env: ThermalEnvironment,
     window: tuple[float, float],
     constants: PhysicalConstants | None = None,
-    potential_fn: PotentialFn | None = None,
 ) -> QuadraticFit:
     """Unweighted least-squares parabola to V_T on a window (lambda_T
-    units), the harmonic description of the thermal well."""
+    units), the harmonic description of the thermal well.  A window
+    outside 0 < lo < hi < 1.5, or narrower than 1e-3, raises DomainError;
+    a fit whose samples are constant, or whose rms residual is 2% of
+    their range or more, raises ValidityError."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    fn = potential_fn if potential_fn is not None else _thermal_value_fn(cst)
     z_lo, z_hi = window
-    if not (0.0 < z_lo < z_hi < 1.5):
-        raise DomainError(f"window must lie within (0, 1.5) lambda_T, got {window}")
-    if z_hi - z_lo < 1e-3:
-        raise DomainError(f"degenerate window {window}")
+    if not (0.0 < z_lo < z_hi < 1.5 and z_hi - z_lo >= 1e-3):
+        raise DomainError(
+            f"fit window must satisfy 0 < lo < hi < 1.5 lambda_T, got {window}"
+        )
 
     lam = env.lambda_T
     u = np.linspace(z_lo, z_hi, FIT_POINTS)
-    v = np.array([fn(atom, env, float(zr) * lam) for zr in u])
+    v = np.array([thermal_potential_exact(atom, env, float(zr) * lam, cst) for zr in u])
     # polyfit returns highest degree first
     c2, c1, c0 = np.polyfit(u, v, 2)
     resid = v - (c0 + c1 * u + c2 * u * u)
     value_range = float(np.max(v) - np.min(v))
     if value_range <= 0.0:
-        raise DomainError(f"degenerate (constant) samples on window {window}")
+        raise ValidityError(f"degenerate (constant) samples on window {window}")
     rms_rel = float(np.sqrt(np.mean(resid**2))) / value_range
-    return QuadraticFit(
-        window=(float(z_lo), float(z_hi)),
-        coefficients=(float(c0), float(c1), float(c2)),
-        rms_residual_relative=rms_rel,
-    )
+    return QuadraticFit((float(c0), float(c1), float(c2)), rms_rel)
 
 
 def _relative_error(approx: float, exact: float) -> float:
@@ -341,7 +307,6 @@ def regime_error_table(
         err_lif = _relative_error(lifshitz_asymptote(atom, env, z, cst), vtot)
         rows.append(
             RegimeErrorRow(
-                z=z,
                 x0=2.0 * atom.k0 * z,
                 z_over_lambdaT=z / env.lambda_T,
                 err_non_retarded=err_nr,

@@ -367,6 +367,7 @@ def cmd_analyze(
     stream: TextIO | None = None,
 ) -> int:
     from .analysis import (
+        EQUILIBRIUM_BRACKET,
         dominance_crossover,
         find_thermal_equilibrium,
         quadratic_fit,
@@ -383,7 +384,7 @@ def cmd_analyze(
     out.write(
         f"equilibrium: z*/lambda_T = {eq.z_star_over_lambdaT:.6f} "
         "(positive curvature), "
-        f"bracket [{eq.bracket[0]:g}, {eq.bracket[1]:g}], "
+        f"bracket [{EQUILIBRIUM_BRACKET[0]:g}, {EQUILIBRIUM_BRACKET[1]:g}], "
         f"{eq.iterations} iterations\n"
     )
     zc = dominance_crossover(atom, env, cst)
@@ -394,15 +395,11 @@ def cmd_analyze(
 
     windows = [tuple(args.fit_window)] if args.fit_window else list(PAPER_FIT_WINDOWS)
     for win in windows:
-        # reject malformed user windows up front: the try below is only
-        # allowed to absorb the fit-quality bound, not input errors
-        if not (0.0 < win[0] < win[1] < 1.5 and win[1] - win[0] >= 1e-3):
-            raise DomainError(
-                f"fit window must satisfy 0 < lo < hi < 1.5 lambda_T, got {win}"
-            )
+        # a malformed window raises DomainError (exit 3); only a fit
+        # outside the harmonic regime is reported and skipped
         try:
             fit = quadratic_fit(atom, env, win, cst)
-        except DomainError as exc:
+        except ValidityError as exc:
             out.write(f"fit window ({win[0]:g}, {win[1]:g}) lambda_T: rejected: {exc}\n")
             continue
         a, b, c = fit.coefficients

@@ -140,13 +140,16 @@ def scaled_e1(w: complex, order: float = 1) -> complex:
     """E1t(w) = e^w E1(w), principal branch; e^w E_p(w) for order p != 1.
 
     Raises DomainError at w = 0, on the negative real axis (the branch
-    cut) and for non-finite w.  E1t(w) ~ 1/w as |w| grows in |arg w| < pi.
+    cut) and for non-finite w or order.  E1t(w) ~ 1/w as |w| grows in
+    |arg w| < pi.
     Orders p != 1 come from the continued fraction alone and only on its
     sector |w| >= 2, |arg w| <= 3pi/4 (DomainError elsewhere).
     """
     z = complex(w)
     if not cmath.isfinite(z):
         raise DomainError(f"scaled_e1 needs a finite argument, got w = {z}")
+    if not math.isfinite(order):
+        raise DomainError(f"scaled_e1 needs a finite order, got {order}")
     if z == 0:
         raise DomainError("scaled_e1 undefined at w = 0")
     if z.imag == 0.0 and z.real < 0.0:

@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from cpwall import analysis
 from cpwall.analysis import (
+    CROSSOVER_BRACKET,
+    EQUILIBRIUM_BRACKET,
     FD_STEP_LAMBDA_T,
     ROOT_XTOL_LAMBDA_T,
     EquilibriumResult,
@@ -19,7 +22,7 @@ from cpwall.analysis import (
     regime_error_table,
 )
 from cpwall.constants import PhysicalConstants, load_constants
-from cpwall.errors import ConvergenceError, DomainError
+from cpwall.errors import ConvergenceError, DomainError, ValidityError
 from cpwall.oracle import thermal_quadrature
 from cpwall.thermal import ThermalEnvironment, _reference_pair, thermal_potential_exact
 from cpwall.vacuum import AtomParams, vacuum_potential
@@ -40,7 +43,7 @@ class TestEquilibrium:
         atom, env = make_pair(100.0)
         eq = find_thermal_equilibrium(atom, env, CST)
         assert abs(eq.z_star_over_lambdaT - 0.52) < 0.02
-        assert eq.bracket[0] <= eq.z_star_over_lambdaT <= eq.bracket[1]
+        assert EQUILIBRIUM_BRACKET[0] <= eq.z_star_over_lambdaT <= EQUILIBRIUM_BRACKET[1]
         assert eq.iterations > 0
 
     def test_landmark_locks(self):
@@ -57,48 +60,44 @@ class TestEquilibrium:
         z3 = find_thermal_equilibrium(atom3, env3, CST).z_star_over_lambdaT
         assert abs(z1 - z3) < 0.02
 
-    def test_bracket_independence(self):
+    def test_bracket_independence(self, monkeypatch):
         atom, env = make_pair(100.0)
         z1 = find_thermal_equilibrium(atom, env, CST).z_star_over_lambdaT
-        z2 = find_thermal_equilibrium(
-            atom, env, CST, bracket=(0.35, 0.65)
-        ).z_star_over_lambdaT
+        monkeypatch.setattr(analysis, "EQUILIBRIUM_BRACKET", (0.35, 0.65))
+        z2 = find_thermal_equilibrium(atom, env, CST).z_star_over_lambdaT
         assert abs(z1 - z2) <= 1e-4
 
-    def test_series_vs_oracle_equilibrium(self):
+    def test_series_vs_oracle_equilibrium(self, monkeypatch):
         atom, env = make_pair(100.0)
         z_series = find_thermal_equilibrium(atom, env, CST).z_star_over_lambdaT
 
-        def oracle_fn(a, e, z):
-            return thermal_quadrature(a, e, z, CST).value
+        def oracle_fn(a, e, z, cst):
+            return thermal_quadrature(a, e, z, cst).value
 
-        z_oracle = find_thermal_equilibrium(
-            atom, env, CST, potential_fn=oracle_fn
-        ).z_star_over_lambdaT
+        monkeypatch.setattr(analysis, "thermal_potential_exact", oracle_fn)
+        z_oracle = find_thermal_equilibrium(atom, env, CST).z_star_over_lambdaT
         assert abs(z_series - z_oracle) < 1e-3
 
-    def test_no_sign_change_raises(self):
+    def test_no_sign_change_raises(self, monkeypatch):
         atom, env = make_pair(100.0)
+        monkeypatch.setattr(analysis, "EQUILIBRIUM_BRACKET", (0.55, 0.7))
         with pytest.raises(ConvergenceError):
-            find_thermal_equilibrium(atom, env, CST, bracket=(0.55, 0.7))
+            find_thermal_equilibrium(atom, env, CST)
 
     def test_result_validation(self):
         with pytest.raises(DomainError):
-            EquilibriumResult(
-                z_star_over_lambdaT=0.9,
-                bracket=(0.3, 0.7),
-                iterations=5,
-            )
+            EquilibriumResult(z_star_over_lambdaT=0.9, iterations=5)
 
-    def test_maximum_refused(self):
+    def test_maximum_refused(self, monkeypatch):
         # minus V_T has a maximum where V_T has its minimum
         atom, env = make_pair(100.0)
 
-        def minus_vt(a, e, z):
-            return -thermal_potential_exact(a, e, z, CST)
+        def minus_vt(a, e, z, cst):
+            return -thermal_potential_exact(a, e, z, cst)
 
+        monkeypatch.setattr(analysis, "thermal_potential_exact", minus_vt)
         with pytest.raises(DomainError):
-            find_thermal_equilibrium(atom, env, CST, potential_fn=minus_vt)
+            find_thermal_equilibrium(atom, env, CST)
 
 
 class TestCrossover:
@@ -121,10 +120,11 @@ class TestCrossover:
             vacuum_potential(atom, z_hi, CST)
         )
 
-    def test_no_crossing_raises(self):
+    def test_no_crossing_raises(self, monkeypatch):
         atom, env = make_pair(100.0)
+        monkeypatch.setattr(analysis, "CROSSOVER_BRACKET", (1.5, 2.0))
         with pytest.raises(ConvergenceError):
-            dominance_crossover(atom, env, CST, bracket=(1.5, 2.0))
+            dominance_crossover(atom, env, CST)
 
 
 # The analyze presets: _reference_pair at each theta with the built-in
@@ -144,18 +144,18 @@ def _committed_root_problems(theta):
     atom, env = _reference_pair(theta, cst)
     lam = env.lambda_T
 
-    def value(a, e, z):
-        return thermal_potential_exact(a, e, z, cst)
+    def value(z):
+        return thermal_potential_exact(atom, env, z, cst)
 
     def deriv(zr):
-        return _fd_derivative(value, atom, env, zr * lam, FD_STEP_LAMBDA_T * lam)
+        return _fd_derivative(value, zr * lam, FD_STEP_LAMBDA_T * lam)
 
     def log_ratio(zr):
         z = zr * lam
         vt = thermal_potential_exact(atom, env, z, cst)
         return math.log(abs(vt) / abs(vacuum_potential(atom, z, cst)))
 
-    return [(deriv, (0.3, 0.7)), (log_ratio, (0.5, 2.0))]
+    return [(deriv, EQUILIBRIUM_BRACKET), (log_ratio, CROSSOVER_BRACKET)]
 
 
 def _step(x):
@@ -249,7 +249,7 @@ class TestQuadraticFit:
         # 2% harmonic-quality bound rejects this window.  Locked here;
         # the first window stays comfortably inside the bound.
         atom, env = make_pair(100.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidityError):
             quadratic_fit(atom, env, (0.5, 0.75), CST)
         u = np.linspace(0.5, 0.75, 25)
         v = np.array(
@@ -264,14 +264,15 @@ class TestQuadraticFit:
         assert c2 > 0.0
         assert 0.45 < -c1 / (2.0 * c2) < 0.62
 
-    def test_exact_parabola_recovered(self):
+    def test_exact_parabola_recovered(self, monkeypatch):
         atom, env = make_pair(100.0)
 
-        def parab(a, e, z):
+        def parab(a, e, z, cst):
             u = z / LAMBDA_T
             return 3.0 - 2.0 * u + 5.0 * u * u
 
-        fit = quadratic_fit(atom, env, (0.2, 0.45), CST, potential_fn=parab)
+        monkeypatch.setattr(analysis, "thermal_potential_exact", parab)
+        fit = quadratic_fit(atom, env, (0.2, 0.45), CST)
         a, b, c = fit.coefficients
         assert a == pytest.approx(3.0, rel=1e-10)
         assert b == pytest.approx(-2.0, rel=1e-10)
@@ -289,13 +290,15 @@ class TestQuadraticFit:
         with pytest.raises(DomainError):
             quadratic_fit(atom, env, (0.4, 0.4004), CST)
 
+    def test_constant_samples_refused(self, monkeypatch):
+        atom, env = make_pair(100.0)
+        monkeypatch.setattr(analysis, "thermal_potential_exact", lambda a, e, z, cst: 1.0)
+        with pytest.raises(ValidityError, match="constant"):
+            quadratic_fit(atom, env, (0.2, 0.45), CST)
+
     def test_fit_type_enforces_residual_bound(self):
-        with pytest.raises(DomainError):
-            QuadraticFit(
-                window=(0.2, 0.45),
-                coefficients=(1.0, 2.0, 3.0),
-                rms_residual_relative=0.05,
-            )
+        with pytest.raises(ValidityError):
+            QuadraticFit(coefficients=(1.0, 2.0, 3.0), rms_residual_relative=0.05)
 
 
 class TestRegimeErrorTable:
@@ -304,7 +307,7 @@ class TestRegimeErrorTable:
         lam0 = atom.lambda0
         grid = sorted([0.05 * LAMBDA_T, 1.3 * lam0, 2.0 * LAMBDA_T])
         rows = regime_error_table(atom, env, grid, CST)
-        by_z = {round(r.z, 9): r for r in rows}
+        by_z = {round(z, 9): r for z, r in zip(grid, rows)}
 
         r_short = by_z[round(0.05 * LAMBDA_T, 9)]
         assert r_short.err_short_leading < 0.05

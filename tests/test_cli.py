@@ -425,9 +425,13 @@ class TestExitCodeMapping:
         code, _ = run_main(["analyze"])
         assert code == 4
 
-    def test_inverted_fit_window_maps_to_3(self):
+    def test_inverted_fit_window_maps_to_3(self, capsys):
         code, _ = run_main(["analyze", "--fit-window", "0.45", "0.2"])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "domain error: fit window must satisfy 0 < lo < hi < 1.5 lambda_T, "
+            "got (0.45, 0.2)\n"
+        )
 
     @pytest.mark.parametrize(
         "argv",

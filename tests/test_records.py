@@ -12,7 +12,7 @@ import pytest
 from cpwall.analysis import EquilibriumResult, QuadraticFit, RegimeErrorRow
 from cpwall.cli import CurveSpec
 from cpwall.constants import PhysicalConstants
-from cpwall.errors import ConvergenceError, DomainError
+from cpwall.errors import ConvergenceError, DomainError, ValidityError
 from cpwall.oracle import QuadratureReport
 from cpwall.thermal import PotentialBreakdown, ThermalEnvironment, ThermalSeriesTerms
 from cpwall.verify import CriterionResult
@@ -88,20 +88,19 @@ RECORDS = [
     ),
     (
         EquilibriumResult,
-        ("z_star_over_lambdaT", "bracket", "iterations"),
-        (0.52, (0.3, 0.7), 8),
-        [((0.8, (0.3, 0.7), 8), DomainError)],
+        ("z_star_over_lambdaT", "iterations"),
+        (0.52, 8),
+        [((0.8, 8), DomainError)],
     ),
     (
         QuadraticFit,
-        ("window", "coefficients", "rms_residual_relative"),
-        ((0.2, 0.45), (1.0, -2.0, 3.0), 0.001),
-        [(((0.2, 0.45), (1.0, -2.0, 3.0), 0.05), DomainError)],
+        ("coefficients", "rms_residual_relative"),
+        ((1.0, -2.0, 3.0), 0.001),
+        [(((1.0, -2.0, 3.0), 0.05), ValidityError)],
     ),
     (
         RegimeErrorRow,
         (
-            "z",
             "x0",
             "z_over_lambdaT",
             "err_non_retarded",
@@ -110,7 +109,7 @@ RECORDS = [
             "err_long_expansion",
             "err_lifshitz",
         ),
-        (1.0, 26.0, 0.13, 2.0, 0.1, math.nan, 0.0, 0.5),
+        (26.0, 0.13, 2.0, 0.1, math.nan, 0.0, 0.5),
         [],
     ),
 ]

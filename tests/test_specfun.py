@@ -221,6 +221,10 @@ def test_domain_errors():
     for w, order in ((1.9j, 5), (-3 + 2.9j, 2), (-3 - 2.9j, 0.5), (1.0, 2)):
         with pytest.raises(DomainError):
             sf.scaled_e1(w, order)
+    # a non-finite order is a bad input, not a failed continued fraction
+    for order in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite order"):
+            sf.scaled_e1(2.0, order)
     for bad_m in (0, 261, 2.0, True):
         with pytest.raises(DomainError):
             sf.zeta_even(bad_m)
