@@ -9,8 +9,10 @@ For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
-x0 = 0.5 to 1e12, its three branches apart: the E1t bracket below
-x0 = 2, the E5 form up to 100 and the asymptotic series above.  The
+x0 = 1e-3 to 1e12, its three branches apart: the E1t bracket below
+x0 = 2, the E5 form up to 100 and the asymptotic series above; on the
+same grid it holds vacuum_split_quadrature, the vacuum oracle, to its
+own error estimate.  The
 thermal sections check W of both routes of thermal_potential_exact: the
 H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25) and
 the Lifshitz sum plus the resonant term from there on (next to the
@@ -20,7 +22,8 @@ Lifshitz route is measured against max(|W|, 2 pi/theta), since W
 passes through zero.  The script exits with status 1 when scaled_e1
 of any order on its continued fraction's sector (p = 0.5-1000,
 |w| = 2-300, |arg w| <= 3pi/4) or h0's E5 form is off by more than
-1e-14, or h0's series by more than 1e-10, when the H_T form is off by
+1e-14, or h0's series by more than 1e-10, when the vacuum oracle is
+off by more than its own estimate, when the H_T form is off by
 more than 1e-11 of |W|, or when the Lifshitz route is off by more than
 1e-14 of the scale next to its switch and in the far field, or by more
 than 1e-13 on the low-theta grid.
@@ -158,17 +161,20 @@ H0_SERIES_RTOL = 1e-10
 
 
 def sweep_h0() -> bool:
-    """h0 against mpmath from x0 = 0.5 to 1e12, each branch apart: the
+    """h0 against mpmath from x0 = 1e-3 to 1e12, each branch apart: the
     E1t bracket below x0 = 2, the E5 form up to 100 and the asymptotic
-    series above.  The reference runs at 60 digits, since the bracket
-    cancels 2 log10 x0 of them.  True when the E5 form is within
-    H0_E5_RTOL and the series within H0_SERIES_RTOL wherever they are
-    taken."""
-    from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, h0
+    series above; then vacuum_split_quadrature (k0 = 1, z = x0/2) on the
+    same grid against the same references times the prefactor.  The
+    reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
+    them.  True when the E5 form is within H0_E5_RTOL and the series
+    within H0_SERIES_RTOL wherever they are taken, and the oracle within
+    its own estimate at every point."""
+    from cpwall.oracle import vacuum_split_quadrature
+    from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, AtomParams, _vacuum_parts, h0
     from make_reference_values import h0 as h0_mp
 
     grid = sorted({
-        *np.geomspace(0.5, 1e12, 400).tolist(),
+        *np.geomspace(1e-3, 1e12, 481).tolist(),
         *np.linspace(1.5, 2.5, 41).tolist(),
         *np.linspace(90.0, 110.0, 41).tolist(),
     })
@@ -180,7 +186,7 @@ def sweep_h0() -> bool:
     branch = [(x >= _H0_E5_MIN) + (x > _H0_SERIES_MIN) for x in grid]
     ok = True
     for b, name, rtol in (
-        (0, "h0 E1t bracket (0.5..2)", None),
+        (0, "h0 E1t bracket (1e-3..2)", None),
         (1, "h0 E5 form (2..100)", H0_E5_RTOL),
         (2, "h0 series (100..1e12)", H0_SERIES_RTOL),
     ):
@@ -188,7 +194,17 @@ def sweep_h0() -> bool:
         errs = [abs(got[i] - want[i]) / abs(want[i]) for i in idx]
         worst = report_scaled(name, [grid[i] for i in idx], errs)
         ok = ok and (rtol is None or worst <= rtol)
-    return ok
+
+    atom = AtomParams(k0=1.0, alpha0=1.0)
+    reps = [vacuum_split_quadrature(atom, x / 2.0) for x in grid]
+    refs = [_vacuum_parts(atom, x / 2.0, None)[0] * w for x, w in zip(grid, want)]
+    for name, num in (
+        ("vacuum oracle error / |V0|", [abs(r.value - v) for r, v in zip(reps, refs)]),
+        ("vacuum oracle estimate / |V0|", [r.abs_error_estimate for r in reps]),
+    ):
+        report_scaled(name, grid, [n / abs(v) for n, v in zip(num, refs)])
+    ratios = [abs(r.value - v) / r.abs_error_estimate for r, v in zip(reps, refs)]
+    return report_scaled("vacuum oracle error / estimate", grid, ratios) <= 1.0 and ok
 
 
 SHORT_RTOL = 1e-11

@@ -252,10 +252,12 @@ def quadratic_fit(
     their range or more, raises ValidityError."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     z_lo, z_hi = window
-    if not (0.0 < z_lo < z_hi < 1.5 and z_hi - z_lo >= 1e-3):
+    if not 0.0 < z_lo < z_hi < 1.5:
         raise DomainError(
             f"fit window must satisfy 0 < lo < hi < 1.5 lambda_T, got {window}"
         )
+    if z_hi - z_lo < 1e-3:
+        raise DomainError(f"fit window must be at least 1e-3 lambda_T wide, got {window}")
 
     lam = env.lambda_T
     u = np.linspace(z_lo, z_hi, FIT_POINTS)

@@ -5,32 +5,22 @@ algorithms from the main path, built from elementary functions and this
 module's own quadrature only.  None of the special-function machinery
 in ``specfun`` (Ci/si, scaled exponential integrals) is ever called.
 
-Vacuum route.  Only the pole-free total is computed.  Its bare
-integral is conditionally convergent (the integrand grows like
-u sin u), so values are defined by an Abel regulator e^{-c u} in
-u = 2kz with the printed sequence c_j = 0.1 * 2^{-j}, j = 0..7,
-extrapolated to c = 0 through a Neville table.  Naive truncation of
-the regulated integral at u ~ 1/c feeds sin(u) argument-quantization
-noise (~eps/c^3 coherent worst case) into the deepest Richardson
-levels, so the regulated integrand is first split by polynomial long
-division,
+Vacuum route.  Only the pole-free total is computed.  Its mode
+integral, int_0^inf u^3 G(u)/(u + x0) du = H0(x0), does not converge on
+the real axis (the integrand grows like u sin u), but u^3 G(u) =
+Im[(u^2 + 2iu - 2) e^{iu}], and on the rotated contour u = i s it
+becomes a Laplace integral whose integrand has one sign,
 
-    u^3 G(u)/(u + x0) = (u - x0) sin u + 2 cos u
-                        + [(x0^2 - 2) sin u - 2 x0 cos u]/(u + x0).
+    H0(x0) = -int_0^inf e^{-s} (s^2 + 2s + 2) x0/(x0^2 + s^2) ds
+           = -int_0^inf e^{-x0 t} (x0^2 t^2 + 2 x0 t + 2)/(1 + t^2) dt,
 
-The polynomial part has elementary closed c-moments; the remainder
-decays like 1/u and is integrated over pole-resolved geometric panels
-followed by a pi-aligned tail summed with Euler (repeated-averaging)
-acceleration.  The integration range then never exceeds a few hundred,
-which keeps the extrapolation table noise-free.  The panel edges do not
-depend on c, so one call evaluates the remainder once on nodes shared
-by all eight levels (an array with a level axis), and the Euler
-averaging is applied in closed form, as binomially weighted means of
-the partial sums.  Error estimates
-combine the GL16-vs-GL8 panel difference, the Euler tail increment,
-and 4x the last Richardson correction; measured worst case against
-50-digit references is 1.5e-11 relative over x0 in [0.05, 100], with
-the estimate honest at every point.
+with the kernel e^{-xt}/(1 + t^2) of F's Laplace form (DLMF 6.7(iii)).
+It tends to -pi at contact and to -6/x0 far out.  No regulator and no
+extrapolation: one panel routine, _laplace, takes it and F alike.  An
+x0 whose square overflows is refused.  Against 60-digit references
+(scripts/sweep_branch_switches.py) the value is within 6e-16 on x0 in
+[1e-3, 1e12], and the estimate covers the error at every point while
+staying at or below 3.1e-12 of the value.
 
 Thermal route.  The Bose weight makes every integral absolutely
 convergent: plain graded panels (length capped by min(pi, 3/eta)), a
@@ -43,9 +33,9 @@ integrand h(u) = u^3 G(u)/(e^{eta u} - 1) once, on the GL16 and GL8
 nodes of every segment together with u = x0, and then applies each
 segment's denominator.
 
-Scalar oracles.  F(x) as its Laplace integral and the Bose moments
-int u^n/(e^u - 1) du run on the same GL16-vs-GL8 panels; the closed
-Bose moments use zeta(4) = pi^4/90 and zeta(6) = pi^6/945.
+Scalar oracles.  The Bose moments int u^n/(e^u - 1) du run on the same
+GL16-vs-GL8 panels; the closed Bose moments use zeta(4) = pi^4/90 and
+zeta(6) = pi^6/945.
 """
 
 from __future__ import annotations
@@ -77,14 +67,12 @@ _N16, _W16 = leggauss(16)
 _N8, _W8 = leggauss(8)
 _PI = math.pi
 
-_ABEL_LEVELS = 8
-_ABEL_C0 = 0.1
-_TAIL_PANELS = 64
 _COMPARISON_FLOOR = 2e-10
-# Rounding floor of the scalar oracles' estimates, per unit of gross
-# panel magnitude: auxiliary_f, the closed form f_integral_oracle is
-# held against, is off by up to 6.6e-15 relative on x in [0.01, 1e4]
-# (measured against 25-digit mpmath), taken with 3x headroom.
+# Rounding floor of the Laplace and Bose oracles' estimates, per unit of
+# gross panel magnitude: auxiliary_f, the closed form f_integral_oracle
+# is held against, is off by up to 6.6e-15 relative on x in [0.01, 1e4]
+# (measured against 25-digit mpmath), taken with 3x headroom; h0 is
+# within 1.6e-15 on x0 in [1e-3, 1e12] (60-digit mpmath).
 _SCALAR_FLOOR = 2e-14
 
 
@@ -110,27 +98,15 @@ class QuadratureReport(Record):
 
 _NODES = np.concatenate([_N16, _N8])
 
-# Euler (repeated-averaging) acceleration in closed form: after n - 1
-# averaging passes over n partial sums the one entry left is their
-# binom(n-1, j)/2^(n-1)-weighted mean, and the entry before it (the last
-# one of the pass before) the binom(n-2, j)/2^(n-2)-weighted mean of the
-# partial sums shifted by one.
-_EULER_LAST = np.array(
-    [math.comb(_TAIL_PANELS - 1, j) for j in range(_TAIL_PANELS)], dtype=float
-) / 2.0 ** (_TAIL_PANELS - 1)
-_EULER_PREV = np.array(
-    [math.comb(_TAIL_PANELS - 2, j) for j in range(_TAIL_PANELS - 1)], dtype=float
-) / 2.0 ** (_TAIL_PANELS - 2)
 
-
-def _gl_points(edges: np.ndarray, nodes: np.ndarray = _NODES):
+def _gl_points(edges: np.ndarray):
     """Quadrature nodes of every panel, shape (panels, nodes), and the
-    panel half-widths; by default the GL16 nodes followed by the GL8."""
+    panel half-widths: the GL16 nodes followed by the GL8."""
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return mid[:, None] + half[:, None] * nodes[None, :], half
+    return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
 def _panel_sums(fu: np.ndarray, half: np.ndarray):
@@ -138,37 +114,11 @@ def _panel_sums(fu: np.ndarray, half: np.ndarray):
     _gl_points nodes: the GL16 sum, |GL16 - GL8| as the error estimate,
     and the gross panel magnitude sum(|panel_i|), the scale of
     accumulated rounding once the GL16/GL8 difference has saturated at
-    machine noise.  Leading axes of fu (regulator levels) are kept."""
-    v16 = (fu[..., :16] @ _W16) * half
-    s16 = np.sum(v16, axis=-1)
-    s8 = np.sum((fu[..., 16:] @ _W8) * half, axis=-1)
-    return s16, np.abs(s16 - s8), np.sum(np.abs(v16), axis=-1)
-
-
-def _euler_sum(terms: np.ndarray):
-    """Euler acceleration of oscillatory panel series (last axis, of
-    _TAIL_PANELS terms) by repeated averaging of partial sums; the last
-    increment is the estimate."""
-    s = np.cumsum(terms, axis=-1)
-    last = s @ _EULER_LAST
-    return last, np.abs(last - s[..., 1:] @ _EULER_PREV)
-
-
-def _geometric_edges(a0: float, pole: float, cap: float, scale: float = 0.75):
-    """Panels from a0 with length min(scale*dist-to-pole, cap) until the
-    cap is reached, closed at the next pi multiple (tail alignment)."""
-    edges = [a0]
-    a = a0
-    while True:
-        length = min(scale * abs(a - pole), cap)
-        if length >= cap - 1e-12:
-            break
-        a += length
-        edges.append(a)
-    u2 = _PI * math.ceil(a / _PI + 1e-12)
-    if u2 > a + 1e-12:
-        edges.append(u2)
-    return np.array(edges), u2
+    machine noise."""
+    v16 = (fu[:, :16] @ _W16) * half
+    s16 = np.sum(v16)
+    s8 = np.sum((fu[:, 16:] @ _W8) * half)
+    return s16, abs(s16 - s8), np.sum(np.abs(v16))
 
 
 def _uniform_edges(a: float, b: float, cap: float) -> np.ndarray:
@@ -177,61 +127,63 @@ def _uniform_edges(a: float, b: float, cap: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# vacuum route: regulated remainders and closed polynomial moments
+# Laplace integrals: the vacuum route and F
 
 
-def _q_plus(x0: float, cs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """int_0^inf [(x0^2-2) sin u - 2 x0 cos u] e^{-cu}/(u + x0) du for
-    every regulator c in cs at once: the panel edges do not depend on c,
-    so all levels share one set of nodes.  Returns values, error
-    estimates and the panel count of one level."""
-    aa = x0 * x0 - 2.0
-    c = cs[:, None, None]
-
-    def f(u):
-        return (aa * np.sin(u) - 2.0 * x0 * np.cos(u)) * np.exp(-c * u) / (u + x0)
-
-    head_edges, u2 = _geometric_edges(0.0, -x0, _PI)
-    head_u, head_half = _gl_points(head_edges)
-    head, e_head, _ = _panel_sums(f(head_u), head_half)
-    tail_u, tail_half = _gl_points(u2 + _PI * np.arange(_TAIL_PANELS + 1), _N16)
-    tail, e_tail = _euler_sum((f(tail_u) @ _W16) * tail_half)
-    panels = (head_edges.size - 1) + _TAIL_PANELS
-    return head + tail, e_head + e_tail, panels
+def _laplace_head_edges(x: float, t_split: float) -> np.ndarray:
+    """Panels over [0, t_split] doubling from 0.5 min(1, 1/x): the first
+    resolves both the e^{-xt} decay length and the 1/(1 + t^2) poles at
+    t = +-i, and doubling keeps every later panel as long as its
+    distance from either."""
+    edges = [0.0]
+    t = 0.5 * min(1.0, 1.0 / x)
+    while t < t_split:
+        edges.append(t)
+        t *= 2.0
+    edges.append(t_split)
+    return np.array(edges)
 
 
-def _poly_plus(x0: float, c):
-    # closed moments of (u - x0) sin u + 2 cos u under e^{-cu}
-    d = 1.0 + c * c
-    return 2.0 * c / (d * d) - x0 / d + 2.0 * c / d
+# v = 2^-k, k = 60..0, after [0, 2^-60]: halving toward the log term
+# of the mapped tail at v = 0
+_LAPLACE_TAIL_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(60, -1, -1.0)])
 
 
-def _richardson(vals: list[float], cs: list[float]) -> tuple[float, float]:
-    t = list(vals)
-    prev_top = math.nan
-    for k in range(1, len(t)):
-        t = [
-            t[i + 1] + (t[i + 1] - t[i]) * cs[i + k] / (cs[i] - cs[i + k])
-            for i in range(len(t) - 1)
-        ]
-        if len(t) == 2:
-            prev_top = t[0]
-    return t[0], abs(t[0] - prev_top)
+def _laplace(x: float, kernel) -> tuple[float, float, int]:
+    """int_0^inf e^{-xt} kernel(xt)/(1 + t^2) dt for x > 0 with a finite
+    1/x, on GL16-vs-GL8 panels split at T = max(1, 1/x); kernel is a
+    polynomial in s = xt, evaluated on arrays.  The head [0, T] is taken
+    in t; the tail is mapped to [0, 1] by v = e^{-x(t-T)}, which leaves
+    e^{-xT}/x times int_0^1 kernel(xT - ln v)/(1 + (T - ln(v)/x)^2) dv,
+    smooth at v = 1 because xT >= 1.
 
-
-def _h0_quadrature(x0: float, c0: float = _ABEL_C0) -> tuple[float, float, int]:
-    """Abel limit of int u^3 G(u)/(u + x0) du (equals H0(x0))."""
-    cs = c0 * 0.5 ** np.arange(_ABEL_LEVELS)
-    q, q_errs, panels = _q_plus(x0, cs)
-    val, r_err = _richardson((_poly_plus(x0, cs) + q).tolist(), cs.tolist())
-    q_err = float(np.max(q_errs))
-    est = 4.0 * r_err + 10.0 * q_err + 1e-15 * abs(val)
-    if est > 1e-4 * (abs(val) + 1.0):
-        raise ConvergenceError(
-            f"Abel/Richardson extrapolation did not converge: value={val}, "
-            f"richardson_err={r_err}, quadrature_err={q_err}"
+    Returns the value, its estimate and the panel count.  The estimate
+    adds to |GL16 - GL8| a floor of _SCALAR_FLOOR times the gross panel
+    magnitude, which covers the rounding of the closed form this value
+    is compared with once the GL difference has fallen below it."""
+    t_split = max(1.0, 1.0 / x)
+    t, t_half = _gl_points(_laplace_head_edges(x, t_split))
+    v, v_half = _gl_points(_LAPLACE_TAIL_EDGES)
+    # below x ~ 1e-154, t^2, ln(v)/x and s^2 may overflow to inf, where
+    # kernel/(1 + inf) = 0 is the integrand's limit to within x^2
+    with np.errstate(over="ignore"):
+        head, e_head, g_head = _panel_sums(
+            np.exp(-x * t) * kernel(x * t) / (1.0 + t * t), t_half
         )
-    return val, est, _ABEL_LEVELS * panels
+        s = t_split - np.log(v) / x
+        tail, e_tail, g_tail = _panel_sums(
+            kernel(x * t_split - np.log(v)) / (1.0 + s * s), v_half
+        )
+
+    scale = math.exp(-x * t_split) / x
+    value = float(head + scale * tail)
+    err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
+    return value, float(err) + 1e-300, t_half.size + v_half.size
+
+
+def _h0_kernel(s: np.ndarray) -> np.ndarray:
+    # H0(x0) = _laplace(x0, _h0_kernel), the kernel -(s^2 + 2s + 2)
+    return -(s * (s + 2.0) + 2.0)
 
 
 def vacuum_split_quadrature(
@@ -240,13 +192,29 @@ def vacuum_split_quadrature(
     constants: PhysicalConstants | None = None,
 ) -> QuadratureReport:
     """Quadrature reconstruction of the vacuum shift (eV) from the
-    pole-free combination alpha+ + alpha- = alpha0 k0/(k + k0)."""
+    pole-free combination alpha+ + alpha- = alpha0 k0/(k + k0): H0(x0)
+    as the Laplace integral of the module docstring.  x0 = 2 k0 z whose
+    square or reciprocal overflows is refused."""
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     x0 = 2.0 * atom.k0 * z
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (16.0 * _PI * z3)
-    val, est, panels = _h0_quadrature(x0)
-    return QuadratureReport(2.0 * pref * val, 2.0 * pref * est, panels)
+    if not (x0 > 0.0 and math.isfinite(x0 * x0) and math.isfinite(1.0 / x0)):
+        raise DomainError(
+            f"vacuum_split_quadrature needs x0 = 2 k0 z with a finite square "
+            f"and reciprocal, got {x0}"
+        )
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z3)
+    val, est, panels = _laplace(x0, _h0_kernel)
+    return QuadratureReport(pref * val, pref * est, panels)
+
+
+def f_integral_oracle(x: float) -> QuadratureReport:
+    """F(x) = int_0^inf e^{-xt}/(1+t^2) dt, by _laplace."""
+    if not (math.isfinite(x) and x > 0.0):
+        raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
+    if 1.0 / x == math.inf:
+        raise DomainError(f"f_integral_oracle needs a finite 1/x, got x = {x}")
+    return QuadratureReport(*_laplace(x, lambda s: 1.0))
 
 
 # ----------------------------------------------------------------------
@@ -375,56 +343,6 @@ def thermal_quadrature_static(
 
 # ----------------------------------------------------------------------
 # scalar oracles
-
-
-def _f_head_edges(x: float, t_split: float) -> np.ndarray:
-    """Panels over [0, t_split] doubling from 0.5 min(1, 1/x): the first
-    resolves both the e^{-xt} decay length and the 1/(1 + t^2) poles at
-    t = +-i, and doubling keeps every later panel as long as its
-    distance from either."""
-    edges = [0.0]
-    t = 0.5 * min(1.0, 1.0 / x)
-    while t < t_split:
-        edges.append(t)
-        t *= 2.0
-    edges.append(t_split)
-    return np.array(edges)
-
-
-# v = 2^-k, k = 60..0, after [0, 2^-60]: halving toward the log term
-# of the mapped tail at v = 0
-_F_TAIL_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(60, -1, -1.0)])
-
-
-def f_integral_oracle(x: float) -> QuadratureReport:
-    """F(x) = int_0^inf e^{-xt}/(1+t^2) dt on GL16-vs-GL8 panels, split
-    at T = max(1, 1/x).  The head [0, T] is taken in t; the tail is
-    mapped to [0, 1] by v = e^{-x(t-T)}, which leaves e^{-xT}/x times
-    int_0^1 dv/(1 + (T - ln(v)/x)^2), smooth at v = 1 because xT >= 1.
-
-    The estimate adds to |GL16 - GL8| a floor of _SCALAR_FLOOR times the
-    gross panel magnitude, which covers the rounding of the closed form
-    this value is compared with once the GL difference has fallen below
-    it."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
-    t_split = max(1.0, 1.0 / x)
-    if t_split == math.inf:
-        raise DomainError(f"f_integral_oracle needs a finite 1/x, got x = {x}")
-
-    t, t_half = _gl_points(_f_head_edges(x, t_split))
-    v, v_half = _gl_points(_F_TAIL_EDGES)
-    # below x ~ 1e-154, t^2, ln(v)/x and s^2 may overflow to inf, where
-    # 1/(1 + inf) = 0 is the integrand's exact limit
-    with np.errstate(over="ignore"):
-        head, e_head, g_head = _panel_sums(np.exp(-x * t) / (1.0 + t * t), t_half)
-        s = t_split - np.log(v) / x
-        tail, e_tail, g_tail = _panel_sums(1.0 / (1.0 + s * s), v_half)
-
-    scale = math.exp(-x * t_split) / x
-    value = float(head + scale * tail)
-    err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
-    return QuadratureReport(value, float(err) + 1e-300, t_half.size + v_half.size)
 
 
 # zeta(n + 1) for the moments bose_integral serves

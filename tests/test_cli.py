@@ -433,6 +433,14 @@ class TestExitCodeMapping:
             "got (0.45, 0.2)\n"
         )
 
+    def test_narrow_fit_window_names_the_width_rule(self, capsys):
+        code, _ = run_main(["analyze", "--fit-window", "0.2", "0.2005"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "domain error: fit window must be at least 1e-3 lambda_T wide, "
+            "got (0.2, 0.2005)\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
-"""Oracle module tests: honesty of the error estimates, regulator and
-window independence, and agreement with the closed forms it exists to
-check."""
+"""Oracle module tests: honesty of the error estimates against frozen
+50-digit references and against the closed forms the oracles exist to
+check, window independence of the thermal oracle, and frozen panel
+counts."""
 
 import math
 import warnings
@@ -14,8 +15,8 @@ from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.oracle import (
     QuadratureReport,
-    _euler_sum,
-    _h0_quadrature,
+    _h0_kernel,
+    _laplace,
     bose_integral,
     bose_integral_quadrature,
     f_integral_oracle,
@@ -26,6 +27,8 @@ from cpwall.oracle import (
 from cpwall.specfun import auxiliary_f
 from cpwall.thermal import ThermalEnvironment, thermal_potential_exact
 from cpwall.vacuum import AtomParams, h0, vacuum_potential
+
+from _reference_values import REFERENCE
 
 CST = PhysicalConstants()
 LAMBDA_T = 7.632948
@@ -58,58 +61,39 @@ class TestVacuumRoute:
 
     def test_report_bookkeeping(self):
         rep = vacuum_split_quadrature(ATOM, 0.5, CST)
-        assert rep.subdivisions > 100
+        assert rep.subdivisions == 63
 
-    def test_epsilon_halving_within_claimed_error(self):
-        for x0 in (0.1, 1.0, 10.0):
-            v1, e1, _ = _h0_quadrature(x0, c0=0.1)
-            v2, e2, _ = _h0_quadrature(x0, c0=0.05)
-            assert abs(v1 - v2) <= e1 + e2
+    @pytest.mark.parametrize("key", sorted(k for k in REFERENCE if k.startswith("h0_")))
+    def test_frozen_h0(self, key):
+        # x0 = 0.05 to 1e9: the Laplace form reaches far past the
+        # crossover, and its estimate stays tight there
+        ref = REFERENCE[key]
+        val, est, _ = _laplace(float(key[3:]), _h0_kernel)
+        assert abs(val - ref) <= est <= 1e-11 * abs(ref)
 
     def test_part_validation(self):
         # z^3 underflows at 1e-110 and overflows at 1e110
         for z in (-1.0, math.inf, 1e-110, 1e110):
             with pytest.raises(DomainError):
                 vacuum_split_quadrature(ATOM, z, CST)
+        # x0 = 2e160, whose square overflows, and x0 = 1e-309, whose
+        # reciprocal does, are refused before any array work
+        for k0, z in ((1e60, 1e100), (5e-310, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DomainError):
+                    vacuum_split_quadrature(AtomParams(k0=k0, alpha0=1.0), z, CST)
 
     @settings(max_examples=25)
-    @given(st.floats(min_value=0.05, max_value=50.0))
+    @given(st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0**e))
     def test_h0_route_bracket_property(self, x0):
-        val, est, _ = _h0_quadrature(x0)
+        val, est, _ = _laplace(x0, _h0_kernel)
         ref = h0(x0)
         assert abs(val - ref) <= est
 
-    @pytest.mark.parametrize("x0,panels", [(0.05, 584), (1.0, 544), (100.0, 520)])
+    @pytest.mark.parametrize("x0,panels", [(0.05, 68), (1.0, 63), (100.0, 70)])
     def test_panel_count_frozen(self, x0, panels):
         assert vacuum_split_quadrature(ATOM, x0 / 2.0, CST).subdivisions == panels
-
-
-def _euler_loop(terms):
-    # reference: repeated averaging of the partial sums; the last
-    # increment is the estimate
-    s = np.cumsum(terms)
-    prev = s[-1]
-    est = math.inf
-    while s.size > 1:
-        s = 0.5 * (s[:-1] + s[1:])
-        est = abs(float(s[-1]) - prev)
-        prev = float(s[-1])
-    return prev, est
-
-
-def test_euler_weights_match_repeated_averaging():
-    rng = np.random.default_rng(5)
-    k = np.arange(64)
-    terms = np.stack(
-        [(-1.0) ** k * rng.uniform(0.5, 1.5, 64) / (k + 1.0) for _ in range(3)]
-    )
-    vals, ests = _euler_sum(terms)
-    for row, val, est in zip(terms, vals, ests):
-        ref_val, ref_est = _euler_loop(row)
-        # the estimate differences two entries, so it is held to the
-        # value's scale
-        assert abs(val - ref_val) <= 1e-15 * abs(ref_val)
-        assert abs(est - ref_est) <= 1e-15 * abs(ref_val)
 
 
 class TestThermalRoute:
