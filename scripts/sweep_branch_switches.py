@@ -12,7 +12,9 @@ this script's output.  The h0 section checks the vacuum shape from
 x0 = 1e-3 to 1e12, its three branches apart: the E1t bracket below
 x0 = 2, the E5 form up to 100 and the asymptotic series above; on the
 same grid it holds vacuum_split_quadrature, the vacuum oracle, to its
-own error estimate.  The
+own error estimate.  The thermal oracle section holds
+thermal_quadrature to its own estimate of thermal_potential_exact on
+theta 10-1000 x z/lambda_T 1e-3-10.  The other
 thermal sections check W of both routes of thermal_potential_exact: the
 H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25) and
 the Lifshitz sum plus the resonant term from there on (next to the
@@ -23,7 +25,8 @@ passes through zero.  The script exits with status 1 when scaled_e1
 of any order on its continued fraction's sector (p = 0.5-1000,
 |w| = 2-300, |arg w| <= 3pi/4) or h0's E5 form is off by more than
 1e-14, or h0's series by more than 1e-10, when the vacuum oracle is
-off by more than its own estimate, when the H_T form is off by
+off by more than its own estimate, when the thermal oracle differs
+from thermal_potential_exact by more than its own, when the H_T form is off by
 more than 1e-11 of |W|, or when the Lifshitz route is off by more than
 1e-14 of the scale next to its switch and in the far field, or by more
 than 1e-13 on the low-theta grid.
@@ -207,6 +210,32 @@ def sweep_h0() -> bool:
     return report_scaled("vacuum oracle error / estimate", grid, ratios) <= 1.0 and ok
 
 
+def sweep_thermal_oracle() -> bool:
+    """thermal_quadrature, the thermal oracle, against
+    thermal_potential_exact (which the sections below hold to mpmath)
+    on theta 10-1000 x z/lambda_T 1e-3-10, where the pole x0 lies both
+    inside the Bose weight's reach u_max and past it.  True when the
+    oracle is within its own estimate at every point."""
+    from cpwall.constants import PhysicalConstants
+    from cpwall.oracle import thermal_quadrature
+
+    cst = PhysicalConstants()
+    pts, errs, ests = [], [], []
+    for theta in (10.0, 30.0, 100.0, 300.0, 1000.0):
+        atom, env = th._reference_pair(theta, cst, alpha0_um3=3.0e-9)
+        for zr in np.geomspace(1e-3, 10.0, 80).tolist():
+            z = zr * env.lambda_T
+            rep = thermal_quadrature(atom, env, z, cst)
+            ref = th.thermal_potential_exact(atom, env, z, cst)
+            pts.append((theta, zr))
+            errs.append(abs(rep.value - ref) / abs(ref))
+            ests.append(rep.abs_error_estimate / abs(ref))
+    report_scaled("thermal oracle error / |V_T|", pts, errs)
+    report_scaled("thermal oracle estimate / |V_T|", pts, ests)
+    ratios = [e / s for e, s in zip(errs, ests)]
+    return report_scaled("thermal oracle error / estimate", pts, ratios) <= 1.0
+
+
 SHORT_RTOL = 1e-11
 
 
@@ -310,6 +339,7 @@ if __name__ == "__main__":
     sweep_bose()
     ok = sweep_orders()
     ok = sweep_h0() and ok
+    ok = sweep_thermal_oracle() and ok
     ok = sweep_short() and ok
     ok = sweep_thermal() and ok
     ok = sweep_low_theta() and ok

@@ -23,15 +23,18 @@ x0 whose square overflows is refused.  Against 60-digit references
 staying at or below 3.1e-12 of the value.
 
 Thermal route.  The Bose weight makes every integral absolutely
-convergent: plain graded panels (length capped by min(pi, 3/eta)), a
-principal-value window [x0(1-s), x0(1+s)] with smooth-quotient pole
-subtraction (the subtracted term integrates to zero over the symmetric
-window and carries the exponentially small Bose residue at u = x0),
-and integration carried to eta*u >= 60 where the weight is ~1e-26.
-No regulator, no extrapolation.  One call evaluates the weighted
-integrand h(u) = u^3 G(u)/(e^{eta u} - 1) once, on the GL16 and GL8
-nodes of every segment together with u = x0, and then applies each
-segment's denominator.
+convergent and is below e^-60 past u_max = 60/eta, so the panels,
+GL16-vs-GL8 and at most cap = min(pi, 3/eta) long, follow it: from 0 to
+the principal-value window or u_max, the window (_WINDOW_PANELS panels
+on each side of x0, clipped symmetrically at 0) and a short decay tail.
+In the window a smooth-quotient pole subtraction integrates to zero and
+carries the exponentially small Bose residue at u = x0.  As eta x0 =
+theta, the panel count does not grow with x0.  No regulator, no
+extrapolation.  One call evaluates h(u) = u^3 G(u)/(e^{eta u} - 1) once,
+on the nodes of all panels and u = x0, and sums h/(u + x0) -
+(h - h(x0) [window])/(u - x0) in one panel pass.  Past _PANEL_BUDGET
+panels on [0, u_max] (z beyond about 520 lambda_T) both thermal oracles
+raise ConvergenceError before any array work.
 
 Scalar oracles.  The Bose moments int u^n/(e^u - 1) du run on the same
 GL16-vs-GL8 panels; the closed Bose moments use zeta(4) = pi^4/90 and
@@ -68,6 +71,11 @@ _N8, _W8 = leggauss(8)
 _PI = math.pi
 
 _COMPARISON_FLOOR = 2e-10
+# PV window half-width of the thermal oracle, in cap-long panels
+_WINDOW_PANELS = 8
+# cap-long panels on [0, u_max] past which the thermal oracles refuse:
+# about 40 ms and 25 MB a call there; the package's calls stay below 120
+_PANEL_BUDGET = 20_000
 # Rounding floor of the Laplace and Bose oracles' estimates, per unit of
 # gross panel magnitude: auxiliary_f, the closed form f_integral_oracle
 # is held against, is off by up to 6.6e-15 relative on x in [0.01, 1e4]
@@ -99,11 +107,12 @@ class QuadratureReport(Record):
 _NODES = np.concatenate([_N16, _N8])
 
 
-def _gl_points(edges: np.ndarray):
-    """Quadrature nodes of every panel, shape (panels, nodes), and the
-    panel half-widths: the GL16 nodes followed by the GL8."""
-    a = edges[:-1]
-    b = edges[1:]
+def _gl_points(*edges: np.ndarray):
+    """Quadrature nodes of every panel of the edge arrays, in their
+    order, shape (panels, nodes), and the panel half-widths: the GL16
+    nodes followed by the GL8."""
+    a = np.concatenate([e[:-1] for e in edges])
+    b = np.concatenate([e[1:] for e in edges])
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return mid[:, None] + half[:, None] * _NODES[None, :], half
@@ -250,13 +259,23 @@ def _decay_tail_edges(a: float, pole: float, cap: float, b: float) -> np.ndarray
     return np.array(edges)
 
 
-def _bose_h(eta: float, us: list[np.ndarray]) -> list[np.ndarray]:
-    """h(u) = u^3 G(u) / (e^{eta u} - 1) on each array of us, from one
-    evaluation on all of them together."""
-    u = np.concatenate([a.ravel() for a in us])
-    h = _u3g(u) * _bose_weight(eta * u)
-    ends = np.cumsum([a.size for a in us])
-    return [h[end - a.size:end].reshape(a.shape) for a, end in zip(us, ends)]
+def _bose_h(eta: float, u: np.ndarray) -> np.ndarray:
+    """h(u) = u^3 G(u) / (e^{eta u} - 1)."""
+    return _u3g(u) * _bose_weight(eta * u)
+
+
+def _bose_span(env: ThermalEnvironment, z: float) -> tuple[float, float, float]:
+    """eta = lambda_T / 2z, the panel cap min(pi, 3/eta) and u_max = 60/eta,
+    or ConvergenceError when u_max is past _PANEL_BUDGET panels."""
+    eta = env.lambda_T / (2.0 * z)
+    cap = min(_PI, 3.0 / eta)
+    u_max = 60.0 / eta
+    if u_max > _PANEL_BUDGET * cap:
+        raise ConvergenceError(
+            f"thermal oracle needs {math.ceil(u_max / cap)} panels to reach "
+            f"eta*u = 60 at eta = {eta:.3g}, past its budget of {_PANEL_BUDGET}"
+        )
+    return eta, cap, u_max
 
 
 def thermal_quadrature(
@@ -264,49 +283,31 @@ def thermal_quadrature(
     env: ThermalEnvironment,
     z: float,
     constants: PhysicalConstants | None = None,
-    window_scale: float = 1.0,
 ) -> QuadratureReport:
     """Direct quadrature of the thermal integral (eV): Bose-weighted
     plus-part minus the principal-value part across k = k0."""
     z3 = _z_power(z, 3)
-    if not 0.0 < window_scale <= 1.0:
-        raise DomainError(f"window_scale must be in (0, 1], got {window_scale}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta = env.lambda_T / (2.0 * z)
+    eta, cap, u_max = _bose_span(env, z)
     x0 = 2.0 * atom.k0 * z
-    cap = min(_PI, 3.0 / eta)
-    u_max = 60.0 / eta
 
-    # Segments: the plus part h/(u + x0) over [0, u_max], then the
-    # principal-value part h/(u - x0) over the window [lo, hi], the
-    # stretch before it and the decay tail after it.
-    s = window_scale
-    lo = x0 * (1.0 - s)
-    hi = x0 * (1.0 + s)
-    plus_u, plus_half = _gl_points(_uniform_edges(0.0, u_max, cap))
-    pv = [_gl_points(_uniform_edges(lo, hi, cap))]
-    if lo > 0.0:
-        pv.append(_gl_points(_uniform_edges(0.0, lo, min(cap, 0.25 * s * x0))))
-    tail_edges = _decay_tail_edges(hi, x0, cap, max(u_max, hi + 2.0 * cap))
-    if tail_edges.size >= 2:
-        pv.append(_gl_points(tail_edges))
-    h_plus, *h_pv, h_x0 = _bose_h(eta, [plus_u, *(u for u, _ in pv), np.array([x0])])
-
-    v_plus, err, gross = _panel_sums(h_plus / (plus_u + x0), plus_half)
-    panels = plus_half.size
-    # Smooth-quotient subtraction in the PV window: the subtracted
-    # h(x0)/(u - x0) integrates to zero over the symmetric window.
-    h_pv[0] = h_pv[0] - float(h_x0[0])
-    v_pv = 0.0
-    for h, (u, half) in zip(h_pv, pv):
-        v, e, g = _panel_sums(h / (u - x0), half)
-        v_pv += v
-        err += e
-        gross += g
-        panels += half.size
+    # Segments in order of u: up to the PV window or u_max (no panel
+    # when the window starts at 0), the window, the decay tail.
+    reach = min(_WINDOW_PANELS * cap, x0)
+    lo, hi = x0 - reach, x0 + reach
+    window = _uniform_edges(lo, hi, cap)
+    pre = _uniform_edges(0.0, min(lo, u_max), cap) if lo > 0.0 else window[:1]
+    tail = _decay_tail_edges(hi, x0, cap, max(u_max, hi + 2.0 * cap))
+    u, half = _gl_points(pre, window, tail)
+    h = _bose_h(eta, np.append(u, x0))
+    h, h_x0 = h[:-1].reshape(u.shape), h[-1]
+    # The PV numerator, h(x0) subtracted on the window's panels, where
+    # h(x0)/(u - x0) integrates to zero.
+    pv = h.copy()
+    pv[pre.size - 1 : pre.size + window.size - 2] -= h_x0
+    v, err, gross = _panel_sums(h / (u + x0) - pv / (u - x0), half)
 
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z3)
-    value = pref * (v_plus - v_pv)
     # GL16-vs-GL8 saturates once converged, so a floor on the gross
     # panel magnitude keeps the estimate honest when this value is
     # differenced against a closed form evaluated in double precision:
@@ -314,7 +315,7 @@ def thermal_quadrature(
     # (x0^2 - 2) bracket cancellation at large x0 (measured need 8e-12
     # on the acceptance grids, taken with 6x headroom).
     est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
-    return QuadratureReport(float(value), float(est), panels)
+    return QuadratureReport(float(pref * v), float(est), half.size)
 
 
 def thermal_quadrature_static(
@@ -328,17 +329,13 @@ def thermal_quadrature_static(
     dispersion matters at theta >= 10."""
     z4 = _z_power(z, 4)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta = env.lambda_T / (2.0 * z)
-    cap = min(_PI, 3.0 / eta)
-    u_max = 60.0 / eta
+    eta, cap, u_max = _bose_span(env, z)
 
     u, half = _gl_points(_uniform_edges(0.0, u_max, cap))
-    v, e, g = _panel_sums(*_bose_h(eta, [u]), half)
+    v, e, g = _panel_sums(_bose_h(eta, u), half)
     pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z4)
-    value = pref * v
-    return QuadratureReport(
-        float(value), float(pref * (e + _COMPARISON_FLOOR * g) + 1e-300), half.size
-    )
+    est = pref * (e + _COMPARISON_FLOOR * g) + 1e-300
+    return QuadratureReport(float(pref * v), float(est), half.size)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Oracle module tests: honesty of the error estimates against frozen
 50-digit references and against the closed forms the oracles exist to
-check, window independence of the thermal oracle, and frozen panel
-counts."""
+check, window independence of the thermal oracle, frozen panel counts
+and the thermal panel budget."""
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpwall import oracle
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.oracle import (
@@ -136,35 +138,57 @@ class TestThermalRoute:
         assert s_eq < 0.2 * abs(slope(0.65))
 
     @pytest.mark.parametrize(
-        "theta,zr,window_scale,panels,static_panels",
-        [(30.0, 0.05, 1.0, 42, 20), (100.0, 0.5, 0.5, 73, 20), (300.0, 2.0, 1.0, 843, 77)],
+        "theta,zr,panels,static_panels",
+        [(30.0, 0.05, 20, 20), (100.0, 0.5, 38, 20), (300.0, 2.0, 95, 77)],
     )
-    def test_panel_count_frozen(self, theta, zr, window_scale, panels, static_panels):
+    def test_panel_count_frozen(self, theta, zr, panels, static_panels):
         atom, env = make_pair(theta)
         z = zr * LAMBDA_T
-        rep = thermal_quadrature(atom, env, z, CST, window_scale=window_scale)
-        assert rep.subdivisions == panels
+        assert thermal_quadrature(atom, env, z, CST).subdivisions == panels
         assert thermal_quadrature_static(atom, env, z, CST).subdivisions == static_panels
 
-    def test_window_shift_invariance(self):
-        atom, env = make_pair(100.0)
-        for zr in (0.1, 0.5, 1.0):
-            z = zr * LAMBDA_T
-            v1 = thermal_quadrature(atom, env, z, CST, window_scale=1.0).value
-            v2 = thermal_quadrature(atom, env, z, CST, window_scale=0.5).value
-            assert abs(v1 - v2) < 1e-9 * abs(v1)
+    @pytest.mark.parametrize("zr", [0.05, 0.5])
+    def test_panel_count_independent_of_x0(self, zr):
+        # at fixed z/lambda_T, x0 = 2 theta zr grows with theta while
+        # the panels follow the Bose weight, which depends on eta alone
+        counts = {
+            thermal_quadrature(*make_pair(theta), zr * LAMBDA_T, CST).subdivisions
+            for theta in (100.0, 300.0, 1000.0)
+        }
+        assert len(counts) == 1
 
-    def test_window_scale_validation(self):
+    def test_window_shift_invariance(self, monkeypatch):
+        # at theta = 30 the pole lies where the Bose weight lives, and
+        # 4, 8 and 16 panels per side place the window differently
+        for theta in (30.0, 100.0):
+            atom, env = make_pair(theta)
+            for zr in (0.1, 0.5, 1.0):
+                z = zr * LAMBDA_T
+                v1 = thermal_quadrature(atom, env, z, CST).value
+                for n in (oracle._WINDOW_PANELS // 2, 2 * oracle._WINDOW_PANELS):
+                    with monkeypatch.context() as m:
+                        m.setattr(oracle, "_WINDOW_PANELS", n)
+                        v2 = thermal_quadrature(atom, env, z, CST).value
+                    assert abs(v1 - v2) < 1e-9 * abs(v1)
+
+    def test_z_validation(self):
         atom, env = make_pair(100.0)
-        with pytest.raises(DomainError):
-            thermal_quadrature(atom, env, 1.0, CST, window_scale=0.0)
-        with pytest.raises(DomainError):
-            thermal_quadrature(atom, env, 1.0, CST, window_scale=1.5)
         for z in (-1.0, 1e-110, 1e110):
             with pytest.raises(DomainError):
                 thermal_quadrature(atom, env, z, CST)
             with pytest.raises(DomainError):
                 thermal_quadrature_static(atom, env, z, CST)
+
+    def test_panel_budget_refuses_before_array_work(self):
+        # x0 = 2e7 at theta = 100 is eta = 5e-6: 3.8 M panels to reach
+        # eta u = 60, which took 13 s before the budget
+        atom, env = make_pair(100.0)
+        z = 2e7 / (2.0 * atom.k0)
+        for quad in (thermal_quadrature, thermal_quadrature_static):
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError, match="budget"):
+                quad(atom, env, z, CST)
+            assert time.perf_counter() - start < 0.5
 
     def test_static_route_close_away_from_thermal_zero(self):
         atom, env = make_pair(100.0)
