@@ -11,10 +11,11 @@ per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
 x0 = 1e-3 to 1e12, its three branches apart: the E1t bracket below
 x0 = 2, the E5 form up to 100 and the asymptotic series above; on the
-same grid it holds vacuum_split_quadrature, the vacuum oracle, to its
-own error estimate.  The thermal oracle section holds
-thermal_quadrature to its own estimate of thermal_potential_exact on
-theta 10-1000 x z/lambda_T 1e-3-10.  The other
+same grid it holds the vacuum oracle, in the grid passes verify
+takes, to its own error estimate.  The thermal oracle section holds
+thermal_quadrature's grid passes, one call per theta row, to their own
+estimate of thermal_potential_exact on theta 10-1000 x z/lambda_T
+1e-3-10.  The other
 thermal sections check W of both routes of thermal_potential_exact: the
 H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25) and
 the Lifshitz sum plus the resonant term from there on (next to the
@@ -166,13 +167,14 @@ H0_SERIES_RTOL = 1e-10
 def sweep_h0() -> bool:
     """h0 against mpmath from x0 = 1e-3 to 1e12, each branch apart: the
     E1t bracket below x0 = 2, the E5 form up to 100 and the asymptotic
-    series above; then vacuum_split_quadrature (k0 = 1, z = x0/2) on the
+    series above; then the vacuum oracle's grid core, _vacuum_grid
+    (k0 = 1, z = x0/2, the path verify's criterion 1 takes), on the
     same grid against the same references times the prefactor.  The
     reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
     them.  True when the E5 form is within H0_E5_RTOL and the series
     within H0_SERIES_RTOL wherever they are taken, and the oracle within
     its own estimate at every point."""
-    from cpwall.oracle import vacuum_split_quadrature
+    from cpwall.oracle import _vacuum_grid
     from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, AtomParams, _vacuum_parts, h0
     from make_reference_values import h0 as h0_mp
 
@@ -199,7 +201,7 @@ def sweep_h0() -> bool:
         ok = ok and (rtol is None or worst <= rtol)
 
     atom = AtomParams(k0=1.0, alpha0=1.0)
-    reps = [vacuum_split_quadrature(atom, x / 2.0) for x in grid]
+    reps = _vacuum_grid(atom, [x / 2.0 for x in grid])
     refs = [_vacuum_parts(atom, x / 2.0, None)[0] * w for x, w in zip(grid, want)]
     for name, num in (
         ("vacuum oracle error / |V0|", [abs(r.value - v) for r, v in zip(reps, refs)]),
@@ -211,21 +213,22 @@ def sweep_h0() -> bool:
 
 
 def sweep_thermal_oracle() -> bool:
-    """thermal_quadrature, the thermal oracle, against
+    """The thermal oracle, its grid core _bose_grid called once per
+    theta row (the path verify's criteria 2 and 13 take), against
     thermal_potential_exact (which the sections below hold to mpmath)
     on theta 10-1000 x z/lambda_T 1e-3-10, where the pole x0 lies both
     inside the Bose weight's reach u_max and past it.  True when the
     oracle is within its own estimate at every point."""
     from cpwall.constants import PhysicalConstants
-    from cpwall.oracle import thermal_quadrature
+    from cpwall.oracle import _bose_grid
 
     cst = PhysicalConstants()
     pts, errs, ests = [], [], []
     for theta in (10.0, 30.0, 100.0, 300.0, 1000.0):
         atom, env = th._reference_pair(theta, cst, alpha0_um3=3.0e-9)
-        for zr in np.geomspace(1e-3, 10.0, 80).tolist():
-            z = zr * env.lambda_T
-            rep = thermal_quadrature(atom, env, z, cst)
+        zrs = np.geomspace(1e-3, 10.0, 80).tolist()
+        zs = [zr * env.lambda_T for zr in zrs]
+        for zr, z, rep in zip(zrs, zs, _bose_grid(atom, env, zs, cst)):
             ref = th.thermal_potential_exact(atom, env, z, cst)
             pts.append((theta, zr))
             errs.append(abs(rep.value - ref) / abs(ref))

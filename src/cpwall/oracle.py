@@ -28,13 +28,17 @@ GL16-vs-GL8 and at most cap = min(pi, 3/eta) long, follow it: from 0 to
 the principal-value window or u_max, the window (_WINDOW_PANELS panels
 on each side of x0, clipped symmetrically at 0) and a short decay tail.
 In the window a smooth-quotient pole subtraction integrates to zero and
-carries the exponentially small Bose residue at u = x0.  As eta x0 =
-theta, the panel count does not grow with x0.  No regulator, no
-extrapolation.  One call evaluates h(u) = u^3 G(u)/(e^{eta u} - 1) once,
-on the nodes of all panels and u = x0, and sums h/(u + x0) -
-(h - h(x0) [window])/(u - x0) in one panel pass.  Past _PANEL_BUDGET
-panels on [0, u_max] (z beyond about 520 lambda_T) both thermal oracles
-raise ConvergenceError before any array work.
+carries the exponentially small Bose residue at u = x0; a window that
+starts at or past u_max would add nothing and is dropped, with its tail
+and the subtraction.  As eta x0 = theta, the panel count does not grow
+with x0.  No regulator, no extrapolation.
+
+Grid passes.  Each route's core (_laplace, _bose_grid) takes a grid of
+points; the public oracles are its one-point calls.  It checks every
+point, the thermal one against _PANEL_BUDGET (z past about 520
+lambda_T), before any array work.  A pass of about _PASS_PANELS panels
+is one node array, integrand evaluation and _panel_sums, whose sums do
+not depend on the pass.
 
 Scalar oracles.  The Bose moments int u^n/(e^u - 1) du run on the same
 GL16-vs-GL8 panels; the closed Bose moments use zeta(4) = pi^4/90 and
@@ -44,6 +48,7 @@ zeta(6) = pi^6/945.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -105,6 +110,8 @@ class QuadratureReport(Record):
 # panel machinery
 
 _NODES = np.concatenate([_N16, _N8])
+# panels per array pass of a grid core, which bounds a pass's arrays
+_PASS_PANELS = 256
 
 
 def _gl_points(*edges: np.ndarray):
@@ -118,21 +125,38 @@ def _gl_points(*edges: np.ndarray):
     return mid[:, None] + half[:, None] * _NODES[None, :], half
 
 
-def _panel_sums(fu: np.ndarray, half: np.ndarray):
-    """Sums along the panel axis of integrand values fu at the
-    _gl_points nodes: the GL16 sum, |GL16 - GL8| as the error estimate,
-    and the gross panel magnitude sum(|panel_i|), the scale of
-    accumulated rounding once the GL16/GL8 difference has saturated at
-    machine noise."""
-    v16 = (fu[:, :16] @ _W16) * half
-    s16 = np.sum(v16)
-    s8 = np.sum((fu[:, 16:] @ _W8) * half)
-    return s16, abs(s16 - s8), np.sum(np.abs(v16))
+def _panel_sums(fu: np.ndarray, half: np.ndarray, counts: list[int]):
+    """Sums of integrand values fu at the _gl_points nodes, per point of
+    counts consecutive panels: the GL16 sum, |GL16 - GL8| as the error
+    estimate, and the gross panel magnitude sum(|panel_i|), the scale of
+    accumulated rounding once GL16 - GL8 is machine noise.  Each point
+    gets its own matmul (BLAS rounds a row by its place among the rows
+    it is given) and a leading zero, so reduceat sums in np.sum's order."""
+    first = np.cumsum([0, *counts[:-1]])
+    g = np.empty((3, half.size))
+    for a, n in zip(first.tolist(), counts):
+        np.matmul(fu[a : a + n, :16], _W16, out=g[0, a : a + n])
+        np.matmul(fu[a : a + n, 16:], _W8, out=g[1, a : a + n])
+    g[:2] *= half
+    np.abs(g[0], out=g[2])
+    lead = np.zeros((3, half.size + len(counts)))
+    lead[:, np.arange(half.size) + np.repeat(np.arange(1, len(counts) + 1), counts)] = g
+    s16, s8, gross = np.add.reduceat(lead, first + np.arange(len(counts)), axis=1)
+    return s16, np.abs(s16 - s8), gross
+
+
+def _passes(counts: list[int]) -> list[slice]:
+    """Runs of whole points, of these panel counts, whose first panels
+    fall in one block of _PASS_PANELS panels."""
+    block = [first // _PASS_PANELS for first in accumulate([0, *counts])][:-1]
+    cuts = [i for i, b in enumerate(block) if i == 0 or b != block[i - 1]]
+    return [slice(a, b) for a, b in zip(cuts, [*cuts[1:], len(counts)])]
 
 
 def _uniform_edges(a: float, b: float, cap: float) -> np.ndarray:
+    # the floats of np.linspace(a, b, n + 1), without its overhead
     n = max(1, int(math.ceil((b - a) / cap - 1e-12)))
-    return np.linspace(a, b, n + 1)
+    return np.append(np.arange(n) * ((b - a) / n) + a, b)
 
 
 # ----------------------------------------------------------------------
@@ -155,44 +179,68 @@ def _laplace_head_edges(x: float, t_split: float) -> np.ndarray:
 
 # v = 2^-k, k = 60..0, after [0, 2^-60]: halving toward the log term
 # of the mapped tail at v = 0
-_LAPLACE_TAIL_EDGES = np.concatenate([[0.0], 0.5 ** np.arange(60, -1, -1.0)])
+_TAIL_V, _TAIL_HALF = _gl_points(np.concatenate([[0.0], 0.5 ** np.arange(60, -1, -1.0)]))
+_TAIL_LOG_V = np.log(_TAIL_V).reshape(1, -1)
 
 
-def _laplace(x: float, kernel) -> tuple[float, float, int]:
-    """int_0^inf e^{-xt} kernel(xt)/(1 + t^2) dt for x > 0 with a finite
-    1/x, on GL16-vs-GL8 panels split at T = max(1, 1/x); kernel is a
-    polynomial in s = xt, evaluated on arrays.  The head [0, T] is taken
-    in t; the tail is mapped to [0, 1] by v = e^{-x(t-T)}, which leaves
-    e^{-xT}/x times int_0^1 kernel(xT - ln v)/(1 + (T - ln(v)/x)^2) dv,
-    smooth at v = 1 because xT >= 1.
+def _laplace(xs, kernel) -> list[tuple[float, float, int]]:
+    """int_0^inf e^{-xt} kernel(xt)/(1 + t^2) dt for each x > 0 of xs, with
+    a finite 1/x, on GL16-vs-GL8 panels split at T = max(1, 1/x); kernel
+    is a polynomial in s = xt, evaluated on arrays.  The head [0, T] is
+    taken in t; the tail is mapped to [0, 1] by v = e^{-x(t-T)}, which
+    leaves e^{-xT}/x times int_0^1 kernel(xT - ln v)/(1 + (T - ln(v)/x)^2)
+    dv, smooth at v = 1 because xT >= 1.
 
-    Returns the value, its estimate and the panel count.  The estimate
+    Returns each x's value, estimate and panel count.  The estimate
     adds to |GL16 - GL8| a floor of _SCALAR_FLOOR times the gross panel
     magnitude, which covers the rounding of the closed form this value
     is compared with once the GL difference has fallen below it."""
-    t_split = max(1.0, 1.0 / x)
-    t, t_half = _gl_points(_laplace_head_edges(x, t_split))
-    v, v_half = _gl_points(_LAPLACE_TAIL_EDGES)
-    # below x ~ 1e-154, t^2, ln(v)/x and s^2 may overflow to inf, where
-    # kernel/(1 + inf) = 0 is the integrand's limit to within x^2
-    with np.errstate(over="ignore"):
-        head, e_head, g_head = _panel_sums(
-            np.exp(-x * t) * kernel(x * t) / (1.0 + t * t), t_half
-        )
-        s = t_split - np.log(v) / x
-        tail, e_tail, g_tail = _panel_sums(
-            kernel(x * t_split - np.log(v)) / (1.0 + s * s), v_half
-        )
-
-    scale = math.exp(-x * t_split) / x
-    value = float(head + scale * tail)
-    err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
-    return value, float(err) + 1e-300, t_half.size + v_half.size
+    heads = [_laplace_head_edges(x, max(1.0, 1.0 / x)) for x in xs]
+    n_head = [e.size - 1 for e in heads]
+    n_tail = _TAIL_HALF.size
+    out = []
+    for run in _passes([n + n_tail for n in n_head]):
+        x = np.array(xs[run], dtype=float)[:, None]
+        t_split = np.maximum(1.0, 1.0 / x)
+        t, t_half = _gl_points(*heads[run])
+        xt = np.repeat(x, n_head[run], axis=0) * t
+        # below x ~ 1e-154, t^2, ln(v)/x and s^2 may overflow to inf,
+        # where kernel/(1 + inf) = 0 is the integrand's limit to within x^2
+        with np.errstate(over="ignore"):
+            head_fu = np.exp(-xt) * kernel(xt) / (1.0 + t * t)
+            s = t_split - _TAIL_LOG_V / x
+            tail_fu = kernel(x * t_split - _TAIL_LOG_V) / (1.0 + s * s)
+        head_sums = _panel_sums(head_fu, t_half, n_head[run])
+        tail_fu = tail_fu.reshape(-1, _NODES.size)
+        tail_sums = _panel_sums(tail_fu, np.tile(_TAIL_HALF, len(x)), [n_tail] * len(x))
+        for xi, ti, n, head, e_head, g_head, tail, e_tail, g_tail in zip(
+            x.ravel(), t_split.ravel(), n_head[run], *head_sums, *tail_sums
+        ):
+            scale = math.exp(-xi * ti) / xi
+            err = e_head + scale * e_tail + _SCALAR_FLOOR * (g_head + scale * g_tail)
+            out.append((float(head + scale * tail), float(err) + 1e-300, n + n_tail))
+    return out
 
 
 def _h0_kernel(s: np.ndarray) -> np.ndarray:
-    # H0(x0) = _laplace(x0, _h0_kernel), the kernel -(s^2 + 2s + 2)
+    # H0(x0) = _laplace([x0], _h0_kernel), the kernel -(s^2 + 2s + 2)
     return -(s * (s + 2.0) + 2.0)
+
+
+def _vacuum_grid(atom: AtomParams, zs, constants=None) -> list[QuadratureReport]:
+    """vacuum_split_quadrature at every z of zs, in _laplace's passes."""
+    cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0
+    prefs = [pref / (8.0 * _PI * _z_power(z, 3)) for z in zs]
+    x0s = [2.0 * atom.k0 * z for z in zs]
+    for x0 in x0s:
+        if not (x0 > 0.0 and math.isfinite(x0 * x0) and math.isfinite(1.0 / x0)):
+            raise DomainError(
+                f"vacuum_split_quadrature needs x0 = 2 k0 z with a finite square "
+                f"and reciprocal, got {x0}"
+            )
+    reps = _laplace(x0s, _h0_kernel)
+    return [QuadratureReport(p * v, p * e, n) for p, (v, e, n) in zip(prefs, reps)]
 
 
 def vacuum_split_quadrature(
@@ -204,17 +252,7 @@ def vacuum_split_quadrature(
     pole-free combination alpha+ + alpha- = alpha0 k0/(k + k0): H0(x0)
     as the Laplace integral of the module docstring.  x0 = 2 k0 z whose
     square or reciprocal overflows is refused."""
-    z3 = _z_power(z, 3)
-    cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    x0 = 2.0 * atom.k0 * z
-    if not (x0 > 0.0 and math.isfinite(x0 * x0) and math.isfinite(1.0 / x0)):
-        raise DomainError(
-            f"vacuum_split_quadrature needs x0 = 2 k0 z with a finite square "
-            f"and reciprocal, got {x0}"
-        )
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z3)
-    val, est, panels = _laplace(x0, _h0_kernel)
-    return QuadratureReport(pref * val, pref * est, panels)
+    return _vacuum_grid(atom, (z,), constants)[0]
 
 
 def f_integral_oracle(x: float) -> QuadratureReport:
@@ -223,7 +261,7 @@ def f_integral_oracle(x: float) -> QuadratureReport:
         raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
     if 1.0 / x == math.inf:
         raise DomainError(f"f_integral_oracle needs a finite 1/x, got x = {x}")
-    return QuadratureReport(*_laplace(x, lambda s: 1.0))
+    return QuadratureReport(*_laplace([x], lambda s: 1.0)[0])
 
 
 # ----------------------------------------------------------------------
@@ -232,16 +270,19 @@ def f_integral_oracle(x: float) -> QuadratureReport:
 
 def _u3g(u: np.ndarray) -> np.ndarray:
     """u^3 G(u) = u^2 sin u + 2u cos u - 2 sin u, with the small-u
-    Taylor form below 0.1 where the closed form loses digits to
-    cancellation."""
-    closed = u * (u * np.sin(u) + 2.0 * np.cos(u)) - 2.0 * np.sin(u)
-    x2 = u * u
-    taylor = u * x2 * (
+    Taylor form on the nodes below 0.1, where the closed form loses
+    digits to cancellation."""
+    sin = np.sin(u)
+    out = u * (u * sin + 2.0 * np.cos(u)) - 2.0 * sin
+    small = np.abs(u) < 0.1
+    x = u[small]
+    x2 = x * x
+    out[small] = x * x2 * (
         1.0 / 3.0
         + x2
         * (-0.1 + x2 * (1.0 / 168.0 + x2 * (-1.0 / 6480.0 + x2 / 443520.0)))
     )
-    return np.where(np.abs(u) < 0.1, taylor, closed)
+    return out
 
 
 def _bose_weight(y: np.ndarray) -> np.ndarray:
@@ -259,11 +300,6 @@ def _decay_tail_edges(a: float, pole: float, cap: float, b: float) -> np.ndarray
     return np.array(edges)
 
 
-def _bose_h(eta: float, u: np.ndarray) -> np.ndarray:
-    """h(u) = u^3 G(u) / (e^{eta u} - 1)."""
-    return _u3g(u) * _bose_weight(eta * u)
-
-
 def _bose_span(env: ThermalEnvironment, z: float) -> tuple[float, float, float]:
     """eta = lambda_T / 2z, the panel cap min(pi, 3/eta) and u_max = 60/eta,
     or ConvergenceError when u_max is past _PANEL_BUDGET panels."""
@@ -278,6 +314,57 @@ def _bose_span(env: ThermalEnvironment, z: float) -> tuple[float, float, float]:
     return eta, cap, u_max
 
 
+def _bose_grid(
+    atom: AtomParams, env: ThermalEnvironment, zs, constants=None, static=False
+) -> list[QuadratureReport]:
+    """thermal_quadrature (or thermal_quadrature_static) at every z of
+    zs, each checked and held to the panel budget before any pass."""
+    cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    spans = [(z, _z_power(z, 4 if static else 3), *_bose_span(env, z)) for z in zs]
+    points = []  # (prefactor, eta, x0, edge arrays, window panels)
+    for z, z_pow, eta, cap, u_max in spans:
+        x0 = 2.0 * atom.k0 * z
+        # Segments in order of u: to the PV window or u_max (no panel if
+        # the window starts at 0), the window, its decay tail; the first
+        # alone when the window starts at or past u_max.
+        reach = min(_WINDOW_PANELS * cap, x0)
+        lo, hi = x0 - reach, x0 + reach
+        if static or lo >= u_max:
+            edges, window = [_uniform_edges(0.0, u_max, cap)], slice(0, 0)
+        else:
+            pv = _uniform_edges(lo, hi, cap)
+            pre = _uniform_edges(0.0, lo, cap) if lo > 0.0 else pv[:1]
+            tail = _decay_tail_edges(hi, x0, cap, max(u_max, hi + 2.0 * cap))
+            edges, window = [pre, pv, tail], slice(pre.size - 1, pre.size + pv.size - 2)
+        pref = cst.hbar_c_ev_um * atom.alpha0 * (1.0 if static else atom.k0)
+        points.append((pref / (8.0 * _PI * z_pow), eta, x0, edges, window))
+
+    counts = [sum(e.size - 1 for e in p[3]) for p in points]
+    reports = []
+    for run in _passes(counts):
+        prefs, etas, x0s, edges, windows = zip(*points[run])
+        n = counts[run]
+        u, half = _gl_points(*[e for point in edges for e in point])
+        # h(u) = u^3 G(u) / (e^{eta u} - 1)
+        fu = h = _u3g(u) * _bose_weight(np.repeat(etas, n)[:, None] * u)
+        if not static:
+            # The PV numerator, h(x0) subtracted on the window's panels,
+            # where h(x0)/(u - x0) integrates to zero.
+            pv = h.copy()
+            h_poles = _u3g(np.array(x0s)) * _bose_weight(np.multiply(etas, x0s))
+            for first, w, h_x0 in zip(np.cumsum([0, *n[:-1]]), windows, h_poles):
+                pv[first + w.start : first + w.stop] -= h_x0
+            x0 = np.repeat(x0s, n)[:, None]
+            fu = h / (u + x0) - pv / (u - x0)
+        for pref, k, v, err, gross in zip(prefs, n, *_panel_sums(fu, half, n)):
+            # GL16-vs-GL8 saturates once converged; the floor on the gross
+            # magnitude covers the closed form's rounding, amplified by its
+            # (x0^2 - 2) bracket (8e-12 needed on verify's grids, taken 6x)
+            est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
+            reports.append(QuadratureReport(float(pref * v), float(est), k))
+    return reports
+
+
 def thermal_quadrature(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -286,36 +373,7 @@ def thermal_quadrature(
 ) -> QuadratureReport:
     """Direct quadrature of the thermal integral (eV): Bose-weighted
     plus-part minus the principal-value part across k = k0."""
-    z3 = _z_power(z, 3)
-    cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta, cap, u_max = _bose_span(env, z)
-    x0 = 2.0 * atom.k0 * z
-
-    # Segments in order of u: up to the PV window or u_max (no panel
-    # when the window starts at 0), the window, the decay tail.
-    reach = min(_WINDOW_PANELS * cap, x0)
-    lo, hi = x0 - reach, x0 + reach
-    window = _uniform_edges(lo, hi, cap)
-    pre = _uniform_edges(0.0, min(lo, u_max), cap) if lo > 0.0 else window[:1]
-    tail = _decay_tail_edges(hi, x0, cap, max(u_max, hi + 2.0 * cap))
-    u, half = _gl_points(pre, window, tail)
-    h = _bose_h(eta, np.append(u, x0))
-    h, h_x0 = h[:-1].reshape(u.shape), h[-1]
-    # The PV numerator, h(x0) subtracted on the window's panels, where
-    # h(x0)/(u - x0) integrates to zero.
-    pv = h.copy()
-    pv[pre.size - 1 : pre.size + window.size - 2] -= h_x0
-    v, err, gross = _panel_sums(h / (u + x0) - pv / (u - x0), half)
-
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * _PI * z3)
-    # GL16-vs-GL8 saturates once converged, so a floor on the gross
-    # panel magnitude keeps the estimate honest when this value is
-    # differenced against a closed form evaluated in double precision:
-    # the series side carries ~1e-12 per-term rounding amplified by the
-    # (x0^2 - 2) bracket cancellation at large x0 (measured need 8e-12
-    # on the acceptance grids, taken with 6x headroom).
-    est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
-    return QuadratureReport(float(pref * v), float(est), half.size)
+    return _bose_grid(atom, env, (z,), constants)[0]
 
 
 def thermal_quadrature_static(
@@ -327,15 +385,7 @@ def thermal_quadrature_static(
     """Thermal integral with the dispersive polarizability frozen at its
     static value alpha0 (the k << k0 form); used to measure how little
     dispersion matters at theta >= 10."""
-    z4 = _z_power(z, 4)
-    cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta, cap, u_max = _bose_span(env, z)
-
-    u, half = _gl_points(_uniform_edges(0.0, u_max, cap))
-    v, e, g = _panel_sums(_bose_h(eta, u), half)
-    pref = cst.hbar_c_ev_um * atom.alpha0 / (8.0 * _PI * z4)
-    est = pref * (e + _COMPARISON_FLOOR * g) + 1e-300
-    return QuadratureReport(float(pref * v), float(est), half.size)
+    return _bose_grid(atom, env, (z,), constants, static=True)[0]
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +416,6 @@ def bose_integral_quadrature(n: int) -> QuadratureReport:
     1e-33."""
     _check_bose_n(n, "bose_integral_quadrature")
     u, half = _gl_points(_uniform_edges(0.0, 32.0 * _PI, _PI))
-    v, e, g = _panel_sums(u**n * _bose_weight(u), half)
-    return QuadratureReport(
-        float(v), float(e + _SCALAR_FLOOR * g) + 1e-300, half.size
-    )
+    (v,), (e,), (g,) = _panel_sums(u**n * _bose_weight(u), half, [half.size])
+    est = float(e + _SCALAR_FLOOR * g) + 1e-300
+    return QuadratureReport(float(v), est, half.size)

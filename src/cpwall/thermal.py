@@ -489,7 +489,7 @@ def _h_t(eta: float, x0: float) -> float:
     the sum.
 
     Against mpmath (50 digits) W is within 7e-15 at theta >= 44 and
-    2.6e-12 below, at worst at theta 30-35, where F minus its head
+    3.06e-12 below, at worst at theta 31.6, where F minus its head
     carries the rounding of E1t near |w| = 35.
     """
     theta = _check_pair(eta, x0)

@@ -26,12 +26,12 @@ import numpy as np
 from .analysis import find_thermal_equilibrium
 from .constants import PhysicalConstants, load_constants
 from .oracle import (
+    _bose_grid,
+    _vacuum_grid,
     bose_integral,
     bose_integral_quadrature,
     f_integral_oracle,
     thermal_quadrature,
-    thermal_quadrature_static,
-    vacuum_split_quadrature,
 )
 from .record import Record
 from .specfun import auxiliary_f, auxiliary_g, bose_sum_p, kernel_g, zeta_even
@@ -73,12 +73,10 @@ def _verify_setup(cst: PhysicalConstants):
 def _crit_vacuum_oracle(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:
     n = 10 if quick else 50
     atom = AtomParams(k0=1.0, alpha0=1.0)
-    worst = 0.0
-    for x0 in np.geomspace(0.05, 100.0, n):
-        z = float(x0) / 2.0
-        rep = vacuum_split_quadrature(atom, z, cst)
-        ref = vacuum_potential(atom, z, cst)
-        worst = max(worst, abs(rep.value - ref) / abs(ref))
+    zs = (np.geomspace(0.05, 100.0, n) / 2.0).tolist()
+    refs = [vacuum_potential(atom, z, cst) for z in zs]
+    reps = _vacuum_grid(atom, zs, cst)
+    worst = max(abs(r.value - v) / abs(v) for r, v in zip(reps, refs))
     return worst < 1e-8, f"worst rel {worst:.3e} on {n} points x0 in [0.05, 100]"
 
 
@@ -88,9 +86,8 @@ def _crit_thermal_oracle(quick: bool, cst: PhysicalConstants) -> tuple[bool, str
     worst = 0.0
     for theta in thetas:
         atom, env = _reference_pair(theta, cst, alpha0_um3=3.0e-9)
-        for zr in np.geomspace(0.01, 2.0, n):
-            z = float(zr) * env.lambda_T
-            rep = thermal_quadrature(atom, env, z, cst)
+        zs = (np.geomspace(0.01, 2.0, n) * env.lambda_T).tolist()
+        for z, rep in zip(zs, _bose_grid(atom, env, zs, cst)):
             ref = thermal_potential_exact(atom, env, z, cst)
             worst = max(worst, abs(rep.value - ref) / abs(ref))
     return worst < 1e-6, f"worst rel {worst:.3e} on {n} points x theta in {thetas}"
@@ -255,19 +252,19 @@ def _crit_identities(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:
 
 def _crit_dispersion(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:
     atom, env, lam = _verify_setup(cst)
-    worst = 0.0
-    worst_zr = 0.0
     # the grid is kept at full resolution even under --quick: the metric
     # degeneration near the V_T zero crossing sits between coarse-grid
     # points and the verdict must not depend on the mode
-    for zr in np.geomspace(0.05, 2.0, 25):
-        z = float(zr) * lam
-        full = thermal_quadrature(atom, env, z, cst).value
-        static = thermal_quadrature_static(atom, env, z, cst).value
-        rel = abs(static - full) / abs(full)
-        if rel > worst:
-            worst, worst_zr = rel, float(zr)
-    return worst < 0.01, f"worst rel {worst:.4%} at z = {worst_zr:.3f} lambda_T"
+    zrs = np.geomspace(0.05, 2.0, 25).tolist()
+    zs = [zr * lam for zr in zrs]
+    static = _bose_grid(atom, env, zs, cst, static=True)
+    rels = [
+        abs(s.value - f.value) / abs(f.value)
+        for f, s in zip(_bose_grid(atom, env, zs, cst), static)
+    ]
+    worst = max(rels)
+    at = zrs[rels.index(worst)]
+    return worst < 0.01, f"worst rel {worst:.4%} at z = {at:.3f} lambda_T"
 
 
 def _crit_ht_report(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:

@@ -1,7 +1,8 @@
 """Oracle module tests: honesty of the error estimates against frozen
 50-digit references and against the closed forms the oracles exist to
 check, window independence of the thermal oracle, frozen panel counts
-and the thermal panel budget."""
+and values, the thermal panel budget, and the grid cores: a point's
+report does not depend on the points sharing its pass."""
 
 import math
 import time
@@ -17,8 +18,10 @@ from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.oracle import (
     QuadratureReport,
+    _bose_grid,
     _h0_kernel,
     _laplace,
+    _vacuum_grid,
     bose_integral,
     bose_integral_quadrature,
     f_integral_oracle,
@@ -27,8 +30,9 @@ from cpwall.oracle import (
     vacuum_split_quadrature,
 )
 from cpwall.specfun import auxiliary_f
-from cpwall.thermal import ThermalEnvironment, thermal_potential_exact
+from cpwall.thermal import ThermalEnvironment, _reference_pair, thermal_potential_exact
 from cpwall.vacuum import AtomParams, h0, vacuum_potential
+from cpwall.verify import _verify_setup
 
 from _reference_values import REFERENCE
 
@@ -70,7 +74,7 @@ class TestVacuumRoute:
         # x0 = 0.05 to 1e9: the Laplace form reaches far past the
         # crossover, and its estimate stays tight there
         ref = REFERENCE[key]
-        val, est, _ = _laplace(float(key[3:]), _h0_kernel)
+        (val, est, _), = _laplace([float(key[3:])], _h0_kernel)
         assert abs(val - ref) <= est <= 1e-11 * abs(ref)
 
     def test_part_validation(self):
@@ -89,7 +93,7 @@ class TestVacuumRoute:
     @settings(max_examples=25)
     @given(st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0**e))
     def test_h0_route_bracket_property(self, x0):
-        val, est, _ = _laplace(x0, _h0_kernel)
+        (val, est, _), = _laplace([x0], _h0_kernel)
         ref = h0(x0)
         assert abs(val - ref) <= est
 
@@ -137,14 +141,26 @@ class TestThermalRoute:
         assert s_eq < 0.2 * abs(slope(0.40))
         assert s_eq < 0.2 * abs(slope(0.65))
 
+    # thermal_quadrature's values while it still laid its PV window and
+    # decay tail past u_max = 60/eta (theta 100 and 300 here), where the
+    # Bose weight is below e^-60: dropping them must not move the value
+    FROZEN_VALUES = {
+        30.0: 2.317236366818041e-12,
+        100.0: -5.122795092818507e-13,
+        300.0: -4.148838264175659e-14,
+    }
+
     @pytest.mark.parametrize(
         "theta,zr,panels,static_panels",
-        [(30.0, 0.05, 20, 20), (100.0, 0.5, 38, 20), (300.0, 2.0, 95, 77)],
+        [(30.0, 0.05, 20, 20), (100.0, 0.5, 20, 20), (300.0, 2.0, 77, 77)],
     )
     def test_panel_count_frozen(self, theta, zr, panels, static_panels):
         atom, env = make_pair(theta)
         z = zr * LAMBDA_T
-        assert thermal_quadrature(atom, env, z, CST).subdivisions == panels
+        rep = thermal_quadrature(atom, env, z, CST)
+        assert rep.subdivisions == panels
+        want = self.FROZEN_VALUES[theta]
+        assert abs(rep.value - want) <= 1e-15 * abs(want)
         assert thermal_quadrature_static(atom, env, z, CST).subdivisions == static_panels
 
     @pytest.mark.parametrize("zr", [0.05, 0.5])
@@ -209,6 +225,81 @@ class TestThermalRoute:
         full = thermal_quadrature(atom, env, z, CST).value
         static = thermal_quadrature_static(atom, env, z, CST).value
         assert abs(static - full) > 1e-2 * abs(full)
+
+
+def _bits(rep: QuadratureReport) -> tuple:
+    return rep.value.hex(), rep.abs_error_estimate.hex(), rep.subdivisions
+
+
+class TestGrids:
+    """The grid cores on verify's grids: each point's report equals its
+    one-point public call bit for bit, whatever the pass size."""
+
+    @pytest.mark.parametrize("pass_panels", [None, 1, 100, 10**6])
+    def test_pass_independence(self, monkeypatch, pass_panels):
+        # None keeps the module's own pass size
+        if pass_panels is not None:
+            monkeypatch.setattr(oracle, "_PASS_PANELS", pass_panels)
+        # criterion 1
+        zs = (np.geomspace(0.05, 100.0, 50) / 2.0).tolist()
+        grid = _vacuum_grid(ATOM, zs, CST)
+        assert [_bits(r) for r in grid] == [
+            _bits(vacuum_split_quadrature(ATOM, z, CST)) for z in zs
+        ]
+        # criterion 2 at theta 30, then criterion 13, full and static
+        atom, env = _reference_pair(30.0, CST, alpha0_um3=3.0e-9)
+        grids = [(atom, env, (np.geomspace(0.01, 2.0, 40) * env.lambda_T).tolist())]
+        atom, env, lam = _verify_setup(CST)
+        grids.append((atom, env, (np.geomspace(0.05, 2.0, 25) * lam).tolist()))
+        oracles = ((False, thermal_quadrature), (True, thermal_quadrature_static))
+        for atom, env, zs in grids:
+            for static, one in oracles:
+                grid = _bose_grid(atom, env, zs, CST, static=static)
+                assert [_bits(r) for r in grid] == [
+                    _bits(one(atom, env, z, CST)) for z in zs
+                ]
+
+    def test_grid_refuses_over_budget_point_before_array_work(self):
+        atom, env = make_pair(100.0)
+        zs = [0.1 * LAMBDA_T, 2e7 / (2.0 * atom.k0), 0.5 * LAMBDA_T]
+        for static in (False, True):
+            start = time.perf_counter()
+            with pytest.raises(ConvergenceError, match="budget"):
+                _bose_grid(atom, env, zs, CST, static=static)
+            assert time.perf_counter() - start < 0.5
+
+    def test_grid_refuses_bad_z(self):
+        atom, env = make_pair(100.0)
+        for bad in (-1.0, 1e-110):
+            zs = [0.1 * LAMBDA_T, bad, 0.5 * LAMBDA_T]
+            for static in (False, True):
+                with pytest.raises(DomainError):
+                    _bose_grid(atom, env, zs, CST, static=static)
+            with pytest.raises(DomainError):
+                _vacuum_grid(ATOM, zs, CST)
+
+    def test_u3g_one_sin_form(self):
+        # the two-branch formula _u3g had: the closed form and the
+        # small-u Taylor form, both on every node, picked by np.where
+        u = np.array([0.0, 0.05, 0.0999999, 0.1, 0.5, 3.0, 100.0])
+        closed = u * (u * np.sin(u) + 2.0 * np.cos(u)) - 2.0 * np.sin(u)
+        x2 = u * u
+        taylor = u * x2 * (
+            1.0 / 3.0
+            + x2
+            * (-0.1 + x2 * (1.0 / 168.0 + x2 * (-1.0 / 6480.0 + x2 / 443520.0)))
+        )
+        want = np.where(np.abs(u) < 0.1, taylor, closed)
+        assert oracle._u3g(u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "a,b,cap",
+        [(0.0, 60.0, math.pi), (12.3, 98.7, 0.3), (0.0, 1e-3, 1.0), (5.0, 5.0, 1.0)],
+    )
+    def test_uniform_edges_are_linspace(self, a, b, cap):
+        n = max(1, math.ceil((b - a) / cap - 1e-12))
+        want = np.linspace(a, b, n + 1)
+        assert oracle._uniform_edges(a, b, cap).tobytes() == want.tobytes()
 
 
 class TestScalarOracles:
