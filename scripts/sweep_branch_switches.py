@@ -17,10 +17,12 @@ thermal_quadrature's grid passes, one call per theta row, to their own
 estimate of thermal_potential_exact on theta 10-1000 x z/lambda_T
 1e-3-10.  The other
 thermal sections check W of both routes of thermal_potential_exact: the
-H_T form for z < lambda_T / 8 (theta 10-1000, x0/theta 1e-10-0.25) and
-the Lifshitz sum plus the resonant term from there on (next to the
-route switch, from x0 = 40 to 1e9 below theta = 45, and on theta 10-44
-x z/lambda_T 0.125-1000, where the E1t series once served).  The
+H_T form on the whole domain of the short expansion, eta > 2.5 (theta
+10-1000 x x0/theta 1e-10-0.4, of which thermal_potential_exact takes
+x0/theta < 0.25), and the Lifshitz sum plus the resonant term from
+there on (next to the route switch, from x0 = 40 to 1e9 below
+theta = 45, and on theta 10-44 x z/lambda_T 0.125-1000, where the E1t
+series once served).  The
 Lifshitz route is measured against max(|W|, 2 pi/theta), since W
 passes through zero.  The script exits with status 1 when scaled_e1
 of any order on its continued fraction's sector (p = 0.5-1000,
@@ -35,6 +37,7 @@ than 1e-13 on the low-theta grid.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -244,19 +247,24 @@ SHORT_RTOL = 1e-11
 
 def sweep_short() -> bool:
     """W of the H_T form, which thermal_potential_exact takes for
-    z < lambda_T / 8, against the mpmath E1t series on theta 10-1000 x
-    x0/theta 1e-10-0.25 and x0 = 2 (where the m = 2 factor of the
+    z < lambda_T / 8 and thermal_short_expansion for z < 0.2 lambda_T,
+    against the mpmath E1t series on theta 10-1000 x x0/theta
+    1e-10-0.3999 (eta > 2.5) and x0 = 2 (where the m = 2 factor of the
     printed form vanishes), with the thetas where n theta = 40 switches
-    F from E1t to the zeta tail and theta = 35, next to E1t's |w| = 35
-    switch.  mpmath gets the same float x0 and eta.  True when the worst
-    error is within SHORT_RTOL of |W|."""
+    F from E1t to the zeta tail and theta = 35 and just above it, on
+    both sides of E1t's |w| = 35 switch.  mpmath gets the same float x0
+    and eta.  True when the worst error is within SHORT_RTOL of |W|."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
-    thetas = sorted({*np.geomspace(10.0, 1000.0, 13).tolist(), 13.34, 20.0, 35.0, 40.0, 44.0})
+    thetas = sorted({
+        *np.geomspace(10.0, 1000.0, 13).tolist(),
+        13.34, 20.0, 35.0, math.nextafter(35.0, 40.0), 35.5, 40.0, 44.0,
+    })
+    qs = [*np.geomspace(1e-10, 0.25, 12).tolist(), 0.3, 0.35, 0.3999]
     pts, got, want = [], [], []
     with mp.workdps(50):
         for theta in thetas:
-            for q in [*np.geomspace(1e-10, 0.25, 12).tolist(), 2.0 / theta]:
+            for q in [*qs, 2.0 / theta]:
                 x0 = q * theta
                 eta = theta / x0
                 pts.append((theta, q))

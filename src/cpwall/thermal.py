@@ -29,9 +29,9 @@ independent cross-check of the two routes below, not a route itself.
 by eta alone:
 
 * for z < lambda_T / 8 (eta > 4, x0 < theta / 4), the exact H_T form
-  (``_h_t``): the short-distance double zeta sum with its inner sums
-  resummed through F(y) = -[Re E1t(-y) + E1t(y)] / 2, a series in
-  1/eta^2 whose leading term is C(T) and holds no power of z;
+  (``_h_t``), one power series theta^4 h_T = sum_m c_m (-1/eta^2)^(m-2)
+  whose c_m are built once per theta from zeta tails and, where
+  n theta < 40, F(y) = -[Re E1t(-y) + E1t(y)] / 2; c_2 gives C(T);
 * for z >= lambda_T / 8 (eta <= 4), the Lifshitz (Matsubara) sum plus
   the resonant term (``_w_lifshitz``),
 
@@ -70,7 +70,7 @@ from __future__ import annotations
 import math
 import sys
 from functools import lru_cache
-from itertools import count
+from itertools import accumulate, count, repeat
 from operator import mul
 from typing import Iterator
 
@@ -81,6 +81,7 @@ from .specfun import (
     _PAIR_MIN,
     _digamma,
     _e1t_pair,
+    _e1t_power_series,
     _hurwitz_range,
     _scaled_e1_upper,
     _zeta_even_unchecked,
@@ -438,22 +439,51 @@ def _w_lifshitz(eta: float, x0: float, h: float | None = None) -> float:
     )
 
 
+# _h_t's factors (-1)^m 2 (m-1)(2m-3) and guards 2 (m-1)(2m-3) zeta(2m)
+_H_T_MS = range(2, _TERM_CAP + 1)
+_H_T_FACTORS = tuple((-1) ** m * 2.0 * (m - 1) * (2 * m - 3) for m in _H_T_MS)
+_H_T_GUARDS = tuple(
+    abs(f) * _zeta_even_unchecked(m) for m, f in zip(_H_T_MS, _H_T_FACTORS)
+)
+
+
 @lru_cache(maxsize=64)
-def _h_t_near(theta: float) -> tuple[float, tuple[float, ...]]:
-    """_h_t's n theta < 40 terms of J_2, and 1/n^2 for their head terms."""
+def _h_t_series(theta: float) -> tuple[float, ...]:
+    """_h_t's coefficients (-1)^m c_m for m = 2.._TERM_CAP."""
     theta2 = theta * theta
-    near = 0.0
-    inv_n2 = []
+    # J_2's near part: F(n theta) minus its head term, from E1t; E1t(-y)
+    # from its power series, whose terms share one sign here: past
+    # |w| = 35 the asymptotic series leaves 1.2e-14 of E1t at y = 35
+    near, inv_n2 = 0.0, []
     for n in count(1):
         y = n * theta
         if y >= _PAIR_MIN:
             break
-        e_minus = _scaled_e1_upper(complex(-y, 0.0)).real
+        e_minus = _e1t_power_series(complex(-y, 0.0)).real
         e_plus = _scaled_e1_upper(complex(y, 0.0)).real
         f_rest = -0.5 * (e_minus + e_plus) - 1.0 / (y * y)
         near += f_rest * theta2 * theta2 / 6.0
         inv_n2.append(1.0 / (n * n))
-    return near, tuple(inv_n2)
+    # heads sum n^(-2m) over the near n (0 if none); J_m's near parts, tails
+    powers = (accumulate(repeat(q, _TERM_CAP - 2), mul, initial=q * q) for q in inv_n2)
+    heads = map(sum, zip(repeat(0.0, _TERM_CAP - 1), *powers))
+    js, tails = [], []
+    for m, head in zip(_H_T_MS, heads):
+        js.append(near)
+        near = (near - head) * theta2 / ((2 * m) * (2 * m + 1))
+        tails.append(_zeta_even_unchecked(m) - head)
+    # the far terms (2j-1)! tail_j / theta^(2j) are cut before the first
+    # one above its predecessor, then summed backward into J_m
+    cut = 1
+    while cut < len(tails) and (
+        (2 * cut + 2) * (2 * cut + 3) / theta2 * abs(tails[cut]) < abs(tails[cut - 1])
+    ):
+        cut += 1
+    far = 0.0
+    for i in reversed(range(cut)):
+        far = tails[i] + (2 * i + 4) * (2 * i + 5) / theta2 * far
+        js[i] += far
+    return tuple(map(mul, _H_T_FACTORS, js))
 
 
 def _h_t(eta: float, x0: float) -> float:
@@ -466,67 +496,37 @@ def _h_t(eta: float, x0: float) -> float:
 
         I_m = sum_{n>=1} [F(n theta) - sum_{j<m} (2j-1)! / (n theta)^(2j)],
 
-    the H_T form reads
+    the H_T form, once I_m - I_{m+1} = (2m-1)! zeta(2m) / theta^(2m) has
+    cancelled the printed form's Q(eta), is h_T = sum_{m>=2} (-1)^m
+    x0^(2m-4) [2 I_m - x0^2 (1 - 1/m) I_{m+1}] / (2m-1)!.  Gathered by
+    J_m = I_m theta^(2m) / (2m-1)!, which depends on theta alone and
+    tends to zeta(2m), it is one power series in u^2 = 1/eta^2 with no
+    power of x0 or theta that could over- or underflow,
 
-        h_T = sum_{m>=2} (-1)^m x0^(2m-4) / (2m-1)!
-              [2 I_m - x0^2 (1 - 1/m) I_{m+1}]:
+        theta^4 h_T = sum_{m>=2} c_m (-u^2)^(m-2),  c_m = 2 (m-1)(2m-3) J_m.
 
-    the identity I_m - I_{m+1} = (2m-1)! zeta(2m) / theta^(2m) has
-    cancelled the printed form's Q(eta).  The sum runs on
-    J_m = I_m theta^(2m) / (2m-1)!, which tends to zeta(2m), so that
-    theta^4 h_T = sum_m (-u^2)^(m-2) [2 J_m - u^2 (2m-2) (2m+1) J_{m+1}],
-    u = x0 / theta = 1/eta, holds no power of x0 or theta that could
-    over- or underflow.  Its terms fall like 1/eta^2.
-
-    For the n with n theta < 40 (at most three) F comes from E1t, once
-    per theta (_h_t_near), and sheds its head terms one at a time.
-    For n >= n0 the inner sums are the tails of sum_j c_j, c_j =
-    (2j-1)! [zeta(2j) - sum_{k<n0} k^(-2j)] / theta^(2j), cut at its
-    smallest term; they are summed over m first, so that c_j adds c_j
-    times the coefficient the outer sum gives it.  The sum stops at the
-    first m where the magnitudes of its pieces, plus u^(2m-4) zeta(2m),
-    which unlike J_m never vanishes by accident, fall below 1e-17 of
-    the sum.
+    _h_t_series builds the c_m once per theta.  J_m's near part, from
+    the n with n theta < 40 (at most three), takes F from E1t and sheds
+    one head term per step, J_(m+1) = (J_m - sum_n n^(-2m)) theta^2 /
+    (2m (2m+1)).  Its far part, from n >= n0, sums the zeta tails
+    tail_j = zeta(2j) - sum_{k<n0} k^(-2j) backward, Jfar_m = tail_m +
+    2m (2m+1) Jfar_(m+1) / theta^2, from the j before the first term
+    (2j-1)! tail_j / theta^(2j) above its predecessor.  The sum stops at
+    the first m whose guard 2 (m-1)(2m-3) zeta(2m) u^(2m-4) is at or
+    below 1e-17 of it (J_m can vanish by accident, zeta(2m) cannot) and
+    raises ConvergenceError if none has by m = _TERM_CAP.
 
     Against mpmath (50 digits) W is within 7e-15 at theta >= 44 and
     3.06e-12 below, at worst at theta 31.6, where F minus its head
     carries the rounding of E1t near |w| = 35.
     """
     theta = _check_pair(eta, x0)
-    theta2 = theta * theta
     u2 = 1.0 / (eta * eta)
-    near, inv_n2 = _h_t_near(theta)
-    powers = inv_n2  # n^(2-2m) before step m
-    weight = 1.0  # u^(2m-4)
-    total = coef = spread = b = head = 0.0
-    far, prev_tail = True, math.inf
-    for m in range(2, _TERM_CAP):
-        if inv_n2:
-            powers = [p * q for p, q in zip(powers, inv_n2)]
-            head = sum(powers)
-        zeta = _zeta_even_unchecked(m)
-        a = 2.0 * weight if m % 2 == 0 else -2.0 * weight
-        v = u2 * (2 * m - 2) * (2 * m + 1)
-        near_next = (near - head) * theta2 / ((2 * m) * (2 * m + 1))
-        total += a * near - 0.5 * a * v * near_next
-        size = weight * (2.0 * abs(near) + v * abs(near_next) + zeta)
-        # the far tails: c_m / c_(m-1) is step times the ratio of their
-        # zeta differences, and coef the coefficient the outer sum
-        # gives c_m, in the units of J_m
-        step = (2 * m - 2) * (2 * m - 1) / theta2
-        coef = coef * step + a - b
-        spread = spread * step + abs(a) + abs(b)
-        b = 0.5 * a * v
-        tail = zeta - head
-        # cut before the first c_m above c_(m-1)
-        far = far and step * abs(tail) < abs(prev_tail)
-        if far:
-            total += tail * coef
-            size += abs(tail) * spread
-        prev_tail = tail
-        if size <= 1e-17 * abs(total):
+    total, weight = 0.0, 1.0  # weight: u^(2m-4)
+    for coef, guard in zip(_h_t_series(theta), _H_T_GUARDS):
+        total += coef * weight
+        if guard * weight <= 1e-17 * abs(total):
             return total
-        near = near_next
         weight *= u2
     raise ConvergenceError(
         f"H_T form did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "

@@ -180,8 +180,9 @@ class TestStaticAlphaExpansion:
 
 
 class TestHTNearTerms:
-    """_h_t takes the near terms of J_2 (n theta < 40) from a cache keyed
-    on theta alone, which holds whatever (eta, x0) filled it."""
+    """_h_t takes the coefficients of its series in 1/eta^2, near terms
+    of J_m (n theta < 40) included, from a cache keyed on theta alone,
+    which holds whatever (eta, x0) filled it."""
 
     @pytest.mark.parametrize("theta", [10.0, 20.0, 39.9, 100.0])
     def test_cold_and_warm_cache_agree(self, theta: float) -> None:
@@ -189,19 +190,20 @@ class TestHTNearTerms:
         pairs = [(eta, theta / eta) for eta in (8.0, 16.0, 32.0)]
         cold = []
         for eta, x0 in pairs:
-            thermal._h_t_near.cache_clear()
+            thermal._h_t_series.cache_clear()
             cold.append(_h_t(eta, x0))
-        thermal._h_t_near.cache_clear()
+        thermal._h_t_series.cache_clear()
         warm = [_h_t(eta, x0) for eta, x0 in pairs]
-        assert thermal._h_t_near.cache_info().hits == len(pairs) - 1
+        info = thermal._h_t_series.cache_info()
+        assert info.hits == len(pairs) - 1
+        assert info.currsize == 1
         assert warm == cold
         assert warm == [_h_t(eta, x0) for eta, x0 in pairs]
-        assert bool(thermal._h_t_near(theta)[1]) == (theta < 40.0)
 
     def test_a_figure_3_curve_reaches_the_cache(self) -> None:
-        thermal._h_t_near.cache_clear()
+        thermal._h_t_series.cache_clear()
         cmd_curve(CurveSpec.for_figure(3, 12.0, 150), CST, io.StringIO())
-        info = thermal._h_t_near.cache_info()
+        info = thermal._h_t_series.cache_info()
         assert info.hits > 0
         assert info.currsize < info.hits
 
@@ -421,6 +423,32 @@ class TestExpansions:
         pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
         e1t = pref * _w_bracket(thermal_series_terms(eta, x0), x0)
         assert abs(se / e1t - 1.0) < 1e-8
+
+    @pytest.mark.parametrize("theta", [10.0, 13.34, 31.6, 35.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("zr", [0.13, 0.15, 0.17, 0.199])
+    def test_short_expansion_meets_lifshitz_route(self, theta: float, zr: float) -> None:
+        # 2.5 < eta <= 4: the H_T form, which thermal_potential_exact
+        # leaves to the Lifshitz route here, still holds its accuracy;
+        # theta 35 lands one ulp above 35 at zr 0.199, where n theta
+        # passes E1t's |w| = 35 switch
+        atom, env = make_pair(theta)
+        z = zr * LAMBDA_T
+        pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
+        w_short = thermal_short_expansion(atom, env, z) / pref
+        w_lifshitz = thermal_potential_exact(atom, env, z) / pref
+        scale = max(abs(w_lifshitz), 2.0 * math.pi / env.theta)
+        assert abs(w_short - w_lifshitz) <= 1e-13 * scale
+
+    @pytest.mark.parametrize(
+        "theta,eta",
+        [(10.0, 2.5000001), (31.6, 2.5000001), (100.0, 2.5000001),
+         (1000.0, 2.5000001), (78.0, 2.622), (79.13, 2.528)],
+    )
+    def test_short_form_stops_inside_its_term_cap(self, theta: float, eta: float) -> None:
+        # the stop rule must end the sum inside _TERM_CAP on all of
+        # eta > 2.5, where the terms fall by u^2 < 0.16 each; theta 78-79
+        # at eta 2.5-2.7 included
+        assert math.isfinite(_h_t(eta, theta / eta))
 
     @pytest.mark.parametrize("z", [1e-103, 1e-110])
     def test_short_expansion_holds_c_t_at_extreme_short_distance(self, z: float) -> None:
