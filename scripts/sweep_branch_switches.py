@@ -9,7 +9,7 @@ For each function with multiple evaluation branches this sweeps dense
 grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
-x0 = 1e-3 to 1e12, its three branches apart: the E1t bracket below
+x0 = 1e-3 to 1e12, its three branches apart: the Ci/Si form below
 x0 = 2, the E5 form up to 100 and the asymptotic series above; on the
 same grid it holds the vacuum oracle, in the grid passes verify
 takes, to its own error estimate.  The thermal oracle section holds
@@ -27,7 +27,8 @@ Lifshitz route is measured against max(|W|, 2 pi/theta), since W
 passes through zero.  The script exits with status 1 when scaled_e1
 of any order on its continued fraction's sector (p = 0.5-1000,
 |w| = 2-300, |arg w| <= 3pi/4) or h0's E5 form is off by more than
-1e-14, or h0's series by more than 1e-10, when the vacuum oracle is
+1e-14, h0's Ci/Si form by more than 1e-15 or h0's series by more than
+1e-10, when the vacuum oracle is
 off by more than its own estimate, when the thermal oracle differs
 from thermal_potential_exact by more than its own, when the H_T form is off by
 more than 1e-11 of |W|, or when the Lifshitz route is off by more than
@@ -163,19 +164,20 @@ def sweep_bose() -> None:
     report("bose_sum_p (switch 2)", grid, [sf.bose_sum_p(float(e)) for e in grid], want)
 
 
+H0_SMALL_RTOL = 1e-15
 H0_E5_RTOL = 1e-14
 H0_SERIES_RTOL = 1e-10
 
 
 def sweep_h0() -> bool:
     """h0 against mpmath from x0 = 1e-3 to 1e12, each branch apart: the
-    E1t bracket below x0 = 2, the E5 form up to 100 and the asymptotic
+    Ci/Si form below x0 = 2, the E5 form up to 100 and the asymptotic
     series above; then the vacuum oracle's grid core, _vacuum_grid
     (k0 = 1, z = x0/2, the path verify's criterion 1 takes), on the
     same grid against the same references times the prefactor.  The
     reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
-    them.  True when the E5 form is within H0_E5_RTOL and the series
-    within H0_SERIES_RTOL wherever they are taken, and the oracle within
+    them.  True when the Ci/Si form is within H0_SMALL_RTOL, the E5 form
+    within H0_E5_RTOL and the series within H0_SERIES_RTOL wherever they are taken, and the oracle within
     its own estimate at every point."""
     from cpwall.oracle import _vacuum_grid
     from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, AtomParams, _vacuum_parts, h0
@@ -189,19 +191,19 @@ def sweep_h0() -> bool:
     with mp.workdps(60):
         want = [float(h0_mp(mp.mpf(x))) for x in grid]
     got = [h0(x) for x in grid]
-    # branch of each point: the E1t bracket below _H0_E5_MIN, the E5
+    # branch of each point: the Ci/Si form below _H0_E5_MIN, the E5
     # form up to and at _H0_SERIES_MIN, the series above
     branch = [(x >= _H0_E5_MIN) + (x > _H0_SERIES_MIN) for x in grid]
     ok = True
     for b, name, rtol in (
-        (0, "h0 E1t bracket (1e-3..2)", None),
+        (0, "h0 Ci/Si form (1e-3..2)", H0_SMALL_RTOL),
         (1, "h0 E5 form (2..100)", H0_E5_RTOL),
         (2, "h0 series (100..1e12)", H0_SERIES_RTOL),
     ):
         idx = [i for i in range(len(grid)) if branch[i] == b]
         errs = [abs(got[i] - want[i]) / abs(want[i]) for i in idx]
         worst = report_scaled(name, [grid[i] for i in idx], errs)
-        ok = ok and (rtol is None or worst <= rtol)
+        ok = ok and worst <= rtol
 
     atom = AtomParams(k0=1.0, alpha0=1.0)
     reps = _vacuum_grid(atom, [x / 2.0 for x in grid])
@@ -252,8 +254,10 @@ def sweep_short() -> bool:
     1e-10-0.3999 (eta > 2.5) and x0 = 2 (where the m = 2 factor of the
     printed form vanishes), with the thetas where n theta = 40 switches
     F from E1t to the zeta tail and theta = 35 and just above it, on
-    both sides of E1t's |w| = 35 switch.  mpmath gets the same float x0
-    and eta.  True when the worst error is within SHORT_RTOL of |W|."""
+    both sides of E1t's |w| = 35 switch.  _h_t gets each grid theta
+    itself, as curve rows get the environment's k0 lambda_T, and mpmath
+    the same float eta and x0 = theta / eta.  True when the worst error
+    is within SHORT_RTOL of |W|."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     thetas = sorted({
@@ -268,8 +272,8 @@ def sweep_short() -> bool:
                 x0 = q * theta
                 eta = theta / x0
                 pts.append((theta, q))
-                got.append(2.0 * th._h_t(eta, x0) / (eta**3 * theta))
-                want.append(float(w_series(mp.mpf(x0), mp.mpf(eta))))
+                got.append(2.0 * th._h_t(eta, theta) / (eta**3 * theta))
+                want.append(float(w_series(mp.mpf(theta) / eta, mp.mpf(eta))))
     report("thermal H_T form (x0/theta)", pts, got, want)
     return max(abs(g - w) / abs(w) for g, w in zip(got, want)) <= SHORT_RTOL
 

@@ -349,11 +349,14 @@ def _bose_grid(
         fu = h = _u3g(u) * _bose_weight(np.repeat(etas, n)[:, None] * u)
         if not static:
             # The PV numerator, h(x0) subtracted on the window's panels,
-            # where h(x0)/(u - x0) integrates to zero.
-            pv = h.copy()
-            h_poles = _u3g(np.array(x0s)) * _bose_weight(np.multiply(etas, x0s))
-            for first, w, h_x0 in zip(np.cumsum([0, *n[:-1]]), windows, h_poles):
-                pv[first + w.start : first + w.stop] -= h_x0
+            # where h(x0)/(u - x0) integrates to zero; h itself when no
+            # point of the pass has a window.
+            pv = h
+            if any(w.stop > w.start for w in windows):
+                pv = h.copy()
+                h_poles = _u3g(np.array(x0s)) * _bose_weight(np.multiply(etas, x0s))
+                for first, w, h_x0 in zip(np.cumsum([0, *n[:-1]]), windows, h_poles):
+                    pv[first + w.start : first + w.stop] -= h_x0
             x0 = np.repeat(x0s, n)[:, None]
             fu = h / (u + x0) - pv / (u - x0)
         for pref, k, v, err, gross in zip(prefs, n, *_panel_sums(fu, half, n)):

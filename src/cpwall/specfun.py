@@ -11,6 +11,11 @@ closed form follow from it on the imaginary axis,
 
     g(x) + i f(x) = -E1t(ix).
 
+On the imaginary axis the |w| < 2 power series serves only
+auxiliary_f / auxiliary_g and the cross-checks: vacuum.h0 takes H0
+below x0 = 2 from the real Ci/Si series and the continued fraction's
+order 5 from 2 to 100.
+
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
     |w| < 2                       power series around 0

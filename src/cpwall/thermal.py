@@ -486,9 +486,9 @@ def _h_t_series(theta: float) -> tuple[float, ...]:
     return tuple(map(mul, _H_T_FACTORS, js))
 
 
-def _h_t(eta: float, x0: float) -> float:
-    """theta^4 h_T, h_T = W / (2 x0^3), from the exact H_T form, for
-    eta > 2.5.
+def _h_t(eta: float, theta: float) -> float:
+    """theta^4 h_T, h_T = W / (2 x0^3) at x0 = theta / eta, from the
+    exact H_T form, for eta > 2.5.
 
     With F(y) = -[Re E1t(-y) + E1t(y)] / 2 (E1t(-y) on the upper side
     of its cut), whose asymptotic series is sum_{j>=1} (2j-1)! / y^(2j)
@@ -505,7 +505,9 @@ def _h_t(eta: float, x0: float) -> float:
 
         theta^4 h_T = sum_{m>=2} c_m (-u^2)^(m-2),  c_m = 2 (m-1)(2m-3) J_m.
 
-    _h_t_series builds the c_m once per theta.  J_m's near part, from
+    _h_t_series builds the c_m once per theta, and so once per curve,
+    whose rows all pass the environment's theta (eta * x0 would take
+    two values an ulp apart along it).  J_m's near part, from
     the n with n theta < 40 (at most three), takes F from E1t and sheds
     one head term per step, J_(m+1) = (J_m - sum_n n^(-2m)) theta^2 /
     (2m (2m+1)).  Its far part, from n >= n0, sums the zeta tails
@@ -520,7 +522,7 @@ def _h_t(eta: float, x0: float) -> float:
     3.06e-12 below, at worst at theta 31.6, where F minus its head
     carries the rounding of E1t near |w| = 35.
     """
-    theta = _check_pair(eta, x0)
+    _check_pair(eta, theta / eta)
     u2 = 1.0 / (eta * eta)
     total, weight = 0.0, 1.0  # weight: u^(2m-4)
     for coef, guard in zip(_h_t_series(theta), _H_T_GUARDS):
@@ -530,7 +532,7 @@ def _h_t(eta: float, x0: float) -> float:
         weight *= u2
     raise ConvergenceError(
         f"H_T form did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "
-        f"x0 = {x0:.6g}"
+        f"theta = {theta:.6g}"
     )
 
 
@@ -539,7 +541,7 @@ def _v_short(
 ) -> float:
     """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
     (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
-    h_t = _h_t(env.lambda_T / (2.0 * z), 2.0 * atom.k0 * z)
+    h_t = _h_t(env.lambda_T / (2.0 * z), atom.k0 * env.lambda_T)
     return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * env.lambda_T**4) * h_t
 
 

@@ -6,8 +6,11 @@ dimensionless shape function,
     V0(z) = (hbar c / 8 pi) (k0 alpha0 / z^3) H0(x0),    x0 = 2 k0 z,
     H0(x) = (x^2 - 2) F(x) + 2 x G(x) - x,
 
-with F and G the auxiliary sine/cosine-integral combinations from
-:mod:`cpwall.specfun`.  H0 interpolates between -pi at contact (the
+with F and G the auxiliary sine/cosine-integral combinations f and g
+of :mod:`cpwall.specfun`.  h0 takes them from scaled_e1's order-5
+continued fraction for 2 <= x0 <= 100 only: below x0 = 2 it writes H0
+with Ci and Si, from their real power series, and above 100 it sums an
+asymptotic series.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
 (the retarded regime).
 
@@ -26,7 +29,7 @@ from itertools import count
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .record import Record
-from .specfun import scaled_e1
+from .specfun import EULER_GAMMA, scaled_e1
 
 __all__ = [
     "AtomParams",
@@ -48,13 +51,25 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 X0_NON_RETARDED_MAX = 0.1
 X0_RETARDED_MIN = 2.6 * 2.0 * math.pi
 
-# h0 takes the E1t bracket below _H0_E5_MIN, the E5 form up to
+# h0 takes the Ci/Si form below _H0_E5_MIN, the E5 form up to
 # _H0_SERIES_MIN and its asymptotic series above.  The E5 form needs
 # |w| >= 2 of scaled_e1's order 5; at x0 = 2 both forms are within
-# 2e-16 of mpmath, and the bracket loses up to 1.6e-15 below it.  The
-# series would do from 50 on; it keeps the switch at 100 that it had.
+# 5e-16 of mpmath.  The series would do from 50 on; it keeps the switch
+# at 100 that it had.
 _H0_E5_MIN = 2.0
 _H0_SERIES_MIN = 100.0
+# Horner coefficients in t = x^2, highest power first, of the power
+# series (DLMF 6.6.5-6) Ci(x) - gamma - ln x = t sum_k a_k t^k and
+# Si(x) = x sum_k b_k t^k: (a_k, b_k) = ((-1)^(k+1) / ((2k+2) (2k+2)!),
+# (-1)^k / ((2k+1) (2k+1)!)) for k = 13..0, each rounded once.  At
+# x = 2 the first omitted terms are below 1e-22.
+_H0_CI_SI = tuple(
+    (
+        (-1) ** (k + 1) / ((2 * k + 2) * math.factorial(2 * k + 2)),
+        (-1) ** k / ((2 * k + 1) * math.factorial(2 * k + 1)),
+    )
+    for k in range(13, -1, -1)
+)
 
 
 class RegimeTag(enum.Enum):
@@ -117,12 +132,21 @@ def h0(x0: float) -> float:
     negative on the whole half-line.  x0 <= 0 and x0 whose square
     overflows are refused.  Three branches:
 
-    * x0 < 2: F and G from one E1t (``specfun.scaled_e1``) evaluation,
-      g + i f = -E1t(i x0).  The bracket cancels terms of size x0 down
-      to one of size 1/x0, so it loses eps x0^2 of H0, under 1e-15;
-    * 2 <= x0 <= 100: the same bracket with E1t raised to E5 by the
-      recurrence E~_n = (1 - n E~_(n+1)) / w for E~_n = e^w E_n(w)
-      (DLMF 8.19.12), so that its x0 orders cancel analytically,
+    * x0 < 2: with f = Ci sin x - si cos x and g = Ci cos x + si sin x,
+      si = Si - pi/2, in real arithmetic
+
+          H0 = Ci(x) P(x) - si(x) Q(x) - x,
+          P = (x^2 - 2) sin x + 2 x cos x,  Q = (x^2 - 2) cos x - 2 x sin x,
+
+      with Ci - gamma - ln x and Si from one Horner pass over their
+      power series in x^2 (_H0_CI_SI).  Its cancellations, P's at small
+      x0 and si's near x0 = 2, stay small against |H0| >= 1.78: within
+      5e-16 of mpmath (measured 4.9e-16), where the E1t bracket it
+      replaced lost 1.6e-15;
+    * 2 <= x0 <= 100: the bracket of F and G, g + i f = -E1t(i x0),
+      with E1t raised to E5 by the recurrence E~_n = (1 - n E~_(n+1)) / w
+      for E~_n = e^w E_n(w) (DLMF 8.19.12), so that its x0 orders cancel
+      analytically,
 
           H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
                - 48 Re E~5(ix) / x^3,
@@ -138,17 +162,27 @@ def h0(x0: float) -> float:
       stopped at its first term below 1e-17 of the sum (its smallest
       term is about e^-x0, so 20 terms at most).
 
-    scripts/sweep_branch_switches.py holds the last two to 60-digit
-    mpmath: the E5 form to 1e-14 (measured 2.2e-16), the series to
-    1e-10 (measured 4e-16 up to x0 = 1e12).
+    scripts/sweep_branch_switches.py holds the three to 60-digit
+    mpmath: the Ci/Si form to 1e-15 (measured 4.9e-16), the E5 form to
+    1e-14 (measured 2.5e-16), the series to 1e-10 (measured 4e-16 up to
+    x0 = 1e12).
     """
     if not (x0 > 0.0 and math.isfinite(x0 * x0)):
         raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
     if x0 > _H0_SERIES_MIN:
         return _h0_series(x0)
     if x0 < _H0_E5_MIN:
-        e = scaled_e1(1j * x0)
-        return -(x0 * x0 - 2.0) * e.imag - 2.0 * x0 * e.real - x0
+        t = x0 * x0
+        c = s = 0.0
+        for a, b in _H0_CI_SI:
+            c = c * t + a
+            s = s * t + b
+        ci = EULER_GAMMA + math.log(x0) + c * t
+        si = s * x0 - 0.5 * math.pi
+        sin_x, cos_x = math.sin(x0), math.cos(x0)
+        p = (t - 2.0) * sin_x + 2.0 * x0 * cos_x
+        q = (t - 2.0) * cos_x - 2.0 * x0 * sin_x
+        return ci * p - si * q - x0
     e5 = scaled_e1(1j * x0, 5)
     inv_x = 1.0 / x0
     inv_x2 = inv_x * inv_x

@@ -132,7 +132,7 @@ class TestStaticAlphaExpansion:
     def test_frozen_w(self, theta: float, zr: float) -> None:
         eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
         if eta > 4.0:
-            w = 2.0 * _h_t(eta, x0) / (eta**3 * theta)
+            w = 2.0 * _h_t(eta, theta) / (eta**3 * theta)
         else:
             w = _w_lifshitz(eta, x0)
         ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
@@ -182,30 +182,32 @@ class TestStaticAlphaExpansion:
 class TestHTNearTerms:
     """_h_t takes the coefficients of its series in 1/eta^2, near terms
     of J_m (n theta < 40) included, from a cache keyed on theta alone,
-    which holds whatever (eta, x0) filled it."""
+    which holds whatever eta filled it."""
 
     @pytest.mark.parametrize("theta", [10.0, 20.0, 39.9, 100.0])
     def test_cold_and_warm_cache_agree(self, theta: float) -> None:
-        # eta a power of 2, so that eta * (theta / eta) is theta exactly
-        pairs = [(eta, theta / eta) for eta in (8.0, 16.0, 32.0)]
+        etas = (8.0, 16.0, 32.0)
         cold = []
-        for eta, x0 in pairs:
+        for eta in etas:
             thermal._h_t_series.cache_clear()
-            cold.append(_h_t(eta, x0))
+            cold.append(_h_t(eta, theta))
         thermal._h_t_series.cache_clear()
-        warm = [_h_t(eta, x0) for eta, x0 in pairs]
+        warm = [_h_t(eta, theta) for eta in etas]
         info = thermal._h_t_series.cache_info()
-        assert info.hits == len(pairs) - 1
+        assert info.hits == len(etas) - 1
         assert info.currsize == 1
         assert warm == cold
-        assert warm == [_h_t(eta, x0) for eta, x0 in pairs]
+        assert warm == [_h_t(eta, theta) for eta in etas]
 
     def test_a_figure_3_curve_reaches_the_cache(self) -> None:
-        thermal._h_t_series.cache_clear()
-        cmd_curve(CurveSpec.for_figure(3, 12.0, 150), CST, io.StringIO())
-        info = thermal._h_t_series.cache_info()
-        assert info.hits > 0
-        assert info.currsize < info.hits
+        # one build per curve: the rows pass the environment's theta,
+        # where eta * x0 would take two values an ulp apart along a curve
+        for theta in (12.0, 37.0, 150.0):
+            thermal._h_t_series.cache_clear()
+            cmd_curve(CurveSpec.for_figure(3, theta, 100), CST, io.StringIO())
+            info = thermal._h_t_series.cache_info()
+            assert info.misses == 1
+            assert info.hits > 0
 
 
 class TestStaticLimit:
@@ -448,7 +450,7 @@ class TestExpansions:
         # the stop rule must end the sum inside _TERM_CAP on all of
         # eta > 2.5, where the terms fall by u^2 < 0.16 each; theta 78-79
         # at eta 2.5-2.7 included
-        assert math.isfinite(_h_t(eta, theta / eta))
+        assert math.isfinite(_h_t(eta, theta))
 
     @pytest.mark.parametrize("z", [1e-103, 1e-110])
     def test_short_expansion_holds_c_t_at_extreme_short_distance(self, z: float) -> None:

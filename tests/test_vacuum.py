@@ -30,21 +30,21 @@ ATOM = AtomParams(k0=13.101, alpha0=3.0e-8)
 class TestH0:
     @pytest.mark.parametrize("x0", [0.05, 1.0, 10.0, 100.0])
     def test_frozen_reference(self, x0: float) -> None:
-        # the E1t bracket below x0 = 2, the E5 form at 10 and 100 (the
-        # bracket lost 3.1e-15 and 5.2e-13 there); the E5 form is
-        # measured within 2e-16
+        # the Ci/Si form below x0 = 2, the E5 form at 10 and 100 (an E1t
+        # bracket lost 3.1e-15 and 5.2e-13 there); both are measured
+        # within 5e-16
         ref = REFERENCE[f"h0_{x0:g}"]
         assert abs(h0(x0) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("label", ["1e3", "1e4", "1e6", "1e9"])
     def test_frozen_far_field(self, label: str) -> None:
-        # the E1t bracket lost eps x0^2 here (2e-9 at 1e4, 3e-5 at 1e6,
+        # an E1t bracket lost eps x0^2 here (2e-9 at 1e4, 3e-5 at 1e6,
         # the wrong sign at 1e9); the asymptotic series keeps 1e-15
         assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15, abs=0)
 
     def test_branches_meet_at_switch(self) -> None:
-        # E1t bracket below x0 = 2, the E5 form from 2 to 100 and the
-        # asymptotic series above; measured 2.5e-16 apart at both
+        # the Ci/Si form below x0 = 2, the E5 form from 2 to 100 and the
+        # asymptotic series above; measured 3.7e-16 and 1.2e-16 apart
         for below, above in (
             (math.nextafter(2.0, 0.0), 2.0),
             (100.0, math.nextafter(100.0, math.inf)),
