@@ -17,6 +17,9 @@ import mpmath as mp
 
 mp.mp.dps = 50
 
+# the thermal wavelength (um) of the tests' atom/environment pairs
+LAMBDA_T = 7.632948
+
 OUT = pathlib.Path(__file__).resolve().parent.parent / "tests" / "_reference_values.py"
 
 
@@ -171,13 +174,11 @@ def main() -> None:
         (30.0, 0.5), (300.0, 0.2),
     ]
     # the Lifshitz route's range (z >= lambda_T / 8) and the H_T form
-    # (z = 0.01 lambda_T); theta = 50 at z = 1000 lambda_T is left out
-    # because thermal_potential_exact refuses it
+    # (z = 0.01 lambda_T)
     thermal_points += [
         (theta, zr)
         for theta in (50.0, 100.0, 1000.0)
         for zr in (0.01, 0.125, 0.5, 3.0, 1000.0)
-        if (theta, zr) != (50.0, 1000.0)
     ]
     thermal_points += [(30.0, 3.0)]
     # low theta, where theta and x0 both below ~40 once took the E1t
@@ -187,9 +188,9 @@ def main() -> None:
     ]
     # the far field from x0 = 40 to 8e6 below theta = 45, where the E1t
     # series lost up to 1.7e-9 or was refused
-    # (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T); from x0 ~ 5e7
-    # thermal_potential_exact refuses, since the rounding of x0 = 2 k0 z
-    # alone moves W by more than 1e-8
+    # (theta = 30 at 1000 lambda_T, 40 at 100 lambda_T); x0 = 2 theta zr
+    # here is exact in mpmath, while 2 k0 z on the dimensional path can
+    # differ from it in the last bit (exact_x0 keys below)
     thermal_points += [(10.0, 2.0), (20.0, 1.0), (30.0, 1.0), (40.0, 3.0)]
     thermal_points += [
         (theta, zr) for theta in (10.0, 20.0, 30.0, 40.0) for zr in (100.0, 1000.0, 1e5)
@@ -218,6 +219,21 @@ def main() -> None:
     )
     for theta, x0 in far_points:
         ref[f"far_theta{theta:g}_x0{x0!r}"] = float(w_series(x0, theta / x0))
+    # W at the exact product of the float 2 k0 and z that the tests'
+    # make_pair gives (k0 = theta / LAMBDA_T, z = zr * LAMBDA_T), with
+    # eta = LAMBDA_T / 2z: theta 10-40 at x0 ~ 1e9, where the rounding of
+    # the float product alone moves W by 3e-8 to 3e-7 of |W|, and the two
+    # floats z either side of a zero of W at theta 10, x0 ~ 1e6, where
+    # it moves W by 1e-3 to 7e-3 of 2 pi / theta
+    exact_x0_points = (
+        (10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7),
+        (10.0, 50000.096417924906), (10.0, 50000.09641792491),
+    )
+    for theta, zr in exact_x0_points:
+        k0, z = theta / LAMBDA_T, zr * LAMBDA_T
+        x0 = mp.mpf(2.0 * k0) * mp.mpf(z)
+        eta = mp.mpf(LAMBDA_T) / (2 * mp.mpf(z))
+        ref[f"exact_x0_theta{theta:g}_zr{zr!r}"] = float(w_series(x0, eta))
     lines = [
         "# Generated by scripts/make_reference_values.py -- do not edit by hand.",
         "# 50-digit mpmath evaluations rounded to float64.",

@@ -22,7 +22,11 @@ H_T form on the whole domain of the short expansion, eta > 2.5 (theta
 x0/theta < 0.25), and the Lifshitz sum plus the resonant term from
 there on (next to the route switch, from x0 = 40 to 1e9 below
 theta = 45, and on theta 10-44 x z/lambda_T 0.125-1000, where the E1t
-series once served).  The
+series once served), at the same float x0 as mpmath.  The exact-x0
+section checks thermal_potential_exact itself, which takes W at the
+exact product x0 = 2 k0 z of the float k0 and z it is given, against
+mpmath at that product: theta 10-44 x x0 40-1e9, and next to zeros of
+W at theta 10 and 25, x0 1e6, 5e7 and 4e8.  The
 Lifshitz route is measured against max(|W|, 2 pi/theta), since W
 passes through zero.  The script exits with status 1 when scaled_e1
 of any order on its continued fraction's sector (p = 0.5-1000,
@@ -31,9 +35,10 @@ of any order on its continued fraction's sector (p = 0.5-1000,
 1e-10, when the vacuum oracle is
 off by more than its own estimate, when the thermal oracle differs
 from thermal_potential_exact by more than its own, when the H_T form is off by
-more than 1e-11 of |W|, or when the Lifshitz route is off by more than
+more than 1e-11 of |W|, when the Lifshitz route is off by more than
 1e-14 of the scale next to its switch and in the far field, or by more
-than 1e-13 on the low-theta grid.
+than 1e-13 on the low-theta grid, or when thermal_potential_exact at the
+exact x0 is off by more than 1e-13 of the scale.
 """
 
 from __future__ import annotations
@@ -56,6 +61,13 @@ def report_scaled(name: str, pts, errs) -> float:
     i = int(np.argmax(errs))
     print(f"{name:34s} n={len(pts):4d}  worst {errs[i]:.3e} at {pts[i]}")
     return errs[i]
+
+
+def w_scale(w: float, theta: float) -> float:
+    """The accuracy scale of W, max(|W|, 2 pi/theta): 2 pi/theta, the
+    Lifshitz magnitude k_B T alpha0 / 4 z^3 in W units, where W passes
+    through zero."""
+    return max(abs(w), 2.0 * math.pi / theta)
 
 
 def report(name: str, pts, got, want) -> None:
@@ -287,15 +299,15 @@ def _lifshitz_errors(grid):
     max(|W|, 2 pi/theta): against |W| alone a point next to a zero of W,
     such as theta = 42 at 0.307 lambda_T, reads orders of magnitude
     worse than the route's error.  mpmath gets the same float x0 and
-    eta, since cos x0 inherits the rounding of x0 itself (relative
-    eps x0)."""
+    eta, and _w_lifshitz no low part of x0, since cos x0 inherits the
+    rounding of x0 itself (relative eps x0)."""
     from make_reference_values import w_series  # sets mp.mp.dps = 50
 
     errs = []
     with mp.workdps(50):
         for _, eta, x0 in grid:
             want = float(w_series(mp.mpf(x0), mp.mpf(eta)))
-            errs.append(abs(th._w_lifshitz(eta, x0) - want) / th._w_scale(want, eta * x0))
+            errs.append(abs(th._w_lifshitz(eta, x0, 0.0) - want) / w_scale(want, eta * x0))
     return [pt for pt, _, _ in grid], errs
 
 
@@ -346,6 +358,76 @@ def sweep_low_theta() -> bool:
     return report_scaled("thermal Lifshitz (theta 10..44)", pts, errs) <= LOW_THETA_RTOL
 
 
+EXACT_X0_RTOL = 1e-13
+
+
+def _zero_pair(atom, env, cst, x0: float) -> tuple[float, float]:
+    """The two floats z either side of the first sign change of V_T from
+    2 k0 z = x0 on, by the sign thermal_potential_exact gives: x0 steps
+    of 0.05, well inside the pole term's period 2 pi, then bisection."""
+
+    def positive(z: float) -> bool:
+        return th.thermal_potential_exact(atom, env, z, cst) > 0.0
+
+    step = 0.05 / (2.0 * atom.k0)
+    a = x0 / (2.0 * atom.k0)
+    sign = positive(a)
+    b = a + step
+    while positive(b) == sign:
+        a, b = b, b + step
+    while (m := 0.5 * (a + b)) not in (a, b):
+        if positive(m) == sign:
+            a = m
+        else:
+            b = m
+    return a, b
+
+
+def sweep_exact_x0() -> bool:
+    """W of thermal_potential_exact at the exact product x0 = 2 k0 z of
+    the float k0 and z it is given (the pairs of _reference_pair,
+    z = x0 / 2 k0): theta 10-44 x x0 40-1e9, and the two floats z either
+    side of a zero of W at theta 10 and 25, x0 1e6, 5e7 and 4e8, where
+    the float product alone moves W by up to 7e-3 of the scale.  W is
+    V_T over the prefactor the route multiplies by; mpmath gets the
+    exact product and eta = lambda_T / 2z.  True when the worst error on
+    each is within EXACT_X0_RTOL of max(|W|, 2 pi/theta)."""
+    from cpwall.constants import PhysicalConstants
+    from make_reference_values import w_series  # sets mp.mp.dps = 50
+
+    cst = PhysicalConstants()
+    pairs = {theta: th._reference_pair(theta, cst) for theta in
+             (10.0, 12.5, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 44.0)}
+    grid = [
+        (theta, x0 / (2.0 * pairs[theta][0].k0))
+        for theta in pairs
+        for x0 in np.geomspace(40.0, 1e9, 40).tolist()
+    ]
+    zeros = [
+        (theta, z)
+        for theta in (10.0, 25.0)
+        for x0 in (1e6, 5e7, 4e8)
+        for z in _zero_pair(*pairs[theta], cst, x0)
+    ]
+    ok = True
+    with mp.workdps(50):
+        for name, pts in (
+            ("thermal exact x0 (x0 40..1e9)", grid),
+            ("thermal exact x0 (zeros of W)", zeros),
+        ):
+            labels, errs = [], []
+            for theta, z in pts:
+                atom, env = pairs[theta]
+                pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
+                w = th.thermal_potential_exact(atom, env, z, cst) / pref
+                x0 = mp.mpf(2.0 * atom.k0) * mp.mpf(z)
+                want = float(w_series(x0, mp.mpf(env.lambda_T) / (2 * mp.mpf(z))))
+                labels.append((theta, float(x0)))
+                errs.append(abs(w - want) / w_scale(want, env.theta))
+            ok = report_scaled(name, labels, errs) <= EXACT_X0_RTOL and ok
+    return ok
+
+
 if __name__ == "__main__":
     sweep_kernel()
     sweep_aux()
@@ -358,4 +440,5 @@ if __name__ == "__main__":
     ok = sweep_short() and ok
     ok = sweep_thermal() and ok
     ok = sweep_low_theta() and ok
+    ok = sweep_exact_x0() and ok
     sys.exit(0 if ok else 1)

@@ -48,15 +48,14 @@ by eta alone:
   nothing cancels.  Past eta = 4 the sum would need hundreds of terms
   and cancel against H0.
 
-The accuracy scale (``_w_scale``) is max(|W|, 2 pi / theta): |W|, or,
-where W passes through zero, the Lifshitz magnitude k_B T alpha0 / 4 z^3
-in W units, so that a zero of W does not turn into a refusal.  The
-second route computes W of the float x0 = 2 k0 z, whose rounding moves
-the pole term's phase by up to eps x0 / 2.  This is the one refusal of
-the thermal point: ``thermal_potential_exact`` raises ValidityError
-where the change of W, bounded by eps x0 pi b x0^2, exceeds 1e-8 of the
-scale, near the zeros of W from x0 ~ 5.8e3 (theta = 10) up, and
-everywhere from x0 ~ 5e7 below theta = 45.
+The second route takes W at the exact x0 = 2 k0 z, the float product
+plus its rounding error (``_two_product``): the sum and H0 at the float
+product, and at the exact one the pole term's phase, which the float
+product alone would move by up to eps x0 / 2.  Against 50-digit mpmath
+the route is then within 1e-13 of max(|W|, 2 pi / theta) up to
+x0 = 1e9, 2 pi / theta being the Lifshitz magnitude k_B T alpha0 / 4 z^3
+in W units.  W is exact for the float z given but ill-conditioned in z,
+since dW/dx0 ~ pi b x0^2: one ulp of z moves it by up to eps pi b x0^3.
 
 Short- and long-distance expansions (H_T, the first route on its own,
 and L_T, the expansion of W about the static polarizability without
@@ -68,7 +67,6 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import mul
@@ -124,16 +122,9 @@ _HEAD_SCALE = 240.0
 # stopped after _TERM_CAP terms.
 _SHORT_ETA = 4.0
 _TERM_CAP = 40
-_EPS = sys.float_info.epsilon
-# A point is refused where the rounding of x0 moves W by more than this
-# share of the accuracy scale.
-_LOSS_RTOL = 1e-8
-# Below this x0 the rounding of x0 cannot move W by _LOSS_RTOL of
-# 2 pi / theta at any theta >= THETA_MIN (eps x0^3 pi b <= 2 pi 1e-8 /
-# theta, and theta b is largest at THETA_MIN): about 5.8e3.
-_X0_ROUNDING_MIN = (
-    2.0 * _LOSS_RTOL * math.expm1(THETA_MIN) / (_EPS * THETA_MIN)
-) ** (1.0 / 3.0)
+# Veltkamp's splitter 2^27 + 1, which cuts a double into two halves of
+# at most 26 significant bits each
+_SPLITTER = 134217729.0
 
 
 class ThermalEnvironment(Record):
@@ -358,18 +349,29 @@ def _coth_terms(eta: float, x0: float) -> Iterator[float]:
         scale *= f2 * inv_x2
 
 
-def _pole_term(x0: float, e_th: float) -> float:
-    """The resonant pole term W_pole = pi b [2 x0 sin x0 - (x0^2 - 2)
-    cos x0], b = e^-theta / (1 - e^-theta): what the pole term of J0-
-    adds to the W bracket, and the resonant term of the Lifshitz route."""
+def _two_product(a: float, b: float) -> tuple[float, float]:
+    """a b = p + e exactly, p the float product: Dekker's TwoProduct on
+    Veltkamp's split (math.fma needs Python 3.13).  Exact while neither
+    2^27 a nor 2^27 b overflows and e does not underflow."""
+    p, ta, tb = a * b, _SPLITTER * a, _SPLITTER * b
+    a1, b1 = ta - (ta - a), tb - (tb - b)
+    a2, b2 = a - a1, b - b1
+    return p, a2 * b2 - (((p - a1 * b1) - a2 * b1) - a1 * b2)
+
+
+def _pole_term(x0: float, lo: float, e_th: float) -> float:
+    """The resonant pole term W_pole = pi b [2 x sin x - (x^2 - 2) cos x]
+    at x = x0 + lo, b = e^-theta / (1 - e^-theta): what the pole term of
+    J0- adds to the W bracket, and the resonant term of the Lifshitz
+    route.  lo, up to half an ulp of x0, enters the phase alone: sin x and
+    cos x come from the sines and cosines of x0 and of lo, which libm
+    reduces exactly at any size."""
+    s, c = math.sin(x0), math.cos(x0)
+    s_lo, c_lo = math.sin(lo), math.cos(lo)
     scale = math.pi * e_th / (1.0 - e_th)
-    return scale * (2.0 * x0 * math.sin(x0) - (x0 * x0 - 2.0) * math.cos(x0))
-
-
-def _w_scale(w: float, theta: float) -> float:
-    """The accuracy scale of W: max(|W|, 2 pi / theta), where 2 pi / theta
-    is the Lifshitz magnitude k_B T alpha0 / 4 z^3 in W units."""
-    return max(abs(w), 2.0 * math.pi / theta)
+    return scale * (
+        2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
+    )
 
 
 def _static_alpha_sum(eta: float, x0: float) -> float:
@@ -409,9 +411,10 @@ def _static_alpha_sum(eta: float, x0: float) -> float:
     )
 
 
-def _w_lifshitz(eta: float, x0: float, h: float | None = None) -> float:
-    """W for eta <= 4 from the Lifshitz (Matsubara) sum minus H0 (h, if
-    given) plus the resonant term W_pole, as the module docstring writes it.
+def _w_lifshitz(eta: float, x0: float, lo: float, h: float | None = None) -> float:
+    """W at x0 + lo for eta <= 4 from the Lifshitz (Matsubara) sum minus
+    H0 (h, if given) plus the resonant term W_pole, as the module
+    docstring writes it.  The sum and H0 take x0, W_pole x0 + lo.
 
     The terms of the sum are positive and fall by e^(-2 pi / eta) each:
     1 to 5 terms for eta <= 1, about 30 at eta = 4.  The sum stops at
@@ -432,7 +435,7 @@ def _w_lifshitz(eta: float, x0: float, h: float | None = None) -> float:
         if term < 1e-17 * total:
             s = math.fsum(terms)
             h = h0(x0) if h is None else h
-            return -2.0 * ratio * s - h + _pole_term(x0, math.exp(-theta))
+            return -2.0 * ratio * s - h + _pole_term(x0, lo, math.exp(-theta))
     raise ConvergenceError(
         f"Lifshitz sum did not stop in {_TERM_CAP} terms at eta = {eta:.6g}, "
         f"x0 = {x0:.6g}"
@@ -545,29 +548,6 @@ def _v_short(
     return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * env.lambda_T**4) * h_t
 
 
-def _check_x0_rounding(w: float, eta: float, x0: float) -> None:
-    """ValidityError where the rounding of x0 = 2 k0 z, up to eps x0 / 2,
-    moves W by more than _LOSS_RTOL of _w_scale: the one refusal of the
-    thermal point.
-
-    The Lifshitz route computes W of the float x0, whose rounding moves
-    the pole term's phase: dW_pole/dx0 = pi b x0^2 sin x0,
-    so the loss is bounded by eps x0 pi b x0^2, b = e^-theta /
-    (1 - e^-theta).  Measured against the scale rather than |W|, a sign
-    change of V_T is not refused.
-    """
-    theta = eta * x0
-    e_th = math.exp(-theta)
-    loss = _EPS * x0 * math.pi * e_th / (1.0 - e_th) * x0 * x0
-    scale = _w_scale(w, theta)
-    if loss > _LOSS_RTOL * scale:
-        raise ValidityError(
-            f"rounding of x0 moves W by up to {loss:.1e}, more than "
-            f"{_LOSS_RTOL:g} of max(|W|, 2 pi/theta) = {scale:.1e} at "
-            f"x0 = {x0:.6g}, theta = {theta:.6g}"
-        )
-
-
 def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
     derived = atom.k0 * env.lambda_T
     if abs(derived - env.theta) > 1e-8 * derived:
@@ -587,10 +567,9 @@ def thermal_potential_exact(
 
     eta = lambda_T / 2z alone picks the route: W comes from the H_T
     form for z < lambda_T / 8 (eta > 4) and from the Lifshitz sum plus
-    the resonant term from there on (eta <= 4, see _w_lifshitz).  The
-    latter raises ValidityError where the rounding of x0 = 2 k0 z moves
-    W by more than 1e-8 of max(|W|, 2 pi / theta) (see
-    _check_x0_rounding), its one refusal.
+    the resonant term from there on (eta <= 4, see _w_lifshitz), at the
+    exact x0 = 2 k0 z: exact for the float z given, but ill-conditioned
+    in z there, since dW/dx0 ~ pi b x0^2, b = 1 / (e^theta - 1).
     """
     return _thermal_exact(atom, env, z, constants)
 
@@ -607,14 +586,12 @@ def _thermal_exact(
     _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
-    x0 = 2.0 * atom.k0 * z
     if eta > _SHORT_ETA:
-        # x0 > _X0_ROUNDING_MIN would need theta > 2.3e4, where the pole
-        # term that _check_x0_rounding bounds is 0
         return _v_short(atom, env, cst, z)
-    w = _w_lifshitz(eta, x0, h)
-    if x0 > _X0_ROUNDING_MIN:
-        _check_x0_rounding(w, eta, x0)
+    # _w_lifshitz refuses an x0 whose square overflows before reading lo;
+    # below that, z^3 being normal keeps 2 k0 and z in _two_product's range
+    x0, lo = _two_product(2.0 * atom.k0, z)
+    w = _w_lifshitz(eta, x0, lo, h)
     pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
     return pref * w
 

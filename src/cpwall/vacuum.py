@@ -14,9 +14,10 @@ asymptotic series.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
 (the retarded regime).
 
-All dimensional work happens in :func:`vacuum_potential` and the two
-asymptote functions; everything else is dimensionless.  Units: k0 in
-rad/um, alpha0 in um^3, z in um, energies in eV.
+All dimensional work happens in ``_vacuum_parts`` (the prefactor and
+x0 = 2 k0 z, for :func:`vacuum_potential` and ``total_potential``) and
+the two asymptote functions; everything else is dimensionless.  Units:
+k0 in rad/um, alpha0 in um^3, z in um, energies in eV.
 """
 
 from __future__ import annotations

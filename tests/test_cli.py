@@ -476,15 +476,20 @@ class TestExitCodeMapping:
         assert (code, out) == (3, "")
         assert _one_line_domain_error(capsys.readouterr().err)
 
-    def test_thermal_rounding_loss_maps_to_3(self, capsys):
-        # theta = 20 at 2.5e7 lambda_T (x0 = 1e9): the rounding of
-        # x0 = 2 k0 z alone moves W by ~2.6e-7 of |W|
+    def test_thermal_point_at_x0_1e9_maps_to_0(self):
+        # theta = 20 at 2.5e7 lambda_T (x0 = 1e9): the thermal point takes
+        # W at the exact 2 k0 z and is served in text and in JSON
         lam = PhysicalConstants().thermal_wavelength_um(300.0)
         argv = ["eval", "--k0", repr(20.0 / lam), "--z", repr(2.5e7 * lam),
                 "--temperature", "300"]
         code, out = run_main(argv)
-        assert (code, out) == (3, "")
-        assert _one_line_domain_error(capsys.readouterr().err)
+        assert code == 0
+        for key in ("vacuum", "thermal", "total"):
+            value = re.search(rf"^{key} *= (\S+) eV$", out, re.M).group(1)
+            assert math.isfinite(float(value))
+        pot = eval_json(argv[1:])["potential"]
+        assert all(math.isfinite(pot[key]) for key in ("vacuum", "thermal", "total"))
+        assert pot["total"] == pot["vacuum"] + pot["thermal"]
 
 
 class TestAnalyze:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -23,6 +24,7 @@ from cpwall.thermal import (
     _h_t,
     _pole_term,
     _reference_pair,
+    _two_product,
     _w_bracket,
     _w_lifshitz,
     lifshitz_asymptote,
@@ -96,7 +98,6 @@ FROZEN_POINTS = [
     (theta, zr)
     for theta in (50.0, 100.0, 1000.0)
     for zr in (0.01, 0.125, 0.5, 3.0, 1000.0)
-    if (theta, zr) != (50.0, 1000.0)
 ] + [(30.0, 3.0)] + LOW_THETA_POINTS + FAR_POINTS + MID_ETA_POINTS + PLATEAU_POINTS
 
 
@@ -112,15 +113,16 @@ def _route_rtol(theta: float, zr: float) -> float:
     return 1e-12 if zr == 0.125 and theta < 45.0 else 2e-13
 
 
-def _x0_shift_rtol(theta: float, zr: float, x0_dim: float) -> float:
+def _x0_shift_rtol(theta: float, zr: float, k0: float, z: float) -> float:
     """The most that moving x0 from the frozen 2 theta zr to the
-    dimensional path's 2 k0 z (they can differ in the last bit) moves W,
-    |shift| pi b x0^2, relative to |W|."""
+    dimensional path's exact product 2 k0 z (they differ by about an
+    ulp) moves W, |shift| pi b x0^2, relative to |W|."""
     x0 = 2.0 * theta * zr
+    shift = Fraction(2.0 * k0) * Fraction(z) - 2 * Fraction(theta) * Fraction(zr)
     e_th = math.exp(-theta)
     pole = math.pi * x0 * x0 * e_th / (1.0 - e_th)
     w = abs(REFERENCE[f"w_theta{theta:g}_zr{zr:g}"])
-    return abs(x0_dim - x0) * pole / w
+    return abs(float(shift)) * pole / w
 
 
 class TestStaticAlphaExpansion:
@@ -134,7 +136,7 @@ class TestStaticAlphaExpansion:
         if eta > 4.0:
             w = 2.0 * _h_t(eta, theta) / (eta**3 * theta)
         else:
-            w = _w_lifshitz(eta, x0)
+            w = _w_lifshitz(eta, x0, 0.0)
         ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
         assert abs(w - ref) <= _route_rtol(theta, zr) * abs(ref)
 
@@ -145,24 +147,25 @@ class TestStaticAlphaExpansion:
         v = thermal_potential_exact(atom, env, z)
         vhat = v / (CST.hbar_c_ev_um * atom.alpha0 / LAMBDA_T**4)
         ref = REFERENCE[f"vhat_theta{theta:g}_zr{zr:g}"]
-        tol = _route_rtol(theta, zr) + _x0_shift_rtol(theta, zr, 2.0 * atom.k0 * z)
+        tol = _route_rtol(theta, zr) + _x0_shift_rtol(theta, zr, atom.k0, z)
         assert abs(vhat - ref) <= tol * abs(ref)
 
     @pytest.mark.parametrize(
         "theta,zr", [(10.0, 0.3), (20.0, 0.75), (30.0, 0.2), (100.0, 0.01)]
     )
     def test_route_is_picked_by_eta(self, theta: float, zr: float) -> None:
-        # bit for bit: the Lifshitz sum for eta <= 4, the H_T form above
+        # bit for bit: the Lifshitz sum at the exact 2 k0 z for eta <= 4,
+        # the H_T form above
         atom, env = make_pair(theta)
         z = zr * LAMBDA_T
-        eta, x0 = env.lambda_T / (2.0 * z), 2.0 * atom.k0 * z
+        eta, (x0, lo) = env.lambda_T / (2.0 * z), _two_product(2.0 * atom.k0, z)
         v = thermal_potential_exact(atom, env, z)
         if eta > 4.0:
             assert v == thermal_short_expansion(atom, env, z)
         else:
             z3 = _z_power(z, 3)
             pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
-            assert v == pref * _w_lifshitz(eta, x0)
+            assert v == pref * _w_lifshitz(eta, x0, lo)
 
     def test_near_zero_temperature_is_the_contact_constant(self) -> None:
         # theta = 3e6, x0 = 1: W = 4 zeta(4) / (x0 eta^4) (1 + O(1e-12)),
@@ -248,16 +251,53 @@ class TestStaticLimit:
 
 
 class TestX0Rounding:
+    # W at the exact product 2 k0 z of the float k0 and z: theta 10-40 at
+    # x0 ~ 1e9, where the float product alone would move W by 3e-8 to
+    # 3e-7 of |W|, and the two floats z either side of a zero of W at
+    # theta 10, x0 ~ 1e6, where it would move W by 1e-3 to 7e-3 of
+    # 2 pi / theta
     @pytest.mark.parametrize(
-        "theta,zr", [(10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7)]
+        "theta,zr",
+        [(10.0, 5e7), (20.0, 2.5e7), (30.0, 1.5e7), (40.0, 1.25e7),
+         (10.0, 50000.096417924906), (10.0, 50000.09641792491)],
     )
-    def test_refused_at_x0_1e9(self, theta: float, zr: float) -> None:
-        # x0 = 2 k0 z ~ 1e9: its rounding alone moves the pole term, and
-        # so W, by up to 2.6e-7 to 9.8e-7 of |W|, although the Lifshitz
-        # route is within 1e-14 of mpmath at the float x0
+    def test_w_at_the_exact_product(self, theta: float, zr: float) -> None:
         atom, env = make_pair(theta)
-        with pytest.raises(ValidityError, match="rounding of x0"):
-            thermal_potential_exact(atom, env, zr * LAMBDA_T)
+        z = zr * LAMBDA_T
+        pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * _z_power(z, 3))
+        w = thermal_potential_exact(atom, env, z) / pref
+        ref = REFERENCE[f"exact_x0_theta{theta:g}_zr{zr!r}"]
+        assert abs(w - ref) <= 1e-13 * max(abs(ref), 2.0 * math.pi / theta)
+
+    def test_x0_squared_overflow_is_a_domain_error(self) -> None:
+        # theta = 10 at x0 = 2e200: z^3 is a normal float, x0^2 overflows,
+        # and 2^27 (2 k0) overflows in the split; refused before the low
+        # part of x0 is read
+        k0, lam = 1e300, 1e-299
+        atom = AtomParams(k0=k0, alpha0=3.0e-8)
+        env = ThermalEnvironment(temperature=TEMP, lambda_T=lam, theta=k0 * lam)
+        with pytest.raises(DomainError, match="x0\\^2 overflows") as exc:
+            thermal_potential_exact(atom, env, 1e-100)
+        assert "nan" not in str(exc.value)
+
+    def test_finite_at_x0_1e150(self) -> None:
+        # theta = 10 at x0 = 1e150, near the largest x0 whose square is
+        # finite: the low part of x0 is some 1e133, whose sine and cosine
+        # libm reduces exactly
+        k0, lam = 1e50, 1e-49
+        atom = AtomParams(k0=k0, alpha0=3.0e-8)
+        env = ThermalEnvironment(temperature=TEMP, lambda_T=lam, theta=k0 * lam)
+        assert math.isfinite(thermal_potential_exact(atom, env, 5e99))
+
+
+@given(
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.floats(min_value=1e-100, max_value=1e100),
+)
+def test_two_product_is_exact(a: float, b: float) -> None:
+    p, e = _two_product(a, b)
+    assert p == a * b
+    assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
 class TestSignChange:
@@ -291,18 +331,13 @@ class TestExpansionRoute:
                   45.0, 60.0, 100.0, 300.0, 1000.0]
     )
     def test_serves_every_point_from_x0_40(self, theta: float) -> None:
-        # the route has no refusal of its own: from x0 = 40 on, a point is
-        # served, or refused because the rounding of x0 moves W too far
+        # the route refuses nothing: from x0 = 40 on, every point is
+        # served, and finite
         atom, env = make_pair(theta)
         zs = [x0 / (2.0 * atom.k0) for x0 in FAR_X0]
         zs += [zr * LAMBDA_T for zr in SIGN_CHANGE_ZR if 2.0 * theta * zr >= 40.0]
         for z in zs:
-            try:
-                v = thermal_potential_exact(atom, env, z)
-            except ValidityError as exc:
-                assert "rounding of x0" in str(exc)
-            else:
-                assert math.isfinite(v)
+            assert math.isfinite(thermal_potential_exact(atom, env, z))
 
     @pytest.mark.parametrize("theta", [10.0, 20.0, 30.0, 40.0, 44.0])
     def test_matches_the_e1t_cross_check(self, theta: float) -> None:
@@ -310,7 +345,7 @@ class TestExpansionRoute:
         # of max(|W|, 2 pi / theta)
         for zr in (0.125, 0.2, 0.3, 0.307, 0.5, 0.75, 1.0, 1.5):
             eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
-            w = _w_lifshitz(eta, x0)
+            w = _w_lifshitz(eta, x0, 0.0)
             e1t = _w_bracket(thermal_series_terms(eta, x0), x0)
             assert abs(w - e1t) <= 1e-11 * max(abs(e1t), 2.0 * math.pi / theta)
 
@@ -339,7 +374,7 @@ class TestExpansionRoute:
         # max(|W|, 2 pi / theta); theta = 44 is a point of the sweep's
         # far grid, where the static-alpha expansion without the pole term
         # was 8.8e-14 of that scale off
-        w = _w_lifshitz(theta / x0, x0)
+        w = _w_lifshitz(theta / x0, x0, 0.0)
         ref = REFERENCE[f"far_theta{theta:g}_x0{x0!r}"]
         assert abs(w - ref) <= 1e-14 * max(abs(ref), 2.0 * math.pi / theta)
 
@@ -493,8 +528,8 @@ class TestExpansions:
         assert abs(lo / ex - 1.0) < 1e-7
         # L_T is the static-alpha expansion without the resonant pole
         # term, so with V_pole added it is the exact point
-        eta, x0 = LAMBDA_T / (2.0 * z), 2.0 * atom.k0 * z
-        w_pole = _pole_term(x0, math.exp(-eta * x0))
+        eta, (x0, x0_lo) = LAMBDA_T / (2.0 * z), _two_product(2.0 * atom.k0, z)
+        w_pole = _pole_term(x0, x0_lo, math.exp(-eta * x0))
         pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
         assert abs((lo + pref * w_pole) / ex - 1.0) < 1e-12
 
