@@ -201,6 +201,19 @@ def main() -> None:
     # 30 at 1e-8, where the E1t series is off by 2.4e-7 up to orders of
     # magnitude
     thermal_points += [(40.0, 0.0005), (100.0, 1e-10), (30.0, 1e-8)]
+    # the thermal tests' route grids: the Lifshitz route at theta 10-44
+    # from z = lambda_T / 8 to 1.5 lambda_T (x0 2.5-132), and the H_T
+    # form at theta 10-300 over its whole eta > 2.5
+    thermal_points += [
+        (theta, zr)
+        for theta in (10.0, 20.0, 30.0, 40.0, 44.0)
+        for zr in (0.125, 0.2, 0.3, 0.307, 0.5, 0.75, 1.0, 1.5)
+    ]
+    thermal_points += [
+        (theta, zr)
+        for theta in (10.0, 20.0, 30.0, 100.0, 300.0)
+        for zr in (0.01, 0.05, 0.1, 0.19)
+    ]
     for theta, zr in thermal_points:
         x0 = 2 * theta * zr
         eta = 1 / (2 * mp.mpf(zr))

@@ -25,9 +25,6 @@ Branch map for E1t (validated in scripts/sweep_branch_switches.py):
                                   left-half-plane terms share one sign)
     |arg w| > 3pi/4, |w| > 35     asymptotic series, optimal truncation
 
-The thermal head needs E1t(w) -+ E1t(-w) at Re w >= 40; there
-``_e1t_pair`` sums both from their paired asymptotic series at once.
-
 Accuracy: every operation targets 1e-12 relative and guarantees 1e-10
 on its stated domain; measured worst-case errors per branch are quoted
 in the sweep script output committed alongside the tests.
@@ -37,7 +34,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from bisect import bisect_right
 from itertools import accumulate
 from operator import mul
 
@@ -103,42 +99,6 @@ def _scaled_e1_upper(w: complex) -> complex:
     if r <= 35.0:
         return _e1t_power_series(w)
     return _e1t_asymptotic(w)
-
-
-# Paired asymptotic series (DLMF 6.12.1) of the thermal head's far terms:
-#   D = E1t(w) - E1t(-w) ~ 2 sum_{k>=0} (2k)! / w^(2k+1),
-#   S = E1t(w) + E1t(-w) ~ -2 sum_{k>=1} (2k-1)! / w^(2k).
-# _PAIR_COEF[k] = ((2k)!, (2k+1)!).  For n = 20 down to 1, _PAIR_RADII
-# holds the least |w| at which n terms leave a first omitted D term of
-# at most 1e-16 of D's leading term 2/|w|: 17 terms at |w| = 40, 6 from
-# |w| = 114, 2 from 22,134.
-_PAIR_MIN = 40.0
-_PAIR_COEF = tuple(
-    (float(math.factorial(2 * k)), float(math.factorial(2 * k + 1))) for k in range(21)
-)
-_PAIR_RADII = tuple(
-    (math.factorial(2 * n) / 1e-16) ** (1.0 / (2 * n)) for n in range(20, 0, -1)
-)
-
-
-def _e1t_pair(w: complex) -> tuple[complex, complex, float]:
-    """(D, S, bound) at Re w >= 40 from the paired asymptotic series.
-
-    One Horner pass in 1/w^2 per call.  bound covers the error of D and
-    of S: the first omitted D term (S's is smaller by (2n+1)/|w| < 1)
-    plus 2 pi e^-Re(w), the Stokes term of E1t(-w) that the series
-    leaves out.
-    """
-    r = abs(w)
-    n = min(20, 21 - bisect_right(_PAIR_RADII, r))
-    u = 1.0 / w
-    u2 = u * u
-    d = s = 0.0
-    for cd, cs in reversed(_PAIR_COEF[:n]):
-        d = d * u2 + cd
-        s = s * u2 + cs
-    bound = 2.0 * _PAIR_COEF[n][0] / r ** (2 * n + 1) + 2.0 * math.pi * math.exp(-w.real)
-    return 2.0 * u * d, -2.0 * u2 * s, bound
 
 
 def scaled_e1(w: complex, order: float = 1) -> complex:

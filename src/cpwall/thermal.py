@@ -22,8 +22,9 @@ converge, and they need only the pairs D_m = E1t(w_m) - E1t(-w_m) and
 S_m = E1t(w_m) + E1t(-w_m), w_m = m theta - i x0.
 ``thermal_series_terms`` sums a finite head of pairs up to
 m theta ~ 240 and closes both series with asymptotic tails built from
-Hurwitz zeta / digamma values of argument M + 1 - i/eta.  It is the
-independent cross-check of the two routes below, not a route itself.
+Hurwitz zeta / digamma values of argument M + 1 - i/eta.  It is an
+independent cross-check of the two routes below, not a route itself,
+and no command reaches it.
 
 ``thermal_potential_exact`` evaluates W by one of two routes, picked
 by eta alone:
@@ -76,9 +77,7 @@ from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .record import Record
 from .specfun import (
-    _PAIR_MIN,
     _digamma,
-    _e1t_pair,
     _e1t_power_series,
     _hurwitz_range,
     _scaled_e1_upper,
@@ -122,6 +121,9 @@ _HEAD_SCALE = 240.0
 # stopped after _TERM_CAP terms.
 _SHORT_ETA = 4.0
 _TERM_CAP = 40
+# _h_t_series takes F(n theta) from E1t below n theta = _NEAR_Y, from
+# the zeta tails from there on
+_NEAR_Y = 40.0
 # Veltkamp's splitter 2^27 + 1, which cuts a double into two halves of
 # at most 26 significant bits each
 _SPLITTER = 134217729.0
@@ -178,8 +180,10 @@ class ThermalSeriesTerms(Record):
     """Assembled pieces of the exact thermal series at one (eta, x0).
 
     k0_val = Im(J0+ - J0-) and k1_val = -x0 Re(J0+ + J0-); tail_bound
-    bounds the truncation error of the W bracket (the asymptotic tails
-    make it superasymptotically small for theta >= 10).
+    bounds the error of the W bracket that the truncated asymptotic
+    tails leave (superasymptotically small for theta >= 10).  It covers
+    neither the rounding of the E1t pairs nor the cancellation of the
+    bracket's three terms.
     """
 
     __slots__ = ("k0_val", "k1_val", "p_val", "terms_used", "tail_bound")
@@ -229,35 +233,27 @@ def _check_pair(eta: float, x0: float) -> float:
 def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     """Exact-series building blocks of W at one geometry point: the
     independent cross-check of thermal_potential_exact's two routes,
-    which takes neither of them from here.
+    which takes neither of them from here; no command calls it.
 
     Sums the pairs of scaled exponential integrals for m theta up to
-    ~240, from E1t below m theta = 40 and from their paired asymptotic
-    series above, and closes the remainder with digamma / Hurwitz-zeta
-    asymptotic tails of the same paired combinations (the pairing
-    decays like 1/m^2; the unpaired real parts diverge and never appear
-    alone).
+    ~240, each pair from E1t(w) and E1t(-w), and closes the remainder
+    with digamma / Hurwitz-zeta asymptotic tails of the same paired
+    combinations (the pairing decays like 1/m^2; the unpaired real parts
+    diverge and never appear alone).  tail_bound covers those tails
+    alone.
     """
     theta = _check_pair(eta, x0)
     n_head = max(4, int(math.ceil(_HEAD_SCALE / theta)))
 
     # D_m = E1t(w_m) - E1t(-w_m) and S_m = E1t(w_m) + E1t(-w_m): K0
-    # needs only Im D, K1 only Re S.  From m theta = 40 on, each pair
-    # comes from its paired asymptotic series, whose error far_bound
-    # sums.
-    d_im = s_re = far_bound = 0.0
+    # needs only Im D, K1 only Re S
+    d_im = s_re = 0.0
     for m in range(1, n_head + 1):
         w = complex(m * theta, -x0)
-        if w.real < _PAIR_MIN:
-            ep = scaled_e1(w)
-            em = scaled_e1(-w)
-            d_im += ep.imag - em.imag
-            s_re += ep.real + em.real
-        else:
-            d, s, bound = _e1t_pair(w)
-            d_im += d.imag
-            s_re += s.real
-            far_bound += bound
+        ep = scaled_e1(w)
+        em = scaled_e1(-w)
+        d_im += ep.imag - em.imag
+        s_re += ep.real + em.real
 
     # Tails over m > n_head from the same paired expansions:
     #   D ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
@@ -282,14 +278,10 @@ def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
     )
     # First omitted orders bound the truncation (the expansion parameter
     # is 1/(m theta)^2 <= 1/240^2, so the remainders are dominated by
-    # their leading terms; 1.5 covers the geometric excess); the far
-    # head's error enters K0 and K1/x0 alike.
+    # their leading terms; 1.5 covers the geometric excess).
     tb_diff = 2.0 * math.factorial(8) * abs(z9) / theta**9
     tb_sum = 2.0 * math.factorial(9) * abs(z10) / theta**10
-    tail_bound = (
-        1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
-        + (abs(x0 * x0 - 2.0) + 2.0 * x0) * far_bound
-    )
+    tail_bound = 1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
 
     # Pole term of J0-: i pi e^{i x0} / (e^theta - 1), Bose factor in
     # decaying-exponential form.
@@ -365,9 +357,14 @@ def _pole_term(x0: float, lo: float, e_th: float) -> float:
     J0- adds to the W bracket, and the resonant term of the Lifshitz
     route.  lo, up to half an ulp of x0, enters the phase alone: sin x and
     cos x come from the sines and cosines of x0 and of lo, which libm
-    reduces exactly at any size."""
+    reduces exactly at any size.  Up to |lo| = 2^-27 (every x0 below
+    2^27) lo^3 / 6 and lo^2 / 2 fall below half an ulp of lo and of 1,
+    so libm's sin lo and cos lo round to lo and 1, taken as such."""
     s, c = math.sin(x0), math.cos(x0)
-    s_lo, c_lo = math.sin(lo), math.cos(lo)
+    if abs(lo) <= 2.0**-27:
+        s_lo, c_lo = lo, 1.0
+    else:
+        s_lo, c_lo = math.sin(lo), math.cos(lo)
     scale = math.pi * e_th / (1.0 - e_th)
     return scale * (
         2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
@@ -460,7 +457,7 @@ def _h_t_series(theta: float) -> tuple[float, ...]:
     near, inv_n2 = 0.0, []
     for n in count(1):
         y = n * theta
-        if y >= _PAIR_MIN:
+        if y >= _NEAR_Y:
             break
         e_minus = _e1t_power_series(complex(-y, 0.0)).real
         e_plus = _scaled_e1_upper(complex(y, 0.0)).real

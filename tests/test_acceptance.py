@@ -230,6 +230,10 @@ class TestCriterion14:
         assert result.passed
         assert "open question" in result.note
         assert result.measured.count("rel") >= 5
+        # the H_T form against the thermal oracle at x0 = 2-10
+        rels = [float(r) for r in re.findall(r"rel (\S+?)(?:;|$)", result.measured)]
+        assert len(rels) == 5
+        assert all(rel < 1e-12 for rel in rels)
 
 
 class TestHarness:

@@ -1,6 +1,5 @@
 import cmath
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -305,21 +304,6 @@ def test_scaled_e1_outer_switch_consistency():
         for ph in np.linspace(0.80 * math.pi, 0.97 * math.pi, 10):
             w = r * cmath.exp(1j * ph)
             assert rel(sf._e1t_power_series(w), sf._e1t_asymptotic(w)) < 5e-11
-
-
-@pytest.mark.parametrize("x0", [1e-3, 1.0, 30.0, 300.0, 3000.0])
-@pytest.mark.parametrize("m_theta", [40.0, 41.0, 60.0, 120.0, 240.0])
-def test_e1t_pair_matches_scaled_e1(m_theta, x0):
-    # the thermal head's far pair (D, S) against E1t(w) -+ E1t(-w); the
-    # sum of the two E1t values rounds to about eps |E1t| each, the
-    # series itself stays within its own bound
-    w = complex(m_theta, -x0)
-    ep, em = sf.scaled_e1(w), sf.scaled_e1(-w)
-    d, s, bound = sf._e1t_pair(w)
-    eps = sys.float_info.epsilon
-    assert abs(d - (ep - em)) <= 4 * eps * abs(ep - em) + bound
-    assert abs(s - (ep + em)) <= 4 * eps * (abs(ep) + abs(em)) + bound
-    assert bound <= 4e-17
 
 
 def test_bose_branch_consistency():

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cpwall import thermal
@@ -300,6 +300,37 @@ def test_two_product_is_exact(a: float, b: float) -> None:
     assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
+def _pole_term_by_sin_cos(x0: float, lo: float, e_th: float) -> float:
+    # _pole_term with libm's sine and cosine of lo at every size
+    s, c = math.sin(x0), math.cos(x0)
+    s_lo, c_lo = math.sin(lo), math.cos(lo)
+    scale = math.pi * e_th / (1.0 - e_th)
+    return scale * (
+        2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
+    )
+
+
+_LO_EDGE = 2.0**-27
+
+
+@given(
+    st.floats(min_value=1.0, max_value=2.0**27),
+    st.floats(min_value=-_LO_EDGE, max_value=_LO_EDGE),
+)
+@example(1.2e8, _LO_EDGE)
+@example(1.2e8, -_LO_EDGE)
+@example(3.7, math.nextafter(_LO_EDGE, 1.0))
+@example(3.7, 5e-324)
+@example(3.7, -0.0)
+@example(1234.5678, 1e-6)
+def test_pole_term_small_lo_is_the_sin_cos_formula(x0: float, lo: float) -> None:
+    # up to |lo| = 2^-27 _pole_term takes sin lo = lo and cos lo = 1,
+    # which is what libm rounds them to: the value is the same bit for
+    # bit, at the edge and past it too
+    e_th = math.exp(-10.0)
+    assert _pole_term(x0, lo, e_th) == _pole_term_by_sin_cos(x0, lo, e_th)
+
+
 class TestSignChange:
     @pytest.mark.parametrize("theta", [10.0, 30.0, 1000.0])
     def test_sign_change_not_refused(self, theta: float) -> None:
@@ -341,13 +372,13 @@ class TestExpansionRoute:
 
     @pytest.mark.parametrize("theta", [10.0, 20.0, 30.0, 40.0, 44.0])
     def test_matches_the_e1t_cross_check(self, theta: float) -> None:
-        # theta and x0 below ~40, where the E1t series holds about 1e-12
-        # of max(|W|, 2 pi / theta)
+        # theta below 45 from z = lambda_T / 8 on, against the frozen
+        # 50-digit E1t series of W (measured worst 7.6e-16 of
+        # max(|W|, 2 pi / theta))
         for zr in (0.125, 0.2, 0.3, 0.307, 0.5, 0.75, 1.0, 1.5):
-            eta, x0 = 1.0 / (2.0 * zr), 2.0 * theta * zr
-            w = _w_lifshitz(eta, x0, 0.0)
-            e1t = _w_bracket(thermal_series_terms(eta, x0), x0)
-            assert abs(w - e1t) <= 1e-11 * max(abs(e1t), 2.0 * math.pi / theta)
+            w = _w_lifshitz(1.0 / (2.0 * zr), 2.0 * theta * zr, 0.0)
+            ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
+            assert abs(w - ref) <= 1e-13 * max(abs(ref), 2.0 * math.pi / theta)
 
     @pytest.mark.parametrize("zr", [10.0, 1000.0])
     def test_n0_term_is_the_lifshitz_asymptote(self, zr: float) -> None:
@@ -451,15 +482,15 @@ class TestExpansions:
     @pytest.mark.parametrize("theta", [10.0, 20.0, 30.0, 100.0, 300.0])
     @pytest.mark.parametrize("zr", [0.01, 0.05, 0.1, 0.19])
     def test_short_expansion_accuracy(self, theta: float, zr: float) -> None:
-        # against the E1t series, which is independent of both routes of
-        # thermal_potential_exact
+        # against the frozen 50-digit E1t series of W, which is
+        # independent of both routes of thermal_potential_exact (measured
+        # worst 2.5e-13, theta = 20)
         atom, env = make_pair(theta)
         z = zr * LAMBDA_T
         se = thermal_short_expansion(atom, env, z)
-        eta, x0 = LAMBDA_T / (2.0 * z), 2.0 * atom.k0 * z
         pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
-        e1t = pref * _w_bracket(thermal_series_terms(eta, x0), x0)
-        assert abs(se / e1t - 1.0) < 1e-8
+        ref = pref * REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
+        assert abs(se / ref - 1.0) < 1e-11
 
     @pytest.mark.parametrize("theta", [10.0, 13.34, 31.6, 35.0, 100.0, 1000.0])
     @pytest.mark.parametrize("zr", [0.13, 0.15, 0.17, 0.199])
