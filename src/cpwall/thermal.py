@@ -357,14 +357,9 @@ def _pole_term(x0: float, lo: float, e_th: float) -> float:
     J0- adds to the W bracket, and the resonant term of the Lifshitz
     route.  lo, up to half an ulp of x0, enters the phase alone: sin x and
     cos x come from the sines and cosines of x0 and of lo, which libm
-    reduces exactly at any size.  Up to |lo| = 2^-27 (every x0 below
-    2^27) lo^3 / 6 and lo^2 / 2 fall below half an ulp of lo and of 1,
-    so libm's sin lo and cos lo round to lo and 1, taken as such."""
+    reduces exactly at any size."""
     s, c = math.sin(x0), math.cos(x0)
-    if abs(lo) <= 2.0**-27:
-        s_lo, c_lo = lo, 1.0
-    else:
-        s_lo, c_lo = math.sin(lo), math.cos(lo)
+    s_lo, c_lo = math.sin(lo), math.cos(lo)
     scale = math.pi * e_th / (1.0 - e_th)
     return scale * (
         2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)

@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cpwall import thermal
@@ -298,37 +298,6 @@ def test_two_product_is_exact(a: float, b: float) -> None:
     p, e = _two_product(a, b)
     assert p == a * b
     assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
-
-
-def _pole_term_by_sin_cos(x0: float, lo: float, e_th: float) -> float:
-    # _pole_term with libm's sine and cosine of lo at every size
-    s, c = math.sin(x0), math.cos(x0)
-    s_lo, c_lo = math.sin(lo), math.cos(lo)
-    scale = math.pi * e_th / (1.0 - e_th)
-    return scale * (
-        2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
-    )
-
-
-_LO_EDGE = 2.0**-27
-
-
-@given(
-    st.floats(min_value=1.0, max_value=2.0**27),
-    st.floats(min_value=-_LO_EDGE, max_value=_LO_EDGE),
-)
-@example(1.2e8, _LO_EDGE)
-@example(1.2e8, -_LO_EDGE)
-@example(3.7, math.nextafter(_LO_EDGE, 1.0))
-@example(3.7, 5e-324)
-@example(3.7, -0.0)
-@example(1234.5678, 1e-6)
-def test_pole_term_small_lo_is_the_sin_cos_formula(x0: float, lo: float) -> None:
-    # up to |lo| = 2^-27 _pole_term takes sin lo = lo and cos lo = 1,
-    # which is what libm rounds them to: the value is the same bit for
-    # bit, at the edge and past it too
-    e_th = math.exp(-10.0)
-    assert _pole_term(x0, lo, e_th) == _pole_term_by_sin_cos(x0, lo, e_th)
 
 
 class TestSignChange:
