@@ -85,7 +85,7 @@ _PANEL_BUDGET = 20_000
 # gross panel magnitude: auxiliary_f, the closed form f_integral_oracle
 # is held against, is off by up to 6.6e-15 relative on x in [0.01, 1e4]
 # (measured against 25-digit mpmath), taken with 3x headroom; h0 is
-# within 1.6e-15 on x0 in [1e-3, 1e12] (60-digit mpmath).
+# within 4.9e-16 on x0 in [1e-3, 1e12] (60-digit mpmath).
 _SCALAR_FLOOR = 2e-14
 
 

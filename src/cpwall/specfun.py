@@ -14,7 +14,10 @@ closed form follow from it on the imaginary axis,
 On the imaginary axis the |w| < 2 power series serves only
 auxiliary_f / auxiliary_g and the cross-checks: vacuum.h0 takes H0
 below x0 = 2 from the real Ci/Si series and the continued fraction's
-order 5 from 2 to 100.
+order 5 from 2 to 100.  On the real axis thermal._h_t_series takes
+E1t(-y), y = n theta < 40, from _e1t_power_series itself, past the
+branch map's |w| = 35 switch (its terms share one sign there), and
+E1t(y) from _scaled_e1_upper.
 
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
@@ -150,37 +153,13 @@ def auxiliary_g(x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# wall-response kernel
-
-_KERNEL_SWITCH = 0.1
-
-
-def kernel_g(x: float) -> float:
-    """G(x) = sin x/x + 2 cos x/x^2 - 2 sin x/x^3, G(0) = 1/3.
-
-    Below x = 0.1 the three terms cancel to O(x^2) of their size, so a
-    Taylor series is used there; at the switch the closed form still
-    carries ~14 good digits (measured 6e-14) and the branches overlap.
-    """
-    if not (math.isfinite(x) and x >= 0.0):
-        raise DomainError(f"kernel_g needs finite x >= 0, got {x}")
-    if x < _KERNEL_SWITCH:
-        x2 = x * x
-        # 1/3 - x^2/10 + x^4/168 - x^6/6480 + x^8/443520
-        return 1.0 / 3.0 + x2 * (-0.1 + x2 * (1.0 / 168.0 + x2 * (-1.0 / 6480.0 + x2 / 443520.0)))
-    s = math.sin(x)
-    c = math.cos(x)
-    return (x * x * s + 2.0 * x * c - 2.0 * s) / (x * x * x)
-
-
-# ----------------------------------------------------------------------
 # even zeta values
 
 # zeta(2m) = |B_{2m}| (2 pi)^{2m} / (2 (2m)!) for m = 1..27, each the
 # exact rational value (pi to 60 digits) rounded once to double
 # (tests/test_specfun.py re-derives them); zeta(2m) is 1.0 in float64
-# from 2m = 54 on.  Index 0 of the table is unused.
-_ZETA_EVEN_HEAD = (
+# from 2m = 54 on.
+_ZETA_EVEN = (
     1.6449340668482264, 1.0823232337111381, 1.0173430619844492,
     1.0040773561979444, 1.000994575127818, 1.000246086553308,
     1.0000612481350588, 1.0000152822594086, 1.000003817293265,
@@ -191,18 +170,11 @@ _ZETA_EVEN_HEAD = (
     1.0000000000000568, 1.0000000000000142, 1.0000000000000036,
     1.0000000000000009, 1.0000000000000002, 1.0,
 )
-_ZETA_EVEN = [0.0, *_ZETA_EVEN_HEAD] + [1.0] * (260 - len(_ZETA_EVEN_HEAD))
-
-
-def zeta_even(m: int) -> float:
-    """zeta(2m) for integer 1 <= m <= 260, Bernoulli closed form."""
-    if not isinstance(m, int) or isinstance(m, bool) or not (1 <= m <= 260):
-        raise DomainError(f"zeta_even needs integer 1 <= m <= 260, got {m!r}")
-    return _ZETA_EVEN[m]
 
 
 def _zeta_even_unchecked(m: int) -> float:
-    return _ZETA_EVEN[m] if m <= 260 else 1.0
+    # zeta(2m) for an integer m >= 1, unchecked: the table's only reader
+    return _ZETA_EVEN[m - 1] if m <= len(_ZETA_EVEN) else 1.0
 
 
 # ----------------------------------------------------------------------

@@ -202,6 +202,22 @@ class TestCriterion12:
         show(result)
         assert result.passed
         assert "failed" not in result.measured
+        assert result.measured.startswith("6 identities")
+        assert measured_float(result, r"worst error/tolerance ([0-9.e+-]+)") < 1.0
+
+    def test_h0_switches_are_checked(self, monkeypatch):
+        # a relative jump of 1e-14 at either switch of h0 fails the
+        # criterion, by name
+        h0 = verify.h0
+
+        def jumpy(x0):
+            return h0(x0) * (1.0 + 1e-14) if x0 in (2.0, 100.0) else h0(x0)
+
+        monkeypatch.setattr(verify, "h0", jumpy)
+        _, _, _, check = verify.CRITERIA[11]
+        passed, measured = check(False, cli.load_constants(env={}))
+        assert not passed
+        assert measured.endswith("failed: ['h0 switch 2', 'h0 switch 100']")
 
 
 class TestCriterion13:
