@@ -30,7 +30,12 @@ W at theta 10 and 25, x0 1e6, 5e7 and 4e8.  The
 Lifshitz route is measured against max(|W|, 2 pi/theta), since W
 passes through zero.  The script exits with status 1 when the thermal
 oracle's kernel u^3 G(u) (oracle._u3g, u = 1e-4-0.5 across its 0.1
-switch) is off by more than 1e-13, when scaled_e1 of any order on its
+switch) is off by more than 1e-13, when auxiliary_f or auxiliary_g
+(x = 0.01-200) is off by more than 3e-15, scaled_e1 of order 1 (across
+its switches |w| = 2, |w| = 35 and |arg w| = 3pi/4, and on the box
+|Re w|, |Im w| <= 60) by more than 1e-12, the Hurwitz pass
+_hurwitz_range (s = 2-161) by more than 3e-13 or bose_sum_p (eta =
+0.02-50) by more than 1e-15, when scaled_e1 of any order on its
 continued fraction's sector (p = 0.5-1000, |w| = 2-300,
 |arg w| <= 3pi/4) or h0's E5 form is off by more than
 1e-14, h0's Ci/Si form by more than 1e-15 or h0's series by more than
@@ -72,9 +77,10 @@ def w_scale(w: float, theta: float) -> float:
     return max(abs(w), 2.0 * math.pi / theta)
 
 
-def report(name: str, pts, got, want) -> None:
+def report(name: str, pts, got, want) -> float:
+    """Print the worst relative error of got against want, and return it."""
     rel = [abs(g - w) / max(abs(w), 1e-300) for g, w in zip(got, want)]
-    report_scaled(name, pts, rel)
+    return report_scaled(name, pts, rel)
 
 
 KERNEL_RTOL = 1e-13
@@ -97,27 +103,44 @@ def sweep_kernel() -> bool:
     return report_scaled("oracle _u3g (switch 0.1)", grid, errs) <= KERNEL_RTOL
 
 
-def sweep_aux() -> None:
+AUX_RTOL = 3e-15
+
+
+def sweep_aux() -> bool:
+    """auxiliary_f and auxiliary_g against mpmath on x = 0.01-200 (worst
+    5.1e-16 and 1.5e-15, both near x = 1.7).  True when both are within
+    AUX_RTOL."""
     grid = np.geomspace(0.01, 200.0, 400)
     want_f = [float(mp.ci(x) * mp.sin(x) - (mp.si(x) - mp.pi / 2) * mp.cos(x)) for x in grid]
     want_g = [float(mp.ci(x) * mp.cos(x) + (mp.si(x) - mp.pi / 2) * mp.sin(x)) for x in grid]
-    report("auxiliary_f (0.01..200)", grid, [sf.auxiliary_f(float(x)) for x in grid], want_f)
-    report("auxiliary_g (0.01..200)", grid, [sf.auxiliary_g(float(x)) for x in grid], want_g)
+    worst = max(
+        report("auxiliary_f (0.01..200)", grid, [sf.auxiliary_f(float(x)) for x in grid], want_f),
+        report("auxiliary_g (0.01..200)", grid, [sf.auxiliary_g(float(x)) for x in grid], want_g),
+    )
+    return worst <= AUX_RTOL
 
 
-def sweep_e1t() -> None:
+E1T_RTOL = 1e-12
+
+
+def sweep_e1t() -> bool:
+    """scaled_e1 of order 1 against mpmath across its switches |w| = 2,
+    |w| = 35 and |arg w| = 3pi/4, and on a random box |Re w|, |Im w| <=
+    60 (worst 8.0e-13, at the |w| = 35 switch in the left half-plane).
+    True when every region is within E1T_RTOL."""
     rng = np.random.default_rng(20260817)
 
     def ref(w: complex) -> complex:
         return complex(mp.exp(w) * mp.e1(w))
 
+    worst = []
     # radial switch |w| = 2 at assorted phases (staying off the cut)
     phases = np.linspace(-0.95 * np.pi, 0.95 * np.pi, 41)
     for tag, radii in (("|w|=2", np.linspace(1.6, 2.5, 19)), ("|w|=35", np.linspace(30.0, 40.0, 21))):
         pts = [r * np.exp(1j * p) for r in radii for p in phases]
         got = [complex(sf.scaled_e1(w)) for w in pts]
         want = [ref(w) for w in pts]
-        report(f"scaled_e1 (switch {tag})", pts, got, want)
+        worst.append(report(f"scaled_e1 (switch {tag})", pts, got, want))
 
     # angular switch |arg w| = 3pi/4
     radii = np.geomspace(2.0, 300.0, 25)
@@ -126,7 +149,7 @@ def sweep_e1t() -> None:
     pts += [p.conjugate() for p in pts]
     got = [complex(sf.scaled_e1(w)) for w in pts]
     want = [ref(w) for w in pts]
-    report("scaled_e1 (switch arg 3pi/4)", pts, got, want)
+    worst.append(report("scaled_e1 (switch arg 3pi/4)", pts, got, want))
 
     # random accuracy audit over the working domain
     pts = []
@@ -137,7 +160,8 @@ def sweep_e1t() -> None:
         pts.append(w)
     got = [complex(sf.scaled_e1(w)) for w in pts]
     want = [ref(w) for w in pts]
-    report("scaled_e1 (random box 60)", pts, got, want)
+    worst.append(report("scaled_e1 (random box 60)", pts, got, want))
+    return max(worst) <= E1T_RTOL
 
 
 ORDERS_RTOL = 1e-14
@@ -162,7 +186,13 @@ def sweep_orders() -> bool:
     return ok
 
 
-def sweep_hurwitz() -> None:
+HURWITZ_RTOL = 3e-13
+
+
+def sweep_hurwitz() -> bool:
+    """The Hurwitz pass _hurwitz_range against mpmath: s = 2-12 on a
+    random box (worst 1.6e-13), and s = 41-161 where the shift grows
+    with s.  True when both are within HURWITZ_RTOL."""
     rng = np.random.default_rng(7)
     pts = []
     for _ in range(120):
@@ -173,19 +203,26 @@ def sweep_hurwitz() -> None:
         pts.append((s, z))
     got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts]
     want = [complex(mp.zeta(s, z)) for s, z in pts]
-    report("_hurwitz_range (s 2..12, box)", pts, got, want)
+    worst = report("_hurwitz_range (s 2..12, box)", pts, got, want)
 
     # high orders, the shift grows with s (Re a ~ 38 at s = 161)
     pts2 = [(s, 1.0 - 1j / eta) for s in (41, 81, 161) for eta in (0.05, 0.5, 5.0)]
     got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts2]
     want = [complex(mp.zeta(s, z)) for s, z in pts2]
-    report("_hurwitz_range (s in 41..161)", pts2, got, want)
+    worst = max(worst, report("_hurwitz_range (s in 41..161)", pts2, got, want))
+    return worst <= HURWITZ_RTOL
 
 
-def sweep_bose() -> None:
+BOSE_RTOL = 1e-15
+
+
+def sweep_bose() -> bool:
+    """bose_sum_p against mpmath on eta = 0.02-50, across its switch at
+    2 (worst 7.6e-16).  True when it is within BOSE_RTOL."""
     grid = np.geomspace(0.02, 50.0, 200)
     want = [float(mp.pi / mp.tanh(mp.pi / e) / (2 * e) - mp.mpf(1) / 2) for e in grid]
-    report("bose_sum_p (switch 2)", grid, [sf.bose_sum_p(float(e)) for e in grid], want)
+    got = [sf.bose_sum_p(float(e)) for e in grid]
+    return report("bose_sum_p (switch 2)", grid, got, want) <= BOSE_RTOL
 
 
 H0_SMALL_RTOL = 1e-15
@@ -442,10 +479,10 @@ def sweep_exact_x0() -> bool:
 
 if __name__ == "__main__":
     ok = sweep_kernel()
-    sweep_aux()
-    sweep_e1t()
-    sweep_hurwitz()
-    sweep_bose()
+    ok = sweep_aux() and ok
+    ok = sweep_e1t() and ok
+    ok = sweep_hurwitz() and ok
+    ok = sweep_bose() and ok
     ok = sweep_orders() and ok
     ok = sweep_h0() and ok
     ok = sweep_thermal_oracle() and ok

@@ -16,6 +16,12 @@ takes the steps of the widely used C routine ``brentq`` one for one;
 the tests hold its roots and iteration counts to that routine's, bit
 for bit.  The brackets are fixed, in lambda_T units, and every value
 comes from ``thermal_potential_exact`` as this module binds it.
+
+The harmonic fit is an unweighted least-squares parabola through
+FIT_POINTS equally spaced samples of a window, solved in the basis 1,
+t, t^2 - mean(t^2) of the centred abscissae t = u - mean(u).  That
+basis is orthogonal on equally spaced points, so each coefficient is
+one projection, summed with ``math.fsum``; the module needs no numpy.
 """
 
 from __future__ import annotations
@@ -23,8 +29,6 @@ from __future__ import annotations
 import math
 import sys
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
@@ -88,7 +92,7 @@ class QuadraticFit(Record):
         if not self.rms_residual_relative < 0.02:
             raise ValidityError(
                 "fit residual exceeds 2% of the window value range: "
-                f"{self.rms_residual_relative}"
+                f"{100.0 * self.rms_residual_relative:.3f}%"
             )
 
 
@@ -260,16 +264,30 @@ def quadratic_fit(
         raise DomainError(f"fit window must be at least 1e-3 lambda_T wide, got {window}")
 
     lam = env.lambda_T
-    u = np.linspace(z_lo, z_hi, FIT_POINTS)
-    v = np.array([thermal_potential_exact(atom, env, float(zr) * lam, cst) for zr in u])
-    # polyfit returns highest degree first
-    c2, c1, c0 = np.polyfit(u, v, 2)
-    resid = v - (c0 + c1 * u + c2 * u * u)
-    value_range = float(np.max(v) - np.min(v))
+    # bit for bit numpy's linspace, as cli._figure_grid builds its grids
+    step = (z_hi - z_lo) / (FIT_POINTS - 1)
+    u = [*(z_lo + i * step for i in range(FIT_POINTS - 1)), z_hi]
+    v = [thermal_potential_exact(atom, env, zr * lam, cst) for zr in u]
+    value_range = max(v) - min(v)
     if value_range <= 0.0:
         raise ValidityError(f"degenerate (constant) samples on window {window}")
-    rms_rel = float(np.sqrt(np.mean(resid**2))) / value_range
-    return QuadraticFit((float(c0), float(c1), float(c2)), rms_rel)
+    # one projection per coefficient on the orthogonal basis 1, t, q
+    n = float(FIT_POINTS)
+    u_mean = math.fsum(u) / n
+    t = [x - u_mean for x in u]
+    t_norm2 = math.fsum([x * x for x in t])
+    t2_mean = t_norm2 / n
+    q = [x * x - t2_mean for x in t]
+    alpha = math.fsum(v) / n
+    beta = math.fsum([y * x for y, x in zip(v, t)]) / t_norm2
+    gamma = math.fsum([y * w for y, w in zip(v, q)]) / math.fsum([w * w for w in q])
+    resid = [y - (alpha + beta * x + gamma * w) for y, x, w in zip(v, t, q)]
+    rms_rel = math.sqrt(math.fsum([r * r for r in resid]) / n) / value_range
+    # back to powers of u: gamma (u - m)^2 + beta (u - m) + alpha - gamma <t^2>
+    c2 = gamma
+    c1 = beta - 2.0 * gamma * u_mean
+    c0 = alpha - gamma * t2_mean - beta * u_mean + gamma * u_mean * u_mean
+    return QuadraticFit((c0, c1, c2), rms_rel)
 
 
 def _relative_error(approx: float, exact: float) -> float:

@@ -10,9 +10,8 @@ tolerance, note, check)``; its criterion number is its position, and
 ``quick`` shrinks the grids of the criteria where the verdict does not
 depend on the resolution.
 
-Importing this module loads numpy, through ``oracle`` and
-``analysis`` too, so the command line imports it only when ``verify``
-runs.
+Importing this module loads numpy, itself and through ``oracle``, so
+the command line imports it only when ``verify`` runs.
 """
 
 from __future__ import annotations
@@ -357,7 +356,10 @@ def run_verification(
     """Run every acceptance criterion; returns one result per criterion
     in order.  Shared by cmd_verify and the acceptance test suite."""
     cst = constants if constants is not None else load_constants()
-    return [
-        CriterionResult(number, name, *check(quick, cst), tolerance, note)
-        for number, (name, tolerance, note, check) in enumerate(CRITERIA, 1)
-    ]
+    results = []
+    for number, (name, tolerance, note, check) in enumerate(CRITERIA, 1):
+        passed, measured = check(quick, cst)
+        # a comparison against a numpy scalar gives numpy.bool_, which
+        # json cannot write
+        results.append(CriterionResult(number, name, bool(passed), measured, tolerance, note))
+    return results

@@ -264,6 +264,33 @@ class TestQuadraticFit:
         assert c2 > 0.0
         assert 0.45 < -c1 / (2.0 * c2) < 0.62
 
+    @pytest.mark.parametrize(
+        "theta,window",
+        [
+            (10.0, (0.3, 0.35)),
+            (10.0, (0.4, 0.5)),
+            (100.0, (0.2, 0.45)),
+            (100.0, (0.55, 0.8)),
+            (300.0, (0.2, 0.45)),
+            (300.0, (0.4, 0.55)),
+        ],
+    )
+    def test_matches_numpy_polyfit(self, theta, window):
+        # windows the 2% bound accepts; numpy's linspace and polyfit are
+        # the reference for the plain-Python grid and projections
+        atom, env = make_pair(theta)
+        fit = quadratic_fit(atom, env, window, CST)
+        u = np.linspace(*window, analysis.FIT_POINTS)
+        v = np.array(
+            [thermal_potential_exact(atom, env, float(zr) * LAMBDA_T, CST) for zr in u]
+        )
+        want = np.polyfit(u, v, 2)[::-1]
+        scale = float(np.max(np.abs(want)))
+        assert max(abs(g - w) for g, w in zip(fit.coefficients, want)) <= 1e-12 * scale
+        resid = v - (want[0] + want[1] * u + want[2] * u * u)
+        rms_rel = float(np.sqrt(np.mean(resid**2)) / (v.max() - v.min()))
+        assert fit.rms_residual_relative == pytest.approx(rms_rel, rel=1e-12, abs=0.0)
+
     def test_exact_parabola_recovered(self, monkeypatch):
         atom, env = make_pair(100.0)
 

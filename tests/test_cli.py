@@ -502,6 +502,8 @@ class TestAnalyze:
         # the second default window fails its own residual bound and the
         # report says so instead of printing a bad fit
         assert "fit window (0.5, 0.75) lambda_T: rejected" in out
+        # its residual printed as the accepted fits print theirs
+        assert "window value range: 2.249%\n" in out
         assert "regime error table" in out
 
     def test_explicit_window_only(self):
@@ -557,6 +559,21 @@ class TestVerify:
             10,
             13,
         ]
+
+    def test_json_output_takes_numpy_verdicts(self, monkeypatch):
+        # a check compared against a numpy scalar returns numpy.bool_,
+        # which json cannot write: the result stores a plain bool
+        from cpwall import verify
+
+        name, tolerance, note, _ = verify.CRITERIA[0]
+        checks = (
+            (name, tolerance, note, lambda quick, cst: (np.bool_(True), "measured")),
+            *verify.CRITERIA[1:],
+        )
+        monkeypatch.setattr(verify, "CRITERIA", checks)
+        code, out = run_main(["verify", "--quick", "--format", "json"])
+        assert code == 1
+        assert json.loads(out)["criteria"][0]["passed"] is True
 
 
 def _child_env():
@@ -694,6 +711,7 @@ class TestImportFootprint:
     """No command loads scipy: the root finder and the quadratures are
     the package's own.  eval and curve need neither the oracles nor the
     root finders, so they must not pay for importing numpy or fractions;
+    nor must analyze, whose root finder and fit are plain Python;
     their records are plain classes, so they load neither dataclasses
     nor the inspect module behind it; json loads only to write JSON."""
 
@@ -707,6 +725,9 @@ class TestImportFootprint:
         report = json.loads(proc.stdout)
         failed = [c["number"] for c in report["criteria"] if not c["passed"]]
         assert failed == [3, 4, 10, 13]
+
+    def test_analyze_loads_neither_numpy_nor_scipy(self):
+        assert _modules_loaded_by(("analyze",)) == set()
 
     def test_analyze_runs_without_scipy(self):
         proc = _run_without_scipy(("analyze",))
