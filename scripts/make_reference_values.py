@@ -11,6 +11,7 @@ identifiers; values are floats or complex numbers rounded to float64.
 
 from __future__ import annotations
 
+import math
 import pathlib
 
 import mpmath as mp
@@ -137,6 +138,17 @@ def main() -> None:
     # cancels 18 of the 50 digits)
     for label in ("1e3", "1e4", "1e6", "1e9"):
         ref[f"h0_{label}"] = float(h0(mp.mpf(label)))
+    # h0's Chebyshev table (2 <= x0 <= 100): each piece boundary and one
+    # ulp either side of it, and one point inside each piece
+    table_points = [
+        x
+        for b in (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
+        for x in (math.nextafter(b, 0.0), b, math.nextafter(b, math.inf))
+    ]
+    table_points += [3.0, 6.0, 12.0, 24.0, 48.0, 82.0]
+    for x in table_points:
+        label = f"{x:g}" if float(f"{x:g}") == x else repr(x)
+        ref[f"h0_{label}"] = float(h0(mp.mpf(x)))
     for u in (1e-3, 0.1, 5.0):
         ref[f"kernel_g_{u:g}"] = float(kernel_g(u))
 

@@ -10,7 +10,8 @@ grids straddling the switch locus and reports the worst relative error
 per region.  The numbers quoted in the specfun docstrings come from
 this script's output.  The h0 section checks the vacuum shape from
 x0 = 1e-3 to 1e12, its three branches apart: the Ci/Si form below
-x0 = 2, the E5 form up to 100 and the asymptotic series above; on the
+x0 = 2, the Chebyshev table up to 100, with verify's E5 form that
+checks it, and the asymptotic series above; on the
 same grid it holds the vacuum oracle, in the grid passes verify
 takes, to its own error estimate.  The thermal oracle section holds
 thermal_quadrature's grid passes, one call per theta row, to their own
@@ -37,10 +38,10 @@ its switches |w| = 2, |w| = 35 and |arg w| = 3pi/4, and on the box
 _hurwitz_range (s = 2-161) by more than 3e-13 or bose_sum_p (eta =
 0.02-50) by more than 1e-15, when scaled_e1 of any order on its
 continued fraction's sector (p = 0.5-1000, |w| = 2-300,
-|arg w| <= 3pi/4) or h0's E5 form is off by more than
-1e-14, h0's Ci/Si form by more than 1e-15 or h0's series by more than
-1e-10, when the vacuum oracle is
-off by more than its own estimate, when the thermal oracle differs
+|arg w| <= 3pi/4) is off by more than 1e-14, when h0's Ci/Si form, its
+Chebyshev table (2 <= x0 <= 100) or verify's E5 form of it is off by
+more than 1e-15 or h0's series by more than 1e-10, when the vacuum
+oracle is off by more than its own estimate, when the thermal oracle differs
 from thermal_potential_exact by more than its own, when the H_T form is off by
 more than 1e-11 of |W|, when the Lifshitz route is off by more than
 1e-14 of the scale next to its switch and in the far field, or by more
@@ -226,45 +227,56 @@ def sweep_bose() -> bool:
 
 
 H0_SMALL_RTOL = 1e-15
-H0_E5_RTOL = 1e-14
+H0_TABLE_RTOL = 1e-15
 H0_SERIES_RTOL = 1e-10
 
 
 def sweep_h0() -> bool:
     """h0 against mpmath from x0 = 1e-3 to 1e12, each branch apart: the
-    Ci/Si form below x0 = 2, the E5 form up to 100 and the asymptotic
-    series above; then the vacuum oracle's grid core, _vacuum_grid
-    (k0 = 1, z = x0/2, the path verify's criterion 1 takes), on the
-    same grid against the same references times the prefactor.  The
-    reference runs at 60 digits, since the bracket cancels 2 log10 x0 of
-    them.  True when the Ci/Si form is within H0_SMALL_RTOL, the E5 form
-    within H0_E5_RTOL and the series within H0_SERIES_RTOL wherever they are taken, and the oracle within
-    its own estimate at every point."""
+    Ci/Si form below x0 = 2, the Chebyshev table up to 100 (1,507
+    log-spaced points, and each piece boundary with one ulp either
+    side) and the asymptotic series above; on the table's points also
+    the E5 form with which verify's criterion 12 checks it; then the
+    vacuum oracle's grid core, _vacuum_grid (k0 = 1, z = x0/2, the path
+    verify's criterion 1 takes), on the same grid against the same
+    references times the prefactor.  The reference runs at 60 digits,
+    since the bracket cancels 2 log10 x0 of them.  True when the Ci/Si
+    form is within H0_SMALL_RTOL, the table and the E5 form within
+    H0_TABLE_RTOL and the series within H0_SERIES_RTOL wherever they are
+    taken, and the oracle within its own estimate at every point."""
     from cpwall.oracle import _vacuum_grid
-    from cpwall.vacuum import _H0_E5_MIN, _H0_SERIES_MIN, AtomParams, _vacuum_parts, h0
+    from cpwall.vacuum import _H0_SERIES_MIN, _H0_TABLE_MIN, AtomParams, _vacuum_parts, h0
+    from cpwall.verify import _h0_e5
     from make_reference_values import h0 as h0_mp
 
+    bounds = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 100.0)
     grid = sorted({
         *np.geomspace(1e-3, 1e12, 481).tolist(),
         *np.linspace(1.5, 2.5, 41).tolist(),
+        *np.geomspace(2.0, 100.0, 1507).tolist(),
         *np.linspace(90.0, 110.0, 41).tolist(),
+        *(math.nextafter(b, d) for b in bounds for d in (0.0, math.inf)),
     })
     with mp.workdps(60):
         want = [float(h0_mp(mp.mpf(x))) for x in grid]
     got = [h0(x) for x in grid]
-    # branch of each point: the Ci/Si form below _H0_E5_MIN, the E5
-    # form up to and at _H0_SERIES_MIN, the series above
-    branch = [(x >= _H0_E5_MIN) + (x > _H0_SERIES_MIN) for x in grid]
+    # branch of each point: the Ci/Si form below _H0_TABLE_MIN, the
+    # table up to and at _H0_SERIES_MIN, the series above
+    branch = [(x >= _H0_TABLE_MIN) + (x > _H0_SERIES_MIN) for x in grid]
     ok = True
     for b, name, rtol in (
         (0, "h0 Ci/Si form (1e-3..2)", H0_SMALL_RTOL),
-        (1, "h0 E5 form (2..100)", H0_E5_RTOL),
+        (1, "h0 table (2..100)", H0_TABLE_RTOL),
         (2, "h0 series (100..1e12)", H0_SERIES_RTOL),
     ):
         idx = [i for i in range(len(grid)) if branch[i] == b]
         errs = [abs(got[i] - want[i]) / abs(want[i]) for i in idx]
         worst = report_scaled(name, [grid[i] for i in idx], errs)
         ok = ok and worst <= rtol
+        if b == 1:
+            errs = [abs(_h0_e5(grid[i]) - want[i]) / abs(want[i]) for i in idx]
+            worst = report_scaled("h0 E5 check form (2..100)", [grid[i] for i in idx], errs)
+            ok = ok and worst <= H0_TABLE_RTOL
 
     atom = AtomParams(k0=1.0, alpha0=1.0)
     reps = _vacuum_grid(atom, [x / 2.0 for x in grid])

@@ -11,7 +11,9 @@ tabulate the validity of every asymptotic regime against exact values.
 Root-finding uses Brent's bracketed bisection-secant hybrid on a
 5-point central finite difference of the exact series (step 1e-4
 lambda_T); no analytic derivative exists in the main path, which keeps
-the derivative route independent of the series internals.  ``_brent``
+the derivative route independent of the series internals.  Both
+searches stop at ROOT_XTOL_LAMBDA_T = 1e-12 lambda_T, so every digit
+that ``analyze`` prints of z* and of the crossover is computed.  ``_brent``
 takes the steps of the widely used C routine ``brentq`` one for one;
 the tests hold its roots and iteration counts to that routine's, bit
 for bit.  The brackets are fixed, in lambda_T units, and every value
@@ -63,7 +65,7 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 EQUILIBRIUM_BRACKET = (0.3, 0.7)
 CROSSOVER_BRACKET = (0.5, 2.0)
 FD_STEP_LAMBDA_T = 1e-4
-ROOT_XTOL_LAMBDA_T = 1e-4
+ROOT_XTOL_LAMBDA_T = 1e-12
 FIT_POINTS = 25
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon

@@ -12,10 +12,13 @@ closed form follow from it on the imaginary axis,
     g(x) + i f(x) = -E1t(ix).
 
 On the imaginary axis the |w| < 2 power series serves only
-auxiliary_f / auxiliary_g and the cross-checks: vacuum.h0 takes H0
-below x0 = 2 from the real Ci/Si series and the continued fraction's
-order 5 from 2 to 100.  On the real axis thermal._h_t_series takes
-E1t(-y), y = n theta < 40, from _e1t_power_series itself, past the
+auxiliary_f / auxiliary_g and the cross-checks.  vacuum.h0 calls no
+E1t: it takes H0 from the real Ci/Si series below x0 = 2, a frozen
+Chebyshev table from 2 to 100 and an asymptotic series above.  The
+continued fraction's order 5 at w = i x0 serves verify's criterion 12,
+which checks that table with it.  On the real axis
+thermal._h_t_series takes E1t(-y), y = n theta < 40, from
+_e1t_power_series itself, past the
 branch map's |w| = 35 switch (its terms share one sign there), and
 E1t(y) from _scaled_e1_upper.
 

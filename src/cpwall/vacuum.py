@@ -7,9 +7,9 @@ dimensionless shape function,
     H0(x) = (x^2 - 2) F(x) + 2 x G(x) - x,
 
 with F and G the auxiliary sine/cosine-integral combinations f and g
-of :mod:`cpwall.specfun`.  h0 takes them from scaled_e1's order-5
-continued fraction for 2 <= x0 <= 100 only: below x0 = 2 it writes H0
-with Ci and Si, from their real power series, and above 100 it sums an
+of :mod:`cpwall.specfun`.  h0 evaluates neither: below x0 = 2 it
+writes H0 with Ci and Si, from their real power series, from 2 to 100
+it sums a frozen Chebyshev table of x H0(x), and above 100 an
 asymptotic series.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
 (the retarded regime).
@@ -30,7 +30,7 @@ from itertools import count
 from .constants import PhysicalConstants
 from .errors import DomainError
 from .record import Record
-from .specfun import EULER_GAMMA, scaled_e1
+from .specfun import EULER_GAMMA
 
 __all__ = [
     "AtomParams",
@@ -52,12 +52,11 @@ _DEFAULT_CONSTANTS = PhysicalConstants()
 X0_NON_RETARDED_MAX = 0.1
 X0_RETARDED_MIN = 2.6 * 2.0 * math.pi
 
-# h0 takes the Ci/Si form below _H0_E5_MIN, the E5 form up to
-# _H0_SERIES_MIN and its asymptotic series above.  The E5 form needs
-# |w| >= 2 of scaled_e1's order 5; at x0 = 2 both forms are within
-# 5e-16 of mpmath.  The series would do from 50 on; it keeps the switch
-# at 100 that it had.
-_H0_E5_MIN = 2.0
+# h0 takes the Ci/Si form below _H0_TABLE_MIN, the Chebyshev table
+# _H0_TABLE up to _H0_SERIES_MIN and its asymptotic series above.  At
+# x0 = 2 and 100 each side is within 3e-16 of mpmath.  The series would
+# do from 50 on; it keeps the switch at 100 that it had.
+_H0_TABLE_MIN = 2.0
 _H0_SERIES_MIN = 100.0
 # Horner coefficients in t = x^2, highest power first, of the power
 # series (DLMF 6.6.5-6) Ci(x) - gamma - ln x = t sum_k a_k t^k and
@@ -71,6 +70,67 @@ _H0_CI_SI = tuple(
     )
     for k in range(13, -1, -1)
 )
+# Chebyshev coefficients of x H0(x) on the pieces [2, 4], [4, 8], ...,
+# [32, 64], [64, 100]: each entry (a + b, b - a, c_0, (c_n, ..., c_1))
+# of its piece [a, b], in t = (2 x - a - b) / (b - a), which is exact on
+# the doubling pieces.  Piece i holds 2^(i+1) <= x0 < 2^(i+2),
+# x0 = 100 included, so math.frexp(x0)[1] - 2 picks it.
+# BEGIN generated by scripts/make_h0_table.py -- do not edit by hand
+_H0_TABLE = (
+    (6.0, 2.0, -4.226830900772413, (  # [2, 4], 19 terms
+        -1.0557865961970781e-17, 7.826224677957438e-17, -5.788373667129463e-16,
+        4.239451800770467e-15, -3.031355454990449e-14, 2.0545220655346076e-13,
+        -1.2251055056048264e-12, 4.7592158391019476e-12, 2.4973329286916395e-11,
+        -1.0015962201734693e-09, 1.822699573510799e-08, -2.7448284471337305e-07,
+        3.776600541500288e-06, -4.8811666538131876e-05, 0.0005942444478363053,
+        -0.006726546285551225, 0.0686350417006075, -0.5905437164192293,
+    )),
+    (12.0, 4.0, -5.204837488704439, (  # [4, 8], 20 terms
+        4.520793666158619e-18, -1.9383808219763372e-17, 2.3298726233241022e-17,
+        8.783517737401229e-16, -1.5867261450381763e-14, 2.0209435668346002e-13,
+        -2.267436672422985e-12, 2.3836966932015692e-11, -2.4073875154739194e-10,
+        2.36259608000732e-09, -2.2642149640623727e-08, 2.1211473319665813e-07,
+        -1.938814599167341e-06, 1.7212888231012607e-05, -0.0001473229198138276,
+        0.0012016466315164145, -0.009173361571392773, 0.06356129473066838,
+        -0.3758173041381713,
+    )),
+    (24.0, 8.0, -5.726245518726164, (  # [8, 16], 21 terms
+        1.7148277552948185e-17, -1.356698317327286e-16, 1.0644790859597233e-15,
+        -8.289524455195663e-15, 6.409193439231157e-14, -4.919598076512136e-13,
+        3.7473623124277296e-12, -2.8304875613423605e-11, 2.1176551855296434e-10,
+        -1.5669806578228355e-09, 1.1446077724810861e-08, -8.233455487061745e-08,
+        5.814431698308795e-07, -4.015381787709349e-06, 2.6978097848980768e-05,
+        -0.0001751227104683848, 0.0010874668852343997, -0.00636215084535829,
+        0.03415427840611957, -0.15923775908237736,
+    )),
+    (48.0, 16.0, -5.921834019861202, (  # [16, 32], 22 terms
+        -1.9406110694954076e-17, 1.2823932425617116e-16, -8.437365677857591e-16,
+        5.524399480025782e-15, -3.597636755875186e-14, 2.328803495343882e-13,
+        -1.4973505663683075e-12, 9.55513450279561e-12, -6.045984493438984e-11,
+        3.7891592674829985e-10, -2.3491486349142604e-09, 1.4384989135443633e-08,
+        -8.684357222326915e-08, 5.156999960072509e-07, -3.0033772568729433e-06,
+        1.708743942240687e-05, -9.445606662571713e-05, 0.0005032175638727312,
+        -0.002550318488549383, 0.012008454041367734, -0.04990152897323013,
+    )),
+    (96.0, 32.0, -5.979606556799868, (  # [32, 64], 22 terms
+        -2.825154565267345e-17, 1.6843509700031773e-16, -1.0000710592880439e-15,
+        5.9114827190781504e-15, -3.477534673582331e-14, 2.0350604213732183e-13,
+        -1.1841579384536363e-12, 6.8475025330148255e-12, -3.9324968143972697e-11,
+        2.2412457733866656e-10, -1.266480444915509e-09, 7.087720971576088e-09,
+        -3.9228231716338625e-08, 2.1432882228608567e-07, -1.153173969337032e-06,
+        6.089494725919723e-06, -3.140719643457242e-05, 0.00015703788489114615,
+        -0.0007518806679662273, 0.0033692858225176092, -0.013435313873159108,
+    )),
+    (164.0, 36.0, -5.993621893182475, (  # [64, 100], 18 terms
+        -1.0658854733564254e-17, 9.269682642961568e-17, -8.025309204770591e-16,
+        6.913524943518084e-15, -5.922928877216374e-14, 5.04288839253307e-13,
+        -4.263500783357725e-12, 3.5755563332939265e-11, -2.9705028342705615e-10,
+        2.4404114448111067e-09, -1.9779438024735257e-08, 1.576320315521593e-07,
+        -1.2292895689544654e-06, 9.31098789547998e-06, -6.7646532349246e-05,
+        0.00046054908849330246, -0.002789259697851427,
+    )),
+)
+# END generated by scripts/make_h0_table.py
 
 
 class RegimeTag(enum.Enum):
@@ -144,16 +204,13 @@ def h0(x0: float) -> float:
       x0 and si's near x0 = 2, stay small against |H0| >= 1.78: within
       5e-16 of mpmath (measured 4.9e-16), where the E1t bracket it
       replaced lost 1.6e-15;
-    * 2 <= x0 <= 100: the bracket of F and G, g + i f = -E1t(i x0),
-      with E1t raised to E5 by the recurrence E~_n = (1 - n E~_(n+1)) / w
-      for E~_n = e^w E_n(w) (DLMF 8.19.12), so that its x0 orders cancel
-      analytically,
-
-          H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
-               - 48 Re E~5(ix) / x^3,
-
-      with E~5(ix) ~ 1/(ix) from scaled_e1(ix, 5): within 3e-16 of
-      mpmath, where the plain bracket lost up to 1.2e-12;
+    * 2 <= x0 <= 100: x H0(x) from a frozen Chebyshev series on each
+      of [2, 4], [4, 8], ..., [32, 64] and [64, 100] (_H0_TABLE, 18-22
+      coefficients from 50-digit mpmath, scripts/make_h0_table.py),
+      summed by Clenshaw's recurrence (C. W. Clenshaw, Math. Tables
+      Aids Comput. 9, 118 (1955)): about 1 us a call anywhere in the
+      range.  Verify's criterion 12 checks it against an independent
+      form, scaled_e1's order-5 continued fraction;
     * x0 > 100: the combined asymptotic series of f and g (DLMF
       6.12.3-4), whose x0 orders cancel analytically,
 
@@ -164,15 +221,15 @@ def h0(x0: float) -> float:
       term is about e^-x0, so 20 terms at most).
 
     scripts/sweep_branch_switches.py holds the three to 60-digit
-    mpmath: the Ci/Si form to 1e-15 (measured 4.9e-16), the E5 form to
-    1e-14 (measured 2.5e-16), the series to 1e-10 (measured 4e-16 up to
+    mpmath: the Ci/Si form to 1e-15 (measured 4.9e-16), the table to
+    1e-15 (measured 2.2e-16), the series to 1e-10 (measured 4e-16 up to
     x0 = 1e12).
     """
     if not (x0 > 0.0 and math.isfinite(x0 * x0)):
         raise DomainError(f"h0 needs x0 > 0 with a finite square, got {x0}")
     if x0 > _H0_SERIES_MIN:
         return _h0_series(x0)
-    if x0 < _H0_E5_MIN:
+    if x0 < _H0_TABLE_MIN:
         t = x0 * x0
         c = s = 0.0
         for a, b in _H0_CI_SI:
@@ -184,12 +241,20 @@ def h0(x0: float) -> float:
         p = (t - 2.0) * sin_x + 2.0 * x0 * cos_x
         q = (t - 2.0) * cos_x - 2.0 * x0 * sin_x
         return ci * p - si * q - x0
-    e5 = scaled_e1(1j * x0, 5)
-    inv_x = 1.0 / x0
-    inv_x2 = inv_x * inv_x
-    return -6.0 * inv_x + inv_x * inv_x2 * (
-        16.0 - 24.0 * (x0 * x0 - 2.0) * inv_x * e5.imag - 48.0 * e5.real
-    )
+    return _h0_table(x0, math.frexp(x0)[1] - 2)
+
+
+def _h0_table(x: float, piece: int) -> float:
+    """H0 on 2 <= x <= 100 from the Chebyshev series of x H0(x) on
+    _H0_TABLE[piece], summed by Clenshaw's recurrence
+    b_k = c_k + 2 t b_(k+1) - b_(k+2), x H0 = c_0 + t b_1 - b_2."""
+    ab_sum, ab_width, c0, coefs = _H0_TABLE[piece]
+    t = (x + x - ab_sum) / ab_width
+    t2 = t + t
+    b1 = b2 = 0.0
+    for c in coefs:
+        b1, b2 = c + t2 * b1 - b2, b1
+    return (c0 + (t * b1 - b2)) / x
 
 
 def _h0_series(x: float) -> float:

@@ -33,7 +33,7 @@ from .oracle import (
     thermal_quadrature,
 )
 from .record import Record
-from .specfun import _zeta_even_unchecked
+from .specfun import _zeta_even_unchecked, scaled_e1
 from .thermal import (
     C_SHORT,
     CURV_SHORT,
@@ -212,13 +212,39 @@ def _crit_lambda_anchor(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]
     return 7.55 <= lam <= 7.70, f"lambda_T = {lam:.6f} um"
 
 
+def _h0_e5(x0: float) -> float:
+    """H0 on 2 <= x0 <= 100 from the bracket of F and G, g + i f =
+    -E1t(i x0), raised to E5 by the recurrence E~_n = (1 - n E~_(n+1)) / w
+    for E~_n = e^w E_n(w) (DLMF 8.19.12), so that its x0 orders cancel
+    analytically,
+
+        H0 = -6/x + 16/x^3 - 24 (x^2 - 2) Im E~5(ix) / x^4
+             - 48 Re E~5(ix) / x^3,
+
+    with E~5(ix) ~ 1/(ix) from scaled_e1's continued fraction: within
+    4.2e-16 of mpmath, and independent of h0's Chebyshev table, which it
+    checks."""
+    e5 = scaled_e1(1j * x0, 5)
+    inv_x = 1.0 / x0
+    inv_x2 = inv_x * inv_x
+    return -6.0 * inv_x + inv_x * inv_x2 * (
+        16.0 - 24.0 * (x0 * x0 - 2.0) * inv_x * e5.imag - 48.0 * e5.real
+    )
+
+
+# h0's table against the E5 form: the inner piece boundaries (where h0
+# takes the upper piece) and one point inside each piece
+_H0_TABLE_CHECKS = (3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 82.0)
+
+
 def _crit_identities(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:
     # zeta(2) and zeta(4) as the H_T coefficients read them; the n = 3
     # Bose moment on the oracle's panels and in closed form; h0 across
-    # its switches, relative: the Ci/Si form just below 2 against the E5
-    # form at 2, the E5 form at 100 against the series just above.  Each
-    # side is within 4e-16 of 60-digit mpmath there and H0 moves by about
-    # 1e-16 of itself in one ulp of x0, so 2e-15 is twice what they add to
+    # its switches, relative: the Ci/Si form just below 2 against the
+    # table at 2, the table at 100 against the series just above; h0's
+    # table against the E5 form inside (2, 100).  Each side is within
+    # 5e-16 of 60-digit mpmath there and H0 moves by about 1e-16 of
+    # itself in one ulp of x0, so 2e-15 is twice what they add to
     bose3 = math.pi**4 / 15.0
     h_2, h_100 = h0(2.0), h0(100.0)
     checks = [
@@ -229,6 +255,9 @@ def _crit_identities(quick: bool, cst: PhysicalConstants) -> tuple[bool, str]:
         ("h0 switch 2", abs(h0(math.nextafter(2.0, 0.0)) - h_2) / abs(h_2), 2e-15),
         ("h0 switch 100", abs(h0(math.nextafter(100.0, 200.0)) - h_100) / abs(h_100), 2e-15),
     ]
+    for x0 in _H0_TABLE_CHECKS:
+        e5 = _h0_e5(x0)
+        checks.append((f"h0 table {x0:g}", abs(h0(x0) - e5) / abs(e5), 2e-15))
     failed = [name for name, err, tol in checks if not err < tol]
     worst = max(err / tol for _, err, tol in checks)
     measured = f"{len(checks)} identities, worst error/tolerance {worst:.2e}"

@@ -202,7 +202,7 @@ class TestCriterion12:
         show(result)
         assert result.passed
         assert "failed" not in result.measured
-        assert result.measured.startswith("6 identities")
+        assert result.measured.startswith("17 identities")
         assert measured_float(result, r"worst error/tolerance ([0-9.e+-]+)") < 1.0
 
     def test_h0_switches_are_checked(self, monkeypatch):

@@ -47,11 +47,12 @@ class TestEquilibrium:
         assert eq.iterations > 0
 
     def test_landmark_locks(self):
-        # measured once against the exact series with xtol 1e-4
+        # the 6 decimals analyze prints, all computed since xtol is
+        # 1e-12 lambda_T
         for theta, z_star in ((30.0, 0.520973), (100.0, 0.524861), (300.0, 0.525197)):
             atom, env = make_pair(theta)
             eq = find_thermal_equilibrium(atom, env, CST)
-            assert abs(eq.z_star_over_lambdaT - z_star) < 5e-4
+            assert abs(eq.z_star_over_lambdaT - z_star) < 5e-7
 
     def test_theta_insensitivity(self):
         atom1, env1 = make_pair(100.0)
@@ -131,9 +132,9 @@ class TestCrossover:
 # constants.  Roots and iteration counts as scipy.optimize.brentq gave
 # them on the same functions, brackets and xtol.
 _FROZEN_ROOTS = {
-    30.0: (0.5209945497370133, 8, 7.266651306190122),
-    100.0: (0.5248382848485118, 8, 7.27992784168916),
-    300.0: (0.5251755868981776, 8, 7.281098538424238),
+    30.0: (0.5209733937320582, 10, 7.266648149356837),
+    100.0: (0.5248606345394462, 11, 7.27992426427817),
+    300.0: (0.5251973452421157, 10, 7.281094921446291),
 }
 
 

@@ -732,7 +732,7 @@ class TestImportFootprint:
     def test_analyze_runs_without_scipy(self):
         proc = _run_without_scipy(("analyze",))
         assert proc.returncode == 0, proc.stderr
-        assert "8 iterations" in proc.stdout
+        assert "11 iterations" in proc.stdout
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
     def test_eval_loads_neither_numpy_nor_scipy(self, fmt):

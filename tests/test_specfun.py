@@ -288,10 +288,10 @@ def test_scaled_e1_angular_switch_consistency():
 
 def test_orders_obey_the_recurrence():
     # e^w E_p(w) of successive orders: p E~_(p+1) = 1 - w E~_p (DLMF
-    # 8.19.12); h0 takes order 5 on the imaginary axis.  The right side
-    # cancels to p/w, so the check holds to 1e-13 rather than 1e-15.  The
-    # last two points sit on the sector's edge, where the fraction is
-    # deepest
+    # 8.19.12); verify's check of h0 takes order 5 on the imaginary
+    # axis.  The right side cancels to p/w, so the check holds to 1e-13
+    # rather than 1e-15.  The last two points sit on the sector's edge,
+    # where the fraction is deepest
     edge = (cmath.rect(4.4, 0.75 * math.pi), cmath.rect(2.0, -0.75 * math.pi))
     for w in (2.5j, 10j, 40j, 3 + 4j, 20 - 5j, 2.0, -3 + 3.2j, *edge):
         for p in (0.5, 1, 2, 3, 4):

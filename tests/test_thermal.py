@@ -78,7 +78,7 @@ class TestFrozenReferences:
 
 # frozen points of the two routes: the Lifshitz sum (z >= lambda_T / 8)
 # and the H_T form (0.01); at theta = 10 and 20 the Lifshitz sum takes
-# h0's E5 form (x0 2.5-60)
+# h0's Chebyshev table (x0 2.5-60)
 LOW_THETA_POINTS = [
     (theta, zr) for theta in (10.0, 20.0) for zr in (0.01, 0.125, 0.5, 3.0)
 ]

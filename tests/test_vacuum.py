@@ -14,6 +14,7 @@ from cpwall.vacuum import (
     AtomParams,
     RegimeTag,
     X0_RETARDED_MIN,
+    _h0_table,
     classify_regime,
     h0,
     nonretarded_asymptote,
@@ -26,14 +27,18 @@ from _reference_values import REFERENCE
 # Optical transition at room temperature: lambda0 ~ 0.48 um.
 ATOM = AtomParams(k0=13.101, alpha0=3.0e-8)
 
+# the frozen h0 keys by x0; below 1e3: the Ci/Si form, the Chebyshev
+# table (each piece boundary, one ulp either side of it, and a point
+# inside each piece) and the series just above 100
+_H0_KEYS = {float(k[3:]): k for k in REFERENCE if k.startswith("h0_")}
+
 
 class TestH0:
-    @pytest.mark.parametrize("x0", [0.05, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("x0", sorted(x for x in _H0_KEYS if x < 1e3))
     def test_frozen_reference(self, x0: float) -> None:
-        # the Ci/Si form below x0 = 2, the E5 form at 10 and 100 (an E1t
-        # bracket lost 3.1e-15 and 5.2e-13 there); both are measured
-        # within 5e-16
-        ref = REFERENCE[f"h0_{x0:g}"]
+        # an E1t bracket lost 3.1e-15 and 5.2e-13 at 10 and 100; each
+        # branch is measured within 5e-16
+        ref = REFERENCE[_H0_KEYS[x0]]
         assert abs(h0(x0) - ref) <= 1e-15 * abs(ref)
 
     @pytest.mark.parametrize("label", ["1e3", "1e4", "1e6", "1e9"])
@@ -42,9 +47,18 @@ class TestH0:
         # the wrong sign at 1e9); the asymptotic series keeps 1e-15
         assert h0(float(label)) == pytest.approx(REFERENCE[f"h0_{label}"], rel=1e-15, abs=0)
 
+    def test_table_pieces_meet(self) -> None:
+        # at each inner boundary 2^(i+2) the series of piece i at t = 1
+        # and of piece i + 1 at t = -1; h0 takes the upper one
+        for i in range(5):
+            x = 2.0 ** (i + 2)
+            below, above = _h0_table(x, i), _h0_table(x, i + 1)
+            assert above == h0(x)
+            assert abs(below - above) <= 5e-16 * abs(above)
+
     def test_branches_meet_at_switch(self) -> None:
-        # the Ci/Si form below x0 = 2, the E5 form from 2 to 100 and the
-        # asymptotic series above; measured 3.7e-16 and 1.2e-16 apart
+        # the Ci/Si form below x0 = 2, the Chebyshev table from 2 to 100
+        # and the asymptotic series above
         for below, above in (
             (math.nextafter(2.0, 0.0), 2.0),
             (100.0, math.nextafter(100.0, math.inf)),
