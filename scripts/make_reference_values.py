@@ -162,17 +162,6 @@ def main() -> None:
         val = scaled_e1(w)
         ref[f"scaled_e1_{w}"] = complex(val)
 
-    # Hurwitz zeta: shifted (Re z < 10), unshifted and high-order cases
-    for z in (5 - 0.6j, 21 - 3j):
-        for s in range(2, 11):
-            ref[f"hurwitz_{s}_{z}"] = complex(mp.zeta(s, mp.mpc(z)))
-    ref[f"hurwitz_45_{1 - 2j}"] = complex(mp.zeta(45, mp.mpc(1, -2)))
-
-    ref["psi1_1-2j"] = complex(mp.psi(1, mp.mpc(1, -2)))
-    ref["psi5_0.5-4j"] = complex(mp.psi(5, mp.mpc(0.5, -4)))
-    ref["psi0_1-0.5j"] = complex(mp.psi(0, mp.mpc(1, -0.5)))
-    ref["psi4_-20j"] = complex(mp.psi(4, mp.mpc(0, -20)))
-
     for eta in (0.01, 0.1, 1.0, 10.0):
         ref[f"bose_p_{eta:g}"] = float(bose_p(eta))
     ref["zeta_40_minus_1"] = float(mp.zeta(40) - 1)

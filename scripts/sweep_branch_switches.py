@@ -34,8 +34,7 @@ oracle's kernel u^3 G(u) (oracle._u3g, u = 1e-4-0.5 across its 0.1
 switch) is off by more than 1e-13, when auxiliary_f or auxiliary_g
 (x = 0.01-200) is off by more than 3e-15, scaled_e1 of order 1 (across
 its switches |w| = 2, |w| = 35 and |arg w| = 3pi/4, and on the box
-|Re w|, |Im w| <= 60) by more than 1e-12, the Hurwitz pass
-_hurwitz_range (s = 2-161) by more than 3e-13 or bose_sum_p (eta =
+|Re w|, |Im w| <= 60) by more than 1e-12 or bose_sum_p (eta =
 0.02-50) by more than 1e-15, when scaled_e1 of any order on its
 continued fraction's sector (p = 0.5-1000, |w| = 2-300,
 |arg w| <= 3pi/4) is off by more than 1e-14, when h0's Ci/Si form, its
@@ -185,33 +184,6 @@ def sweep_orders() -> bool:
         errs = [abs(g - w) / abs(w) for g, w in zip(got, want)]
         ok = report_scaled(f"scaled_e1 order {p} (sector)", pts, errs) <= ORDERS_RTOL and ok
     return ok
-
-
-HURWITZ_RTOL = 3e-13
-
-
-def sweep_hurwitz() -> bool:
-    """The Hurwitz pass _hurwitz_range against mpmath: s = 2-12 on a
-    random box (worst 1.6e-13), and s = 41-161 where the shift grows
-    with s.  True when both are within HURWITZ_RTOL."""
-    rng = np.random.default_rng(7)
-    pts = []
-    for _ in range(120):
-        s = int(rng.integers(2, 13))
-        z = complex(rng.uniform(-8, 12), rng.uniform(-12, 12))
-        if abs(z.imag) < 0.05:
-            z += 0.3j
-        pts.append((s, z))
-    got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts]
-    want = [complex(mp.zeta(s, z)) for s, z in pts]
-    worst = report("_hurwitz_range (s 2..12, box)", pts, got, want)
-
-    # high orders, the shift grows with s (Re a ~ 38 at s = 161)
-    pts2 = [(s, 1.0 - 1j / eta) for s in (41, 81, 161) for eta in (0.05, 0.5, 5.0)]
-    got = [sf._hurwitz_range(s, s, z)[0] for s, z in pts2]
-    want = [complex(mp.zeta(s, z)) for s, z in pts2]
-    worst = max(worst, report("_hurwitz_range (s in 41..161)", pts2, got, want))
-    return worst <= HURWITZ_RTOL
 
 
 BOSE_RTOL = 1e-15
@@ -493,7 +465,6 @@ if __name__ == "__main__":
     ok = sweep_kernel()
     ok = sweep_aux() and ok
     ok = sweep_e1t() and ok
-    ok = sweep_hurwitz() and ok
     ok = sweep_bose() and ok
     ok = sweep_orders() and ok
     ok = sweep_h0() and ok

@@ -244,13 +244,20 @@ def _eval_payload(args: argparse.Namespace, cst: PhysicalConstants) -> dict:
     x0 = 2.0 * atom.k0 * args.z
     tag = classify_regime(x0).value
     if env is not None:
-        recommended = recommended_approximation(args.z / env.lambda_T)
+        zr = args.z / env.lambda_T
+        recommended = recommended_approximation(zr)
+        notes = (
+            f"x0 = {x0:.6g} ({tag}); z/lambda_T = {zr:.6g}; thermal part "
+            f"{'repulsive' if breakdown.thermal > 0 else 'attractive'}; "
+            f"auto mode: {recommended}"
+        )
     else:
         recommended = {
             "non_retarded": "nonretarded_asymptote",
             "crossover": "exact_closed_form",
             "retarded": "retarded_asymptote",
         }[tag]
+        notes = f"x0 = {x0:.6g} ({tag}); zero-temperature field, thermal term absent"
 
     si = args.units == "si"
     e_scale = EV_TO_J if si else 1.0
@@ -282,7 +289,7 @@ def _eval_payload(args: argparse.Namespace, cst: PhysicalConstants) -> dict:
         },
         "recommended_approximation": recommended,
         "preset_label": preset_label,
-        "notes": breakdown.notes,
+        "notes": notes,
     }
     return payload
 

@@ -12,15 +12,14 @@ closed form follow from it on the imaginary axis,
     g(x) + i f(x) = -E1t(ix).
 
 On the imaginary axis the |w| < 2 power series serves only
-auxiliary_f / auxiliary_g and the cross-checks.  vacuum.h0 calls no
-E1t: it takes H0 from the real Ci/Si series below x0 = 2, a frozen
-Chebyshev table from 2 to 100 and an asymptotic series above.  The
-continued fraction's order 5 at w = i x0 serves verify's criterion 12,
-which checks that table with it.  On the real axis
-thermal._h_t_series takes E1t(-y), y = n theta < 40, from
-_e1t_power_series itself, past the
-branch map's |w| = 35 switch (its terms share one sign there), and
-E1t(y) from _scaled_e1_upper.
+auxiliary_f / auxiliary_g.  vacuum.h0 calls no E1t: it takes H0 from
+the real Ci/Si series below x0 = 2, a frozen Chebyshev table from 2 to
+100 and an asymptotic series above.  The continued fraction's order 5
+at w = i x0 serves verify's criterion 12, which checks that table with
+it.  On the real axis thermal.thermal_series_terms takes E1t(-y),
+y = n theta < 40, from _e1t_power_series itself, past the branch map's
+|w| = 35 switch (its terms share one sign there), and E1t(y) from
+_scaled_e1_upper.
 
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
@@ -40,8 +39,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import accumulate
-from operator import mul
 
 from .errors import ConvergenceError, DomainError
 
@@ -178,90 +175,6 @@ _ZETA_EVEN = (
 def _zeta_even_unchecked(m: int) -> float:
     # zeta(2m) for an integer m >= 1, unchecked: the table's only reader
     return _ZETA_EVEN[m - 1] if m <= len(_ZETA_EVEN) else 1.0
-
-
-# ----------------------------------------------------------------------
-# Hurwitz zeta and digamma
-
-# B_2, B_4, ..., B_24; each quotient rounds once to the nearest double
-_BERN_ASYM_F = [1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6,
-                -3617 / 510, 43867 / 798, -174611 / 330, 854513 / 138,
-                -236364091 / 2730]
-# B_2j / (2j)!, j = 1..12, for the Euler-Maclaurin tail
-_EM_COEF = tuple(
-    b / f
-    for b, f in zip(
-        _BERN_ASYM_F,
-        accumulate(((2 * j + 1) * (2 * j + 2) for j in range(1, 12)), mul, initial=2.0),
-    )
-)
-
-
-def _hurwitz_range(s_lo: int, s_hi: int, z: complex) -> list[complex]:
-    """[zeta(s, z) for s = s_lo..s_hi], integers 2 <= s_lo <= s_hi, Re z > 0.
-
-    One pass shifts z rightwards, far enough for s_hi (for s_hi <= 24
-    that is the shift each s needs alone; at s_hi = 161 it is Re a ~ 38),
-    with one reciprocal 1/(z+n) per step and its powers by
-    multiplication, so no step overflows for huge |z|; then the
-    Euler-Maclaurin tail at a = z + shift for each s (DLMF 25.11.5 in
-    descending powers of a), up to its first term below 1e-17 of the
-    tail or 12 terms.
-    """
-    if not 2 <= s_lo <= s_hi:
-        raise DomainError(f"_hurwitz needs integers 2 <= s_lo <= s_hi, got {s_lo}..{s_hi}")
-    if z.real <= 0.0 and abs(z.imag) < 1e-12:
-        raise DomainError(f"_hurwitz pole-adjacent argument z = {z}")
-    n_asym = len(_EM_COEF)
-    target = max(10.0, (s_hi + 2 * n_asym) / (2.0 * math.pi) * 1.3)
-    shift = max(0, int(math.ceil(target - z.real)))
-    out = [0.0 + 0.0j] * (s_hi - s_lo + 1)
-    for n in range(shift):
-        r = 1.0 / (z + n)
-        p = r**s_lo
-        for i in range(len(out)):
-            out[i] += p
-            p *= r
-    ainv = 1.0 / (z + shift)
-    ainv2 = ainv * ainv
-    ainv2_abs = abs(ainv2)
-    lead = ainv ** (s_lo - 1)           # a^{1-s}
-    for i, s in enumerate(range(s_lo, s_hi + 1)):
-        apow = lead * ainv              # a^{-s}
-        tail = lead / (s - 1) + 0.5 * apow
-        tiny = 1e-17 * abs(tail)
-        # sum_j B_2j/(2j)! (s)_{2j-1} a^{-s-2j+1}, up to the first term
-        # below tiny (its size from |a^{-s-2j+1}| kept as a float)
-        poch = float(s)                 # (s)_1
-        apow *= ainv
-        size = abs(apow)
-        for j, coef in enumerate(_EM_COEF, 1):
-            c = coef * poch
-            tail += c * apow
-            if abs(c) * size <= tiny:
-                break
-            poch *= (s + 2 * j - 1) * (s + 2 * j)
-            apow *= ainv2
-            size *= ainv2_abs
-        out[i] += tail
-        lead *= ainv
-    return out
-
-
-def _digamma(z: complex) -> complex:
-    # shift to |z| >= 12 then ln z - 1/(2z) - sum B_2k/(2k z^{2k})
-    head = 0.0 + 0.0j
-    while z.real < 12.0:
-        head -= 1.0 / z
-        z += 1.0
-    zinv = 1.0 / z
-    zinv2 = zinv * zinv
-    s = cmath.log(z) - 0.5 * zinv
-    zp = zinv2
-    for k in range(1, 9):
-        s -= _BERN_ASYM_F[k - 1] / (2 * k) * zp
-        zp *= zinv2
-    return head + s
 
 
 # ----------------------------------------------------------------------

@@ -9,30 +9,20 @@ thermal photons,
 with eta = lambda_T / 2z, x0 = 2 k0 z, and theta = eta x0 = k0 lambda_T
 the single dimensionless temperature parameter (theta >= 10 is required
 for the two-level description; we refuse smaller values rather than
-extrapolate).  K0 and K1 are imaginary/real parts of two series of
-scaled exponential integrals,
-
-    J0+ = sum_m E1t(m theta - i x0),
-    J0- = i pi e^{i x0} / (e^theta - 1) + sum_m E1t(-(m theta - i x0)),
-    K0  = Im(J0+ - J0-),    K1 = -x0 Re(J0+ + J0-),
-
-where E1t is ``specfun.scaled_e1``.  The individual sums diverge
-logarithmically in their real parts; only the displayed combinations
-converge, and they need only the pairs D_m = E1t(w_m) - E1t(-w_m) and
-S_m = E1t(w_m) + E1t(-w_m), w_m = m theta - i x0.
-``thermal_series_terms`` sums a finite head of pairs up to
-m theta ~ 240 and closes both series with asymptotic tails built from
-Hurwitz zeta / digamma values of argument M + 1 - i/eta.  It is an
-independent cross-check of the two routes below, not a route itself,
-and no command reaches it.
+extrapolate).  K0 and K1 are the paper's series of scaled exponential
+integrals and P(eta) = sum_m 1/(1 + m^2 eta^2); the package sums none of
+them.  Their 50-digit sum (``scripts/make_reference_values.py``, frozen
+in the tests' reference values) and the thermal oracle check the two
+routes below.
 
 ``thermal_potential_exact`` evaluates W by one of two routes, picked
 by eta alone:
 
 * for z < lambda_T / 8 (eta > 4, x0 < theta / 4), the exact H_T form
   (``_h_t``), one power series theta^4 h_T = sum_m c_m (-1/eta^2)^(m-2)
-  whose c_m are built once per theta from zeta tails and, where
-  n theta < 40, F(y) = -[Re E1t(-y) + E1t(y)] / 2; c_2 gives C(T);
+  whose c_m ``thermal_series_terms`` builds once per theta from zeta
+  tails and, where n theta < 40, F(y) = -[Re E1t(-y) + E1t(y)] / 2;
+  c_2 gives C(T);
 * for z >= lambda_T / 8 (eta <= 4), the Lifshitz (Matsubara) sum plus
   the resonant term (``_w_lifshitz``),
 
@@ -76,16 +66,8 @@ from typing import Iterator
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .record import Record
-from .specfun import (
-    _digamma,
-    _e1t_power_series,
-    _hurwitz_range,
-    _scaled_e1_upper,
-    _zeta_even_unchecked,
-    bose_sum_p,
-    scaled_e1,
-)
-from .vacuum import AtomParams, _vacuum_parts, _z_power, classify_regime, h0
+from .specfun import _e1t_power_series, _scaled_e1_upper, _zeta_even_unchecked
+from .vacuum import AtomParams, _vacuum_parts, _z_power, h0
 
 __all__ = [
     "PotentialBreakdown",
@@ -105,15 +87,13 @@ __all__ = [
 _DEFAULT_CONSTANTS = PhysicalConstants()
 
 THETA_MIN = 10.0
+# what the routes refuse: theta below THETA_MIN by more than rounding
+_THETA_GATE = THETA_MIN * (1.0 - 1e-12)
 
 # Leading short-distance coefficients: C(T) = (2 pi^3 / 45) hbar c
 # alpha0 / lambda_T^4 and curvature (2 pi)^5 / 315.
 C_SHORT = 2.0 * math.pi**3 / 45.0
 CURV_SHORT = (2.0 * math.pi) ** 5 / 315.0
-
-# Head length: m-terms up to m*theta >= this are summed explicitly,
-# the rest goes into the zeta/digamma tails.
-_HEAD_SCALE = 240.0
 
 # Route split: the H_T form for eta > _SHORT_ETA (z < lambda_T / 8), the
 # Lifshitz sum plus the resonant term below.  Both sums, and the
@@ -121,8 +101,8 @@ _HEAD_SCALE = 240.0
 # stopped after _TERM_CAP terms.
 _SHORT_ETA = 4.0
 _TERM_CAP = 40
-# _h_t_series takes F(n theta) from E1t below n theta = _NEAR_Y, from
-# the zeta tails from there on
+# thermal_series_terms takes F(n theta) from E1t below n theta = _NEAR_Y,
+# from the zeta tails from there on
 _NEAR_Y = 40.0
 # Veltkamp's splitter 2^27 + 1, which cuts a double into two halves of
 # at most 26 significant bits each
@@ -177,35 +157,24 @@ def _reference_pair(
 
 
 class ThermalSeriesTerms(Record):
-    """Assembled pieces of the exact thermal series at one (eta, x0).
+    """The H_T form's series at one theta: coefficients holds
+    (-1)^m c_m for m = 2.._TERM_CAP (see _h_t), terms_used the number of
+    near n, n theta < 40, whose F came from E1t (three at most from
+    theta = 10 on, none from theta = 40 on)."""
 
-    k0_val = Im(J0+ - J0-) and k1_val = -x0 Re(J0+ + J0-); tail_bound
-    bounds the error of the W bracket that the truncated asymptotic
-    tails leave (superasymptotically small for theta >= 10).  It covers
-    neither the rounding of the E1t pairs nor the cancellation of the
-    bracket's three terms.
-    """
-
-    __slots__ = ("k0_val", "k1_val", "p_val", "terms_used", "tail_bound")
+    __slots__ = ("coefficients", "terms_used")
 
     def _check(self) -> None:
-        isfinite = math.isfinite
-        if not isfinite(self.k0_val):
-            raise ConvergenceError("non-finite k0_val in ThermalSeriesTerms")
-        if not isfinite(self.k1_val):
-            raise ConvergenceError("non-finite k1_val in ThermalSeriesTerms")
-        if not isfinite(self.p_val):
-            raise ConvergenceError("non-finite p_val in ThermalSeriesTerms")
-        tail_bound = self.tail_bound
-        if not isfinite(tail_bound):
-            raise ConvergenceError("non-finite tail_bound in ThermalSeriesTerms")
-        if tail_bound < 0.0:
-            raise DomainError(f"tail_bound must be >= 0, got {tail_bound}")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise ConvergenceError("non-finite coefficient in ThermalSeriesTerms")
 
 
 class PotentialBreakdown(Record):
     """Total interaction split into vacuum and thermal parts (eV); the
-    total is the exact float sum of the parts."""
+    total is the exact float sum of the parts.  notes is free text, which
+    total_potential leaves empty (``eval`` builds the notes it prints);
+    the field stays because the benchmark's tests build breakdowns with
+    it."""
 
     __slots__ = ("vacuum", "thermal", "total", "notes")
 
@@ -223,91 +192,11 @@ def _check_pair(eta: float, x0: float) -> float:
     if not math.isfinite(x0 * x0):
         raise DomainError(f"x0 = {x0} too large: x0^2 overflows")
     theta = eta * x0
-    if theta < THETA_MIN * (1.0 - 1e-12):
+    if theta < _THETA_GATE:
         raise DomainError(
             f"theta = eta*x0 = {theta} below the applicability gate {THETA_MIN}"
         )
     return theta
-
-
-def thermal_series_terms(eta: float, x0: float) -> ThermalSeriesTerms:
-    """Exact-series building blocks of W at one geometry point: the
-    independent cross-check of thermal_potential_exact's two routes,
-    which takes neither of them from here; no command calls it.
-
-    Sums the pairs of scaled exponential integrals for m theta up to
-    ~240, each pair from E1t(w) and E1t(-w), and closes the remainder
-    with digamma / Hurwitz-zeta asymptotic tails of the same paired
-    combinations (the pairing decays like 1/m^2; the unpaired real parts
-    diverge and never appear alone).  tail_bound covers those tails
-    alone.
-    """
-    theta = _check_pair(eta, x0)
-    n_head = max(4, int(math.ceil(_HEAD_SCALE / theta)))
-
-    # D_m = E1t(w_m) - E1t(-w_m) and S_m = E1t(w_m) + E1t(-w_m): K0
-    # needs only Im D, K1 only Re S
-    d_im = s_re = 0.0
-    for m in range(1, n_head + 1):
-        w = complex(m * theta, -x0)
-        ep = scaled_e1(w)
-        em = scaled_e1(-w)
-        d_im += ep.imag - em.imag
-        s_re += ep.real + em.real
-
-    # Tails over m > n_head from the same paired expansions:
-    #   D ~ 2/w + 4/w^3 + 48/w^5 + 1440/w^7
-    #   S ~ -2/w^2 - 12/w^4 - 240/w^6 - 10080/w^8
-    # with sum_{m>M} w_m^{-s} = zeta(s, M+1-i/eta)/theta^s and the s=1
-    # imaginary part via the digamma function.  All nine zeta values
-    # come from one Hurwitz pass (one shift, one Euler-Maclaurin tail).
-    zc = complex(n_head + 1, -1.0 / eta)
-    psi = _digamma(zc)
-    z2, z3, z4, z5, z6, z7, z8, z9, z10 = _hurwitz_range(2, 10, zc)
-    imtail = (
-        -2.0 * psi.imag / theta
-        + 4.0 * z3.imag / theta**3
-        + 48.0 * z5.imag / theta**5
-        + 1440.0 * z7.imag / theta**7
-    )
-    retail = (
-        -2.0 * z2.real / theta**2
-        - 12.0 * z4.real / theta**4
-        - 240.0 * z6.real / theta**6
-        - 10080.0 * z8.real / theta**8
-    )
-    # First omitted orders bound the truncation (the expansion parameter
-    # is 1/(m theta)^2 <= 1/240^2, so the remainders are dominated by
-    # their leading terms; 1.5 covers the geometric excess).
-    tb_diff = 2.0 * math.factorial(8) * abs(z9) / theta**9
-    tb_sum = 2.0 * math.factorial(9) * abs(z10) / theta**10
-    tail_bound = 1.5 * (abs(x0 * x0 - 2.0) * tb_diff + 2.0 * x0 * tb_sum)
-
-    # Pole term of J0-: i pi e^{i x0} / (e^theta - 1), Bose factor in
-    # decaying-exponential form.
-    bose = math.exp(-theta) / (1.0 - math.exp(-theta))
-    pole_re = -math.pi * math.sin(x0) * bose
-    pole_im = math.pi * math.cos(x0) * bose
-
-    # K0 = Im(J0+ - J0-) and K1 = -x0 Re(J0+ + J0-): the tails' halves
-    # in J0+ and J0- add up, the pole term is J0-'s alone.  Passed by
-    # position, the record's fast path: k0_val, k1_val, p_val,
-    # terms_used, tail_bound.
-    return ThermalSeriesTerms(
-        d_im + imtail - pole_im,
-        -x0 * (s_re + retail + pole_re),
-        bose_sum_p(eta),
-        n_head,
-        tail_bound,
-    )
-
-
-def _w_bracket(terms: ThermalSeriesTerms, x0: float) -> float:
-    return (
-        (x0 * x0 - 2.0) * terms.k0_val
-        + 2.0 * terms.k1_val
-        - 2.0 * x0 * terms.p_val
-    )
 
 
 def _coth_terms(eta: float, x0: float) -> Iterator[float]:
@@ -443,8 +332,16 @@ _H_T_GUARDS = tuple(
 
 
 @lru_cache(maxsize=64)
-def _h_t_series(theta: float) -> tuple[float, ...]:
-    """_h_t's coefficients (-1)^m c_m for m = 2.._TERM_CAP."""
+def thermal_series_terms(theta: float) -> ThermalSeriesTerms:
+    """The H_T form's series at theta, built once per theta: _h_t's
+    coefficients (-1)^m c_m for m = 2.._TERM_CAP and the number of near
+    terms taken from E1t.  Raises DomainError for a non-finite theta or
+    one below the gate THETA_MIN (1 - 1e-12)."""
+    if not (math.isfinite(theta) and theta >= _THETA_GATE):
+        raise DomainError(
+            f"theta = {theta} must be finite and not below the applicability "
+            f"gate {THETA_MIN}"
+        )
     theta2 = theta * theta
     # J_2's near part: F(n theta) minus its head term, from E1t; E1t(-y)
     # from its power series, whose terms share one sign here: past
@@ -478,7 +375,8 @@ def _h_t_series(theta: float) -> tuple[float, ...]:
     for i in reversed(range(cut)):
         far = tails[i] + (2 * i + 4) * (2 * i + 5) / theta2 * far
         js[i] += far
-    return tuple(map(mul, _H_T_FACTORS, js))
+    # by position (coefficients, terms_used), the record's fast path
+    return ThermalSeriesTerms(tuple(map(mul, _H_T_FACTORS, js)), len(inv_n2))
 
 
 def _h_t(eta: float, theta: float) -> float:
@@ -500,10 +398,10 @@ def _h_t(eta: float, theta: float) -> float:
 
         theta^4 h_T = sum_{m>=2} c_m (-u^2)^(m-2),  c_m = 2 (m-1)(2m-3) J_m.
 
-    _h_t_series builds the c_m once per theta, and so once per curve,
-    whose rows all pass the environment's theta (eta * x0 would take
-    two values an ulp apart along it).  J_m's near part, from
-    the n with n theta < 40 (at most three), takes F from E1t and sheds
+    thermal_series_terms builds the c_m once per theta, and so once per
+    curve, whose rows all pass the environment's theta (eta * x0 would
+    take two values an ulp apart along it).  J_m's near part, from the
+    n with n theta < 40 (its terms_used), takes F from E1t and sheds
     one head term per step, J_(m+1) = (J_m - sum_n n^(-2m)) theta^2 /
     (2m (2m+1)).  Its far part, from n >= n0, sums the zeta tails
     tail_j = zeta(2j) - sum_{k<n0} k^(-2j) backward, Jfar_m = tail_m +
@@ -520,7 +418,7 @@ def _h_t(eta: float, theta: float) -> float:
     _check_pair(eta, theta / eta)
     u2 = 1.0 / (eta * eta)
     total, weight = 0.0, 1.0  # weight: u^(2m-4)
-    for coef, guard in zip(_h_t_series(theta), _H_T_GUARDS):
+    for coef, guard in zip(thermal_series_terms(theta).coefficients, _H_T_GUARDS):
         total += coef * weight
         if guard * weight <= 1e-17 * abs(total):
             return total
@@ -698,17 +596,8 @@ def total_potential(
     """
     pref, h = _vacuum_parts(atom, z, constants)
     vac = pref * h
-    x0 = 2.0 * atom.k0 * z
-    tag = classify_regime(x0).value
     if env is None:
-        notes = f"x0 = {x0:.6g} ({tag}); zero-temperature field, thermal term absent"
-        return PotentialBreakdown(vac, 0.0, vac + 0.0, notes)
+        return PotentialBreakdown(vac, 0.0, vac + 0.0, "")
     th = _thermal_exact(atom, env, z, constants, h)
-    zr = z / env.lambda_T
-    notes = (
-        f"x0 = {x0:.6g} ({tag}); z/lambda_T = {zr:.6g}; "
-        f"thermal part {'repulsive' if th > 0 else 'attractive'}; "
-        f"auto mode: {recommended_approximation(zr)}"
-    )
     # by position (vacuum, thermal, total, notes), the record's fast path
-    return PotentialBreakdown(vac, th, vac + th, notes)
+    return PotentialBreakdown(vac, th, vac + th, "")

@@ -103,6 +103,34 @@ class TestEval:
         assert data["derived"]["lambda_T"] is None
         assert data["recommended_approximation"] == "retarded_asymptote"
 
+    @pytest.mark.parametrize(
+        "extra,notes",
+        [
+            (
+                ["--z", "1.0"],
+                "x0 = 26.2022 (retarded); z/lambda_T = 0.131011; "
+                "thermal part repulsive; auto mode: exact_series",
+            ),
+            (
+                ["--z", "30"],
+                "x0 = 786.066 (retarded); z/lambda_T = 3.93033; "
+                "thermal part attractive; auto mode: lifshitz",
+            ),
+            (
+                ["--z", "0.01", "--temperature", "0", "--lambda0", "0.5"],
+                "x0 = 0.251327 (crossover); zero-temperature field, thermal term absent",
+            ),
+        ],
+    )
+    def test_notes(self, extra, notes):
+        # eval builds the notes from x0, the regime, z/lambda_T, the sign
+        # of the thermal part and the recommended approximation
+        data = eval_json(extra)
+        assert data["notes"] == notes
+        code, out = run_main(["eval", *extra])
+        assert code == 0
+        assert f"notes: {notes}\n" in out
+
     def test_zero_temperature_without_k0_is_flag_error(self):
         code, _ = run_main(["eval", "--z", "1.0", "--temperature", "0"])
         assert code == 2

@@ -45,12 +45,11 @@ RECORDS = [
     ),
     (
         ThermalSeriesTerms,
-        ("k0_val", "k1_val", "p_val", "terms_used", "tail_bound"),
-        (0.5, -0.25, 0.125, 4, 1e-20),
+        ("coefficients", "terms_used"),
+        ((1.6, -2.2, 3.0), 2),
         [
-            ((math.nan, 0.0, 0.0, 4, 0.0), ConvergenceError),
-            ((0.0, math.inf, 0.0, 4, 0.0), ConvergenceError),
-            ((0.0, 0.0, 0.0, 4, -1.0), DomainError),
+            (((1.6, math.nan, 3.0), 2), ConvergenceError),
+            (((1.6, -2.2, math.inf), 0), ConvergenceError),
         ],
     ),
     (

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cpwall import specfun as sf
@@ -24,12 +24,6 @@ def rel(a, b):
 def u3g(u):
     # the wall-response kernel u^3 G(u) that the thermal oracle integrates
     return float(_u3g(np.array([u]))[0])
-
-
-def psi(m, z):
-    # psi^(m)(z) = (-1)^(m+1) m! zeta(m+1, z) for m >= 1
-    hz = sf._hurwitz_range(m + 1, m + 1, complex(z))[0]
-    return (-1) ** (m + 1) * math.factorial(m) * hz
 
 
 # ----------------------------------------------------------------------
@@ -71,26 +65,6 @@ E1_POINTS = [
 @pytest.mark.parametrize("w", E1_POINTS, ids=str)
 def test_scaled_e1_reference(w):
     assert rel(complex(sf.scaled_e1(w)), REF[f"scaled_e1_{w}"]) < TARGET
-
-
-@pytest.mark.parametrize("z", [5 - 0.6j, 21 - 3j], ids=str)
-def test_hurwitz_range_reference(z):
-    # one pass for s = 2..10: shifted to Re a = 10 at 5 - 0.6j, unshifted at 21 - 3j
-    for s, got in zip(range(2, 11), sf._hurwitz_range(2, 10, z)):
-        assert rel(got, REF[f"hurwitz_{s}_{z}"]) < 1e-13
-
-
-def test_hurwitz_direct_sum_reference():
-    # s = 45 takes the same shift and Euler-Maclaurin pass as s <= 10
-    z = 1 - 2j
-    assert rel(sf._hurwitz_range(45, 45, z)[0], REF[f"hurwitz_45_{z}"]) < 1e-13
-
-
-def test_polygamma_reference():
-    assert rel(psi(1, 1 - 2j), REF["psi1_1-2j"]) < TARGET
-    assert rel(psi(5, 0.5 - 4j), REF["psi5_0.5-4j"]) < TARGET
-    assert rel(sf._digamma(1 - 0.5j), REF["psi0_1-0.5j"]) < TARGET
-    assert rel(psi(4, -20j), REF["psi4_-20j"]) < TARGET
 
 
 @pytest.mark.parametrize("eta", [0.01, 0.1, 1.0, 10.0])
@@ -165,7 +139,6 @@ def test_zeta_even_literals_are_rounded_bernoulli_values():
         exact = abs(bern[m]) * (2 * pi) ** (2 * m) / (2 * math.factorial(2 * m))
         assert sf._zeta_even_unchecked(m) == float(exact)
     assert all(sf._zeta_even_unchecked(m) == 1.0 for m in range(27, 601))
-    assert sf._BERN_ASYM_F == [float(b) for b in bern[1:13]]
 
 
 def test_zeta_even_monotone_to_one():
@@ -173,24 +146,6 @@ def test_zeta_even_monotone_to_one():
     assert all(a >= b for a, b in zip(tab, tab[1:]))
     assert all(v >= 1.0 for v in tab)
     assert tab[-1] == 1.0
-
-
-def test_polygamma_classical():
-    assert rel(psi(1, 1.0).real, math.pi**2 / 6) < TARGET
-
-
-def test_polygamma_recurrence_spec_point():
-    z = 3 + 2j
-    lhs = psi(2, z) - psi(2, z + 1)
-    assert rel(lhs, -2.0 / z**3) < TARGET
-
-
-def test_polygamma_fd_cross_order():
-    # psi^(4)(-i/eta) at eta = 0.05 vs central difference of psi^(3)
-    z = -20j
-    h = 3e-3
-    fd = (psi(3, z + h) - psi(3, z - h)) / (2 * h)
-    assert rel(psi(4, z), fd) < 1e-6
 
 
 def test_bose_sum_p_limits():
@@ -230,10 +185,6 @@ def test_domain_errors():
     for order in (math.nan, math.inf):
         with pytest.raises(DomainError, match="finite order"):
             sf.scaled_e1(2.0, order)
-    with pytest.raises(DomainError):
-        sf._hurwitz_range(2, 2, 0j)
-    with pytest.raises(DomainError):
-        sf._hurwitz_range(3, 3, -3 + 0j)
     for bad_eta in (0.0, math.nan):
         with pytest.raises(DomainError):
             sf.bose_sum_p(bad_eta)
@@ -369,21 +320,6 @@ def test_bose_sum_p_positive_decreasing(eta, factor):
     p2 = sf.bose_sum_p(eta * factor)
     assert p1 > 0.0
     assert p1 > p2
-
-
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.complex_numbers(
-        min_magnitude=0.1, max_magnitude=20.0, allow_nan=False, allow_infinity=False
-    ),
-)
-def test_polygamma_recurrence_property(m, z):
-    z = complex(z.real + 1.0, z.imag + 0.5)
-    # keep clear of the poles at z = 0, -1, -2, ..., which psi refuses
-    assume(z.real > 0.0 or abs(z.imag) >= 1e-12)
-    lhs = psi(m, z) - psi(m, z + 1)
-    step = -((-1.0) ** m) * math.factorial(m) / z ** (m + 1)
-    assert abs(lhs - step) < 1e-10 * (1 + abs(step) + abs(psi(m, z)))
 
 
 @given(st.floats(min_value=1e6, max_value=1e12))

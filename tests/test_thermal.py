@@ -16,7 +16,6 @@ from cpwall.cli import CurveSpec, cmd_curve
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import DomainError, ValidityError
 from cpwall.oracle import thermal_quadrature_static
-from cpwall.specfun import scaled_e1
 from cpwall.thermal import (
     PotentialBreakdown,
     ThermalEnvironment,
@@ -25,7 +24,6 @@ from cpwall.thermal import (
     _pole_term,
     _reference_pair,
     _two_product,
-    _w_bracket,
     _w_lifshitz,
     lifshitz_asymptote,
     recommended_approximation,
@@ -54,16 +52,6 @@ def make_pair(theta: float) -> tuple[AtomParams, ThermalEnvironment]:
 
 
 class TestFrozenReferences:
-    @pytest.mark.parametrize(
-        "theta,zr",
-        [(100.0, 0.05), (100.0, 0.3), (100.0, 1.0), (30.0, 0.5), (300.0, 0.2)],
-    )
-    def test_w_bracket(self, theta: float, zr: float) -> None:
-        x0 = 2.0 * theta * zr
-        terms = thermal_series_terms(1.0 / (2.0 * zr), x0)
-        ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
-        assert abs(_w_bracket(terms, x0) - ref) <= 5e-10 * abs(ref)
-
     @pytest.mark.parametrize(
         "theta,zr",
         [(100.0, 0.05), (100.0, 0.3), (100.0, 1.0), (30.0, 0.5), (300.0, 0.2)],
@@ -192,11 +180,11 @@ class TestHTNearTerms:
         etas = (8.0, 16.0, 32.0)
         cold = []
         for eta in etas:
-            thermal._h_t_series.cache_clear()
+            thermal.thermal_series_terms.cache_clear()
             cold.append(_h_t(eta, theta))
-        thermal._h_t_series.cache_clear()
+        thermal.thermal_series_terms.cache_clear()
         warm = [_h_t(eta, theta) for eta in etas]
-        info = thermal._h_t_series.cache_info()
+        info = thermal.thermal_series_terms.cache_info()
         assert info.hits == len(etas) - 1
         assert info.currsize == 1
         assert warm == cold
@@ -206,9 +194,9 @@ class TestHTNearTerms:
         # one build per curve: the rows pass the environment's theta,
         # where eta * x0 would take two values an ulp apart along a curve
         for theta in (12.0, 37.0, 150.0):
-            thermal._h_t_series.cache_clear()
+            thermal.thermal_series_terms.cache_clear()
             cmd_curve(CurveSpec.for_figure(3, theta, 100), CST, io.StringIO())
-            info = thermal._h_t_series.cache_info()
+            info = thermal.thermal_series_terms.cache_info()
             assert info.misses == 1
             assert info.hits > 0
 
@@ -380,36 +368,47 @@ class TestExpansionRoute:
 
 
 class TestSeriesTerms:
-    def test_tail_bound_small_relative_to_result(self) -> None:
-        for theta in (30.0, 100.0, 300.0):
-            for zr in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
-                x0 = 2.0 * theta * zr
-                terms = thermal_series_terms(1.0 / (2.0 * zr), x0)
-                w = _w_bracket(terms, x0)
-                assert terms.tail_bound < 1e-8 * abs(w)
+    """thermal_series_terms, the H_T form's per-theta series."""
 
-    def test_paired_terms_decrease_beyond_first(self) -> None:
-        theta, x0 = 100.0, 100.0
-        diffs, sums = [], []
-        for m in range(1, 13):
-            w = complex(m * theta, -x0)
-            ep = scaled_e1(w)
-            em = scaled_e1(-w)
-            diffs.append(abs(ep.imag - em.imag))
-            sums.append(abs(ep.real + em.real))
-        # beyond m = 1: the m = 1 real pair is accidentally tiny when
-        # theta = x0 (w^2 is then purely imaginary)
-        assert all(b < a for a, b in zip(diffs[1:], diffs[2:]))
-        assert all(b < a for a, b in zip(sums[1:], sums[2:]))
+    @pytest.mark.parametrize(
+        "theta,used",
+        [(10.0, 3), (13.3, 3), (13.4, 2), (20.0, 1), (39.9, 1), (40.0, 0), (1e3, 0)],
+    )
+    def test_terms_used(self, theta: float, used: int) -> None:
+        # the near n, n theta < 40, whose F comes from E1t
+        assert thermal_series_terms(theta).terms_used == used
 
-    def test_high_eta_limit(self) -> None:
-        terms = thermal_series_terms(1e7, 1.0)
-        assert abs(terms.k0_val) < 1e-6
-        assert abs(terms.k1_val) < 1e-6
+    def test_second_call_returns_the_cached_record(self) -> None:
+        thermal_series_terms.cache_clear()
+        first = thermal_series_terms(25.0)
+        assert thermal_series_terms(25.0) is first
+        assert len(first.coefficients) == thermal._TERM_CAP - 1
 
     def test_theta_gate(self) -> None:
-        with pytest.raises(DomainError):
-            thermal_series_terms(1.0, 5.0)
+        gate = thermal.THETA_MIN * (1.0 - 1e-12)
+        for bad in (math.nan, math.inf, -math.inf, 5.0, math.nextafter(gate, 0.0)):
+            with pytest.raises(DomainError):
+                thermal_series_terms(bad)
+        # just below theta = 10, n = 4 is a near term too
+        assert thermal_series_terms(gate).terms_used == 4
+        # within 4 ulps of the gate the record refuses no theta that
+        # _check_pair lets through at theta / eta (eta * (theta / eta)
+        # may round either way), and _h_t refuses every theta below it
+        below, above = [gate], [gate]
+        for _ in range(4):
+            below.append(math.nextafter(below[-1], 0.0))
+            above.append(math.nextafter(above[-1], 20.0))
+        for theta in below[1:] + above:
+            for eta in (2.6, 3.0, 4.1, 7.0, 16.0, 1e3, 1e6):
+                if theta < gate:
+                    with pytest.raises(DomainError):
+                        _h_t(eta, theta)
+                    continue
+                try:
+                    thermal._check_pair(eta, theta / eta)
+                except DomainError:
+                    continue
+                assert math.isfinite(_h_t(eta, theta))
 
 
 class TestEnvironment:
@@ -623,13 +622,11 @@ class TestTotalPotential:
         bd = total_potential(atom, 1.0, env=None)
         assert bd.thermal == 0.0
         assert bd.total == bd.vacuum
-        assert "zero-temperature" in bd.notes
 
     def test_breakdown_composition(self) -> None:
         atom, env = make_pair(100.0)
         bd = total_potential(atom, 2.0, env=env)
         assert bd.total == bd.vacuum + bd.thermal
-        assert "z/lambda_T" in bd.notes
 
     @pytest.mark.parametrize("theta", [10.0, 45.0, 1000.0])
     def test_shared_h0_is_bit_identical(self, theta: float) -> None:
@@ -670,18 +667,6 @@ class TestTotalPotential:
         assert recommended_approximation(0.01) == "short_leading"
         assert recommended_approximation(0.5) == "exact_series"
         assert recommended_approximation(1.5) == "lifshitz"
-
-
-@given(
-    st.floats(min_value=0.02, max_value=2.0),
-    st.floats(min_value=10.0, max_value=400.0),
-)
-def test_series_invariants(zr: float, theta: float) -> None:
-    x0 = 2.0 * theta * zr
-    terms = thermal_series_terms(1.0 / (2.0 * zr), x0)
-    assert terms.p_val > 0.0
-    assert terms.tail_bound >= 0.0
-    assert math.isfinite(_w_bracket(terms, x0))
 
 
 @given(st.floats(min_value=0.3, max_value=3.0))
