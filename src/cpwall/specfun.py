@@ -16,19 +16,18 @@ auxiliary_f / auxiliary_g.  vacuum.h0 calls no E1t: it takes H0 from
 the real Ci/Si series below x0 = 2, a frozen Chebyshev table from 2 to
 100 and an asymptotic series above.  The continued fraction's order 5
 at w = i x0 serves verify's criterion 12, which checks that table with
-it.  On the real axis thermal.thermal_series_terms takes E1t(-y),
-y = n theta < 40, from _e1t_power_series itself, past the branch map's
-|w| = 35 switch (its terms share one sign there), and E1t(y) from
-_scaled_e1_upper.
+it.  On the real axis thermal.thermal_series_terms takes E1t(y),
+y = n theta < 40, from scaled_e1 and E1t(-y) from _e1t_power_series:
+the one call on the cut, where the series' terms share one sign.
 
 Branch map for E1t (validated in scripts/sweep_branch_switches.py):
 
-    |w| < 2                       power series around 0
+    |w| < 2                       power series around 0, order 1 only
     |w| >= 2, |arg w| <= 3pi/4    continued fraction, any order p, evaluated
                                   backward from depth 10 + 200/(|w| + Re w)
-    |arg w| > 3pi/4, |w| <= 35    power series (no cancellation there:
-                                  left-half-plane terms share one sign)
-    |arg w| > 3pi/4, |w| > 35     asymptotic series, optimal truncation
+
+scaled_e1 refuses the rest of the plane.  Both evaluators are
+conjugate-symmetric bit for bit.
 
 Accuracy: every operation targets 1e-12 relative and guarantees 1e-10
 on its stated domain; measured worst-case errors per branch are quoted
@@ -77,41 +76,13 @@ def _e1t_fraction(w: complex, order: float) -> complex:
     return 1.0 / t
 
 
-def _e1t_asymptotic(w: complex) -> complex:
-    # sum (-1)^n n! / w^{n+1}, truncated at the smallest term
-    term = 1.0 / w
-    s = term
-    for n in range(1, 2 * int(abs(w)) + 4):
-        nxt = term * (-n / w)
-        if abs(nxt) >= abs(term):
-            break
-        term = nxt
-        s += term
-        if abs(term) < 1e-18 * abs(s):
-            break
-    return s
-
-
-def _scaled_e1_upper(w: complex) -> complex:
-    # Im w >= 0 assumed
-    r = abs(w)
-    if r < 2.0:
-        return _e1t_power_series(w)
-    if abs(cmath.phase(w)) <= 0.75 * math.pi:
-        return _e1t_fraction(w, 1)
-    if r <= 35.0:
-        return _e1t_power_series(w)
-    return _e1t_asymptotic(w)
-
-
 def scaled_e1(w: complex, order: float = 1) -> complex:
     """E1t(w) = e^w E1(w), principal branch; e^w E_p(w) for order p != 1.
 
-    Raises DomainError at w = 0, on the negative real axis (the branch
-    cut) and for non-finite w or order.  E1t(w) ~ 1/w as |w| grows in
-    |arg w| < pi.
-    Orders p != 1 come from the continued fraction alone and only on its
-    sector |w| >= 2, |arg w| <= 3pi/4 (DomainError elsewhere).
+    Served on the disc |w| < 2 (order 1 only) and on the continued
+    fraction's sector |w| >= 2, |arg w| <= 3pi/4 (any order).  Raises
+    DomainError elsewhere, at w = 0, on the negative real axis (the
+    branch cut) and for non-finite w or order.
     """
     z = complex(w)
     if not cmath.isfinite(z):
@@ -122,11 +93,15 @@ def scaled_e1(w: complex, order: float = 1) -> complex:
         raise DomainError("scaled_e1 undefined at w = 0")
     if z.imag == 0.0 and z.real < 0.0:
         raise DomainError(f"scaled_e1 on the branch cut: w = {z}")
-    if order != 1 and (abs(z) < 2.0 or abs(cmath.phase(z)) > 0.75 * math.pi):
-        raise DomainError(f"order {order} needs |w| >= 2, |arg w| <= 3pi/4: w = {z}")
-    u = z.conjugate() if z.imag < 0.0 else z
-    e = _scaled_e1_upper(u) if order == 1 else _e1t_fraction(u, order)
-    e = e.conjugate() if z.imag < 0.0 else e
+    if abs(z) < 2.0 and order == 1:
+        e = _e1t_power_series(z)
+    elif abs(z) >= 2.0 and abs(cmath.phase(z)) <= 0.75 * math.pi:
+        e = _e1t_fraction(z, order)
+    else:
+        raise DomainError(
+            f"order {order} at w = {z}: scaled_e1 serves |w| < 2 (order 1) "
+            "and |w| >= 2, |arg w| <= 3pi/4"
+        )
     if not cmath.isfinite(e):
         raise ConvergenceError(f"non-finite complex value {e}")
     return e
@@ -142,14 +117,14 @@ def auxiliary_f(x: float) -> float:
         raise DomainError(f"auxiliary_f needs finite x >= 0, got {x}")
     if x == 0.0:
         return 0.5 * math.pi
-    return -_scaled_e1_upper(1j * x).imag
+    return -scaled_e1(1j * x).imag
 
 
 def auxiliary_g(x: float) -> float:
     """g(x) = d f/dx = Ci(x) cos x + si(x) sin x; log-divergent at 0."""
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"auxiliary_g needs finite x > 0, got {x}")
-    return -_scaled_e1_upper(1j * x).real
+    return -scaled_e1(1j * x).real
 
 
 # ----------------------------------------------------------------------

@@ -66,7 +66,7 @@ from typing import Iterator
 from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .record import Record
-from .specfun import _e1t_power_series, _scaled_e1_upper, _zeta_even_unchecked
+from .specfun import _e1t_power_series, _zeta_even_unchecked, scaled_e1
 from .vacuum import AtomParams, _vacuum_parts, _z_power, h0
 
 __all__ = [
@@ -344,25 +344,27 @@ def thermal_series_terms(theta: float) -> ThermalSeriesTerms:
         )
     theta2 = theta * theta
     # J_2's near part: F(n theta) minus its head term, from E1t; E1t(-y)
-    # from its power series, whose terms share one sign here: past
-    # |w| = 35 the asymptotic series leaves 1.2e-14 of E1t at y = 35
+    # on the cut, outside scaled_e1's domain, from the power series,
+    # whose terms share one sign there
     near, inv_n2 = 0.0, []
     for n in count(1):
         y = n * theta
         if y >= _NEAR_Y:
             break
         e_minus = _e1t_power_series(complex(-y, 0.0)).real
-        e_plus = _scaled_e1_upper(complex(y, 0.0)).real
+        e_plus = scaled_e1(y).real
         f_rest = -0.5 * (e_minus + e_plus) - 1.0 / (y * y)
         near += f_rest * theta2 * theta2 / 6.0
         inv_n2.append(1.0 / (n * n))
-    # heads sum n^(-2m) over the near n (0 if none); J_m's near parts, tails
+    # heads sum n^(-2m) over the near n (0 if none); J_m's near parts,
+    # left at 0 with no near n (theta2 overflows from theta ~1.34e154), tails
     powers = (accumulate(repeat(q, _TERM_CAP - 2), mul, initial=q * q) for q in inv_n2)
     heads = map(sum, zip(repeat(0.0, _TERM_CAP - 1), *powers))
     js, tails = [], []
     for m, head in zip(_H_T_MS, heads):
         js.append(near)
-        near = (near - head) * theta2 / ((2 * m) * (2 * m + 1))
+        if inv_n2:
+            near = (near - head) * theta2 / ((2 * m) * (2 * m + 1))
         tails.append(_zeta_even_unchecked(m) - head)
     # the far terms (2j-1)! tail_j / theta^(2j) are cut before the first
     # one above its predecessor, then summed backward into J_m
@@ -413,7 +415,7 @@ def _h_t(eta: float, theta: float) -> float:
 
     Against mpmath (50 digits) W is within 7e-15 at theta >= 44 and
     3.06e-12 below, at worst at theta 31.6, where F minus its head
-    carries the rounding of E1t near |w| = 35.
+    (about 6/y^4) is what is left of E1t(+-y) ~ +-1/y at y = 31.6.
     """
     _check_pair(eta, theta / eta)
     u2 = 1.0 / (eta * eta)
@@ -434,8 +436,12 @@ def _v_short(
 ) -> float:
     """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
     (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
-    h_t = _h_t(env.lambda_T / (2.0 * z), atom.k0 * env.lambda_T)
-    return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * env.lambda_T**4) * h_t
+    lam = env.lambda_T
+    h_t = _h_t(lam / (2.0 * z), atom.k0 * lam)
+    if lam < 1e77:
+        return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * lam**4) * h_t
+    # lambda_T^4 would overflow (T below about 2e-74 K): divide by it in halves
+    return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * lam * lam) / (lam * lam) * h_t
 
 
 def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:

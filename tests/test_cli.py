@@ -152,6 +152,13 @@ class TestEval:
         assert (code, out) == (3, "")
         assert _one_line_domain_error(capsys.readouterr().err)
 
+    @pytest.mark.parametrize("temperature", ["1e-100", "1e-200"])
+    def test_vanishing_temperature_exits_0(self, temperature):
+        # lambda_T^4 overflows from about 2e-74 K and, at k0 = 1/um,
+        # theta^2 from about 1.7e-151 K; V_T underflows to 0
+        out = eval_json(["--z", "1e-3", "--k0", "1", "--temperature", temperature])
+        assert out["potential"]["thermal"] == 0.0
+
     def test_lambda0_and_k0_agree(self):
         a = eval_json(["--z", "0.7", "--lambda0", "0.5"])
         b = eval_json(["--z", "0.7", "--k0", str(2.0 * math.pi / 0.5)])

@@ -92,7 +92,7 @@ FROZEN_POINTS = [
 def _route_rtol(theta: float, zr: float) -> float:
     """Tolerance of each route against the frozen W, relative to |W|: the
     H_T form holds 2e-13 from theta = 44 and its floor of about 5e-12
-    below (E1t near |w| = 35 enters F minus its head), the Lifshitz sum
+    below (E1t(+-y) cancel down to F minus its head), the Lifshitz sum
     2e-13, except at z = lambda_T / 8 below theta = 45, where |W| is 110
     to 130 times below 2 pi / theta and the sum and H0 cancel down to
     it: 1e-12 (measured 4.2e-13 at theta = 10)."""
@@ -328,10 +328,10 @@ class TestExpansionRoute:
             assert math.isfinite(thermal_potential_exact(atom, env, z))
 
     @pytest.mark.parametrize("theta", [10.0, 20.0, 30.0, 40.0, 44.0])
-    def test_matches_the_e1t_cross_check(self, theta: float) -> None:
-        # theta below 45 from z = lambda_T / 8 on, against the frozen
-        # 50-digit E1t series of W (measured worst 7.6e-16 of
-        # max(|W|, 2 pi / theta))
+    def test_matches_the_frozen_w_series(self, theta: float) -> None:
+        # theta below 45 from z = lambda_T / 8 on, against the paper's
+        # series of W summed in 50-digit mpmath and frozen (measured
+        # worst 7.6e-16 of max(|W|, 2 pi / theta))
         for zr in (0.125, 0.2, 0.3, 0.307, 0.5, 0.75, 1.0, 1.5):
             w = _w_lifshitz(1.0 / (2.0 * zr), 2.0 * theta * zr, 0.0)
             ref = REFERENCE[f"w_theta{theta:g}_zr{zr:g}"]
@@ -377,6 +377,14 @@ class TestSeriesTerms:
     def test_terms_used(self, theta: float, used: int) -> None:
         # the near n, n theta < 40, whose F comes from E1t
         assert thermal_series_terms(theta).terms_used == used
+
+    @pytest.mark.parametrize("theta", [1e155, 1e300])
+    def test_huge_theta_keeps_the_far_coefficients(self, theta: float) -> None:
+        # theta^2 overflows from theta ~1.34e154; with no near n, J_m is
+        # its far part zeta(2m), as it already is at 1e150
+        huge = thermal_series_terms(theta)
+        assert huge.coefficients == thermal_series_terms(1e150).coefficients
+        assert huge.terms_used == 0
 
     def test_second_call_returns_the_cached_record(self) -> None:
         thermal_series_terms.cache_clear()
@@ -466,7 +474,7 @@ class TestExpansions:
         # 2.5 < eta <= 4: the H_T form, which thermal_potential_exact
         # leaves to the Lifshitz route here, still holds its accuracy;
         # theta 35 lands one ulp above 35 at zr 0.199, where n theta
-        # passes E1t's |w| = 35 switch
+        # once passed E1t's |w| = 35 switch
         atom, env = make_pair(theta)
         z = zr * LAMBDA_T
         pref = CST.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z**3)
@@ -617,6 +625,19 @@ class TestShape:
 
 
 class TestTotalPotential:
+    def test_lambda_t_past_fourth_power_overflow(self) -> None:
+        # lambda_T^4 overflows from lambda_T ~1.16e77; V_T divides by it
+        # in halves from 1e77 on, and scales as lambda_T^-4 across the split
+        atom = AtomParams(k0=1.0, alpha0=1e10)
+        z = 1e-3
+        lams = [math.nextafter(1e77, 0.0), 1e77, 1e80]
+        vs = [
+            thermal_potential_exact(atom, ThermalEnvironment(1e-73, lam, lam), z)
+            for lam in lams
+        ]
+        assert vs[1] == pytest.approx(vs[0] * (lams[0] / lams[1]) ** 4, rel=1e-14)
+        assert vs[2] == pytest.approx(vs[1] * 1e-12, rel=1e-14)
+
     def test_zero_temperature_breakdown(self) -> None:
         atom, _ = make_pair(100.0)
         bd = total_potential(atom, 1.0, env=None)
