@@ -10,9 +10,11 @@ from ``ROOT/src``, with ``CPWALL_CONFIG`` removed from the environment so
 the built-in constants apply.  For each command one line is printed: the
 exit code, the sha256 of stdout and the argv.  ``verify --format json``
 drops its ``elapsed_s`` field before hashing, since wall time differs
-from run to run.  Two checkouts that print the same lines give the same
-exit codes and byte-identical stdout on every command of the list, so a
-refactor can be checked with
+from run to run; a verify that printed nothing (it fails before writing
+without numpy) keeps its exit code and the hash of its empty stdout.
+Two checkouts that print the same lines give the same exit codes and
+byte-identical stdout on every command of the list, so a refactor can
+be checked with
 
     diff <(python scripts/output_digest.py --root OLD) \
          <(python scripts/output_digest.py --root NEW)
@@ -25,6 +27,12 @@ from OLD's value, and how many numbers moved, or that the two outputs
 differ in more than their numbers:
 
     python scripts/output_digest.py --root NEW --against OLD
+
+``tests/output_digest.txt`` holds this tree's digest, and CI diffs a
+fresh run against it, so a change that moves an output shows the moved
+lines in its own diff:
+
+    python scripts/output_digest.py --root . > tests/output_digest.txt
 
 Standard library only.
 """
@@ -102,7 +110,7 @@ def run(root: Path, argv: list[str]) -> tuple[int, bytes]:
         cwd=src, env=env, capture_output=True,
     )
     out = proc.stdout
-    if argv[0] == "verify" and proc.returncode in (0, 1):
+    if argv[0] == "verify" and proc.returncode in (0, 1) and out:
         payload = json.loads(out)
         payload.pop("elapsed_s")
         out = (json.dumps(payload, indent=2) + "\n").encode()
