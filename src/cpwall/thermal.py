@@ -246,13 +246,16 @@ def _pole_term(x0: float, lo: float, e_th: float) -> float:
     J0- adds to the W bracket, and the resonant term of the Lifshitz
     route.  lo, up to half an ulp of x0, enters the phase alone: sin x and
     cos x come from the sines and cosines of x0 and of lo, which libm
-    reduces exactly at any size."""
+    reduces exactly at any size.  For |lo| <= 2^-27 (every x0 < 2^27)
+    sin lo and cos lo round to lo and 1, which it takes without libm."""
     s, c = math.sin(x0), math.cos(x0)
-    s_lo, c_lo = math.sin(lo), math.cos(lo)
+    if abs(lo) <= 2.0**-27:
+        sin_x, cos_x = s + c * lo, c - s * lo
+    else:
+        s_lo, c_lo = math.sin(lo), math.cos(lo)
+        sin_x, cos_x = s * c_lo + c * s_lo, c * c_lo - s * s_lo
     scale = math.pi * e_th / (1.0 - e_th)
-    return scale * (
-        2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
-    )
+    return scale * (2.0 * x0 * sin_x - (x0 * x0 - 2.0) * cos_x)
 
 
 def _static_alpha_sum(eta: float, x0: float) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -276,6 +277,31 @@ class TestX0Rounding:
         atom = AtomParams(k0=k0, alpha0=3.0e-8)
         env = ThermalEnvironment(temperature=TEMP, lambda_T=lam, theta=k0 * lam)
         assert math.isfinite(thermal_potential_exact(atom, env, 5e99))
+
+
+    # x0 below 2^27, where |lo| <= 2^-27 takes sin lo = lo, cos lo = 1,
+    # and from 2^27 on, where half an ulp of x0 passes 2^-27
+    @pytest.mark.parametrize(
+        "x0", [0.5, 40.0, 1234.5678, 2.0**27 - 1.0, 2.0**27, 3.3e9, 1e15]
+    )
+    def test_pole_term_is_the_full_phase_formula(self, x0: float) -> None:
+        def full(x0: float, lo: float, e_th: float) -> float:
+            s, c = math.sin(x0), math.cos(x0)
+            s_lo, c_lo = math.sin(lo), math.cos(lo)
+            scale = math.pi * e_th / (1.0 - e_th)
+            return scale * (
+                2.0 * x0 * (s * c_lo + c * s_lo)
+                - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
+            )
+
+        half_ulp = 0.5 * math.ulp(x0)
+        assert (half_ulp <= 2.0**-27) == (x0 < 2.0**27)
+        rng = random.Random(x0)
+        los = [0.0, -0.0, half_ulp, -half_ulp, 2.0**-27, -(2.0**-27)]
+        los += [rng.uniform(-half_ulp, half_ulp) for _ in range(200)]
+        for lo in los:
+            for e_th in (math.exp(-10.0), math.exp(-1000.0)):
+                assert _pole_term(x0, lo, e_th) == full(x0, lo, e_th)
 
 
 @given(
