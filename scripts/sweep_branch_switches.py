@@ -197,7 +197,10 @@ def sweep_h0() -> bool:
     H0_TABLE_RTOL and the series within H0_SERIES_RTOL wherever they are
     taken, and the oracle within its own estimate at every point."""
     from cpwall.oracle import _vacuum_grid
-    from cpwall.vacuum import _H0_SERIES_MIN, _H0_TABLE_MIN, AtomParams, _vacuum_parts, h0
+    from cpwall.constants import PhysicalConstants
+    from cpwall.vacuum import (
+        _H0_SERIES_MIN, _H0_TABLE_MIN, AtomParams, _vacuum_at, _vacuum_factor, h0,
+    )
     from cpwall.verify import _h0_e5
     from make_reference_values import h0 as h0_mp
 
@@ -232,7 +235,8 @@ def sweep_h0() -> bool:
 
     atom = AtomParams(k0=1.0, alpha0=1.0)
     reps = _vacuum_grid(atom, [x / 2.0 for x in grid])
-    refs = [_vacuum_parts(atom, x / 2.0, None)[0] * w for x, w in zip(grid, want)]
+    factor = _vacuum_factor(atom, PhysicalConstants())
+    refs = [_vacuum_at(factor, (x / 2.0) ** 3, w) for x, w in zip(grid, want)]
     for name, num in (
         ("vacuum oracle error / |V0|", [abs(r.value - v) for r, v in zip(reps, refs)]),
         ("vacuum oracle estimate / |V0|", [r.abs_error_estimate for r in reps]),

@@ -31,19 +31,26 @@ from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
 from .record import Record
 from .thermal import (
     ThermalEnvironment,
+    _lifshitz_at,
+    _lifshitz_factor,
     _reference_pair,
-    lifshitz_asymptote,
+    _short_leading_at,
+    _short_leading_factors,
+    _thermal_at,
+    _thermal_factors,
     recommended_approximation,
-    thermal_potential_exact,
-    thermal_short_leading,
     total_potential,
 )
 from .vacuum import (
     AtomParams,
+    _nonretarded_at,
+    _nonretarded_factor,
+    _retarded_factor,
+    _vacuum_at,
+    _vacuum_factor,
+    _z_power,
     classify_regime,
-    nonretarded_asymptote,
-    retarded_asymptote,
-    vacuum_potential,
+    h0,
 )
 
 if TYPE_CHECKING:
@@ -144,41 +151,50 @@ def _figure_grid(spec: CurveSpec) -> list[float]:
 def _row_function(
     spec: CurveSpec, cst: PhysicalConstants
 ) -> Callable[[float], tuple[float, ...]]:
-    """The CSV row of spec's figure as a function of one grid abscissa."""
+    """The CSV row of spec's figure as a function of one grid abscissa:
+    each column's per-z part of the public function it equals, bit for
+    bit, sharing z^3 and (figure 2) H0 across the columns."""
     if spec.figure_id == 1:
         atom = AtomParams(k0=1.0, alpha0=1.0)
         denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
+        vac, nr = _vacuum_factor(atom, cst), _nonretarded_factor(atom, cst)
+        ret, two_k0 = _retarded_factor(atom, cst), 2.0 * atom.k0
 
         def vacuum_row(z: float) -> tuple[float, ...]:
-            v = vacuum_potential(atom, z, cst)
-            nr = nonretarded_asymptote(atom, z, cst)
-            ret = retarded_asymptote(atom, z, cst)
-            s = z**3 / denom
-            return z, v * s, nr * s, ret * s
+            z3 = _z_power(z, 3)
+            v = _vacuum_at(vac, z3, h0(two_k0 * z))
+            s = z3 / denom
+            return z, v * s, _nonretarded_at(nr, z3) * s, ret / _z_power(z, 4) * s
 
         return vacuum_row
 
     atom, env = _reference_pair(spec.theta, cst)
     lam = env.lambda_T
     scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
+    thermal = _thermal_factors(atom, env, cst)
 
     if spec.figure_id == 2:
+        vac, lif = _vacuum_factor(atom, cst), _lifshitz_factor(atom, env, cst)
+        two_k0 = 2.0 * atom.k0
 
         def total_row(zr: float) -> tuple[float, ...]:
             z = zr * lam
-            tot = total_potential(atom, z, env, cst).total
-            lif = lifshitz_asymptote(atom, env, z, cst)
+            z3 = _z_power(z, 3)
+            h = h0(two_k0 * z)
+            tot = _vacuum_at(vac, z3, h) + _thermal_at(thermal, z, z3, h)
             s = zr**3 / scale
-            return zr, tot * s, lif * s
+            return zr, tot * s, _lifshitz_at(lif, z3) * s
 
         return total_row
 
+    short, ret = _short_leading_factors(atom, env, cst), _retarded_factor(atom, cst)
+
     def thermal_row(zr: float) -> tuple[float, ...]:
         z = zr * lam
-        vt = thermal_potential_exact(atom, env, z, cst)
-        short = thermal_short_leading(atom, env, z, cst)
-        ret = retarded_asymptote(atom, z, cst)
-        return zr, vt / scale, short / scale, ret / scale
+        vt = _thermal_at(thermal, z, _z_power(z, 3))
+        # _z_power's gate, z > 0 and finite, covers the short law's z >= 0
+        sl = _short_leading_at(short, z)
+        return zr, vt / scale, sl / scale, ret / _z_power(z, 4) / scale
 
     return thermal_row
 
@@ -193,6 +209,8 @@ def cmd_curve(
     Every row is computed before anything is written, so an error at
     any grid point leaves no partial output.  The row format, one _CELL
     per column, is built once per curve: one str.format call per row.
+    The columns' factors of atom, environment and constants are taken
+    once per curve too (_row_function), the per-z parts once per row.
     """
     cst = constants if constants is not None else load_constants()
     out = stream if stream is not None else sys.stdout

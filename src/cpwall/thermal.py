@@ -52,7 +52,10 @@ Short- and long-distance expansions (H_T, the first route on its own,
 and L_T, the expansion of W about the static polarizability without
 its pole term) and the Lifshitz total asymptote -(k_B T) alpha0 / 4 z^3
 complete the module.  All series are summed in a fixed order so
-repeated runs are bit-identical.
+repeated runs are bit-identical.  Each potential is a helper for its
+factors of atom, environment and constants (``_thermal_factors``) and a
+per-z core (``_thermal_at``): a call takes both, a curve row the helper
+once per curve.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .constants import PhysicalConstants
 from .errors import ConvergenceError, DomainError, ValidityError
 from .record import Record
 from .specfun import _e1t_power_series, _zeta_even_unchecked, scaled_e1
-from .vacuum import AtomParams, _vacuum_parts, _z_power, h0
+from .vacuum import AtomParams, _vacuum_at, _vacuum_factor, _z_power, h0
 
 __all__ = [
     "PotentialBreakdown",
@@ -434,19 +437,6 @@ def _h_t(eta: float, theta: float) -> float:
     )
 
 
-def _v_short(
-    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants, z: float
-) -> float:
-    """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
-    (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
-    lam = env.lambda_T
-    h_t = _h_t(lam / (2.0 * z), atom.k0 * lam)
-    if lam < 1e77:
-        return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * lam**4) * h_t
-    # lambda_T^4 would overflow (T below about 2e-74 K): divide by it in halves
-    return 2.0 * cst.hbar_c_ev_um * atom.alpha0 / (math.pi * lam * lam) / (lam * lam) * h_t
-
-
 def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
     derived = atom.k0 * env.lambda_T
     if abs(derived - env.theta) > 1e-8 * derived:
@@ -454,6 +444,47 @@ def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
             f"environment theta {env.theta} inconsistent with k0*lambda_T "
             f"= {derived}; was it built for a different atom?"
         )
+
+
+def _thermal_factors(
+    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
+) -> tuple[float, ...]:
+    """_thermal_at's factors, once atom and env agree: lambda_T, 2 k0,
+    theta = k0 lambda_T, the H_T form's 2 hbar c alpha0 and pi lambda_T^4
+    (_v_short) and the W form's hbar c alpha0 k0 (_w_pref)."""
+    _check_env(atom, env)
+    lam, hc, k0 = env.lambda_T, cst.hbar_c_ev_um, atom.k0
+    # lambda_T^4 overflows from 1e77, where _v_short divides by it in halves
+    pi_lam4 = math.pi * lam**4 if lam < 1e77 else math.inf
+    return lam, 2.0 * k0, k0 * lam, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0
+
+
+def _v_short(f: tuple, eta: float) -> float:
+    """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
+    (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
+    lam, _, theta, num, pi_lam4, _ = f
+    h_t = _h_t(eta, theta)
+    if lam < 1e77:
+        return num / pi_lam4 * h_t
+    return num / (math.pi * lam * lam) / (lam * lam) * h_t
+
+
+def _w_pref(f: tuple, z3: float) -> float:
+    """(hbar c / 8 pi) (alpha0 k0 / z^3), which turns W into eV."""
+    return f[5] / (8.0 * math.pi * z3)
+
+
+def _thermal_at(f: tuple, z: float, z3: float, h: float | None = None) -> float:
+    """thermal_potential_exact from _thermal_factors' f, z3 = _z_power(z, 3)
+    and h = H0(2 k0 z) if the caller has it."""
+    eta = f[0] / (2.0 * z)
+    if eta > _SHORT_ETA:
+        return _v_short(f, eta)
+    # _w_lifshitz refuses an x0 whose square overflows before reading lo;
+    # below that, z^3 being normal keeps 2 k0 and z in _two_product's range
+    x0, lo = _two_product(f[1], z)
+    w = _w_lifshitz(eta, x0, lo, h)
+    return _w_pref(f, z3) * w
 
 
 def thermal_potential_exact(
@@ -470,29 +501,24 @@ def thermal_potential_exact(
     exact x0 = 2 k0 z: exact for the float z given, but ill-conditioned
     in z there, since dW/dx0 ~ pi b x0^2, b = 1 / (e^theta - 1).
     """
-    return _thermal_exact(atom, env, z, constants)
-
-
-def _thermal_exact(
-    atom: AtomParams,
-    env: ThermalEnvironment,
-    z: float,
-    constants: PhysicalConstants | None,
-    h: float | None = None,
-) -> float:
-    """thermal_potential_exact, given h = H0(2 k0 z) if the caller has it."""
     z3 = _z_power(z, 3)
-    _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    eta = env.lambda_T / (2.0 * z)
-    if eta > _SHORT_ETA:
-        return _v_short(atom, env, cst, z)
-    # _w_lifshitz refuses an x0 whose square overflows before reading lo;
-    # below that, z^3 being normal keeps 2 k0 and z in _two_product's range
-    x0, lo = _two_product(2.0 * atom.k0, z)
-    w = _w_lifshitz(eta, x0, lo, h)
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
-    return pref * w
+    return _thermal_at(_thermal_factors(atom, env, cst), z, z3)
+
+
+def _short_leading_factors(
+    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
+) -> tuple[float, float, float]:
+    """(hbar c alpha0, C(T) / hbar c alpha0, lambda_T^6), once atom and env agree."""
+    _check_env(atom, env)
+    lam = env.lambda_T
+    return cst.hbar_c_ev_um * atom.alpha0, C_SHORT / lam**4, lam**6
+
+
+def _short_leading_at(f: tuple, z: float) -> float:
+    """thermal_short_leading at a z >= 0 it has checked."""
+    scale, c_t, lam6 = f
+    return scale * (c_t - CURV_SHORT * z * z / lam6)
 
 
 def thermal_short_leading(
@@ -508,11 +534,8 @@ def thermal_short_leading(
     """
     if not (math.isfinite(z) and z >= 0.0):
         raise DomainError(f"z must be >= 0 and finite, got {z}")
-    _check_env(atom, env)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    lam = env.lambda_T
-    scale = cst.hbar_c_ev_um * atom.alpha0
-    return scale * (C_SHORT / lam**4 - CURV_SHORT * z * z / lam**6)
+    return _short_leading_at(_short_leading_factors(atom, env, cst), z)
 
 
 def thermal_short_expansion(
@@ -529,14 +552,14 @@ def thermal_short_expansion(
     thermal_potential_exact takes the same form.
     """
     _z_power(z, 2)
-    _check_env(atom, env)
+    cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    f = _thermal_factors(atom, env, cst)
     if z >= 0.2 * env.lambda_T:
         raise ValidityError(
             f"short-distance expansion needs z < 0.2 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return _v_short(atom, env, cst, z)
+    return _v_short(f, env.lambda_T / (2.0 * z))
 
 
 def thermal_long_expansion(
@@ -556,18 +579,27 @@ def thermal_long_expansion(
     (eta <= 1); raises ValidityError below.
     """
     z3 = _z_power(z, 3)
-    _check_env(atom, env)
+    cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    f = _thermal_factors(atom, env, cst)
     if z < 0.5 * env.lambda_T:
         raise ValidityError(
             f"long-distance expansion needs z >= 0.5 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    cst = constants if constants is not None else _DEFAULT_CONSTANTS
     eta = env.lambda_T / (2.0 * z)
-    x0 = 2.0 * atom.k0 * z
-    w_static = _static_alpha_sum(eta, x0)
-    pref = cst.hbar_c_ev_um * atom.alpha0 * atom.k0 / (8.0 * math.pi * z3)
-    return pref * w_static
+    w_static = _static_alpha_sum(eta, f[1] * z)
+    return _w_pref(f, z3) * w_static
+
+
+def _lifshitz_factor(
+    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
+) -> float:
+    """-k_B T alpha0, lifshitz_asymptote times 4 z^3."""
+    return -cst.k_B * env.temperature * atom.alpha0
+
+
+def _lifshitz_at(factor: float, z3: float) -> float:
+    return factor / (4.0 * z3)
 
 
 def lifshitz_asymptote(
@@ -579,7 +611,7 @@ def lifshitz_asymptote(
     """Asymptote of the TOTAL interaction for z >> lambda_T:
     -(k_B T / 4) alpha0 / z^3, linear in T and hbar-free."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return -cst.k_B * env.temperature * atom.alpha0 / (4.0 * _z_power(z, 3))
+    return _lifshitz_at(_lifshitz_factor(atom, env, cst), _z_power(z, 3))
 
 
 def recommended_approximation(z_over_lambda_t: float) -> str:
@@ -603,10 +635,12 @@ def total_potential(
     ``env=None`` means a zero-temperature field: the thermal part is
     exactly zero and only the vacuum term survives.
     """
-    pref, h = _vacuum_parts(atom, z, constants)
-    vac = pref * h
+    z3 = _z_power(z, 3)
+    cst = constants if constants is not None else _DEFAULT_CONSTANTS
+    h = h0(2.0 * atom.k0 * z)
+    vac = _vacuum_at(_vacuum_factor(atom, cst), z3, h)
     if env is None:
         return PotentialBreakdown(vac, 0.0, vac + 0.0, "")
-    th = _thermal_exact(atom, env, z, constants, h)
+    th = _thermal_at(_thermal_factors(atom, env, cst), z, z3, h)
     # by position (vacuum, thermal, total, notes), the record's fast path
     return PotentialBreakdown(vac, th, vac + th, "")

@@ -14,10 +14,13 @@ asymptotic series.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
 (the retarded regime).
 
-All dimensional work happens in ``_vacuum_parts`` (the prefactor and
-x0 = 2 k0 z, for :func:`vacuum_potential` and ``total_potential``) and
-the two asymptote functions; everything else is dimensionless.  Units:
-k0 in rad/um, alpha0 in um^3, z in um, energies in eV.
+All dimensional work happens in :func:`vacuum_potential` and the two
+asymptote functions, each a factor of the atom and constants alone
+(``_vacuum_factor``, ``_nonretarded_factor``, ``_retarded_factor``) over
+a power of z (``_vacuum_at``, ``_nonretarded_at``): a call takes both,
+a curve row the factor once per curve; everything else is
+dimensionless.  Units: k0 in rad/um, alpha0 in um^3, z in um, energies
+in eV.
 """
 
 from __future__ import annotations
@@ -271,6 +274,16 @@ def _h0_series(x: float) -> float:
         fact *= (2 * k + 1) * (2 * k + 2) * inv_x2
 
 
+def _vacuum_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
+    """hbar c k0 alpha0 / 8 pi, V0's factor (see _vacuum_at)."""
+    return cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0
+
+
+def _vacuum_at(factor: float, z3: float, h: float) -> float:
+    """V0 from _vacuum_factor, z3 = _z_power(z, 3) and h = H0(2 k0 z)."""
+    return factor / z3 * h
+
+
 def vacuum_potential(
     atom: AtomParams,
     z: float,
@@ -281,18 +294,18 @@ def vacuum_potential(
     V0(z) = (hbar c / 8 pi) (k0 alpha0 / z^3) H0(2 k0 z); strictly
     negative (attractive) at every separation.
     """
-    prefactor, h = _vacuum_parts(atom, z, constants)
-    return prefactor * h
-
-
-def _vacuum_parts(
-    atom: AtomParams, z: float, constants: PhysicalConstants | None
-) -> tuple[float, float]:
-    """(prefactor, H0(2 k0 z)), whose product is vacuum_potential."""
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    prefactor = cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0 / z3
-    return prefactor, h0(2.0 * atom.k0 * z)
+    return _vacuum_at(_vacuum_factor(atom, cst), z3, h0(2.0 * atom.k0 * z))
+
+
+def _nonretarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
+    """-hbar omega0 alpha0 with hbar omega0 = hbar c k0 (_nonretarded_at)."""
+    return -(cst.hbar_c_ev_um * atom.k0) * atom.alpha0
+
+
+def _nonretarded_at(factor: float, z3: float) -> float:
+    return factor / (8.0 * z3)
 
 
 def nonretarded_asymptote(
@@ -306,8 +319,12 @@ def nonretarded_asymptote(
     physics once the transition energy is fixed.
     """
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    hbar_omega0 = cst.hbar_c_ev_um * atom.k0
-    return -hbar_omega0 * atom.alpha0 / (8.0 * _z_power(z, 3))
+    return _nonretarded_at(_nonretarded_factor(atom, cst), _z_power(z, 3))
+
+
+def _retarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
+    """-(3 / 8 pi) hbar c alpha0, which over z^4 is retarded_asymptote."""
+    return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0
 
 
 def retarded_asymptote(
@@ -317,4 +334,4 @@ def retarded_asymptote(
 ) -> float:
     """Long-distance form -(3 / 8 pi) hbar c alpha0 / z^4 (k0-free)."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0 / _z_power(z, 4)
+    return _retarded_factor(atom, cst) / _z_power(z, 4)

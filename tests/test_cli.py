@@ -24,7 +24,19 @@ except ModuleNotFoundError:  # Python 3.10: pyproject.toml is read with a regex
 from cpwall import cli
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
-from cpwall.thermal import _reference_pair, total_potential
+from cpwall.thermal import (
+    _reference_pair,
+    lifshitz_asymptote,
+    thermal_potential_exact,
+    thermal_short_leading,
+    total_potential,
+)
+from cpwall.vacuum import (
+    AtomParams,
+    nonretarded_asymptote,
+    retarded_asymptote,
+    vacuum_potential,
+)
 
 EV_TO_J = 1.602176634e-19
 
@@ -320,25 +332,56 @@ class TestCurve:
 
 
 class TestCurveRows:
-    """A curve row formats its cells in one call, and figure 2's total
-    cell is total_potential's total scaled, bit for bit."""
+    """A curve row formats its cells in one call, and each cell is the
+    public per-point function's value, scaled as its figure scales it."""
 
-    @pytest.mark.parametrize("theta", [10.0, 45.0, 1000.0])
-    def test_figure2_total_is_total_potential(self, theta):
+    @pytest.mark.parametrize(
+        "figure_id,theta",
+        [(1, 100.0)] + [(f, t) for f in (2, 3) for t in (10.0, 12.0, 39.9, 45.0, 1000.0)],
+    )
+    def test_cells_are_the_public_functions(self, figure_id, theta):
+        # bit for bit: the rows take each column's factors once per curve
+        # and its per-z part per row, the functions both at every call
         cst = PhysicalConstants()
-        # the H_T form below z/lambda_T = 1/8, the Lifshitz sum above
-        spec = cli.CurveSpec.for_figure(2, theta, 40, x_range=(0.02, 0.8))
+        x_range = None if figure_id == 1 else (0.02, 0.8)
+        spec = cli.CurveSpec.for_figure(figure_id, theta, 40, x_range=x_range)
         buf = io.StringIO()
         assert cli.cmd_curve(spec, cst, buf) == 0
-        lines = buf.getvalue().splitlines()[1:]
-        rows = [list(map(float, line.split(","))) for line in lines]
-        assert min(r[0] for r in rows) < 0.125 < max(r[0] for r in rows)
-        atom, env = _reference_pair(theta, cst)
-        lam = env.lambda_T
-        scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
-        for zr, total_scaled, _ in rows:
-            tot = total_potential(atom, zr * lam, env, cst).total
-            assert total_scaled == tot * (zr**3 / scale)
+        rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
+        xs = [float(row[0]) for row in rows]
+        if figure_id == 1:
+            atom = AtomParams(k0=1.0, alpha0=1.0)
+
+            def want(z):
+                s = z**3 / cst.hbar_c_ev_um
+                return (
+                    z,
+                    vacuum_potential(atom, z, cst) * s,
+                    nonretarded_asymptote(atom, z, cst) * s,
+                    retarded_asymptote(atom, z, cst) * s,
+                )
+        else:
+            # the H_T form below z/lambda_T = 1/8, the Lifshitz sum above
+            assert min(xs) < 0.125 < max(xs)
+            atom, env = _reference_pair(theta, cst)
+            lam = env.lambda_T
+            scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
+
+            def want(zr):
+                z = zr * lam
+                if figure_id == 2:
+                    s = zr**3 / scale
+                    tot = total_potential(atom, z, env, cst).total
+                    return zr, tot * s, lifshitz_asymptote(atom, env, z, cst) * s
+                return (
+                    zr,
+                    thermal_potential_exact(atom, env, z, cst) / scale,
+                    thermal_short_leading(atom, env, z, cst) / scale,
+                    retarded_asymptote(atom, z, cst) / scale,
+                )
+
+        for row, x in zip(rows, xs):
+            assert row == [cli._CELL.format(v) for v in want(x)]
 
     CELLS = [
         -0.0,
