@@ -52,10 +52,11 @@ Short- and long-distance expansions (H_T, the first route on its own,
 and L_T, the expansion of W about the static polarizability without
 its pole term) and the Lifshitz total asymptote -(k_B T) alpha0 / 4 z^3
 complete the module.  All series are summed in a fixed order so
-repeated runs are bit-identical.  Each potential is a helper for its
-factors of atom, environment and constants (``_thermal_factors``) and a
-per-z core (``_thermal_at``): a call takes both, a curve row the helper
-once per curve.
+repeated runs are bit-identical.  Each public potential is a helper
+for its factors of atom, environment and constants (``_thermal_factors``,
+``_short_leading_factors``, ``_lifshitz_factor``) and a per-z core
+(``_thermal_at``, ``_short_leading_at``, ``_lifshitz_at``): a call takes
+both, a curve row the helper once per curve and the core once per row.
 """
 
 from __future__ import annotations
