@@ -31,26 +31,23 @@ from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
 from .record import Record
 from .thermal import (
     ThermalEnvironment,
-    _lifshitz_at,
-    _lifshitz_factor,
     _reference_pair,
-    _short_leading_at,
-    _short_leading_factors,
     _thermal_at,
     _thermal_factors,
+    lifshitz_asymptote,
     recommended_approximation,
+    thermal_short_leading,
     total_potential,
 )
 from .vacuum import (
     AtomParams,
-    _nonretarded_at,
-    _nonretarded_factor,
     _retarded_factor,
     _vacuum_at,
     _vacuum_factor,
     _z_power,
     classify_regime,
     h0,
+    nonretarded_asymptote,
 )
 
 if TYPE_CHECKING:
@@ -151,50 +148,46 @@ def _figure_grid(spec: CurveSpec) -> list[float]:
 def _row_function(
     spec: CurveSpec, cst: PhysicalConstants
 ) -> Callable[[float], tuple[float, ...]]:
-    """The CSV row of spec's figure as a function of one grid abscissa:
-    each column's per-z part of the public function it equals, bit for
-    bit, sharing z^3 and (figure 2) H0 across the columns."""
+    """The CSV row of spec's figure as a function of one grid abscissa.  The
+    vacuum, thermal and retarded columns take their public function's factors
+    once per curve and its per-z part per row; the others call the function."""
     if spec.figure_id == 1:
         atom = AtomParams(k0=1.0, alpha0=1.0)
         denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
-        vac, nr = _vacuum_factor(atom, cst), _nonretarded_factor(atom, cst)
-        ret, two_k0 = _retarded_factor(atom, cst), 2.0 * atom.k0
+        vac, ret = _vacuum_factor(atom, cst), _retarded_factor(atom, cst)
+        two_k0 = 2.0 * atom.k0
 
         def vacuum_row(z: float) -> tuple[float, ...]:
             z3 = _z_power(z, 3)
             v = _vacuum_at(vac, z3, h0(two_k0 * z))
+            nr = nonretarded_asymptote(atom, z, cst)
             s = z3 / denom
-            return z, v * s, _nonretarded_at(nr, z3) * s, ret / _z_power(z, 4) * s
+            return z, v * s, nr * s, ret / _z_power(z, 4) * s
 
         return vacuum_row
 
     atom, env = _reference_pair(spec.theta, cst)
     lam = env.lambda_T
     scale = cst.hbar_c_ev_um * atom.alpha0 / lam**4
-    thermal = _thermal_factors(atom, env, cst)
 
     if spec.figure_id == 2:
-        vac, lif = _vacuum_factor(atom, cst), _lifshitz_factor(atom, env, cst)
-        two_k0 = 2.0 * atom.k0
-
+        # through total_potential, which perfbench's curve-gate test scales
         def total_row(zr: float) -> tuple[float, ...]:
             z = zr * lam
-            z3 = _z_power(z, 3)
-            h = h0(two_k0 * z)
-            tot = _vacuum_at(vac, z3, h) + _thermal_at(thermal, z, z3, h)
+            tot = total_potential(atom, z, env, cst).total
+            lif = lifshitz_asymptote(atom, env, z, cst)
             s = zr**3 / scale
-            return zr, tot * s, _lifshitz_at(lif, z3) * s
+            return zr, tot * s, lif * s
 
         return total_row
 
-    short, ret = _short_leading_factors(atom, env, cst), _retarded_factor(atom, cst)
+    thermal, ret = _thermal_factors(atom, env, cst), _retarded_factor(atom, cst)
 
     def thermal_row(zr: float) -> tuple[float, ...]:
         z = zr * lam
         vt = _thermal_at(thermal, z, _z_power(z, 3))
-        # _z_power's gate, z > 0 and finite, covers the short law's z >= 0
-        sl = _short_leading_at(short, z)
-        return zr, vt / scale, sl / scale, ret / _z_power(z, 4) / scale
+        short = thermal_short_leading(atom, env, z, cst)
+        return zr, vt / scale, short / scale, ret / _z_power(z, 4) / scale
 
     return thermal_row
 
@@ -208,9 +201,8 @@ def cmd_curve(
 
     Every row is computed before anything is written, so an error at
     any grid point leaves no partial output.  The row format, one _CELL
-    per column, is built once per curve: one str.format call per row.
-    The columns' factors of atom, environment and constants are taken
-    once per curve too (_row_function), the per-z parts once per row.
+    per column, is built once per curve: one str.format call per row; so
+    are the factors _row_function takes of atom, environment and constants.
     """
     cst = constants if constants is not None else load_constants()
     out = stream if stream is not None else sys.stdout

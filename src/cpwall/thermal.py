@@ -52,11 +52,7 @@ Short- and long-distance expansions (H_T, the first route on its own,
 and L_T, the expansion of W about the static polarizability without
 its pole term) and the Lifshitz total asymptote -(k_B T) alpha0 / 4 z^3
 complete the module.  All series are summed in a fixed order so
-repeated runs are bit-identical.  Each public potential is a helper
-for its factors of atom, environment and constants (``_thermal_factors``,
-``_short_leading_factors``, ``_lifshitz_factor``) and a per-z core
-(``_thermal_at``, ``_short_leading_at``, ``_lifshitz_at``): a call takes
-both, a curve row the helper once per curve and the core once per row.
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -245,21 +241,17 @@ def _two_product(a: float, b: float) -> tuple[float, float]:
 
 
 def _pole_term(x0: float, lo: float, e_th: float) -> float:
-    """The resonant pole term W_pole = pi b [2 x sin x - (x^2 - 2) cos x]
-    at x = x0 + lo, b = e^-theta / (1 - e^-theta): what the pole term of
-    J0- adds to the W bracket, and the resonant term of the Lifshitz
-    route.  lo, up to half an ulp of x0, enters the phase alone: sin x and
-    cos x come from the sines and cosines of x0 and of lo, which libm
-    reduces exactly at any size.  For |lo| <= 2^-27 (every x0 < 2^27)
-    sin lo and cos lo round to lo and 1, which it takes without libm."""
+    """The resonant term W_pole = pi b [2 x sin x - (x^2 - 2) cos x] of the
+    Lifshitz route at x = x0 + lo, b = e^-theta / (1 - e^-theta).  lo, up
+    to half an ulp of x0, enters the phase alone: sin x and cos x come from
+    the sines and cosines of x0 and of lo, which libm reduces exactly at
+    any size; sin lo and cos lo round to lo and 1 where |lo| <= 2^-27."""
     s, c = math.sin(x0), math.cos(x0)
-    if abs(lo) <= 2.0**-27:
-        sin_x, cos_x = s + c * lo, c - s * lo
-    else:
-        s_lo, c_lo = math.sin(lo), math.cos(lo)
-        sin_x, cos_x = s * c_lo + c * s_lo, c * c_lo - s * s_lo
+    s_lo, c_lo = (lo, 1.0) if abs(lo) <= 2.0**-27 else (math.sin(lo), math.cos(lo))
     scale = math.pi * e_th / (1.0 - e_th)
-    return scale * (2.0 * x0 * sin_x - (x0 * x0 - 2.0) * cos_x)
+    return scale * (
+        2.0 * x0 * (s * c_lo + c * s_lo) - (x0 * x0 - 2.0) * (c * c_lo - s * s_lo)
+    )
 
 
 def _static_alpha_sum(eta: float, x0: float) -> float:
@@ -438,26 +430,33 @@ def _h_t(eta: float, theta: float) -> float:
     )
 
 
-def _check_env(atom: AtomParams, env: ThermalEnvironment) -> None:
-    derived = atom.k0 * env.lambda_T
-    if abs(derived - env.theta) > 1e-8 * derived:
-        raise DomainError(
-            f"environment theta {env.theta} inconsistent with k0*lambda_T "
-            f"= {derived}; was it built for a different atom?"
-        )
+# the last (atom, env, constants) and their factors, by identity (records are read-only)
+_last_factors: tuple = (None, None, None, ())
 
 
 def _thermal_factors(
     atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
 ) -> tuple[float, ...]:
-    """_thermal_at's factors, once atom and env agree: lambda_T, 2 k0,
-    theta = k0 lambda_T, the H_T form's 2 hbar c alpha0 and pi lambda_T^4
-    (_v_short) and the W form's hbar c alpha0 k0 (_w_pref)."""
-    _check_env(atom, env)
+    """V_T's factors of atom, env and constants: lambda_T, 2 k0, theta =
+    k0 lambda_T, the H_T form's 2 hbar c alpha0 and pi lambda_T^4 (_v_short)
+    and the W form's hbar c alpha0 k0 (_w_pref).  Raises DomainError if env
+    was built for another atom (its theta is not k0 lambda_T)."""
+    global _last_factors
+    last_atom, last_env, last_cst, f = _last_factors
+    if atom is last_atom and env is last_env and cst is last_cst:
+        return f
     lam, hc, k0 = env.lambda_T, cst.hbar_c_ev_um, atom.k0
+    theta = k0 * lam
+    if abs(theta - env.theta) > 1e-8 * theta:
+        raise DomainError(
+            f"environment theta {env.theta} inconsistent with k0*lambda_T "
+            f"= {theta}; was it built for a different atom?"
+        )
     # lambda_T^4 overflows from 1e77, where _v_short divides by it in halves
     pi_lam4 = math.pi * lam**4 if lam < 1e77 else math.inf
-    return lam, 2.0 * k0, k0 * lam, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0
+    f = lam, 2.0 * k0, theta, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0
+    _last_factors = atom, env, cst, f
+    return f
 
 
 def _v_short(f: tuple, eta: float) -> float:
@@ -470,22 +469,22 @@ def _v_short(f: tuple, eta: float) -> float:
     return num / (math.pi * lam * lam) / (lam * lam) * h_t
 
 
-def _w_pref(f: tuple, z3: float) -> float:
+def _w_pref(w_num: float, z3: float) -> float:
     """(hbar c / 8 pi) (alpha0 k0 / z^3), which turns W into eV."""
-    return f[5] / (8.0 * math.pi * z3)
+    return w_num / (8.0 * math.pi * z3)
 
 
 def _thermal_at(f: tuple, z: float, z3: float, h: float | None = None) -> float:
-    """thermal_potential_exact from _thermal_factors' f, z3 = _z_power(z, 3)
-    and h = H0(2 k0 z) if the caller has it."""
-    eta = f[0] / (2.0 * z)
+    """V_T from _thermal_factors' f at z, with z3 = _z_power(z, 3) and
+    h = H0(2 k0 z) if the caller has it."""
+    lam, two_k0, _, _, _, w_num = f
+    eta = lam / (2.0 * z)
     if eta > _SHORT_ETA:
         return _v_short(f, eta)
     # _w_lifshitz refuses an x0 whose square overflows before reading lo;
     # below that, z^3 being normal keeps 2 k0 and z in _two_product's range
-    x0, lo = _two_product(f[1], z)
-    w = _w_lifshitz(eta, x0, lo, h)
-    return _w_pref(f, z3) * w
+    x0, lo = _two_product(two_k0, z)
+    return _w_pref(w_num, z3) * _w_lifshitz(eta, x0, lo, h)
 
 
 def thermal_potential_exact(
@@ -507,21 +506,6 @@ def thermal_potential_exact(
     return _thermal_at(_thermal_factors(atom, env, cst), z, z3)
 
 
-def _short_leading_factors(
-    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
-) -> tuple[float, float, float]:
-    """(hbar c alpha0, C(T) / hbar c alpha0, lambda_T^6), once atom and env agree."""
-    _check_env(atom, env)
-    lam = env.lambda_T
-    return cst.hbar_c_ev_um * atom.alpha0, C_SHORT / lam**4, lam**6
-
-
-def _short_leading_at(f: tuple, z: float) -> float:
-    """thermal_short_leading at a z >= 0 it has checked."""
-    scale, c_t, lam6 = f
-    return scale * (c_t - CURV_SHORT * z * z / lam6)
-
-
 def thermal_short_leading(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -533,10 +517,13 @@ def thermal_short_leading(
 
     Valid (to ~5%) for z <= 0.05 lambda_T; defined for all z >= 0.
     """
-    if not (math.isfinite(z) and z >= 0.0):
+    if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be >= 0 and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return _short_leading_at(_short_leading_factors(atom, env, cst), z)
+    _thermal_factors(atom, env, cst)  # the env check
+    lam = env.lambda_T
+    scale = cst.hbar_c_ev_um * atom.alpha0
+    return scale * (C_SHORT / lam**4 - CURV_SHORT * z * z / lam**6)
 
 
 def thermal_short_expansion(
@@ -576,31 +563,18 @@ def thermal_long_expansion(
     sums of argument 1 - i/eta, has the coefficients I_k / 2 of the
     static-alpha expansion (W = 4 L_T, see _static_alpha_sum), so this
     sums that expansion, which misses the resonant pole term W_pole.
-    Requires z >= 0.5 lambda_T
-    (eta <= 1); raises ValidityError below.
+    Requires z >= 0.5 lambda_T (eta <= 1); raises ValidityError below.
     """
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    f = _thermal_factors(atom, env, cst)
-    if z < 0.5 * env.lambda_T:
+    lam, two_k0, _, _, _, w_num = _thermal_factors(atom, env, cst)
+    if z < 0.5 * lam:
         raise ValidityError(
             f"long-distance expansion needs z >= 0.5 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    eta = env.lambda_T / (2.0 * z)
-    w_static = _static_alpha_sum(eta, f[1] * z)
-    return _w_pref(f, z3) * w_static
-
-
-def _lifshitz_factor(
-    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
-) -> float:
-    """-k_B T alpha0, lifshitz_asymptote times 4 z^3."""
-    return -cst.k_B * env.temperature * atom.alpha0
-
-
-def _lifshitz_at(factor: float, z3: float) -> float:
-    return factor / (4.0 * z3)
+    w_static = _static_alpha_sum(lam / (2.0 * z), two_k0 * z)
+    return _w_pref(w_num, z3) * w_static
 
 
 def lifshitz_asymptote(
@@ -612,7 +586,7 @@ def lifshitz_asymptote(
     """Asymptote of the TOTAL interaction for z >> lambda_T:
     -(k_B T / 4) alpha0 / z^3, linear in T and hbar-free."""
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return _lifshitz_at(_lifshitz_factor(atom, env, cst), _z_power(z, 3))
+    return -cst.k_B * env.temperature * atom.alpha0 / (4.0 * _z_power(z, 3))
 
 
 def recommended_approximation(z_over_lambda_t: float) -> str:
@@ -636,9 +610,8 @@ def total_potential(
     ``env=None`` means a zero-temperature field: the thermal part is
     exactly zero and only the vacuum term survives.
     """
-    z3 = _z_power(z, 3)
+    z3, h = _z_power(z, 3), h0(2.0 * atom.k0 * z)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    h = h0(2.0 * atom.k0 * z)
     vac = _vacuum_at(_vacuum_factor(atom, cst), z3, h)
     if env is None:
         return PotentialBreakdown(vac, 0.0, vac + 0.0, "")

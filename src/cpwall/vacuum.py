@@ -14,13 +14,10 @@ asymptotic series.  H0 interpolates between -pi at contact (the
 non-retarded, image-potential regime) and -6/x at large separation
 (the retarded regime).
 
-All dimensional work happens in :func:`vacuum_potential` and the two
-asymptote functions, each a factor of the atom and constants alone
-(``_vacuum_factor``, ``_nonretarded_factor``, ``_retarded_factor``) over
-a power of z (``_vacuum_at``, ``_nonretarded_at``): a call takes both,
-a curve row the factor once per curve; everything else is
-dimensionless.  Units: k0 in rad/um, alpha0 in um^3, z in um, energies
-in eV.
+All dimensional work happens in :func:`vacuum_potential` (the factor
+``_vacuum_factor`` over z^3, ``_vacuum_at``, times H0(2 k0 z)) and the
+two asymptote functions; everything else is dimensionless.  Units:
+k0 in rad/um, alpha0 in um^3, z in um, energies in eV.
 """
 
 from __future__ import annotations
@@ -178,7 +175,7 @@ def _z_power(z: float, n: int) -> float:
     """z**n, refusing a z that is not positive and finite, or so large
     that the power overflows, or so small that it underflows below the
     smallest normal float: the one gate of every distance."""
-    if not (math.isfinite(z) and z > 0.0):
+    if not 0.0 < z < math.inf:
         raise DomainError(f"z must be positive and finite, got {z}")
     try:
         p = z**n
@@ -275,7 +272,6 @@ def _h0_series(x: float) -> float:
 
 
 def _vacuum_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
-    """hbar c k0 alpha0 / 8 pi, V0's factor (see _vacuum_at)."""
     return cst.hbar_c_ev_um / (8.0 * math.pi) * atom.k0 * atom.alpha0
 
 
@@ -299,15 +295,6 @@ def vacuum_potential(
     return _vacuum_at(_vacuum_factor(atom, cst), z3, h0(2.0 * atom.k0 * z))
 
 
-def _nonretarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
-    """-hbar omega0 alpha0 with hbar omega0 = hbar c k0 (_nonretarded_at)."""
-    return -(cst.hbar_c_ev_um * atom.k0) * atom.alpha0
-
-
-def _nonretarded_at(factor: float, z3: float) -> float:
-    return factor / (8.0 * z3)
-
-
 def nonretarded_asymptote(
     atom: AtomParams,
     z: float,
@@ -319,11 +306,11 @@ def nonretarded_asymptote(
     physics once the transition energy is fixed.
     """
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    return _nonretarded_at(_nonretarded_factor(atom, cst), _z_power(z, 3))
+    hbar_omega0 = cst.hbar_c_ev_um * atom.k0
+    return -hbar_omega0 * atom.alpha0 / (8.0 * _z_power(z, 3))
 
 
 def _retarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
-    """-(3 / 8 pi) hbar c alpha0, which over z^4 is retarded_asymptote."""
     return -3.0 / (8.0 * math.pi) * cst.hbar_c_ev_um * atom.alpha0
 
 

@@ -340,8 +340,9 @@ class TestCurveRows:
         [(1, 100.0)] + [(f, t) for f in (2, 3) for t in (10.0, 12.0, 39.9, 45.0, 1000.0)],
     )
     def test_cells_are_the_public_functions(self, figure_id, theta):
-        # bit for bit: the rows take each column's factors once per curve
-        # and its per-z part per row, the functions both at every call
+        # bit for bit: the vacuum, thermal and retarded columns take their
+        # factors once per curve and the per-z part per row, the functions
+        # both at every call
         cst = PhysicalConstants()
         x_range = None if figure_id == 1 else (0.02, 0.8)
         spec = cli.CurveSpec.for_figure(figure_id, theta, 40, x_range=x_range)
