@@ -30,24 +30,25 @@ from .constants import PhysicalConstants, load_constants
 from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
 from .record import Record
 from .thermal import (
+    CURV_SHORT,
     ThermalEnvironment,
     _reference_pair,
+    _short_factors,
     _thermal_at,
     _thermal_factors,
     lifshitz_asymptote,
     recommended_approximation,
-    thermal_short_leading,
     total_potential,
 )
 from .vacuum import (
     AtomParams,
+    _nonretarded_factor,
     _retarded_factor,
     _vacuum_at,
     _vacuum_factor,
     _z_power,
     classify_regime,
     h0,
-    nonretarded_asymptote,
 )
 
 if TYPE_CHECKING:
@@ -115,12 +116,7 @@ class CurveSpec(Record):
         if figure_id not in (1, 2, 3):
             raise DomainError(f"figure_id must be 1, 2 or 3, got {figure_id}")
         rng = x_range if x_range is not None else _FIGURE_RANGES[figure_id]
-        return cls(
-            figure_id=figure_id,
-            theta=theta,
-            points=points,
-            x_range=(float(rng[0]), float(rng[1])),
-        )
+        return cls(figure_id, theta, points, (float(rng[0]), float(rng[1])))
 
 
 # 17 significant digits, enough to round-trip any double
@@ -148,21 +144,25 @@ def _figure_grid(spec: CurveSpec) -> list[float]:
 def _row_function(
     spec: CurveSpec, cst: PhysicalConstants
 ) -> Callable[[float], tuple[float, ...]]:
-    """The CSV row of spec's figure as a function of one grid abscissa.  The
-    vacuum, thermal and retarded columns take their public function's factors
-    once per curve and its per-z part per row; the others call the function."""
+    """The CSV row of spec's figure as a function of one grid abscissa.
+    Figure 1's vacuum, nonretarded and retarded columns and figure 3's
+    thermal, short-leading and retarded columns take their public
+    function's factors of atom, environment and constants once per curve
+    and its per-z part per row.  Figure 2's total column calls
+    total_potential, which perfbench's curve-gate test scales, and its
+    Lifshitz column calls lifshitz_asymptote."""
     if spec.figure_id == 1:
         atom = AtomParams(k0=1.0, alpha0=1.0)
         denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
         vac, ret = _vacuum_factor(atom, cst), _retarded_factor(atom, cst)
+        nonret = _nonretarded_factor(atom, cst)
         two_k0 = 2.0 * atom.k0
 
         def vacuum_row(z: float) -> tuple[float, ...]:
             z3 = _z_power(z, 3)
             v = _vacuum_at(vac, z3, h0(two_k0 * z))
-            nr = nonretarded_asymptote(atom, z, cst)
             s = z3 / denom
-            return z, v * s, nr * s, ret / _z_power(z, 4) * s
+            return z, v * s, nonret / (8.0 * z3) * s, ret / _z_power(z, 4) * s
 
         return vacuum_row
 
@@ -182,11 +182,12 @@ def _row_function(
         return total_row
 
     thermal, ret = _thermal_factors(atom, env, cst), _retarded_factor(atom, cst)
+    short_scale, c_t, lam6 = _short_factors(atom, env, cst)
 
     def thermal_row(zr: float) -> tuple[float, ...]:
         z = zr * lam
         vt = _thermal_at(thermal, z, _z_power(z, 3))
-        short = thermal_short_leading(atom, env, z, cst)
+        short = short_scale * (c_t - CURV_SHORT * z * z / lam6)
         return zr, vt / scale, short / scale, ret / _z_power(z, 4) / scale
 
     return thermal_row

@@ -151,9 +151,7 @@ def _reference_pair(
 ) -> tuple[AtomParams, ThermalEnvironment]:
     """Room-temperature atom/environment pair at the requested theta."""
     lam = cst.thermal_wavelength_um(300.0)
-    atom = AtomParams(k0=theta / lam, alpha0=alpha0_um3)
-    env = ThermalEnvironment(temperature=300.0, lambda_T=lam, theta=theta)
-    return atom, env
+    return AtomParams(theta / lam, alpha0_um3), ThermalEnvironment(300.0, lam, theta)
 
 
 class ThermalSeriesTerms(Record):
@@ -376,8 +374,7 @@ def thermal_series_terms(theta: float) -> ThermalSeriesTerms:
     for i in reversed(range(cut)):
         far = tails[i] + (2 * i + 4) * (2 * i + 5) / theta2 * far
         js[i] += far
-    # by position (coefficients, terms_used), the record's fast path
-    return ThermalSeriesTerms(tuple(map(mul, _H_T_FACTORS, js)), len(inv_n2))
+    return ThermalSeriesTerms._make(tuple(map(mul, _H_T_FACTORS, js)), len(inv_n2))
 
 
 def _h_t(eta: float, theta: float) -> float:
@@ -439,7 +436,8 @@ def _thermal_factors(
 ) -> tuple[float, ...]:
     """V_T's factors of atom, env and constants: lambda_T, 2 k0, theta =
     k0 lambda_T, the H_T form's 2 hbar c alpha0 and pi lambda_T^4 (_v_short)
-    and the W form's hbar c alpha0 k0 (_w_pref).  Raises DomainError if env
+    and the W form's hbar c alpha0 k0 (_w_pref), then V0's _vacuum_factor,
+    which total_potential reads from this cache.  Raises DomainError if env
     was built for another atom (its theta is not k0 lambda_T)."""
     global _last_factors
     last_atom, last_env, last_cst, f = _last_factors
@@ -454,7 +452,10 @@ def _thermal_factors(
         )
     # lambda_T^4 overflows from 1e77, where _v_short divides by it in halves
     pi_lam4 = math.pi * lam**4 if lam < 1e77 else math.inf
-    f = lam, 2.0 * k0, theta, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0
+    f = (
+        lam, 2.0 * k0, theta, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0,
+        _vacuum_factor(atom, cst),
+    )
     _last_factors = atom, env, cst, f
     return f
 
@@ -462,7 +463,7 @@ def _thermal_factors(
 def _v_short(f: tuple, eta: float) -> float:
     """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
     (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
-    lam, _, theta, num, pi_lam4, _ = f
+    lam, _, theta, num, pi_lam4, _, _ = f
     h_t = _h_t(eta, theta)
     if lam < 1e77:
         return num / pi_lam4 * h_t
@@ -477,7 +478,7 @@ def _w_pref(w_num: float, z3: float) -> float:
 def _thermal_at(f: tuple, z: float, z3: float, h: float | None = None) -> float:
     """V_T from _thermal_factors' f at z, with z3 = _z_power(z, 3) and
     h = H0(2 k0 z) if the caller has it."""
-    lam, two_k0, _, _, _, w_num = f
+    lam, two_k0, _, _, _, w_num, _ = f
     eta = lam / (2.0 * z)
     if eta > _SHORT_ETA:
         return _v_short(f, eta)
@@ -506,6 +507,16 @@ def thermal_potential_exact(
     return _thermal_at(_thermal_factors(atom, env, cst), z, z3)
 
 
+def _short_factors(
+    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
+) -> tuple[float, float, float]:
+    """thermal_short_leading's factors of atom, env and constants:
+    hbar c alpha0, C_SHORT / lambda_T^4 and lambda_T^6."""
+    _thermal_factors(atom, env, cst)  # the env check
+    lam = env.lambda_T
+    return cst.hbar_c_ev_um * atom.alpha0, C_SHORT / lam**4, lam**6
+
+
 def thermal_short_leading(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -520,10 +531,8 @@ def thermal_short_leading(
     if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be >= 0 and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    _thermal_factors(atom, env, cst)  # the env check
-    lam = env.lambda_T
-    scale = cst.hbar_c_ev_um * atom.alpha0
-    return scale * (C_SHORT / lam**4 - CURV_SHORT * z * z / lam**6)
+    scale, c_t, lam6 = _short_factors(atom, env, cst)
+    return scale * (c_t - CURV_SHORT * z * z / lam6)
 
 
 def thermal_short_expansion(
@@ -567,7 +576,7 @@ def thermal_long_expansion(
     """
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    lam, two_k0, _, _, _, w_num = _thermal_factors(atom, env, cst)
+    lam, two_k0, _, _, _, w_num, _ = _thermal_factors(atom, env, cst)
     if z < 0.5 * lam:
         raise ValidityError(
             f"long-distance expansion needs z >= 0.5 lambda_T, got "
@@ -612,9 +621,11 @@ def total_potential(
     """
     z3, h = _z_power(z, 3), h0(2.0 * atom.k0 * z)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    vac = _vacuum_at(_vacuum_factor(atom, cst), z3, h)
     if env is None:
-        return PotentialBreakdown(vac, 0.0, vac + 0.0, "")
-    th = _thermal_at(_thermal_factors(atom, env, cst), z, z3, h)
-    # by position (vacuum, thermal, total, notes), the record's fast path
-    return PotentialBreakdown(vac, th, vac + th, "")
+        vac = _vacuum_at(_vacuum_factor(atom, cst), z3, h)
+        return PotentialBreakdown._make(vac, 0.0, vac + 0.0, "")
+    # one cache lookup for both parts' factors, V0's last
+    f = _thermal_factors(atom, env, cst)
+    vac = _vacuum_at(f[6], z3, h)
+    th = _thermal_at(f, z, z3, h)
+    return PotentialBreakdown._make(vac, th, vac + th, "")

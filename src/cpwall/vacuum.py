@@ -295,6 +295,11 @@ def vacuum_potential(
     return _vacuum_at(_vacuum_factor(atom, cst), z3, h0(2.0 * atom.k0 * z))
 
 
+def _nonretarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:
+    hbar_omega0 = cst.hbar_c_ev_um * atom.k0
+    return -hbar_omega0 * atom.alpha0
+
+
 def nonretarded_asymptote(
     atom: AtomParams,
     z: float,
@@ -306,8 +311,7 @@ def nonretarded_asymptote(
     physics once the transition energy is fixed.
     """
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    hbar_omega0 = cst.hbar_c_ev_um * atom.k0
-    return -hbar_omega0 * atom.alpha0 / (8.0 * _z_power(z, 3))
+    return _nonretarded_factor(atom, cst) / (8.0 * _z_power(z, 3))
 
 
 def _retarded_factor(atom: AtomParams, cst: PhysicalConstants) -> float:

@@ -25,6 +25,7 @@ from cpwall import cli
 from cpwall.constants import PhysicalConstants
 from cpwall.errors import ConvergenceError, DomainError
 from cpwall.thermal import (
+    PotentialBreakdown,
     _reference_pair,
     lifshitz_asymptote,
     thermal_potential_exact,
@@ -336,21 +337,32 @@ class TestCurveRows:
     public per-point function's value, scaled as its figure scales it."""
 
     @pytest.mark.parametrize(
-        "figure_id,theta",
-        [(1, 100.0)] + [(f, t) for f in (2, 3) for t in (10.0, 12.0, 39.9, 45.0, 1000.0)],
+        "figure_id,theta,x_range",
+        [
+            pytest.param(1, 100.0, None, id="1-100.0"),
+            # k0 = 1, so x0 = 2z runs 0.01-400: every h0 branch
+            pytest.param(1, 100.0, (0.005, 200.0), id="1-100.0-every-h0-branch"),
+        ]
+        + [
+            pytest.param(f, t, (0.02, 0.8), id=f"{f}-{t}")
+            for f in (2, 3)
+            for t in (10.0, 12.0, 39.9, 45.0, 1000.0)
+        ],
     )
-    def test_cells_are_the_public_functions(self, figure_id, theta):
-        # bit for bit: the vacuum, thermal and retarded columns take their
-        # factors once per curve and the per-z part per row, the functions
-        # both at every call
+    def test_cells_are_the_public_functions(self, figure_id, theta, x_range):
+        # bit for bit: the vacuum, thermal and asymptote columns of figures
+        # 1 and 3 take their factors once per curve and the per-z part per
+        # row, the functions both at every call
         cst = PhysicalConstants()
-        x_range = None if figure_id == 1 else (0.02, 0.8)
         spec = cli.CurveSpec.for_figure(figure_id, theta, 40, x_range=x_range)
         buf = io.StringIO()
         assert cli.cmd_curve(spec, cst, buf) == 0
         rows = [line.split(",") for line in buf.getvalue().splitlines()[1:]]
         xs = [float(row[0]) for row in rows]
         if figure_id == 1:
+            if x_range is not None:
+                # x0 < 2 (Ci/Si), the table, x0 > 100 (the series)
+                assert min(xs) < 1.0 and any(1.0 < x < 50.0 for x in xs) and max(xs) > 50.0
             atom = AtomParams(k0=1.0, alpha0=1.0)
 
             def want(z):
@@ -383,6 +395,35 @@ class TestCurveRows:
 
         for row, x in zip(rows, xs):
             assert row == [cli._CELL.format(v) for v in want(x)]
+
+    def test_figure_2_totals_go_through_cli_total_potential(self, monkeypatch):
+        # the benchmark's curve-gate test injects its fault by scaling
+        # cli.total_potential, which only figure 2's total column calls
+        def curves():
+            out = []
+            for figure_id in (1, 2, 3):
+                buf = io.StringIO()
+                spec = cli.CurveSpec.for_figure(figure_id, 100.0, 30)
+                assert cli.cmd_curve(spec, PhysicalConstants(), buf) == 0
+                out.append([line.split(",") for line in buf.getvalue().splitlines()])
+            return out
+
+        factor = 1 + 1e-5
+
+        def scaled(*args, **kwargs):
+            b = total_potential(*args, **kwargs)
+            vac, th = b.vacuum * factor, b.thermal * factor
+            return PotentialBreakdown(vacuum=vac, thermal=th, total=vac + th, notes=b.notes)
+
+        fig1, fig2, fig3 = curves()
+        monkeypatch.setattr(cli, "total_potential", scaled)
+        got1, got2, got3 = curves()
+        assert (got1, got3) == (fig1, fig3)
+        assert got2[0] == fig2[0] == ["z_over_lambdaT", "total_scaled", "lifshitz_scaled"]
+        for want, got in zip(fig2[1:], got2[1:]):
+            assert (got[0], got[2]) == (want[0], want[2])
+            assert got[1] != want[1]
+            assert float(got[1]) == pytest.approx(float(want[1]) * factor, rel=1e-9, abs=0.0)
 
     CELLS = [
         -0.0,

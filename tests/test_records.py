@@ -1,5 +1,6 @@
 """Parameter and result records: read-only fields, the constructor's
-positional and keyword forms, validation, equality, repr and pickling."""
+positional and keyword forms, ``Record._make``, validation, equality,
+repr and pickling."""
 
 from __future__ import annotations
 
@@ -175,6 +176,28 @@ def test_binder_refuses_bad_calls(cls, names, values, bad):
         cls(*values, bogus=1)
     with pytest.raises(TypeError, match=f"{name} got field '{names[0]}' twice"):
         cls(*values[:1], **by_name)
+
+
+@pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
+def test_make_is_the_constructor_by_position(cls, names, values, bad):
+    rec = cls._make(*values)
+    assert type(rec) is cls and rec == cls(**dict(zip(names, values)))
+    for name, value in zip(names, values):
+        assert getattr(rec, name) is value
+        with pytest.raises(AttributeError):
+            setattr(rec, name, value)
+    assert not hasattr(rec, "__dict__")
+    twin = pickle.loads(pickle.dumps(rec))
+    assert type(twin) is cls and repr(twin) == repr(rec)
+    # _check still runs, and a value per field is required
+    for args, exc in bad:
+        with pytest.raises(exc):
+            cls._make(*args)
+    name = cls.__name__
+    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields, got"):
+        cls._make(*values, values[0])
+    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields, got"):
+        cls._make(*values[:-1])
 
 
 def test_records_differ_by_field():

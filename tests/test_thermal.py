@@ -679,17 +679,18 @@ class TestTotalPotential:
     def test_shared_h0_is_bit_identical(self, theta: float) -> None:
         # total_potential takes H0 once for both parts; on figure 2's
         # range z/lambda_T = 0.1-3 (the H_T form below 0.125, the
-        # Lifshitz sum from there on) and at zero temperature each field
-        # is still the stand-alone function's value, bit for bit
+        # Lifshitz sum from there on) and at zero temperature it is the
+        # keyword-built breakdown of the stand-alone functions' values,
+        # bit for bit
         atom, env = _reference_pair(theta, CST)
         for i in range(146):
             z = (0.1 + 0.02 * i) * env.lambda_T
             vac = vacuum_potential(atom, z, CST)
             th = thermal_potential_exact(atom, env, z, CST)
             bd = total_potential(atom, z, env, CST)
-            assert (bd.vacuum, bd.thermal, bd.total) == (vac, th, vac + th)
+            assert bd == PotentialBreakdown(vacuum=vac, thermal=th, total=vac + th, notes="")
             bd = total_potential(atom, z, None, CST)
-            assert (bd.vacuum, bd.thermal, bd.total) == (vac, 0.0, vac + 0.0)
+            assert bd == PotentialBreakdown(vacuum=vac, thermal=0.0, total=vac + 0.0, notes="")
         # a bad z is refused by the vacuum part first, as before
         for z in (0.0, -1.0, math.nan, math.inf, 1e-110, 1e110):
             with pytest.raises(DomainError) as want:
