@@ -93,6 +93,14 @@ def commands() -> list[list[str]]:
         ["eval", "--z", "-1"],
         ["curve", "--figure", "2", "--theta", "5"],
         ["analyze", "--fit-window", "0.45", "0.2"],
+        # refusals of results outside the double range: the vacuum part,
+        # the H_T route's prefactor over a lambda_T^4 that underflows, and
+        # both parts
+        ["eval", "--k0", "2.72e14", "--z", "2.07e-74", "--temperature", "2.69e-28",
+         "--alpha0", "1.54e87"],
+        ["eval", "--k0", "3.1e96", "--z", "1.51e-97", "--temperature", "4.11e97",
+         "--alpha0", "3.27e55"],
+        ["eval", "--temperature", "1e83", "--k0", "1e100", "--z", "1e-100"],
     ]
     return cmds
 

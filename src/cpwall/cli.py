@@ -30,14 +30,12 @@ from .constants import PhysicalConstants, load_constants
 from .errors import ConvergenceError, CpwallError, DomainError, ValidityError
 from .record import Record
 from .thermal import (
-    CURV_SHORT,
     ThermalEnvironment,
     _reference_pair,
-    _short_factors,
-    _thermal_at,
-    _thermal_factors,
     lifshitz_asymptote,
     recommended_approximation,
+    thermal_potential_exact,
+    thermal_short_leading,
     total_potential,
 )
 from .vacuum import (
@@ -146,11 +144,14 @@ def _row_function(
 ) -> Callable[[float], tuple[float, ...]]:
     """The CSV row of spec's figure as a function of one grid abscissa.
     Figure 1's vacuum, nonretarded and retarded columns and figure 3's
-    thermal, short-leading and retarded columns take their public
-    function's factors of atom, environment and constants once per curve
-    and its per-z part per row.  Figure 2's total column calls
+    retarded column take their public function's factors of atom and
+    constants once per curve and its per-z part per row; the vacuum
+    module keeps no factors between calls.  Figure 2's total column calls
     total_potential, which perfbench's curve-gate test scales, and its
-    Lifshitz column calls lifshitz_asymptote."""
+    Lifshitz column lifshitz_asymptote; figure 3's thermal and
+    short-leading columns call thermal_potential_exact and
+    thermal_short_leading, whose factors the thermal module keeps for the
+    curve's one (atom, environment, constants) triple."""
     if spec.figure_id == 1:
         atom = AtomParams(k0=1.0, alpha0=1.0)
         denom = cst.hbar_c_ev_um  # alpha0 = k0 = 1
@@ -181,13 +182,12 @@ def _row_function(
 
         return total_row
 
-    thermal, ret = _thermal_factors(atom, env, cst), _retarded_factor(atom, cst)
-    short_scale, c_t, lam6 = _short_factors(atom, env, cst)
+    ret = _retarded_factor(atom, cst)
 
     def thermal_row(zr: float) -> tuple[float, ...]:
         z = zr * lam
-        vt = _thermal_at(thermal, z, _z_power(z, 3))
-        short = short_scale * (c_t - CURV_SHORT * z * z / lam6)
+        vt = thermal_potential_exact(atom, env, z, cst)
+        short = thermal_short_leading(atom, env, z, cst)
         return zr, vt / scale, short / scale, ret / _z_power(z, 4) / scale
 
     return thermal_row

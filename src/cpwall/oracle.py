@@ -92,7 +92,7 @@ _SCALAR_FLOOR = 2e-14
 class QuadratureReport(Record):
     """One oracle evaluation: value with an honest absolute error
     estimate and its panel count.  The oracles build it per point with
-    Record._make (value, abs_error_estimate, subdivisions)."""
+    every field by position, (value, abs_error_estimate, subdivisions)."""
 
     __slots__ = ("value", "abs_error_estimate", "subdivisions")
 
@@ -242,7 +242,7 @@ def _vacuum_grid(atom: AtomParams, zs, constants=None) -> list[QuadratureReport]
                 f"and reciprocal, got {x0}"
             )
     reps = _laplace(x0s, _h0_kernel)
-    return [QuadratureReport._make(p * v, p * e, n) for p, (v, e, n) in zip(prefs, reps)]
+    return [QuadratureReport(p * v, p * e, n) for p, (v, e, n) in zip(prefs, reps)]
 
 
 def vacuum_split_quadrature(
@@ -263,7 +263,7 @@ def f_integral_oracle(x: float) -> QuadratureReport:
         raise DomainError(f"f_integral_oracle needs x > 0, got {x}")
     if 1.0 / x == math.inf:
         raise DomainError(f"f_integral_oracle needs a finite 1/x, got x = {x}")
-    return QuadratureReport._make(*_laplace([x], lambda s: 1.0)[0])
+    return QuadratureReport(*_laplace([x], lambda s: 1.0)[0])
 
 
 # ----------------------------------------------------------------------
@@ -366,7 +366,7 @@ def _bose_grid(
             # magnitude covers the closed form's rounding, amplified by its
             # (x0^2 - 2) bracket (8e-12 needed on verify's grids, taken 6x)
             est = pref * (err + _COMPARISON_FLOOR * gross) + 1e-300
-            reports.append(QuadratureReport._make(float(pref * v), float(est), k))
+            reports.append(QuadratureReport(float(pref * v), float(est), k))
     return reports
 
 
@@ -423,4 +423,4 @@ def bose_integral_quadrature(n: int) -> QuadratureReport:
     u, half = _gl_points(_uniform_edges(0.0, 32.0 * _PI, _PI))
     (v,), (e,), (g,) = _panel_sums(u**n * _bose_weight(u), half, [half.size])
     est = float(e + _SCALAR_FLOOR * g) + 1e-300
-    return QuadratureReport._make(float(v), est, half.size)
+    return QuadratureReport(float(v), est, half.size)

@@ -2,24 +2,19 @@
 types.
 
 A record names its fields in ``__slots__``, and that order is the
-contract of its constructor, ``Record.__init__``: it binds
+contract of its one constructor, ``Record.__init__``: it binds
 positional values to the fields in order and keyword values by name,
 fills fields left out from the class's ``_defaults`` mapping, and raises
 TypeError, naming the class and the field, for too many values, a
-missing field, an unknown keyword or a field given twice.  It then calls
-``_check()``, which a record overrides to validate its fields (reading
-``self.<field>``) and which does nothing by default.  Afterwards
-assigning or deleting a field raises AttributeError.  Equality (between
-records of one class), hashing and repr follow the fields in
-``__slots__`` order, and a record pickles and copies by calling its
-constructor with the fields in that order.
-
-``Record._make(*values)`` is the constructor for records built per
-point: it takes every field by position, in ``__slots__`` order, skips
-the binder (no keywords, no defaults) and raises TypeError, naming the
-class, unless it gets one value per field.  It then calls ``_check()``,
-so it refuses what the constructor refuses, and it returns a record
-equal to the constructor's for the same values.
+missing field, an unknown keyword or a field given twice.  A call with
+one positional value per field, the form of records built per point,
+skips that binding and sets the fields straight through their slots.
+Either way it then calls ``_check()``, which a record overrides to
+validate its fields (reading ``self.<field>``) and which does nothing
+by default.  Afterwards assigning or deleting a field raises
+AttributeError.  Equality (between records of one class), hashing and
+repr follow the fields in ``__slots__`` order, and a record pickles and
+copies by calling its constructor with the fields in that order.
 """
 
 from __future__ import annotations
@@ -32,38 +27,21 @@ class Record:
 
     # values of fields a caller may leave out, by field name
     _defaults: dict[str, object] = {}
-    # each field's slot setter, in __slots__ order, for _make
+    # each field's slot setter, in __slots__ order
     _setters: tuple = ()
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
-    @classmethod
-    def _make(cls, *values: object) -> "Record":
-        """A record from every field's value in __slots__ order; see the
-        module docstring."""
-        setters = cls._setters
-        if len(values) != len(setters):
-            raise TypeError(
-                f"{cls.__name__} takes {len(setters)} fields, got {len(values)} values"
-            )
-        self = object.__new__(cls)
-        # indexing runs faster than zip() here, as in __init__
-        for i in range(len(setters)):
-            setters[i](self, values[i])
-        self._check()
-        return self
-
     def __init__(self, *args: object, **kwargs: object) -> None:
-        names = self.__slots__
+        setters = self._setters
         # every field given by position skips _bind
-        if kwargs or len(args) != len(names):
+        if kwargs or len(args) != len(setters):
             args = self._bind(args, kwargs)
-        _set = object.__setattr__
         # indexing runs faster than zip() here, and records are built per point
-        for i in range(len(names)):
-            _set(self, names[i], args[i])
+        for i in range(len(setters)):
+            setters[i](self, args[i])
         self._check()
 
     def _bind(self, args: tuple, kwargs: dict[str, object]) -> list:

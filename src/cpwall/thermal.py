@@ -169,14 +169,19 @@ class ThermalSeriesTerms(Record):
 
 class PotentialBreakdown(Record):
     """Total interaction split into vacuum and thermal parts (eV); the
-    total is the exact float sum of the parts.  notes is free text, which
-    total_potential leaves empty (``eval`` builds the notes it prints);
-    the field stays because the benchmark's tests build breakdowns with
-    it."""
+    total is the exact float sum of the parts, and finite.  notes is free
+    text, which total_potential leaves empty (``eval`` builds the notes
+    it prints); the field stays because the benchmark's tests build
+    breakdowns with it."""
 
     __slots__ = ("vacuum", "thermal", "total", "notes")
 
     def _check(self) -> None:
+        # a finite total that is the sum of the parts has finite parts
+        if not math.isfinite(self.total):
+            raise DomainError(
+                f"vacuum {self.vacuum} + thermal {self.thermal} eV is not finite"
+            )
         if self.total != self.vacuum + self.thermal:
             raise DomainError("PotentialBreakdown total must equal vacuum + thermal")
 
@@ -374,7 +379,7 @@ def thermal_series_terms(theta: float) -> ThermalSeriesTerms:
     for i in reversed(range(cut)):
         far = tails[i] + (2 * i + 4) * (2 * i + 5) / theta2 * far
         js[i] += far
-    return ThermalSeriesTerms._make(tuple(map(mul, _H_T_FACTORS, js)), len(inv_n2))
+    return ThermalSeriesTerms(tuple(map(mul, _H_T_FACTORS, js)), len(inv_n2))
 
 
 def _h_t(eta: float, theta: float) -> float:
@@ -427,65 +432,82 @@ def _h_t(eta: float, theta: float) -> float:
     )
 
 
+class _Factors(Record):
+    """What the thermal per-point functions take of one (atom,
+    environment, constants) triple: lambda_T, 2 k0, theta = k0 lambda_T,
+    V0's _vacuum_factor, the Lifshitz route's hbar c alpha0 k0 (over
+    8 pi z^3 per point), the H_T route's (2 / pi) hbar c alpha0 /
+    lambda_T^4 (times theta^4 h_T per point) and the short law's
+    hbar c alpha0, C_SHORT / lambda_T^4 and lambda_T^6.  A factor outside
+    the double range holds its limit, inf or 0."""
+
+    __slots__ = (
+        "lambda_T", "two_k0", "theta", "vacuum", "w_num", "h_t_pref",
+        "short_scale", "c_t", "lam6",
+    )
+
+
 # the last (atom, env, constants) and their factors, by identity (records are read-only)
 _last_factors: tuple = (None, None, None, ())
 
 
 def _thermal_factors(
     atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
-) -> tuple[float, ...]:
-    """V_T's factors of atom, env and constants: lambda_T, 2 k0, theta =
-    k0 lambda_T, the H_T form's 2 hbar c alpha0 and pi lambda_T^4 (_v_short)
-    and the W form's hbar c alpha0 k0 (_w_pref), then V0's _vacuum_factor,
-    which total_potential reads from this cache.  Raises DomainError if env
-    was built for another atom (its theta is not k0 lambda_T)."""
+) -> _Factors:
+    """The _Factors of atom, env and constants, built once for the last
+    triple and returned again, the same record, while the same three
+    objects come back.  Raises DomainError if env was built for another
+    atom (its theta is not k0 lambda_T)."""
     global _last_factors
     last_atom, last_env, last_cst, f = _last_factors
     if atom is last_atom and env is last_env and cst is last_cst:
         return f
-    lam, hc, k0 = env.lambda_T, cst.hbar_c_ev_um, atom.k0
+    lam, hc, k0, alpha0 = env.lambda_T, cst.hbar_c_ev_um, atom.k0, atom.alpha0
     theta = k0 * lam
     if abs(theta - env.theta) > 1e-8 * theta:
         raise DomainError(
             f"environment theta {env.theta} inconsistent with k0*lambda_T "
             f"= {theta}; was it built for a different atom?"
         )
-    # lambda_T^4 overflows from 1e77, where _v_short divides by it in halves
-    pi_lam4 = math.pi * lam**4 if lam < 1e77 else math.inf
-    f = (
-        lam, 2.0 * k0, theta, 2.0 * hc * atom.alpha0, pi_lam4, hc * atom.alpha0 * k0,
-        _vacuum_factor(atom, cst),
+    # lambda_T^4 overflows from 1.16e77 um (the H_T route divides by it in
+    # halves from 1e77 on) and is 0 below 1.25e-81 um; lambda_T^6
+    # overflows from 2.38e51 um and is 0 below 1.17e-54 um
+    lam4 = lam**4 if lam < 1e77 else math.inf
+    try:
+        lam6 = lam**6
+    except OverflowError:
+        lam6 = math.inf
+    if lam >= 1e77:
+        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam * lam) / (lam * lam)
+    else:
+        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam4) if lam4 else math.inf
+    f = _Factors(
+        lam, 2.0 * k0, theta, _vacuum_factor(atom, cst), hc * alpha0 * k0, h_t_pref,
+        hc * alpha0, C_SHORT / lam4 if lam4 else math.inf, lam6,
     )
     _last_factors = atom, env, cst, f
     return f
 
 
-def _v_short(f: tuple, eta: float) -> float:
-    """V_T in eV from the H_T form: with W = 2 x0^3 h_T, (hbar c / 8 pi)
-    (alpha0 k0 / z^3) W is (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4."""
-    lam, _, theta, num, pi_lam4, _, _ = f
-    h_t = _h_t(eta, theta)
-    if lam < 1e77:
-        return num / pi_lam4 * h_t
-    return num / (math.pi * lam * lam) / (lam * lam) * h_t
+def _in_range(v: float, f: _Factors) -> float:
+    """v, a thermal shift in eV, refused unless it is finite."""
+    if not math.isfinite(v):
+        raise DomainError(f"V_T at lambda_T = {f.lambda_T} um leaves the double range")
+    return v
 
 
-def _w_pref(w_num: float, z3: float) -> float:
-    """(hbar c / 8 pi) (alpha0 k0 / z^3), which turns W into eV."""
-    return w_num / (8.0 * math.pi * z3)
-
-
-def _thermal_at(f: tuple, z: float, z3: float, h: float | None = None) -> float:
+def _thermal_at(f: _Factors, z: float, z3: float, h: float | None = None) -> float:
     """V_T from _thermal_factors' f at z, with z3 = _z_power(z, 3) and
     h = H0(2 k0 z) if the caller has it."""
-    lam, two_k0, _, _, _, w_num, _ = f
-    eta = lam / (2.0 * z)
+    eta = f.lambda_T / (2.0 * z)
     if eta > _SHORT_ETA:
-        return _v_short(f, eta)
+        # with W = 2 x0^3 h_T, (hbar c / 8 pi) (alpha0 k0 / z^3) W is
+        # (2 / pi) hbar c alpha0 theta^4 h_T / lambda_T^4
+        return _in_range(f.h_t_pref * _h_t(eta, f.theta), f)
     # _w_lifshitz refuses an x0 whose square overflows before reading lo;
     # below that, z^3 being normal keeps 2 k0 and z in _two_product's range
-    x0, lo = _two_product(two_k0, z)
-    return _w_pref(w_num, z3) * _w_lifshitz(eta, x0, lo, h)
+    x0, lo = _two_product(f.two_k0, z)
+    return f.w_num / (8.0 * math.pi * z3) * _w_lifshitz(eta, x0, lo, h)
 
 
 def thermal_potential_exact(
@@ -507,16 +529,6 @@ def thermal_potential_exact(
     return _thermal_at(_thermal_factors(atom, env, cst), z, z3)
 
 
-def _short_factors(
-    atom: AtomParams, env: ThermalEnvironment, cst: PhysicalConstants
-) -> tuple[float, float, float]:
-    """thermal_short_leading's factors of atom, env and constants:
-    hbar c alpha0, C_SHORT / lambda_T^4 and lambda_T^6."""
-    _thermal_factors(atom, env, cst)  # the env check
-    lam = env.lambda_T
-    return cst.hbar_c_ev_um * atom.alpha0, C_SHORT / lam**4, lam**6
-
-
 def thermal_short_leading(
     atom: AtomParams,
     env: ThermalEnvironment,
@@ -527,12 +539,15 @@ def thermal_short_leading(
     / lambda_T^6 with C(T) = (2 pi^3/45) hbar c alpha0 / lambda_T^4.
 
     Valid (to ~5%) for z <= 0.05 lambda_T; defined for all z >= 0.
+    Raises DomainError where the law leaves the double range, and where
+    lambda_T^6 is 0 (lambda_T below about 1.17e-54 um).
     """
     if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be >= 0 and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    scale, c_t, lam6 = _short_factors(atom, env, cst)
-    return scale * (c_t - CURV_SHORT * z * z / lam6)
+    f = _thermal_factors(atom, env, cst)
+    v = f.short_scale * (f.c_t - CURV_SHORT * z * z / f.lam6) if f.lam6 else math.nan
+    return _in_range(v, f)
 
 
 def thermal_short_expansion(
@@ -556,7 +571,7 @@ def thermal_short_expansion(
             f"short-distance expansion needs z < 0.2 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    return _v_short(f, env.lambda_T / (2.0 * z))
+    return _in_range(f.h_t_pref * _h_t(env.lambda_T / (2.0 * z), f.theta), f)
 
 
 def thermal_long_expansion(
@@ -576,14 +591,14 @@ def thermal_long_expansion(
     """
     z3 = _z_power(z, 3)
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
-    lam, two_k0, _, _, _, w_num, _ = _thermal_factors(atom, env, cst)
-    if z < 0.5 * lam:
+    f = _thermal_factors(atom, env, cst)
+    if z < 0.5 * f.lambda_T:
         raise ValidityError(
             f"long-distance expansion needs z >= 0.5 lambda_T, got "
             f"z/lambda_T = {z / env.lambda_T}"
         )
-    w_static = _static_alpha_sum(lam / (2.0 * z), two_k0 * z)
-    return _w_pref(w_num, z3) * w_static
+    w_static = _static_alpha_sum(f.lambda_T / (2.0 * z), f.two_k0 * z)
+    return f.w_num / (8.0 * math.pi * z3) * w_static
 
 
 def lifshitz_asymptote(
@@ -623,9 +638,9 @@ def total_potential(
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     if env is None:
         vac = _vacuum_at(_vacuum_factor(atom, cst), z3, h)
-        return PotentialBreakdown._make(vac, 0.0, vac + 0.0, "")
-    # one cache lookup for both parts' factors, V0's last
+        return PotentialBreakdown(vac, 0.0, vac + 0.0, "")
+    # one cache lookup for both parts' factors
     f = _thermal_factors(atom, env, cst)
-    vac = _vacuum_at(f[6], z3, h)
+    vac = _vacuum_at(f.vacuum, z3, h)
     th = _thermal_at(f, z, z3, h)
-    return PotentialBreakdown._make(vac, th, vac + th, "")
+    return PotentialBreakdown(vac, th, vac + th, "")

@@ -350,9 +350,10 @@ class TestCurveRows:
         ],
     )
     def test_cells_are_the_public_functions(self, figure_id, theta, x_range):
-        # bit for bit: the vacuum, thermal and asymptote columns of figures
-        # 1 and 3 take their factors once per curve and the per-z part per
-        # row, the functions both at every call
+        # bit for bit: figure 1's columns and figure 3's retarded column
+        # take their factors once per curve and the per-z part per row, the
+        # functions both at every call; figure 3's thermal and short-leading
+        # columns call the public functions themselves
         cst = PhysicalConstants()
         spec = cli.CurveSpec.for_figure(figure_id, theta, 40, x_range=x_range)
         buf = io.StringIO()

@@ -1,6 +1,5 @@
 """Parameter and result records: read-only fields, the constructor's
-positional and keyword forms, ``Record._make``, validation, equality,
-repr and pickling."""
+positional and keyword forms, validation, equality, repr and pickling."""
 
 from __future__ import annotations
 
@@ -118,10 +117,14 @@ IDS = [rec[0].__name__ for rec in RECORDS]
 
 @pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
 def test_positional_and_keyword_forms_agree(cls, names, values, bad):
+    # one value per field by position skips the binder and sets the slots
+    # directly, the form records built per point take; _check still runs
+    # (test_bad_input_raises)
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
-    assert by_position == by_keyword
+    assert type(by_position) is cls and by_position == by_keyword
     for name, value in zip(names, values):
+        assert getattr(by_position, name) is value
         got = getattr(by_keyword, name)
         assert got is value or got == value
 
@@ -168,6 +171,13 @@ def test_binder_refuses_bad_calls(cls, names, values, bad):
     by_name = dict(zip(names, values))
     with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields"):
         cls(*values, values[0])
+    # one positional value short, the last field comes from _defaults or is missing
+    last = names[-1]
+    if last in cls._defaults:
+        assert cls(*values[:-1]) == cls(*values[:-1], cls._defaults[last])
+    else:
+        with pytest.raises(TypeError, match=f"{name} is missing field '{last}'"):
+            cls(*values[:-1])
     # PhysicalConstants has a default for every field, so none can be missing
     for missing in [n for n in names if n not in cls._defaults]:
         with pytest.raises(TypeError, match=f"{name} is missing field '{missing}'"):
@@ -176,28 +186,6 @@ def test_binder_refuses_bad_calls(cls, names, values, bad):
         cls(*values, bogus=1)
     with pytest.raises(TypeError, match=f"{name} got field '{names[0]}' twice"):
         cls(*values[:1], **by_name)
-
-
-@pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
-def test_make_is_the_constructor_by_position(cls, names, values, bad):
-    rec = cls._make(*values)
-    assert type(rec) is cls and rec == cls(**dict(zip(names, values)))
-    for name, value in zip(names, values):
-        assert getattr(rec, name) is value
-        with pytest.raises(AttributeError):
-            setattr(rec, name, value)
-    assert not hasattr(rec, "__dict__")
-    twin = pickle.loads(pickle.dumps(rec))
-    assert type(twin) is cls and repr(twin) == repr(rec)
-    # _check still runs, and a value per field is required
-    for args, exc in bad:
-        with pytest.raises(exc):
-            cls._make(*args)
-    name = cls.__name__
-    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields, got"):
-        cls._make(*values, values[0])
-    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields, got"):
-        cls._make(*values[:-1])
 
 
 def test_records_differ_by_field():

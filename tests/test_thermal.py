@@ -473,6 +473,47 @@ class TestEnvironment:
             thermal_potential_exact(other, env, 1.0)
 
 
+class TestTripleFactors:
+    def test_cache_keeps_the_last_triple(self) -> None:
+        # the same three objects give the same record; an equal but new
+        # environment an equal, new one; an environment built for another
+        # atom is refused right after a cached call
+        atom, env = make_pair(100.0)
+        f = thermal._thermal_factors(atom, env, CST)
+        assert thermal._thermal_factors(atom, env, CST) is f
+        twin = ThermalEnvironment(env.temperature, env.lambda_T, env.theta)
+        g = thermal._thermal_factors(atom, twin, CST)
+        assert g is not f and g == f
+        other = AtomParams(k0=2.0 * atom.k0, alpha0=atom.alpha0)
+        for fn in (thermal_potential_exact, thermal_short_leading):
+            fn(atom, env, 0.01 * LAMBDA_T, CST)
+            with pytest.raises(DomainError, match="inconsistent"):
+                fn(other, env, 0.01 * LAMBDA_T, CST)
+
+    @pytest.mark.parametrize("theta", [10.0, 1000.0])
+    @pytest.mark.parametrize("lam", [1e-300, 1e-90, 1e-79, 1e-60, 1e52, 1e78, 1e300])
+    def test_extreme_lambda_t_is_finite_or_refused(self, lam: float, theta: float) -> None:
+        # lambda_T^4 is 0 below 1.25e-81 um and overflows from 1.16e77 um,
+        # lambda_T^6 is 0 below 1.17e-54 um and overflows from 2.38e51 um:
+        # the factors still build, and each point is a finite float or a
+        # refusal
+        atom = AtomParams(k0=theta / lam, alpha0=1e-9)
+        env = ThermalEnvironment(temperature=1.0, lambda_T=lam, theta=atom.k0 * lam)
+        thermal._thermal_factors(atom, env, CST)
+        z = lam / 16.0
+        for fn in (thermal_short_leading, thermal_short_expansion, thermal_potential_exact):
+            try:
+                v = fn(atom, env, z, CST)
+            except (DomainError, ValidityError):
+                continue
+            assert type(v) is float and math.isfinite(v)
+        if 1e52 <= lam < 1e300:
+            # the z^2 term over an infinite lambda_T^6 is 0: C(T), or 0
+            assert thermal_short_leading(atom, env, z, CST) == thermal_short_leading(
+                atom, env, 0.0, CST
+            )
+
+
 class TestExpansions:
     def test_short_expansion_near_leading(self) -> None:
         atom, env = make_pair(100.0)
