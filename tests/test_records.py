@@ -56,7 +56,7 @@ RECORDS = [
         PotentialBreakdown,
         ("vacuum", "thermal", "total", "notes"),
         (-2.0, 0.5, -1.5, "x0 = 1"),
-        [((-2.0, 0.5, -1.0, ""), DomainError)],
+        [((-2.0, 0.5, -1.0, ""), DomainError), ((-math.inf, 0.5, -math.inf, ""), DomainError)],
     ),
     (
         CurveSpec,
