@@ -1,5 +1,6 @@
 """Parameter and result records: read-only fields, the constructor's
-positional and keyword forms, validation, equality, repr and pickling."""
+positional and keyword forms, the all-positional fast path, validation,
+equality, repr and pickling."""
 
 from __future__ import annotations
 
@@ -117,14 +118,10 @@ IDS = [rec[0].__name__ for rec in RECORDS]
 
 @pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
 def test_positional_and_keyword_forms_agree(cls, names, values, bad):
-    # one value per field by position skips the binder and sets the slots
-    # directly, the form records built per point take; _check still runs
-    # (test_bad_input_raises)
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
-    assert type(by_position) is cls and by_position == by_keyword
+    assert by_position == by_keyword
     for name, value in zip(names, values):
-        assert getattr(by_position, name) is value
         got = getattr(by_keyword, name)
         assert got is value or got == value
 
@@ -171,13 +168,6 @@ def test_binder_refuses_bad_calls(cls, names, values, bad):
     by_name = dict(zip(names, values))
     with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields"):
         cls(*values, values[0])
-    # one positional value short, the last field comes from _defaults or is missing
-    last = names[-1]
-    if last in cls._defaults:
-        assert cls(*values[:-1]) == cls(*values[:-1], cls._defaults[last])
-    else:
-        with pytest.raises(TypeError, match=f"{name} is missing field '{last}'"):
-            cls(*values[:-1])
     # PhysicalConstants has a default for every field, so none can be missing
     for missing in [n for n in names if n not in cls._defaults]:
         with pytest.raises(TypeError, match=f"{name} is missing field '{missing}'"):
@@ -186,6 +176,36 @@ def test_binder_refuses_bad_calls(cls, names, values, bad):
         cls(*values, bogus=1)
     with pytest.raises(TypeError, match=f"{name} got field '{names[0]}' twice"):
         cls(*values[:1], **by_name)
+
+
+@pytest.mark.parametrize("cls, names, values, bad", RECORDS, ids=IDS)
+def test_make_is_the_constructor_by_position(cls, names, values, bad):
+    # one value per field by position skips the binder and sets the slots
+    # directly, the form records built per point take
+    rec = cls(*values)
+    assert type(rec) is cls and rec == cls(**dict(zip(names, values)))
+    for name, value in zip(names, values):
+        assert getattr(rec, name) is value
+        with pytest.raises(AttributeError):
+            setattr(rec, name, value)
+    assert not hasattr(rec, "__dict__")
+    twin = pickle.loads(pickle.dumps(rec))
+    assert type(twin) is cls and repr(twin) == repr(rec)
+    # _check still runs on the fast path
+    for args, exc in bad:
+        with pytest.raises(exc):
+            cls(*args)
+    # one value too many is refused; one short goes to the binder, where the
+    # last field comes from _defaults or is missing
+    name = cls.__name__
+    with pytest.raises(TypeError, match=f"{name} takes {len(names)} fields, got"):
+        cls(*values, values[0])
+    last = names[-1]
+    if last in cls._defaults:
+        assert cls(*values[:-1]) == cls(*values[:-1], cls._defaults[last])
+    else:
+        with pytest.raises(TypeError, match=f"{name} is missing field '{last}'"):
+            cls(*values[:-1])
 
 
 def test_records_differ_by_field():
