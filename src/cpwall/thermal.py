@@ -58,6 +58,7 @@ repeated runs are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from itertools import accumulate, count, repeat
 from operator import mul
@@ -437,9 +438,9 @@ class _Factors(Record):
     environment, constants) triple: lambda_T, 2 k0, theta = k0 lambda_T,
     V0's _vacuum_factor, the Lifshitz route's hbar c alpha0 k0 (over
     8 pi z^3 per point), the H_T route's (2 / pi) hbar c alpha0 /
-    lambda_T^4 (times theta^4 h_T per point) and the short law's
-    hbar c alpha0, C_SHORT / lambda_T^4 and lambda_T^6.  A factor outside
-    the double range holds its limit, inf or 0."""
+    lambda_T^4 (times theta^4 h_T per point; inf or 0 past the double
+    range) and the short law's hbar c alpha0, C_SHORT / lambda_T^4 and
+    lambda_T^6, the last two 0 where lambda_T^6 is not a normal float."""
 
     __slots__ = (
         "lambda_T", "two_k0", "theta", "vacuum", "w_num", "h_t_pref",
@@ -469,21 +470,20 @@ def _thermal_factors(
             f"environment theta {env.theta} inconsistent with k0*lambda_T "
             f"= {theta}; was it built for a different atom?"
         )
-    # lambda_T^4 overflows from 1.16e77 um (the H_T route divides by it in
-    # halves from 1e77 on) and is 0 below 1.25e-81 um; lambda_T^6
-    # overflows from 2.38e51 um and is 0 below 1.17e-54 um
-    lam4 = lam**4 if lam < 1e77 else math.inf
-    try:
+    if lam >= 1e77:  # lambda_T^4 overflows from 1.16e77 um: in halves
+        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam * lam) / (lam * lam)
+    elif (lam4 := lam**4) >= sys.float_info.min:
+        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam4)
+    else:  # lambda_T^4 is subnormal or 0 below 1.22e-77 um
+        h_t_pref = 2.0 * hc * alpha0 / math.pi / lam / lam / lam / lam
+    try:  # lambda_T^6 is subnormal below 5.3e-52 um and overflows from 2.38e51 um
         lam6 = lam**6
     except OverflowError:
-        lam6 = math.inf
-    if lam >= 1e77:
-        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam * lam) / (lam * lam)
-    else:
-        h_t_pref = 2.0 * hc * alpha0 / (math.pi * lam4) if lam4 else math.inf
+        lam6 = 0.0
+    lam6 = lam6 if lam6 >= sys.float_info.min else 0.0
     f = _Factors(
         lam, 2.0 * k0, theta, _vacuum_factor(atom, cst), hc * alpha0 * k0, h_t_pref,
-        hc * alpha0, C_SHORT / lam4 if lam4 else math.inf, lam6,
+        hc * alpha0, C_SHORT / lam**4 if lam6 else 0.0, lam6,
     )
     _last_factors = atom, env, cst, f
     return f
@@ -539,14 +539,18 @@ def thermal_short_leading(
     / lambda_T^6 with C(T) = (2 pi^3/45) hbar c alpha0 / lambda_T^4.
 
     Valid (to ~5%) for z <= 0.05 lambda_T; defined for all z >= 0.
-    Raises DomainError where the law leaves the double range, and where
-    lambda_T^6 is 0 (lambda_T below about 1.17e-54 um).
+    Raises DomainError where the law leaves the double range, or, with
+    lambda_T^6 not a normal float, where (z / lambda_T)^2 does.
     """
     if not 0.0 <= z < math.inf:
         raise DomainError(f"z must be >= 0 and finite, got {z}")
     cst = constants if constants is not None else _DEFAULT_CONSTANTS
     f = _thermal_factors(atom, env, cst)
-    v = f.short_scale * (f.c_t - CURV_SHORT * z * z / f.lam6) if f.lam6 else math.nan
+    if f.lam6:
+        v = f.short_scale * (f.c_t - CURV_SHORT * z * z / f.lam6)
+    else:  # (pi / 2) h_t_pref is hbar c alpha0 / lambda_T^4
+        r = z / f.lambda_T
+        v = 0.5 * math.pi * f.h_t_pref * (C_SHORT - CURV_SHORT * r * r)
     return _in_range(v, f)
 
 

@@ -495,23 +495,71 @@ class TestTripleFactors:
     def test_extreme_lambda_t_is_finite_or_refused(self, lam: float, theta: float) -> None:
         # lambda_T^4 is 0 below 1.25e-81 um and overflows from 1.16e77 um,
         # lambda_T^6 is 0 below 1.17e-54 um and overflows from 2.38e51 um:
-        # the factors still build, and each point is a finite float or a
-        # refusal
+        # the factors still build, each point is a finite float or a
+        # refusal, and only a V_T out of the double range is refused
         atom = AtomParams(k0=theta / lam, alpha0=1e-9)
         env = ThermalEnvironment(temperature=1.0, lambda_T=lam, theta=atom.k0 * lam)
         thermal._thermal_factors(atom, env, CST)
         z = lam / 16.0
-        for fn in (thermal_short_leading, thermal_short_expansion, thermal_potential_exact):
-            try:
+        fns = (thermal_short_leading, thermal_short_expansion, thermal_potential_exact)
+        # V_T ~ 2.5e-9 eV um^4 / lambda_T^4 is past the double range at
+        # 1e-90 um and below, and z^3 overflows at 1e300 um
+        refused = {1e-300: fns, 1e-90: fns, 1e300: fns[1:]}.get(lam, ())
+        for fn in fns:
+            if fn in refused:
+                with pytest.raises(DomainError):
+                    fn(atom, env, z, CST)
+            else:
                 v = fn(atom, env, z, CST)
-            except (DomainError, ValidityError):
-                continue
-            assert type(v) is float and math.isfinite(v)
-        if 1e52 <= lam < 1e300:
-            # the z^2 term over an infinite lambda_T^6 is 0: C(T), or 0
-            assert thermal_short_leading(atom, env, z, CST) == thermal_short_leading(
-                atom, env, 0.0, CST
-            )
+                assert type(v) is float and math.isfinite(v)
+
+    @pytest.mark.parametrize(
+        "lam,alpha0",
+        [(1e-79, 1e-300), (1e-60, 1e-9), (2e-54, 1e-9), (3e-52, 1e-9),
+         (2.3e51, 1e-9), (2.4e51, 1e-9), (1e52, 1e-9), (1e77, 1e300),
+         (1.1e77, 1e300), (1e78, 1e300)],
+    )
+    @pytest.mark.parametrize("zr", [0.0, 1.0 / 20.0, 1.0 / 16.0])
+    def test_short_leading_past_the_sixth_power(
+        self, lam: float, alpha0: float, zr: float
+    ) -> None:
+        # where lambda_T^6 is not a normal float (below 5.3e-52 um, from
+        # 2.38e51 um) the law is hbar c alpha0 / lambda_T^4 (C_SHORT -
+        # CURV_SHORT (z / lambda_T)^2): the z^2 term is 22.6 (z /
+        # lambda_T)^2 of C(T), 8.8% at z = lambda_T / 16, and must not
+        # drop, and a subnormal lambda_T^6 (2e-54 um: 23% off once) must
+        # not be divided by; 1e-60 and 2.3e51 um are the continuity checks
+        atom = AtomParams(k0=100.0 / lam, alpha0=alpha0)
+        env = ThermalEnvironment(temperature=1.0, lambda_T=lam, theta=atom.k0 * lam)
+        z = zr * lam
+        lam_, z_ = Fraction(lam), Fraction(z)
+        ref = Fraction(CST.hbar_c_ev_um) * Fraction(alpha0) * (
+            Fraction(thermal.C_SHORT) / lam_**4
+            - Fraction(thermal.CURV_SHORT) * z_**2 / lam_**6
+        )
+        v = thermal_short_leading(atom, env, z, CST)
+        assert v == pytest.approx(float(ref), rel=1e-14, abs=0)
+
+
+    @pytest.mark.parametrize(
+        "lam,alpha0",
+        [(1e-90, 1e-300), (1e-79, 1e-300), (1e-60, 1e-9), (1.1e77, 1e300)],
+    )
+    def test_h_t_prefactor_where_the_fourth_power_is_not_normal(
+        self, lam: float, alpha0: float
+    ) -> None:
+        # at eta = 8 both H_T-route functions are (2 / pi) hbar c alpha0 /
+        # lambda_T^4 times a shape of eta and theta alone, so they scale
+        # from lambda_T = 1; lambda_T^4 is subnormal below 1.22e-77 um
+        # (1.9e-8 off once at 1e-79) and overflows from 1.16e77 um
+        atom = AtomParams(k0=100.0 / lam, alpha0=alpha0)
+        env = ThermalEnvironment(temperature=1.0, lambda_T=lam, theta=atom.k0 * lam)
+        unit = AtomParams(k0=env.theta, alpha0=1.0)
+        unit_env = ThermalEnvironment(temperature=1.0, lambda_T=1.0, theta=env.theta)
+        for fn in (thermal_short_expansion, thermal_potential_exact):
+            ref = Fraction(fn(unit, unit_env, 1.0 / 16.0, CST)) * Fraction(alpha0)
+            v = fn(atom, env, lam / 16.0, CST)
+            assert v == pytest.approx(float(ref / Fraction(lam) ** 4), rel=1e-14, abs=0)
 
 
 class TestExpansions:
